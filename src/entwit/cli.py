@@ -13,7 +13,8 @@ byte-identical.  Human-readable summaries go to stderr unless --quiet.
 ``--json-out PATH`` additionally writes the same document to a file.
 
 Exit codes: 0 success, 1 property violation (an audit found a negative
-separable value or a route mismatch), 2 input or validation error.
+separable value or a route mismatch), 2 input or validation error, or any
+other failure (reported in one line, without a traceback).
 """
 
 from __future__ import annotations
@@ -433,11 +434,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SerializationError, LayoutError, NumericalError, ValueError) as exc:
+    except (
+        SerializationError, LayoutError, NumericalError, ValueError, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # exit 1 is reserved for property violations
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

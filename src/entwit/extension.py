@@ -27,7 +27,7 @@ from .operators import (
     is_psd,
     partial_transpose,
 )
-from .witness import Witness, ZeroSet, span_rank
+from .witness import Witness, ZeroSet, _op_of, span_rank
 
 __all__ = [
     "CAP_PSD_TOL",
@@ -87,7 +87,7 @@ def _sandwich(mid_mat: Array, mid_layout: SystemLayout, left: Array, right: Arra
 
 def extend_witness(W: Witness | HermitianOperator, spec: ExtensionSpec) -> Witness:
     """cap_left (x) W (x) cap_right, cut moved so A-side systems stay left."""
-    op = W.op if isinstance(W, Witness) else W
+    op = _op_of(W)
     op.layout.require_bipartite()
     label = W.provenance if isinstance(W, Witness) and W.provenance else "witness"
     return Witness(
@@ -141,7 +141,7 @@ def extended_zero_set(zeros: ZeroSet, d_ap: int, d_bp: int) -> ZeroSet:
 def gamma_of_extension_check(W: Witness | HermitianOperator, spec: ExtensionSpec) -> bool:
     """Partial transpose factors through: Gamma of the extension must equal
     cap_left (x) Gamma(W) (x) cap_right^T in Frobenius norm."""
-    op = W.op if isinstance(W, Witness) else W
+    op = _op_of(W)
     ext = extend_witness(op, spec)
     lhs = partial_transpose(ext.op)
     gamma_w = partial_transpose(op)

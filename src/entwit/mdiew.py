@@ -7,6 +7,12 @@ over the input-state products reproduces Tr(W rho) / (d_A d_B) when the
 measurements are the ideal maximally entangled projectors -- and can never go
 negative on separable rho, whatever the measurements actually are.
 
+Click table: with E_l on (input A', party A) and E_r on (party B, input B'),
+P(0,0 | s, t) = Tr[rho (F_l[s] (x) F_r[t])], where F_l[s] = Tr_A'[(sigma_s^T
+(x) I) E_l] and F_r[t] = Tr_B'[(I (x) sigma_t^T) E_r]; three einsums give all
+(s, t) at once.  Embedded elements E = v^H E_big v are never compressed on
+this route: the inputs are pushed through the isometry v instead.
+
 Transpose bookkeeping: beta is solved against the un-transposed products
 sum beta[s, t] sigma_s (x) sigma_t = W, and the probability rule transposes
 the prepared inputs instead.  Under ideal projectors the identity
@@ -14,11 +20,12 @@ the prepared inputs instead.  Under ideal projectors the identity
 which is what makes the ideal value come out as Tr(W rho) / (d_A d_B).
 
 The audit makes the robustness claim checkable two ways per trial: route (i)
-sums the operational probabilities; route (ii) rewrites the same number as a
-mixture over ensemble members of cap-extended transposed witnesses traced
-against the measurement pair -- nonnegative term by term because each term is
-an extension evaluated on a product-positive operator.  The middle factor is
-the transposed witness precisely because the inputs enter transposed.
+sums beta against the click table; route (ii) rewrites the same number as a
+mixture over ensemble members of W^T, capped by each member's projectors on
+the party systems, traced against the measurement pair -- nonnegative term by
+term because each term is an extension evaluated on a product-positive
+operator.  The middle factor is the transposed witness precisely because the
+inputs enter transposed.
 """
 from __future__ import annotations
 
@@ -34,17 +41,15 @@ from .operators import (
     SeparableEnsemble,
     SystemLayout,
     maximally_entangled_vector,
-    permute_systems,
     projector,
 )
-from .extension import ExtensionSpec, extend_witness
 from .sampling import (
     random_povm_first_element,
     random_separable,
     random_unitary,
     rng_from,
 )
-from .witness import Witness, expectation
+from .witness import Witness, _op_of, expectation
 
 __all__ = [
     "DECOMPOSITION_RESIDUAL_TOL",
@@ -139,6 +144,13 @@ def tomographic_basis(d: int) -> StateBasis:
     return StateBasis(tuple(states))
 
 
+def _product_basis(basis_left: StateBasis, basis_right: StateBasis) -> Array:
+    """Columns are the raveled sigma_s (x) sigma_t, in (s, t) order."""
+    left, right = np.array(basis_left.states), np.array(basis_right.states)
+    kron = np.einsum("sij,tkl->ikjlst", left, right)
+    return kron.reshape(-1, len(left) * len(right))
+
+
 def reconstruction_residual(
     W: Witness | HermitianOperator,
     basis_left: StateBasis,
@@ -146,12 +158,8 @@ def reconstruction_residual(
     beta: Array,
 ) -> float:
     """Frobenius norm of (sum beta[s, t] sigma_s (x) sigma_t) - W."""
-    op = W.op if isinstance(W, Witness) else W
-    recon = np.zeros_like(op.mat)
-    for s, sig_s in enumerate(basis_left.states):
-        for t, sig_t in enumerate(basis_right.states):
-            recon += beta[s, t] * np.kron(sig_s, sig_t)
-    return float(np.linalg.norm(recon - op.mat))
+    recon = _product_basis(basis_left, basis_right) @ np.ravel(beta)
+    return float(np.linalg.norm(recon - _op_of(W).mat.ravel()))
 
 
 def decompose_witness(
@@ -165,7 +173,7 @@ def decompose_witness(
     members forces the true solution real, which is checked at 1e-10 rather
     than assumed.  A reconstruction residual above 1e-9 raises.
     """
-    op = W.op if isinstance(W, Witness) else W
+    op = _op_of(W)
     op.layout.require_bipartite()
     d_a, d_b = op.layout.left_dim, op.layout.right_dim
     if basis_left.dim != d_a or basis_right.dim != d_b:
@@ -173,11 +181,9 @@ def decompose_witness(
             f"basis dims ({basis_left.dim}, {basis_right.dim}) do not match "
             f"witness parties ({d_a}, {d_b})"
         )
-    cols = [
-        np.kron(s, t).ravel() for s in basis_left.states for t in basis_right.states
-    ]
-    mat = np.array(cols).T
-    coeffs, *_ = np.linalg.lstsq(mat, op.mat.ravel(), rcond=None)
+    coeffs, *_ = np.linalg.lstsq(
+        _product_basis(basis_left, basis_right), op.mat.ravel(), rcond=None
+    )
     imag = float(np.abs(coeffs.imag).max())
     if imag > BETA_IMAG_TOL:
         raise NumericalError(
@@ -288,24 +294,43 @@ class MdiewScenario:
         return expectation(self.witness, rho) / (d_a * d_b)
 
 
-def _canonical_state(
-    rho_mat: Array, d_a: int, d_b: int, sigma_s: Array, sigma_t: Array
+def _input_factors(sigmas: Array, element: Array, iso: Array) -> Array:
+    """F[s] = Tr_in[(sigma_s^T (x) I) iso^H E iso]; iso's columns are (in, party).
+
+    Each input is pushed through iso first, then traced against E itself.
+    """
+    d = sigmas.shape[1]
+    v3, ev3 = iso.reshape(-1, d, d), (element @ iso).reshape(-1, d, d)
+    path = ["einsum_path", (0, 1), (0, 1)]
+    return np.einsum("xra,srp,xpc->sac", v3.conj(), sigmas, ev3, optimize=path)
+
+
+def _click_table(
+    rho_mat: Array, sig_l: Array, sig_r: Array, e_l: Array, e_r: Array,
+    iso_l: Array | None = None, iso_r: Array | None = None,
 ) -> Array:
-    """rho (x) sigma_s^T (x) sigma_t^T, reordered to the A', A, B, B' layout."""
-    prepared = HermitianOperator(
-        np.kron(np.kron(rho_mat, sigma_s.T), sigma_t.T),
-        SystemLayout((d_a, d_b, d_a, d_b), 2),
-    )
-    return permute_systems(prepared, (2, 0, 1, 3)).mat
+    """P(0,0 | s, t) = Tr[rho (F_l[s] (x) F_r[t])] for every input pair (s, t).
 
-
-def _probability(state_mat: Array, meas_mat: Array) -> float:
-    p = np.sum(state_mat * meas_mat.T)
-    if abs(p.imag) > PROBABILITY_RANGE_TOL:
-        raise NumericalError(f"probability has imaginary part {p.imag:.3e}")
-    if not -PROBABILITY_RANGE_TOL <= p.real <= 1.0 + PROBABILITY_RANGE_TOL:
-        raise NumericalError(f"probability {p.real!r} outside [0, 1]")
-    return float(p.real)
+    The isometries map the measurement spaces into the elements' spaces; the
+    identity when none are given.  Every entry must be real and in [0, 1].
+    """
+    d_a, d_b = sig_l.shape[1], sig_r.shape[1]
+    if iso_l is None:
+        iso_l, iso_r = np.eye(d_a * d_a), np.eye(d_b * d_b)
+    # the right element measures (party, input): swap each column's index pair
+    iso_r = iso_r.reshape(-1, d_b, d_b).transpose(0, 2, 1).reshape(-1, d_b * d_b)
+    f_l = _input_factors(sig_l, e_l, iso_l)
+    f_r = _input_factors(sig_r, e_r, iso_r)
+    rho4 = rho_mat.reshape(d_a, d_b, d_a, d_b)
+    table = np.einsum("abce,sca,teb->st", rho4, f_l, f_r)
+    imag = float(np.abs(table.imag).max())
+    if imag > PROBABILITY_RANGE_TOL:
+        raise NumericalError(f"probability has imaginary part {imag:.3e}")
+    lo, hi = float(table.real.min()), float(table.real.max())
+    if lo < -PROBABILITY_RANGE_TOL or hi > 1.0 + PROBABILITY_RANGE_TOL:
+        bad = lo if lo < -PROBABILITY_RANGE_TOL else hi
+        raise NumericalError(f"probability {bad!r} outside [0, 1]")
+    return table.real
 
 
 def joint_probability(
@@ -331,8 +356,7 @@ def joint_probability(
         )
     e_l = _povm_matrix(povm_left, d_a * d_a, "left POVM element")
     e_r = _povm_matrix(povm_right, d_b * d_b, "right POVM element")
-    state = _canonical_state(rho.mat, d_a, d_b, sig_s, sig_t)
-    return _probability(state, np.kron(e_l, e_r))
+    return float(_click_table(rho.mat, sig_s[None], sig_t[None], e_l, e_r)[0, 0])
 
 
 def mdiew_value(
@@ -348,51 +372,33 @@ def mdiew_value(
             f"state parties ({rho.layout.left_dim}, {rho.layout.right_dim}) "
             f"do not match scenario ({d_a}, {d_b})"
         )
-    e_l = (
-        scenario.povm_left
-        if povm_left is None
-        else _povm_matrix(povm_left, d_a * d_a, "left POVM element")
-    )
-    e_r = (
-        scenario.povm_right
-        if povm_right is None
-        else _povm_matrix(povm_right, d_b * d_b, "right POVM element")
-    )
-    meas = np.kron(e_l, e_r)
-    beta = scenario.beta
-    value = 0.0
-    for s, sig_s in enumerate(scenario.basis_left.states):
-        for t, sig_t in enumerate(scenario.basis_right.states):
-            state = _canonical_state(rho.mat, d_a, d_b, sig_s, sig_t)
-            value += beta[s, t] * _probability(state, meas)
-    return float(value)
+    e_l, e_r = scenario.povm_left, scenario.povm_right
+    if povm_left is not None:
+        e_l = _povm_matrix(povm_left, d_a * d_a, "left POVM element")
+    if povm_right is not None:
+        e_r = _povm_matrix(povm_right, d_b * d_b, "right POVM element")
+    sig_l = np.array(scenario.basis_left.states)
+    sig_r = np.array(scenario.basis_right.states)
+    return float(np.sum(scenario.beta * _click_table(rho.mat, sig_l, sig_r, e_l, e_r)))
 
 
 def _mixture_route_value(
-    scenario: MdiewScenario,
-    ensemble: SeparableEnsemble,
-    e_left: Array,
-    e_right: Array,
+    w_t4: Array, ensemble: SeparableEnsemble, e_left: Array, e_right: Array
 ) -> float:
-    """Route (ii): mixture of cap-extended transposed witnesses vs measurement.
-
-    For a product member a (x) b the whole (s, t) sum collapses to the
-    extension of W^T by the member's projector caps, reordered to canonical
-    system order; tracing that against the measurement pair is nonnegative
-    term by term whenever W^T is block-positive, i.e. whenever W is.
+    """Route (ii): W^T on the input systems, capped by member k's projectors
+    |a_k><a_k| and |b_k><b_k| on the party systems, traced against the
+    measurement pair and mixed by weight.  Every term is nonnegative whenever
+    W^T is block-positive, i.e. whenever W is.  w_t4 is W^T indexed
+    [in_A, in_B, in_A', in_B'].
     """
-    w_t = Witness(
-        HermitianOperator(scenario.witness.op.mat.T, scenario.witness.op.layout)
-    )
-    meas = np.kron(e_left, e_right)
-    value = 0.0
-    for weight, member in zip(ensemble.weights, ensemble.members):
-        a, b = member.factors
-        ext = extend_witness(w_t, ExtensionSpec(projector(a), projector(b)))
-        term_op = permute_systems(ext.op, (1, 0, 3, 2))
-        term = np.sum(term_op.mat * meas.T).real
-        value += weight * term
-    return float(value)
+    d_a, d_b = w_t4.shape[:2]
+    a = np.array([m.factors[0] for m in ensemble.members])
+    b = np.array([m.factors[1] for m in ensemble.members])
+    # each measurement element traced against member k's cap on its party
+    g_left = np.einsum("kj,pjri,ki->kpr", a.conj(), e_left.reshape((d_a,) * 4), a)
+    g_right = np.einsum("km,mqlu,kl->kqu", b.conj(), e_right.reshape((d_b,) * 4), b)
+    terms = np.einsum("rupq,kpr,kqu->k", w_t4, g_left, g_right)
+    return float(np.dot(ensemble.weights, terms.real))
 
 
 @dataclass(frozen=True)
@@ -467,7 +473,9 @@ def separable_nonnegativity_audit(
                 f"({d_a * d_a}, {d_b * d_b})"
             )
     layout = SystemLayout((d_a, d_b), 1)
-    beta = scenario.beta
+    sig_l = np.array(scenario.basis_left.states)
+    sig_r = np.array(scenario.basis_right.states)
+    w_t4 = scenario.witness.op.mat.T.reshape(d_a, d_b, d_a, d_b)
 
     failures: list[AuditFailure] = []
     min_value = np.inf
@@ -480,28 +488,17 @@ def separable_nonnegativity_audit(
 
         if embed_dims is None:
             e_l, e_r = _draw_small_povms(povm_mode, d_a, d_b, rng)
-            meas = np.kron(e_l, e_r)
-            direct = 0.0
-            for s, sig_s in enumerate(scenario.basis_left.states):
-                for u, sig_t in enumerate(scenario.basis_right.states):
-                    state = _canonical_state(rho_mat, d_a, d_b, sig_s, sig_t)
-                    direct += beta[s, u] * _probability(state, meas)
+            table = _click_table(rho_mat, sig_l, sig_r, e_l, e_r)
         else:
             e_l_big = random_povm_first_element(big_l, rng).mat
             e_r_big = random_povm_first_element(big_r, rng).mat
             v_l = random_unitary(big_l, rng)[:, : d_a * d_a]
             v_r = random_unitary(big_r, rng)[:, : d_b * d_b]
-            embed = np.kron(v_l, v_r)
-            meas_big = np.kron(e_l_big, e_r_big)
-            direct = 0.0
-            for s, sig_s in enumerate(scenario.basis_left.states):
-                for u, sig_t in enumerate(scenario.basis_right.states):
-                    small = _canonical_state(rho_mat, d_a, d_b, sig_s, sig_t)
-                    state_big = embed @ small @ embed.conj().T
-                    direct += beta[s, u] * _probability(state_big, meas_big)
+            table = _click_table(rho_mat, sig_l, sig_r, e_l_big, e_r_big, v_l, v_r)
             e_l = v_l.conj().T @ e_l_big @ v_l
             e_r = v_r.conj().T @ e_r_big @ v_r
-        mixture = _mixture_route_value(scenario, ensemble, e_l, e_r)
+        direct = float(np.sum(scenario.beta * table))
+        mixture = _mixture_route_value(w_t4, ensemble, e_l, e_r)
 
         gap = abs(direct - mixture)
         min_value = min(min_value, direct, mixture)

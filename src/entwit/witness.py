@@ -9,7 +9,7 @@ proves nothing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +50,7 @@ VERDICT_NOT_FOUND = "not-found-at-budget"
 DEFAULT_RESTARTS = 64
 DEFAULT_MAX_ITERS = 500
 CONVERGENCE_TOL = 1e-12
+MONOTONE_SLACK = 1e-10  # relative to the Frobenius norm of W
 ZERO_TOL = 1e-8
 SPAN_SV_THRESHOLD = 1e-8
 DEDUP_OVERLAP = 1 - 1e-6
@@ -61,7 +62,6 @@ class Witness(object):
 
     op: HermitianOperator
     provenance: str = ""
-    certified: bool = False
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,7 @@ def _min_eigvec(mat: Array) -> tuple[float, Array]:
 
 def _seesaw_descent(
     w4: Array, d_left: int, d_right: int, rng: np.random.Generator,
-    max_iters: int, conv_tol: float,
+    max_iters: int, conv_tol: float, slack: float,
 ) -> tuple[float, Array, Array, tuple[float, ...], bool]:
     psi = rng.normal(size=d_right) + 1j * rng.normal(size=d_right)
     psi /= np.linalg.norm(psi)
@@ -147,8 +147,10 @@ def _seesaw_descent(
         right_eff = np.einsum("irjs,i,j->rs", w4, phi_new.conj(), phi_new)
         val_right, psi_new = _min_eigvec(right_eff)
         # exact eigenvector steps can only lower the objective (fp slack only)
-        assert not trace or val_left <= trace[-1] + 1e-10
-        assert val_right <= val_left + 1e-10
+        if (trace and val_left > trace[-1] + slack) or val_right > val_left + slack:
+            raise NumericalError(
+                f"see-saw step raised the objective beyond slack {slack:.3e}"
+            )
         trace.append(val_left)
         trace.append(val_right)
         move = max(
@@ -183,6 +185,7 @@ def min_product_expectation(
     op.layout.require_bipartite()
     d_left, d_right = op.layout.left_dim, op.layout.right_dim
     w4 = op.mat.reshape(d_left, d_right, d_left, d_right)
+    slack = MONOTONE_SLACK * float(np.linalg.norm(op.mat))
 
     best_value = np.inf
     best_pair: tuple[Array, Array] | None = None
@@ -190,7 +193,7 @@ def min_product_expectation(
     for r in range(restarts):
         rng = rng_from(seed, r) if not isinstance(seed, np.random.Generator) else seed
         value, phi, psi, trace, ok = _seesaw_descent(
-            w4, d_left, d_right, rng, max_iters, conv_tol
+            w4, d_left, d_right, rng, max_iters, conv_tol, slack
         )
         finals.append(value)
         flags.append(ok)
@@ -242,7 +245,7 @@ def certify_witness(
         min_product=report,
         detection_state=detection_state,
         detection_value=detection_value,
-        witness=replace(witness, certified=bool(ok)),
+        witness=witness,
     )
 
 
@@ -278,6 +281,7 @@ def collect_zero_set(
         max_descents = 5 * target_count
     d_left, d_right = op.layout.left_dim, op.layout.right_dim
     w4 = op.mat.reshape(d_left, d_right, d_left, d_right)
+    slack = MONOTONE_SLACK * float(np.linalg.norm(op.mat))
 
     kept: list[ProductVector] = []
     fulls: list[Array] = []
@@ -286,7 +290,7 @@ def collect_zero_set(
             break
         rng = rng_from(seed, t)
         value, phi, psi, _, _ = _seesaw_descent(
-            w4, d_left, d_right, rng, max_iters, CONVERGENCE_TOL
+            w4, d_left, d_right, rng, max_iters, CONVERGENCE_TOL, slack
         )
         if abs(value) > zero_tol:
             continue

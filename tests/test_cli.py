@@ -231,3 +231,16 @@ def test_console_script_byte_identical():
     second = subprocess.run(args, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
+
+
+def test_unexpected_exception_exits_2_without_traceback(monkeypatch, capsys):
+    import entwit.cli as cli
+
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_choi_demo", boom)
+    code, out, err = run_cli(capsys, "choi-demo")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unexpected RuntimeError: boom\n"

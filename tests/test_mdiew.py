@@ -19,6 +19,7 @@ from entwit import (
     projector,
     random_density,
     random_povm_first_element,
+    random_separable,
     reconstruction_residual,
     rng_from,
     separable_nonnegativity_audit,
@@ -198,3 +199,31 @@ def test_separable_audit_rejects_unknown_mode(swap):
         separable_nonnegativity_audit(
             MdiewScenario.ideal(swap), trials=2, seed=0, povm_mode="psychic"
         )
+
+
+def test_mdiew_value_matches_loop_oracle_at_choi_size(choi):
+    sc = MdiewScenario.ideal(choi)
+    rng = rng_from(7, 0)
+    rho = random_separable(SystemLayout((3, 3), 1), 3, rng).density(cut=1)
+    e_l = random_povm_first_element(9, rng).mat
+    e_r = random_povm_first_element(9, rng).mat
+    want = sum(
+        sc.beta[s, t]
+        * joint_probability_loops(rho.mat, sig_s, sig_t, e_l, e_r, 3, 3)
+        for s, sig_s in enumerate(sc.basis_left.states)
+        for t, sig_t in enumerate(sc.basis_right.states)
+    )
+    assert mdiew_value(sc, rho, e_l, e_r) == pytest.approx(want, abs=1e-12)
+
+
+def test_separable_audit_choi_embedded(choi):
+    report = separable_nonnegativity_audit(
+        MdiewScenario.ideal(choi),
+        trials=20,
+        seed=3,
+        povm_mode="arbitrary",
+        embed_dims=(10, 11),
+    )
+    assert report.passed
+    assert report.embed_dims == (10, 11)
+    assert report.max_route_gap <= 1e-9

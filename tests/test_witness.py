@@ -174,3 +174,9 @@ def test_certify_indecomposable_rejects_decomposable_witness(swap):
 def test_certify_indecomposable_dimension_mismatch(choi):
     with pytest.raises(Exception):
         certify_indecomposable(choi, random_density(4, seed=0))
+
+
+def test_certify_large_scale_witness_does_not_raise(choi):
+    big = HermitianOperator(1e6 * choi.op.mat, choi.op.layout)
+    cert = certify_witness(big)
+    assert cert.min_eigenvalue == pytest.approx(-1e6, rel=1e-12)
