@@ -290,7 +290,11 @@ def permute_systems(M: HermitianOperator, perm: Sequence[int]) -> HermitianOpera
 
 
 def eigh(M: HermitianOperator | Array) -> tuple[Array, Array]:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
+    """Eigenvalues (descending) and matching orthonormal eigenvector columns.
+
+    A stack of matrices (shape ``(..., d, d)``) is solved in one call, each
+    matrix ordered the same way.
+    """
     mat = _as_matrix(M)
     try:
         vals, vecs = np.linalg.eigh(mat)
@@ -299,7 +303,7 @@ def eigh(M: HermitianOperator | Array) -> tuple[Array, Array]:
             f"eigensolver failed on shape {mat.shape}, "
             f"norm {np.linalg.norm(mat):.3e}: {exc}"
         ) from exc
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
+    return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
 def is_psd(M: HermitianOperator | Array, tol: float = PSD_TOL) -> bool:

@@ -118,97 +118,140 @@ def expectation(W: Witness | HermitianOperator, rho: HermitianOperator | Array) 
     return float(val.real)
 
 
-def _fix_phase(v: Array) -> Array:
-    k = int(np.argmax(np.abs(v)))
-    pivot = v[k]
-    return v * (pivot.conj() / abs(pivot))
+def _min_eigvecs(mats: Array) -> tuple[Array, Array]:
+    """Minimal eigenpair of each matrix in a stack, phase-fixed.
+
+    On a degenerate minimum the lowest-index column of the descending order
+    is taken; each vector is rotated so that its largest-modulus entry (the
+    first, on ties) is real and positive.
+    """
+    vals, vecs = eigh(mats)
+    rows = np.arange(len(vals))
+    idx = np.argmin(vals, axis=1)
+    v = vecs[rows, :, idx]
+    pivot = v[rows, np.argmax(np.abs(v), axis=1)]
+    return vals[rows, idx], v * (pivot.conj() / np.abs(pivot))[:, None]
 
 
-def _min_eigvec(mat: Array) -> tuple[float, Array]:
-    # descending order; on a degenerate minimum take the lowest-index column
-    vals, vecs = eigh(mat)
-    idx = int(np.argmin(vals))
-    return float(vals[idx]), _fix_phase(vecs[:, idx])
+def _start_vectors(seed, indices: range, d_right: int) -> Array:
+    """One normalized complex Gaussian right-party start per descent index.
+
+    Descent ``t`` draws from ``rng_from(seed, t)``; a shared Generator is
+    drawn from in index order instead.
+    """
+    starts = np.empty((len(indices), d_right), dtype=complex)
+    for n, t in enumerate(indices):
+        rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed, t)
+        psi = rng.normal(size=d_right) + 1j * rng.normal(size=d_right)
+        starts[n] = psi / np.linalg.norm(psi)
+    return starts
 
 
-def _seesaw_descent(
-    w4: Array, d_left: int, d_right: int, rng: np.random.Generator,
-    max_iters: int, conv_tol: float, slack: float,
-) -> tuple[float, Array, Array, tuple[float, ...], bool]:
-    psi = rng.normal(size=d_right) + 1j * rng.normal(size=d_right)
-    psi /= np.linalg.norm(psi)
-    phi = np.zeros(d_left, dtype=complex)
-    value = np.inf
-    trace = []
-    converged = False
-    for _ in range(max_iters):
-        left_eff = np.einsum("irjs,r,s->ij", w4, psi.conj(), psi)
-        val_left, phi_new = _min_eigvec(left_eff)
-        right_eff = np.einsum("irjs,i,j->rs", w4, phi_new.conj(), phi_new)
-        val_right, psi_new = _min_eigvec(right_eff)
+def _pairs(v: Array) -> Array:
+    """Rows conj(v[n, a]) * v[n, b], flattened over (a, b)."""
+    return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), -1)
+
+
+def _lockstep_descents(
+    op: HermitianOperator, psi: Array, max_iters: int, conv_tol: float,
+) -> tuple[Array, Array, Array, Array, Array, Array]:
+    """See-saw descents of ``op`` from every start in ``psi``, in lock step.
+
+    Each half-step is one stacked contraction and one stacked ``eigh`` over
+    the descents still active.  The effective left operators,
+    ``einsum("irjs,nr,ns->nij", w4, psi.conj(), psi)``, are one matrix
+    product of the outer products of the right vectors with W regrouped by
+    party; the right ones, ``einsum("irjs,ni,nj->nrs", ...)``, likewise.  A
+    descent stops, and leaves the active set, once its vectors and value
+    all move by less than ``conv_tol`` in one step.  A step that raises a
+    descent's objective by more than 1e-10 * ||W||_F raises NumericalError.
+    Returns the final values, left and right vectors, the value traces (two
+    entries per iteration, valid up to the returned lengths) and the
+    converged flags.
+    """
+    d_left, d_right = op.layout.left_dim, op.layout.right_dim
+    slack = MONOTONE_SLACK * float(np.linalg.norm(op.mat))
+    # W as a (d_left², d_right²) matrix: entry ((i, j), (r, s)) is <i r|W|j s>
+    w_pairs = (
+        op.mat.reshape(d_left, d_right, d_left, d_right)
+        .transpose(0, 2, 1, 3)
+        .reshape(d_left * d_left, d_right * d_right)
+    )
+    n = len(psi)
+    psi = psi.copy()
+    phi = np.zeros((n, d_left), dtype=complex)
+    value = np.full(n, np.inf)
+    trace = np.empty((n, 2 * max_iters))
+    lengths = np.full(n, 2 * max_iters)
+    converged = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    for it in range(max_iters):
+        if not active.size:
+            break
+        p = psi[active]
+        val_left, phi_new = _min_eigvecs((_pairs(p) @ w_pairs.T).reshape(-1, d_left, d_left))
+        val_right, psi_new = _min_eigvecs(
+            (_pairs(phi_new) @ w_pairs).reshape(-1, d_right, d_right)
+        )
         # exact eigenvector steps can only lower the objective (fp slack only)
-        if (trace and val_left > trace[-1] + slack) or val_right > val_left + slack:
+        rising = val_right > val_left + slack
+        if it:
+            rising |= val_left > trace[active, 2 * it - 1] + slack
+        if rising.any():
             raise NumericalError(
                 f"see-saw step raised the objective beyond slack {slack:.3e}"
             )
-        trace.append(val_left)
-        trace.append(val_right)
-        move = max(
-            abs(val_right - value) if np.isfinite(value) else np.inf,
-            np.abs(phi_new - phi).max(),
-            np.abs(psi_new - psi).max(),
+        trace[active, 2 * it] = val_left
+        trace[active, 2 * it + 1] = val_right
+        move = np.maximum(
+            np.abs(val_right - value[active]),
+            np.maximum(
+                np.abs(phi_new - phi[active]).max(axis=1),
+                np.abs(psi_new - p).max(axis=1),
+            ),
         )
-        phi, psi, value = phi_new, psi_new, val_right
-        if move < conv_tol:
-            converged = True
-            break
-    return value, phi, psi, tuple(trace), converged
+        phi[active], psi[active], value[active] = phi_new, psi_new, val_right
+        done = move < conv_tol
+        converged[active[done]] = True
+        lengths[active[done]] = 2 * (it + 1)
+        active = active[~done]
+    return value, phi, psi, trace, lengths, converged
 
 
 def min_product_expectation(
     W: Witness | HermitianOperator,
     restarts: int = DEFAULT_RESTARTS,
     max_iters: int = DEFAULT_MAX_ITERS,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
     conv_tol: float = CONVERGENCE_TOL,
 ) -> SeeSawReport:
     """Minimize <phi (x) psi| W |phi (x) psi> over the bipartition by see-saw.
 
     Each restart alternates exact minimal-eigenvector updates of the two
-    party vectors, so the objective is non-increasing step by step.  The
-    report keeps per-restart traces; the overall best takes the lowest
-    restart index on ties.
+    party vectors, so the objective is non-increasing step by step.  All
+    restarts run in lock step: every half-step is one stacked contraction and
+    one stacked eigensolve, and a restart that meets the stop rule is masked
+    out of later steps.  Restart ``r`` starts from ``rng_from(seed, r)``, or
+    from a shared Generator drawn in restart order.  The report keeps
+    per-restart traces; the overall best takes the lowest restart index on
+    ties.
     """
     op = _op_of(W)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     op.layout.require_bipartite()
-    d_left, d_right = op.layout.left_dim, op.layout.right_dim
-    w4 = op.mat.reshape(d_left, d_right, d_left, d_right)
-    slack = MONOTONE_SLACK * float(np.linalg.norm(op.mat))
-
-    best_value = np.inf
-    best_pair: tuple[Array, Array] | None = None
-    finals, flags, traces = [], [], []
-    for r in range(restarts):
-        rng = rng_from(seed, r) if not isinstance(seed, np.random.Generator) else seed
-        value, phi, psi, trace, ok = _seesaw_descent(
-            w4, d_left, d_right, rng, max_iters, conv_tol, slack
-        )
-        finals.append(value)
-        flags.append(ok)
-        traces.append(trace)
-        if value < best_value:
-            best_value = value
-            best_pair = (phi, psi)
-    assert best_pair is not None
+    starts = _start_vectors(seed, range(restarts), op.layout.right_dim)
+    values, phis, psis, trace, lengths, converged = _lockstep_descents(
+        op, starts, max_iters, conv_tol
+    )
+    best = int(np.argmin(values))
     return SeeSawReport(
-        best_value=float(best_value),
-        best_vector=ProductVector(best_pair),
+        best_value=float(values[best]),
+        best_vector=ProductVector((phis[best], psis[best])),
         restarts=restarts,
-        restart_values=tuple(float(v) for v in finals),
-        converged=tuple(flags),
-        value_traces=tuple(traces),
+        restart_values=tuple(values.tolist()),
+        converged=tuple(converged.tolist()),
+        value_traces=tuple(tuple(row[:k].tolist()) for row, k in zip(trace, lengths)),
     )
 
 
@@ -268,7 +311,11 @@ def collect_zero_set(
     """Harvest product vectors on which W vanishes, from see-saw descents.
 
     Runs descents until ``target_count`` distinct zeros are held or the
-    descent budget runs out; an empty set is a legitimate outcome.  Distinct
+    ``max_descents`` budget runs out; an empty set is a legitimate outcome.
+    Descents run in lock-step chunks, each as large as the number of zeros
+    still missing (capped by the budget), and their results are accepted in
+    descent order, so the kept set is the one a one-at-a-time harvest keeps
+    and no descent past what that harvest would run is started.  Distinct
     means Gram overlap below 1 - 1e-6.  The span rank is the singular-value
     rank of the stacked full vectors at a 1e-8 relative threshold.
     """
@@ -279,26 +326,26 @@ def collect_zero_set(
         target_count = 4 * dim
     if max_descents is None:
         max_descents = 5 * target_count
-    d_left, d_right = op.layout.left_dim, op.layout.right_dim
-    w4 = op.mat.reshape(d_left, d_right, d_left, d_right)
-    slack = MONOTONE_SLACK * float(np.linalg.norm(op.mat))
 
     kept: list[ProductVector] = []
     fulls: list[Array] = []
-    for t in range(max_descents):
-        if len(kept) >= target_count:
-            break
-        rng = rng_from(seed, t)
-        value, phi, psi, _, _ = _seesaw_descent(
-            w4, d_left, d_right, rng, max_iters, CONVERGENCE_TOL, slack
+    next_descent = 0
+    while next_descent < max_descents and len(kept) < target_count:
+        missing = target_count - len(kept)
+        chunk = range(next_descent, min(max_descents, next_descent + missing))
+        next_descent = chunk.stop
+        starts = _start_vectors(seed, chunk, op.layout.right_dim)
+        values, phis, psis, _, _, _ = _lockstep_descents(
+            op, starts, max_iters, CONVERGENCE_TOL
         )
-        if abs(value) > zero_tol:
-            continue
-        candidate = np.kron(phi, psi)
-        if any(abs(np.vdot(f, candidate)) > DEDUP_OVERLAP for f in fulls):
-            continue
-        kept.append(ProductVector((phi, psi)))
-        fulls.append(candidate)
+        for value, phi, psi in zip(values, phis, psis):
+            if abs(value) > zero_tol:
+                continue
+            candidate = np.kron(phi, psi)
+            if any(abs(np.vdot(f, candidate)) > DEDUP_OVERLAP for f in fulls):
+                continue
+            kept.append(ProductVector((phi, psi)))
+            fulls.append(candidate)
     return ZeroSet(tuple(kept), span_rank(fulls), zero_tol)
 
 

@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the library's own fast paths: the
 product-state minimum goes through a Bloch-angle grid plus local polish
-instead of see-saw, and the click probability is an eight-fold index loop
-with hand-written offset arithmetic instead of kron/permute calls.
+instead of see-saw, the see-saw reference runs one restart at a time with
+its own eigensolver calls instead of the lock-step kernel, and the click
+probability is an eight-fold index loop with hand-written offset arithmetic
+instead of kron/permute calls.
 """
 
 import numpy as np
@@ -66,6 +68,88 @@ def min_product_expectation_bloch(mat, grid=21, polish_starts=4):
         )
         best = min(best, float(res.fun))
     return best
+
+
+def _min_eigpair(mat):
+    vals, vecs = np.linalg.eigh(mat)
+    # among equal minima take the last ascending column (the first in
+    # descending order); rotate the largest entry to the positive real axis
+    k = int(np.flatnonzero(vals == vals.min())[-1])
+    v = vecs[:, k]
+    pivot = v[int(np.argmax(np.abs(v)))]
+    return float(vals[k]), v * (pivot.conj() / abs(pivot))
+
+
+def seesaw_descent_reference(mat, d_left, d_right, rng, max_iters=500, conv_tol=1e-12):
+    """One see-saw descent from a complex Gaussian right-party start.
+
+    Alternates exact minimal eigenvectors of the two effective operators and
+    stops once the value and both vectors move by less than ``conv_tol`` in
+    one step.  Returns (value, phi, psi, trace, converged); the trace holds
+    both half-step values of every iteration.
+    """
+    w4 = np.asarray(mat, dtype=complex).reshape(d_left, d_right, d_left, d_right)
+    psi = rng.normal(size=d_right) + 1j * rng.normal(size=d_right)
+    psi = psi / np.linalg.norm(psi)
+    phi = np.zeros(d_left, dtype=complex)
+    value = np.inf
+    trace = []
+    for _ in range(max_iters):
+        val_left, phi_new = _min_eigpair(np.einsum("irjs,r,s->ij", w4, psi.conj(), psi))
+        val_right, psi_new = _min_eigpair(
+            np.einsum("irjs,i,j->rs", w4, phi_new.conj(), phi_new)
+        )
+        trace += [val_left, val_right]
+        move = max(
+            abs(val_right - value),
+            np.abs(phi_new - phi).max(),
+            np.abs(psi_new - psi).max(),
+        )
+        phi, psi, value = phi_new, psi_new, val_right
+        if move < conv_tol:
+            return value, phi, psi, trace, True
+    return value, phi, psi, trace, False
+
+
+def descent_rng(seed, index):
+    """Stream of descent ``index``: the spawn-key split of the integer seed,
+    or the shared Generator itself."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def min_product_reference(mat, d_left, d_right, restarts, seed, max_iters=500):
+    """Per-restart descents, run one after another in restart order."""
+    return [
+        seesaw_descent_reference(mat, d_left, d_right, descent_rng(seed, r), max_iters)
+        for r in range(restarts)
+    ]
+
+
+def zero_harvest_reference(
+    mat, d_left, d_right, target_count, max_descents, seed,
+    zero_tol=1e-8, overlap=1 - 1e-6,
+):
+    """Sequential zero harvest: one descent at a time until ``target_count``
+    distinct product zeros are kept or ``max_descents`` have run.  Returns
+    the kept full vectors in order and the number of descents run."""
+    kept = []
+    run = 0
+    for t in range(max_descents):
+        if len(kept) >= target_count:
+            break
+        run += 1
+        value, phi, psi, _, _ = seesaw_descent_reference(
+            mat, d_left, d_right, descent_rng(seed, t)
+        )
+        if abs(value) > zero_tol:
+            continue
+        candidate = np.kron(phi, psi)
+        if any(abs(np.vdot(f, candidate)) > overlap for f in kept):
+            continue
+        kept.append(candidate)
+    return kept, run
 
 
 def joint_probability_loops(rho_mat, sigma_s, sigma_t, e_left, e_right, d_a, d_b):

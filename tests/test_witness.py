@@ -10,6 +10,7 @@ from entwit import (
     choi_detected_ppt_state,
     collect_zero_set,
     expectation,
+    extend_witness,
     has_spanning_property,
     maximally_entangled_vector,
     min_product_expectation,
@@ -21,7 +22,13 @@ from entwit import (
     random_separable,
     span_rank,
 )
-from oracle_utils import min_product_expectation_bloch
+import entwit.witness as witness_module
+from entwit.cli import _caps_random
+from oracle_utils import (
+    min_product_expectation_bloch,
+    min_product_reference,
+    zero_harvest_reference,
+)
 
 
 def _random_hermitian_22(seed):
@@ -63,9 +70,80 @@ def test_seesaw_traces_are_monotone():
     for trace in report.value_traces:
         diffs = np.diff(trace)
         assert np.all(diffs <= 1e-10)
-    assert report.converged
+        assert len(trace) % 2 == 0
+    assert all(report.converged)
     assert len(report.restart_values) == 8
     assert report.best_value == pytest.approx(min(report.restart_values), abs=0.0)
+
+
+def _assert_matches_reference(report, reference, op):
+    tol = 1e-12 * np.linalg.norm(op.mat)
+    ref_values = np.array([r[0] for r in reference])
+    assert np.abs(np.array(report.restart_values) - ref_values).max() <= tol
+    assert report.converged == tuple(r[4] for r in reference)
+    assert [len(t) for t in report.value_traces] == [len(r[3]) for r in reference]
+    for trace, ref in zip(report.value_traces, reference):
+        assert np.abs(np.array(trace) - np.array(ref[3])).max() <= tol
+    # several restarts reach the same minimum, so the lowest index only
+    # agrees up to ties at the rounding level: each side's best restart
+    # must be a best restart of the other
+    best = int(np.argmin(report.restart_values))
+    assert ref_values[best] <= ref_values.min() + tol
+    assert report.restart_values[int(np.argmin(ref_values))] <= report.best_value + tol
+
+
+@pytest.mark.parametrize("name", ["choi", "swap", "capped-choi"])
+def test_lockstep_seesaw_matches_reference_descents(name, choi, swap):
+    if name == "capped-choi":
+        op = extend_witness(choi, _caps_random((2, 2), 42)).op
+    else:
+        op = {"choi": choi, "swap": swap}[name].op
+    report = min_product_expectation(op, seed=42)
+    reference = min_product_reference(
+        op.mat, op.layout.left_dim, op.layout.right_dim, report.restarts, 42
+    )
+    _assert_matches_reference(report, reference, op)
+
+
+@pytest.mark.parametrize("name", ["choi", "swap"])
+def test_seesaw_shared_generator_matches_reference(name, choi, swap):
+    op = {"choi": choi, "swap": swap}[name].op
+    report = min_product_expectation(op, restarts=4, seed=np.random.default_rng(5))
+    reference = min_product_reference(
+        op.mat, op.layout.left_dim, op.layout.right_dim, 4, np.random.default_rng(5)
+    )
+    _assert_matches_reference(report, reference, op)
+
+
+@pytest.mark.parametrize(
+    "name, target_count, max_descents",
+    [("swap", 5, 7), ("swap-gamma", 5, 7), ("choi", 5, 7), ("choi", 8, 7)],
+)
+def test_chunked_harvest_matches_sequential_reference(
+    name, target_count, max_descents, choi, swap, monkeypatch
+):
+    op = {"swap": swap.op, "swap-gamma": partial_transpose(swap.op), "choi": choi.op}[name]
+    started = []
+    rng_from = witness_module.rng_from
+
+    def recording_rng_from(seed, *key):
+        started.append(key)
+        return rng_from(seed, *key)
+
+    monkeypatch.setattr(witness_module, "rng_from", recording_rng_from)
+    zeros = collect_zero_set(
+        op, target_count=target_count, max_descents=max_descents, seed=42
+    )
+    reference, descents_run = zero_harvest_reference(
+        op.mat, op.layout.left_dim, op.layout.right_dim, target_count, max_descents, 42
+    )
+    assert len(zeros.vectors) == len(reference)
+    for kept, ref in zip(zeros.vectors, reference):
+        np.testing.assert_allclose(kept.full(), ref, atol=1e-9)
+    # each descent starts once, in order, and only those the sequential
+    # harvest runs: never an index at or past the budget
+    assert [key[0] for key in started] == list(range(descents_run))
+    assert all(key[0] < max_descents for key in started)
 
 
 def test_seesaw_best_vector_reproduces_best_value(swap):
