@@ -18,16 +18,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
+    HERMITICITY_TOL,
     Array,
     HermitianOperator,
     NumericalError,
     SystemLayout,
+    _as_matrix,
     is_psd,
     partial_trace,
     partial_transpose,
     projector,
 )
-from .witness import Witness, expectation
+from .witness import IMAG_TOL, Witness, expectation
 
 __all__ = [
     "choi_witness",
@@ -81,12 +83,10 @@ def shift_operator(d: int) -> Array:
 
 
 def _hermitian_2x2(mat: Array | HermitianOperator | list, name: str) -> Array:
-    if isinstance(mat, HermitianOperator):
-        mat = mat.mat
-    arr = np.array(mat, dtype=complex)  # copy: callers may freeze the result
+    arr = _as_matrix(mat).copy()  # copy: callers may freeze the result
     if arr.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got {arr.shape}")
-    if np.abs(arr - arr.conj().T).max() > 1e-12:
+    if np.abs(arr - arr.conj().T).max() > HERMITICITY_TOL:
         raise ValueError(f"{name} must be Hermitian")
     return arr
 
@@ -156,8 +156,7 @@ def rho_abb(params: AbParams) -> HermitianOperator:
 
 
 def _cap_2x2(cap: Array | HermitianOperator) -> Array:
-    mat = cap.mat if isinstance(cap, HermitianOperator) else np.asarray(cap, dtype=complex)
-    mat = _hermitian_2x2(mat, "cap")
+    mat = _hermitian_2x2(cap, "cap")
     if not is_psd(mat, AB_PSD_TOL):
         raise ValueError("cap is not positive semidefinite")
     return mat
@@ -196,7 +195,7 @@ def closed_form_values(
     diff = params.b - params.a
     ext = 3.0 / tr_ab * (cap_mat @ diff).trace()
     red = 3.0 / tr_ab * diff.trace()
-    if abs(ext.imag) > 1e-10 or abs(red.imag) > 1e-10:
+    if abs(ext.imag) > IMAG_TOL or abs(red.imag) > IMAG_TOL:
         raise NumericalError("closed forms came out non-real")
     return float(ext.real), float(red.real)
 

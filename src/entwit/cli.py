@@ -34,7 +34,7 @@ from .mdiew import (
     reconstruction_residual,
     separable_nonnegativity_audit,
 )
-from .operators import HermitianOperator, LayoutError, NumericalError
+from .operators import PSD_TOL, HermitianOperator, LayoutError, NumericalError
 from .sampling import random_psd, rng_from
 from .serialization import (
     SerializationError,
@@ -43,11 +43,12 @@ from .serialization import (
     operator_from_dict,
     operator_to_dict,
 )
-from .witness import Witness, certify_witness, has_spanning_property, nd_spanning
+from .witness import (
+    DEFAULT_RESTARTS, VERDICT_CONFIRMED, VERDICT_NOT_FOUND, Witness, certify_witness,
+    has_spanning_property, nd_spanning,
+)
 
 DEFAULT_SEED = 42
-DEFAULT_RESTARTS = 64
-DEFAULT_TOL = 1e-9
 
 # Cap draws use a spawn key far above the see-saw restart indices so that a
 # shared master seed never hands the same stream to two different consumers.
@@ -60,7 +61,7 @@ class RunConfig:
 
     seed: int = DEFAULT_SEED
     restarts: int = DEFAULT_RESTARTS
-    tol: float = DEFAULT_TOL
+    tol: float = PSD_TOL
 
 
 def _fixture_dir():
@@ -106,10 +107,6 @@ def _config(args) -> RunConfig:
     return RunConfig(seed=args.seed, restarts=args.restarts, tol=args.tol)
 
 
-def _num(x: float) -> float:
-    return float(x)
-
-
 def cmd_certify(args) -> int:
     cfg = _config(args)
     label, op = resolve_operator(args.witness)
@@ -120,12 +117,12 @@ def cmd_certify(args) -> int:
         "config": asdict(cfg),
         "witness": label,
         "is_witness_numeric": cert.is_witness_numeric,
-        "min_eigenvalue": _num(cert.min_eigenvalue),
-        "min_product_value": _num(cert.min_product.best_value),
+        "min_eigenvalue": float(cert.min_eigenvalue),
+        "min_product_value": float(cert.min_product.best_value),
         "see_saw_converged": cert.min_product.converged,
         "detection_value": None
         if cert.detection_value is None
-        else _num(cert.detection_value),
+        else float(cert.detection_value),
         "detection_state": None
         if cert.detection_state is None
         else operator_to_dict(cert.detection_state),
@@ -143,21 +140,12 @@ def cmd_certify(args) -> int:
             witness, seed=cfg.seed, restarts=cfg.restarts, certificate=cert
         )
         nd = nd_spanning(witness, seed=cfg.seed, restarts=cfg.restarts, primal=span)
-        payload["spanning"] = {
-            "verdict": span.verdict,
-            "spanning": span.spanning,
-            "rank": span.rank,
-            "dim": span.dim,
-            "note": span.note,
-        }
-        payload["nd_spanning"] = {
-            "verdict": "confirmed" if nd else "not-found-at-budget",
-            "holds": nd,
-        }
+        nd_verdict = VERDICT_CONFIRMED if nd else VERDICT_NOT_FOUND
+        payload["spanning"] = asdict(span)
+        payload["nd_spanning"] = {"verdict": nd_verdict, "holds": nd}
         lines += [
             f"zero-set spanning:    {span.verdict} (rank {span.rank} of {span.dim})",
-            f"two-sided spanning:   "
-            f"{'confirmed' if nd else 'not-found-at-budget'}",
+            f"two-sided spanning:   {nd_verdict}",
         ]
     else:
         payload["note"] = (
@@ -222,8 +210,8 @@ def cmd_extend(args) -> int:
         "extended": operator_to_dict(extended.op),
         "recertification": {
             "is_witness_numeric": recert.is_witness_numeric,
-            "min_eigenvalue": _num(recert.min_eigenvalue),
-            "min_product_value": _num(recert.min_product.best_value),
+            "min_eigenvalue": float(recert.min_eigenvalue),
+            "min_product_value": float(recert.min_product.best_value),
         },
         "gamma_structure_ok": gamma_ok,
     }
@@ -247,11 +235,11 @@ def cmd_choi_demo(args) -> int:
         "a": [[report.params.a[i, j].real for j in range(2)] for i in range(2)],
         "b": [[report.params.b[i, j].real for j in range(2)] for i in range(2)],
         "cap_right": [[report.cap_right[i, j].real for j in range(2)] for i in range(2)],
-        "ext_value": _num(report.ext_value),
-        "reduced_value": _num(report.reduced_value),
-        "closed_ext": _num(report.closed_ext),
-        "closed_reduced": _num(report.closed_reduced),
-        "scale": _num(report.scale),
+        "ext_value": float(report.ext_value),
+        "reduced_value": float(report.reduced_value),
+        "closed_ext": float(report.closed_ext),
+        "closed_reduced": float(report.closed_reduced),
+        "scale": float(report.scale),
         "state_psd": report.state_psd,
         "gamma_bprime_psd": report.gamma_bprime_psd,
     }
@@ -283,8 +271,8 @@ def cmd_mdiew_decompose(args) -> int:
         "witness": label,
         "party_dims": list(scenario.party_dims),
         "basis_sizes": [len(scenario.basis_left), len(scenario.basis_right)],
-        "beta": [[_num(v) for v in row] for row in scenario.beta],
-        "residual": _num(residual),
+        "beta": [[float(v) for v in row] for row in scenario.beta],
+        "residual": float(residual),
     }
     lines = [
         f"decomposed {label} over tomographic product bases "
@@ -314,13 +302,13 @@ def cmd_mdiew_audit(args) -> int:
         "trials": report.trials,
         "povm_mode": report.povm_mode,
         "embed_dims": None if report.embed_dims is None else list(report.embed_dims),
-        "min_value": _num(report.min_value),
-        "max_route_gap": _num(report.max_route_gap),
+        "min_value": float(report.min_value),
+        "max_route_gap": float(report.max_route_gap),
         "failures": [
             {
                 "trial": f.trial,
-                "route_direct": _num(f.route_direct),
-                "route_mixture": _num(f.route_mixture),
+                "route_direct": float(f.route_direct),
+                "route_mixture": float(f.route_mixture),
                 "reason": f.reason,
             }
             for f in report.failures
@@ -352,8 +340,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tol",
         type=float,
-        default=DEFAULT_TOL,
-        help="certification tolerance (default 1e-9)",
+        default=PSD_TOL,
+        help="certification tolerance, relative to ||W||_F (default 1e-9)",
     )
     parser.add_argument(
         "--json-out", metavar="PATH", help="also write the JSON document to PATH"

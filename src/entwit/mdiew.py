@@ -34,12 +34,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .operators import (
+    HERMITICITY_TOL,
     Array,
     HermitianOperator,
     LayoutError,
     NumericalError,
     SeparableEnsemble,
     SystemLayout,
+    _as_matrix,
     maximally_entangled_vector,
     projector,
 )
@@ -58,6 +60,7 @@ __all__ = [
     "POVM_BOUND_TOL",
     "ROUTE_AGREEMENT_TOL",
     "AUDIT_VALUE_TOL",
+    "AUDIT_MAX_MEMBERS",
     "POVM_MODES",
     "StateBasis",
     "tomographic_basis",
@@ -78,6 +81,7 @@ PROBABILITY_RANGE_TOL = 1e-10
 POVM_BOUND_TOL = 1e-10
 ROUTE_AGREEMENT_TOL = 1e-9
 AUDIT_VALUE_TOL = 1e-9
+AUDIT_MAX_MEMBERS = 4  # members per separable ensemble drawn by the audit
 
 POVM_MODES = ("ideal", "arbitrary", "misaligned")
 
@@ -96,7 +100,7 @@ class StateBasis:
         for k, s in enumerate(states):
             if s.shape != (d, d):
                 raise ValueError(f"member {k} has shape {s.shape}, expected {(d, d)}")
-            if np.abs(s - s.conj().T).max() > 1e-12:
+            if np.abs(s - s.conj().T).max() > HERMITICITY_TOL:
                 raise ValueError(f"member {k} is not Hermitian")
             if abs(np.trace(s).real - 1.0) > 1e-12:
                 raise ValueError(f"member {k} has trace {np.trace(s).real!r}, expected 1")
@@ -206,10 +210,10 @@ def ideal_projector(d: int) -> Array:
 
 
 def _povm_matrix(E: HermitianOperator | Array, dim: int, name: str) -> Array:
-    mat = E.mat if isinstance(E, HermitianOperator) else np.asarray(E, dtype=complex)
+    mat = _as_matrix(E)
     if mat.shape != (dim, dim):
         raise LayoutError(f"{name} must be {dim}x{dim}, got {mat.shape}")
-    if np.abs(mat - mat.conj().T).max() > 1e-12:
+    if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
         raise NumericalError(f"{name} is not Hermitian")
     vals = np.linalg.eigvalsh(mat)
     if vals.min() < -POVM_BOUND_TOL or vals.max() > 1.0 + POVM_BOUND_TOL:
@@ -448,11 +452,10 @@ def separable_nonnegativity_audit(
     seed: int = 0,
     povm_mode: str = "arbitrary",
     embed_dims: tuple[int, int] | None = None,
-    max_members: int = 4,
 ) -> AuditReport:
     """Randomized check that separable inputs never yield a negative value.
 
-    Each trial draws a separable ensemble (1 to max_members pure product
+    Each trial draws a separable ensemble (1 to AUDIT_MAX_MEMBERS pure product
     members) and a measurement pair per povm_mode, then evaluates the value
     along both routes.  With embed_dims the measurement elements live in
     enlarged spaces reached through random isometries; the direct route runs
@@ -482,7 +485,7 @@ def separable_nonnegativity_audit(
     max_gap = 0.0
     for t in range(trials):
         rng = rng_from(seed, t)
-        k = int(rng.integers(1, max_members + 1))
+        k = int(rng.integers(1, AUDIT_MAX_MEMBERS + 1))
         ensemble = random_separable(layout, k, rng)
         rho_mat = ensemble.density(cut=1).mat
 

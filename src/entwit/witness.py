@@ -2,10 +2,10 @@
 
 A Hermitian W on a bipartite layout is accepted as a witness numerically when
 its minimum over product states (found by seeded see-saw restarts) is >= -tol
-while its minimum eigenvalue is < -tol.  Product zeros are collected from the
-same descents; their span rank drives the spanning-property verdicts, which
-are deliberately one-sided: "confirmed" proves the rank, "not-found-at-budget"
-proves nothing.
+||W||_F while its minimum eigenvalue is < -tol ||W||_F.  Product zeros are
+collected from the same descents; their span rank drives the spanning-property
+verdicts, which are deliberately one-sided: "confirmed" proves the rank,
+"not-found-at-budget" proves nothing.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from .operators import (
     NumericalError,
     ProductVector,
     PSD_TOL,
+    _as_matrix,
     eigh,
     is_psd,
     partial_transpose,
@@ -51,9 +52,10 @@ DEFAULT_RESTARTS = 64
 DEFAULT_MAX_ITERS = 500
 CONVERGENCE_TOL = 1e-12
 MONOTONE_SLACK = 1e-10  # relative to the Frobenius norm of W
-ZERO_TOL = 1e-8
+ZERO_TOL = 1e-8  # relative to the Frobenius norm of W
 SPAN_SV_THRESHOLD = 1e-8
 DEDUP_OVERLAP = 1 - 1e-6
+IMAG_TOL = 1e-10  # largest imaginary part tolerated on a real-valued trace
 
 
 @dataclass(frozen=True)
@@ -66,12 +68,20 @@ class Witness(object):
 
 @dataclass(frozen=True)
 class SeeSawReport:
+    """Per-restart results in restart order; ``seed`` is None for a Generator."""
+
     best_value: float
-    best_vector: ProductVector
     restarts: int
     restart_values: tuple[float, ...]
+    restart_vectors: tuple[ProductVector, ...]
     converged: tuple[bool, ...]
     value_traces: tuple[tuple[float, ...], ...]
+    seed: int | None
+
+    @property
+    def best_vector(self) -> ProductVector:
+        """The lowest-index restart reaching the best value."""
+        return self.restart_vectors[int(np.argmin(self.restart_values))]
 
 
 @dataclass(frozen=True)
@@ -109,11 +119,11 @@ def _op_of(W: Witness | HermitianOperator) -> HermitianOperator:
 def expectation(W: Witness | HermitianOperator, rho: HermitianOperator | Array) -> float:
     """Re Tr(W rho); raises if the trace has a stray imaginary part."""
     wmat = _op_of(W).mat
-    rmat = rho.mat if isinstance(rho, HermitianOperator) else np.asarray(rho, dtype=complex)
+    rmat = _as_matrix(rho)
     if wmat.shape != rmat.shape:
         raise LayoutError(f"dimension mismatch: {wmat.shape} vs {rmat.shape}")
     val = np.sum(wmat * rmat.T)
-    if abs(val.imag) > 1e-10:
+    if abs(val.imag) > IMAG_TOL:
         raise NumericalError(f"expectation has imaginary part {val.imag:.3e}")
     return float(val.real)
 
@@ -152,9 +162,7 @@ def _pairs(v: Array) -> Array:
     return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), -1)
 
 
-def _lockstep_descents(
-    op: HermitianOperator, psi: Array, max_iters: int, conv_tol: float,
-) -> tuple[Array, Array, Array, Array, Array, Array]:
+def _lockstep_descents(op: HermitianOperator, psi: Array) -> tuple[Array, ...]:
     """See-saw descents of ``op`` from every start in ``psi``, in lock step.
 
     Each half-step is one stacked contraction and one stacked ``eigh`` over
@@ -162,9 +170,9 @@ def _lockstep_descents(
     ``einsum("irjs,nr,ns->nij", w4, psi.conj(), psi)``, are one matrix
     product of the outer products of the right vectors with W regrouped by
     party; the right ones, ``einsum("irjs,ni,nj->nrs", ...)``, likewise.  A
-    descent stops, and leaves the active set, once its vectors and value
-    all move by less than ``conv_tol`` in one step.  A step that raises a
-    descent's objective by more than 1e-10 * ||W||_F raises NumericalError.
+    descent stops, and leaves the active set, once its vectors and value all
+    move by less than CONVERGENCE_TOL in one step (DEFAULT_MAX_ITERS at most).
+    A step raising an objective by over 1e-10 * ||W||_F raises NumericalError.
     Returns the final values, left and right vectors, the value traces (two
     entries per iteration, valid up to the returned lengths) and the
     converged flags.
@@ -181,11 +189,11 @@ def _lockstep_descents(
     psi = psi.copy()
     phi = np.zeros((n, d_left), dtype=complex)
     value = np.full(n, np.inf)
-    trace = np.empty((n, 2 * max_iters))
-    lengths = np.full(n, 2 * max_iters)
+    trace = np.empty((n, 2 * DEFAULT_MAX_ITERS))
+    lengths = np.full(n, 2 * DEFAULT_MAX_ITERS)
     converged = np.zeros(n, dtype=bool)
     active = np.arange(n)
-    for it in range(max_iters):
+    for it in range(DEFAULT_MAX_ITERS):
         if not active.size:
             break
         p = psi[active]
@@ -211,7 +219,7 @@ def _lockstep_descents(
             ),
         )
         phi[active], psi[active], value[active] = phi_new, psi_new, val_right
-        done = move < conv_tol
+        done = move < CONVERGENCE_TOL
         converged[active[done]] = True
         lengths[active[done]] = 2 * (it + 1)
         active = active[~done]
@@ -221,9 +229,7 @@ def _lockstep_descents(
 def min_product_expectation(
     W: Witness | HermitianOperator,
     restarts: int = DEFAULT_RESTARTS,
-    max_iters: int = DEFAULT_MAX_ITERS,
     seed: int | np.random.Generator = 0,
-    conv_tol: float = CONVERGENCE_TOL,
 ) -> SeeSawReport:
     """Minimize <phi (x) psi| W |phi (x) psi> over the bipartition by see-saw.
 
@@ -233,25 +239,23 @@ def min_product_expectation(
     one stacked eigensolve, and a restart that meets the stop rule is masked
     out of later steps.  Restart ``r`` starts from ``rng_from(seed, r)``, or
     from a shared Generator drawn in restart order.  The report keeps
-    per-restart traces; the overall best takes the lowest restart index on
-    ties.
+    per-restart values, vectors and traces; the overall best takes the
+    lowest restart index on ties.
     """
     op = _op_of(W)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     op.layout.require_bipartite()
     starts = _start_vectors(seed, range(restarts), op.layout.right_dim)
-    values, phis, psis, trace, lengths, converged = _lockstep_descents(
-        op, starts, max_iters, conv_tol
-    )
-    best = int(np.argmin(values))
+    values, phis, psis, trace, lengths, converged = _lockstep_descents(op, starts)
     return SeeSawReport(
-        best_value=float(values[best]),
-        best_vector=ProductVector((phis[best], psis[best])),
+        best_value=float(values.min()),
         restarts=restarts,
         restart_values=tuple(values.tolist()),
+        restart_vectors=tuple(ProductVector(pair) for pair in zip(phis, psis)),
         converged=tuple(converged.tolist()),
         value_traces=tuple(tuple(row[:k].tolist()) for row, k in zip(trace, lengths)),
+        seed=None if isinstance(seed, np.random.Generator) else seed,
     )
 
 
@@ -263,20 +267,21 @@ def certify_witness(
 ) -> WitnessCertificate:
     """Check witness-hood numerically and extract a detected state.
 
-    Accepts W when the see-saw product minimum is >= -tol (no separable
-    negativity found) while the global minimum eigenvalue is < -tol (so W
-    detects its own negative eigenspace).
+    Accepts W when the see-saw product minimum is >= -tol ||W||_F (no
+    separable negativity found) while the minimum eigenvalue is < -tol ||W||_F
+    (so W detects its own negative eigenspace), whatever the scale of W.
     """
     op = _op_of(W)
     witness = W if isinstance(W, Witness) else Witness(op)
     report = min_product_expectation(op, restarts=restarts, seed=seed)
     vals, vecs = eigh(op)
     min_eig = float(vals[-1])
-    ok = report.best_value >= -tol and min_eig < -tol
+    cutoff = tol * float(np.linalg.norm(op.mat))
+    ok = report.best_value >= -cutoff and min_eig < -cutoff
 
     detection_state = None
     detection_value = None
-    neg = vals < -tol
+    neg = vals < -cutoff
     if neg.any():
         cols = vecs[:, neg]
         proj = (cols @ cols.conj().T) / cols.shape[1]
@@ -303,62 +308,70 @@ def span_rank(vectors: list[Array], threshold: float = SPAN_SV_THRESHOLD) -> int
 def collect_zero_set(
     W: Witness | HermitianOperator,
     target_count: int | None = None,
-    zero_tol: float = ZERO_TOL,
     seed: int = 0,
     max_descents: int | None = None,
-    max_iters: int = DEFAULT_MAX_ITERS,
+    seesaw: SeeSawReport | None = None,
 ) -> ZeroSet:
     """Harvest product vectors on which W vanishes, from see-saw descents.
 
-    Runs descents until ``target_count`` distinct zeros are held or the
-    ``max_descents`` budget runs out; an empty set is a legitimate outcome.
-    Descents run in lock-step chunks, each as large as the number of zeros
-    still missing (capped by the budget), and their results are accepted in
+    Runs descents until ``target_count`` distinct zeros (descents ending at
+    |value| <= 1e-8 ||W||_F) are held or the ``max_descents`` budget runs
+    out; an empty set is a legitimate outcome.
+    Descent ``t`` starts from ``rng_from(seed, t)``, exactly as restart ``t``
+    of a see-saw at the same seed, so a ``seesaw`` report of W supplies
+    descents 0 to ``seesaw.restarts - 1`` without running them again.  The
+    remaining descents run in lock-step chunks, each as large as the number
+    of zeros still missing (capped by the budget).  Results are accepted in
     descent order, so the kept set is the one a one-at-a-time harvest keeps
     and no descent past what that harvest would run is started.  Distinct
-    means Gram overlap below 1 - 1e-6.  The span rank is the singular-value
+    means Gram overlap below 1 - 1e-6; the span rank is the singular-value
     rank of the stacked full vectors at a 1e-8 relative threshold.
     """
     op = _op_of(W)
     op.layout.require_bipartite()
-    dim = op.layout.total_dim
     if target_count is None:
-        target_count = 4 * dim
+        target_count = 4 * op.layout.total_dim
     if max_descents is None:
         max_descents = 5 * target_count
-
+    if seesaw is not None and seesaw.seed != seed:
+        raise ValueError(f"report seed {seesaw.seed!r} differs from harvest seed {seed!r}")
+    zero_tol = ZERO_TOL * float(np.linalg.norm(op.mat))
     kept: list[ProductVector] = []
     fulls: list[Array] = []
-    next_descent = 0
-    while next_descent < max_descents and len(kept) < target_count:
-        missing = target_count - len(kept)
-        chunk = range(next_descent, min(max_descents, next_descent + missing))
-        next_descent = chunk.stop
-        starts = _start_vectors(seed, chunk, op.layout.right_dim)
-        values, phis, psis, _, _, _ = _lockstep_descents(
-            op, starts, max_iters, CONVERGENCE_TOL
-        )
-        for value, phi, psi in zip(values, phis, psis):
-            if abs(value) > zero_tol:
-                continue
-            candidate = np.kron(phi, psi)
-            if any(abs(np.vdot(f, candidate)) > DEDUP_OVERLAP for f in fulls):
-                continue
-            kept.append(ProductVector((phi, psi)))
-            fulls.append(candidate)
+    pending, next_descent = [], 0  # (value, phi, psi) not yet read; next to start
+    if seesaw is not None:
+        reused = zip(seesaw.restart_values[:max_descents], seesaw.restart_vectors)
+        pending = [(value, *vector.factors) for value, vector in reused]
+        next_descent = seesaw.restarts
+    while len(kept) < target_count and (pending or next_descent < max_descents):
+        if not pending:
+            missing = target_count - len(kept)
+            chunk = range(next_descent, min(max_descents, next_descent + missing))
+            next_descent = chunk.stop
+            starts = _start_vectors(seed, chunk, op.layout.right_dim)
+            values, phis, psis, *_ = _lockstep_descents(op, starts)
+            pending = list(zip(values, phis, psis))
+        value, phi, psi = pending.pop(0)
+        if abs(value) > zero_tol:
+            continue
+        candidate = np.kron(phi, psi)
+        if any(abs(np.vdot(f, candidate)) > DEDUP_OVERLAP for f in fulls):
+            continue
+        kept.append(ProductVector((phi, psi)))
+        fulls.append(candidate)
     return ZeroSet(tuple(kept), span_rank(fulls), zero_tol)
 
 
 def has_spanning_property(
     W: Witness | HermitianOperator,
     seed: int = 0,
-    target_count: int | None = None,
     certificate: WitnessCertificate | None = None,
     restarts: int = DEFAULT_RESTARTS,
 ) -> SpanningReport:
     """Rank check on the product-zero set; sufficient for optimality only.
 
-    A failed check is reported as not-found-at-budget, never as a claim of
+    The harvest reuses the certificate's restarts (same seed required).  A
+    failed check is reported as not-found-at-budget, never as a claim of
     non-optimality: zero discovery is heuristic.
     """
     op = _op_of(W)
@@ -370,7 +383,7 @@ def has_spanning_property(
             f"min product {certificate.min_product.best_value:.3e}, "
             f"min eigenvalue {certificate.min_eigenvalue:.3e}"
         )
-    zeros = collect_zero_set(op, target_count=target_count, seed=seed)
+    zeros = collect_zero_set(op, seed=seed, seesaw=certificate.min_product)
     dim = op.layout.total_dim
     spanning = zeros.span_rank == dim
     return SpanningReport(
@@ -385,7 +398,6 @@ def has_spanning_property(
 def nd_spanning(
     W: Witness | HermitianOperator,
     seed: int = 0,
-    target_count: int | None = None,
     restarts: int = DEFAULT_RESTARTS,
     primal: SpanningReport | None = None,
 ) -> bool:
@@ -396,13 +408,11 @@ def nd_spanning(
     precomputed primal SpanningReport can be passed to skip re-certifying W.
     """
     if primal is None:
-        primal = has_spanning_property(
-            W, seed=seed, target_count=target_count, restarts=restarts
-        )
+        primal = has_spanning_property(W, seed=seed, restarts=restarts)
     if not primal.spanning:
         return False
     gamma = partial_transpose(_op_of(W))
-    zeros = collect_zero_set(gamma, target_count=target_count, seed=seed)
+    zeros = collect_zero_set(gamma, seed=seed)
     return zeros.span_rank == gamma.layout.total_dim
 
 

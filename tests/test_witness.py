@@ -115,14 +115,33 @@ def test_seesaw_shared_generator_matches_reference(name, choi, swap):
     _assert_matches_reference(report, reference, op)
 
 
+def _harvest_case(name, target_count, max_descents, restarts=None):
+    case_id = f"{name}-{target_count}-{max_descents}"
+    if restarts is not None:
+        case_id += f"-seesaw{restarts}"
+    return pytest.param(name, target_count, max_descents, restarts, id=case_id)
+
+
 @pytest.mark.parametrize(
-    "name, target_count, max_descents",
-    [("swap", 5, 7), ("swap-gamma", 5, 7), ("choi", 5, 7), ("choi", 8, 7)],
+    "name, target_count, max_descents, restarts",
+    [
+        _harvest_case("swap", 5, 7),
+        _harvest_case("swap-gamma", 5, 7),
+        _harvest_case("choi", 5, 7),
+        _harvest_case("choi", 8, 7),
+        # a see-saw report's restarts stand in for the first descents
+        _harvest_case("swap", 5, 7, restarts=4),
+        _harvest_case("choi", 5, 7, restarts=4),
+        _harvest_case("choi", 8, 7, restarts=64),
+        _harvest_case("swap", 16, 80, restarts=64),
+        _harvest_case("choi", 36, 180, restarts=64),
+    ],
 )
 def test_chunked_harvest_matches_sequential_reference(
-    name, target_count, max_descents, choi, swap, monkeypatch
+    name, target_count, max_descents, restarts, choi, swap, monkeypatch
 ):
     op = {"swap": swap.op, "swap-gamma": partial_transpose(swap.op), "choi": choi.op}[name]
+    seesaw = None if restarts is None else min_product_expectation(op, restarts, seed=42)
     started = []
     rng_from = witness_module.rng_from
 
@@ -132,7 +151,7 @@ def test_chunked_harvest_matches_sequential_reference(
 
     monkeypatch.setattr(witness_module, "rng_from", recording_rng_from)
     zeros = collect_zero_set(
-        op, target_count=target_count, max_descents=max_descents, seed=42
+        op, target_count=target_count, max_descents=max_descents, seed=42, seesaw=seesaw
     )
     reference, descents_run = zero_harvest_reference(
         op.mat, op.layout.left_dim, op.layout.right_dim, target_count, max_descents, 42
@@ -141,9 +160,14 @@ def test_chunked_harvest_matches_sequential_reference(
     for kept, ref in zip(zeros.vectors, reference):
         np.testing.assert_allclose(kept.full(), ref, atol=1e-9)
     # each descent starts once, in order, and only those the sequential
-    # harvest runs: never an index at or past the budget
-    assert [key[0] for key in started] == list(range(descents_run))
+    # harvest runs: never an index at or past the budget, and none that the
+    # see-saw report already holds
+    assert [key[0] for key in started] == list(range(restarts or 0, descents_run))
     assert all(key[0] < max_descents for key in started)
+    if restarts is not None:
+        other = min_product_expectation(op, restarts, seed=43)
+        with pytest.raises(ValueError):
+            collect_zero_set(op, target_count=target_count, seed=42, seesaw=other)
 
 
 def test_seesaw_best_vector_reproduces_best_value(swap):
@@ -252,6 +276,18 @@ def test_certify_indecomposable_rejects_decomposable_witness(swap):
 def test_certify_indecomposable_dimension_mismatch(choi):
     with pytest.raises(Exception):
         certify_indecomposable(choi, random_density(4, seed=0))
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-8, 1.0, 1e6, 1e8])
+def test_certify_and_spanning_verdicts_do_not_depend_on_scale(scale, choi, swap):
+    identity = HermitianOperator(np.eye(9), choi.op.layout)
+    for op, rank in ((choi.op, 7), (swap.op, 4), (identity, None)):
+        scaled = HermitianOperator(scale * op.mat, op.layout)
+        cert = certify_witness(scaled, seed=42)
+        assert cert.is_witness_numeric is (rank is not None)
+        if rank is not None:
+            span = has_spanning_property(scaled, seed=42, certificate=cert)
+            assert span.rank == rank
 
 
 def test_certify_large_scale_witness_does_not_raise(choi):
