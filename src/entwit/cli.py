@@ -26,6 +26,8 @@ from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .choi import nontrivial_extension_exhibit
 from .extension import ExtensionSpec, extend_witness, gamma_of_extension_check
 from .mdiew import (
@@ -44,8 +46,8 @@ from .serialization import (
     operator_to_dict,
 )
 from .witness import (
-    DEFAULT_RESTARTS, VERDICT_CONFIRMED, VERDICT_NOT_FOUND, Witness, certify_witness,
-    has_spanning_property, nd_spanning,
+    DEFAULT_RESTARTS, VERDICT_CONFIRMED, VERDICT_NOT_FOUND, SeeSawReport, Witness,
+    certify_witness, has_spanning_property, nd_spanning,
 )
 
 DEFAULT_SEED = 42
@@ -107,6 +109,16 @@ def _config(args) -> RunConfig:
     return RunConfig(seed=args.seed, restarts=args.restarts, tol=args.tol)
 
 
+def _restart_summary(report: SeeSawReport) -> str:
+    """How the see-saw restarts stopped, for the stderr summary."""
+    settled, stopped = sum(report.settled), sum(report.converged)
+    return (
+        f"{settled} settled, {stopped - settled} stalled, "
+        f"{report.restarts - stopped} at budget; iterations median "
+        f"{np.median(report.iterations):g}, max {max(report.iterations)}"
+    )
+
+
 def cmd_certify(args) -> int:
     cfg = _config(args)
     label, op = resolve_operator(args.witness)
@@ -134,6 +146,7 @@ def cmd_certify(args) -> int:
         f"is witness (numeric): {cert.is_witness_numeric}",
         f"min eigenvalue:       {cert.min_eigenvalue:+.12e}",
         f"min product value:    {cert.min_product.best_value:+.12e}",
+        f"see-saw restarts:     {_restart_summary(cert.min_product)}",
     ]
     if cert.is_witness_numeric:
         span = has_spanning_property(
@@ -220,6 +233,7 @@ def cmd_extend(args) -> int:
         f"extended {label} by caps of dims {spec.dims} -> systems {dims}",
         f"re-certified as witness: {recert.is_witness_numeric}",
         f"min product value:       {recert.min_product.best_value:+.12e}",
+        f"see-saw restarts:        {_restart_summary(recert.min_product)}",
         f"partial-transpose structure preserved: {gamma_ok}",
     ]
     _emit(args, payload, lines)

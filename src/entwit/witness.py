@@ -51,6 +51,7 @@ VERDICT_NOT_FOUND = "not-found-at-budget"
 DEFAULT_RESTARTS = 64
 DEFAULT_MAX_ITERS = 500
 CONVERGENCE_TOL = 1e-12
+STALL_TOL = 1e-13  # relative to the Frobenius norm of W
 MONOTONE_SLACK = 1e-10  # relative to the Frobenius norm of W
 ZERO_TOL = 1e-8  # relative to the Frobenius norm of W
 SPAN_SV_THRESHOLD = 1e-8
@@ -68,13 +69,21 @@ class Witness(object):
 
 @dataclass(frozen=True)
 class SeeSawReport:
-    """Per-restart results in restart order; ``seed`` is None for a Generator."""
+    """Per-restart results in restart order; ``seed`` is None for a Generator.
+
+    ``converged`` marks restarts that stopped before the iteration budget, by
+    either stop rule; ``settled`` marks those stopped by the strict rule
+    (vectors and value still), the others having stopped on a stalled value
+    or at the budget.  ``iterations`` counts the full iterations each used.
+    """
 
     best_value: float
     restarts: int
     restart_values: tuple[float, ...]
     restart_vectors: tuple[ProductVector, ...]
     converged: tuple[bool, ...]
+    settled: tuple[bool, ...]
+    iterations: tuple[int, ...]
     value_traces: tuple[tuple[float, ...], ...]
     seed: int | None
 
@@ -158,27 +167,45 @@ def _start_vectors(seed, indices: range, d_right: int) -> Array:
 
 
 def _pairs(v: Array) -> Array:
-    """Rows conj(v[n, a]) * v[n, b], flattened over (a, b)."""
-    return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), -1)
+    """Rows conj(v[n, a]) * v[n, b], flattened over (a, b), as a stack of
+    one-row matrices."""
+    return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), 1, -1)
 
 
-def _lockstep_descents(op: HermitianOperator, psi: Array) -> tuple[Array, ...]:
+def _lockstep_descents(
+    op: HermitianOperator,
+    psi: Array,
+    stall: bool = False,
+    resume: tuple[Array, Array, Array] | None = None,
+) -> tuple[Array, ...]:
     """See-saw descents of ``op`` from every start in ``psi``, in lock step.
 
     Each half-step is one stacked contraction and one stacked ``eigh`` over
     the descents still active.  The effective left operators,
-    ``einsum("irjs,nr,ns->nij", w4, psi.conj(), psi)``, are one matrix
-    product of the outer products of the right vectors with W regrouped by
-    party; the right ones, ``einsum("irjs,ni,nj->nrs", ...)``, likewise.  A
-    descent stops, and leaves the active set, once its vectors and value all
-    move by less than CONVERGENCE_TOL in one step (DEFAULT_MAX_ITERS at most).
+    ``einsum("irjs,nr,ns->nij", w4, psi.conj(), psi)``, are one stacked
+    matrix product of the outer products of the right vectors, one row per
+    descent, with W regrouped by party; the right ones,
+    ``einsum("irjs,ni,nj->nrs", ...)``, likewise.  Each row is its own
+    product, so a descent's arithmetic does not depend on which descents
+    share the stack, and one stopped and resumed ends bit for bit where an
+    uninterrupted one ends (one (n, K) product would not do: BLAS rounds a
+    one-row product differently).  A descent settles, and leaves the active
+    set, once its vectors and value all move by less than CONVERGENCE_TOL in
+    one step; with ``stall`` it also leaves once one iteration moves its
+    value by at most STALL_TOL * ||W||_F.
+    Every descent stops after DEFAULT_MAX_ITERS iterations in all.
+    ``resume = (value, phi, iterations)`` continues descents stopped earlier
+    from their last state (``psi`` then holds their last right vectors).
     A step raising an objective by over 1e-10 * ||W||_F raises NumericalError.
     Returns the final values, left and right vectors, the value traces (two
-    entries per iteration, valid up to the returned lengths) and the
-    converged flags.
+    entries per iteration of this call, from column 0), the iteration counts
+    (in all, resumed ones included), and the stopped-early and settled
+    flags.
     """
     d_left, d_right = op.layout.left_dim, op.layout.right_dim
-    slack = MONOTONE_SLACK * float(np.linalg.norm(op.mat))
+    norm = float(np.linalg.norm(op.mat))
+    slack = MONOTONE_SLACK * norm
+    stall_tol = STALL_TOL * norm if stall else -np.inf
     # W as a (d_left², d_right²) matrix: entry ((i, j), (r, s)) is <i r|W|j s>
     w_pairs = (
         op.mat.reshape(d_left, d_right, d_left, d_right)
@@ -187,43 +214,51 @@ def _lockstep_descents(op: HermitianOperator, psi: Array) -> tuple[Array, ...]:
     )
     n = len(psi)
     psi = psi.copy()
-    phi = np.zeros((n, d_left), dtype=complex)
-    value = np.full(n, np.inf)
+    if resume is None:
+        phi = np.zeros((n, d_left), dtype=complex)
+        value = np.full(n, np.inf)
+        iters = np.zeros(n, dtype=int)
+    else:
+        value, phi, iters = (np.array(a) for a in resume)
     trace = np.empty((n, 2 * DEFAULT_MAX_ITERS))
-    lengths = np.full(n, 2 * DEFAULT_MAX_ITERS)
     converged = np.zeros(n, dtype=bool)
-    active = np.arange(n)
-    for it in range(DEFAULT_MAX_ITERS):
+    settled = np.zeros(n, dtype=bool)
+    left = DEFAULT_MAX_ITERS - iters  # iterations left in each descent's budget
+    expiries = set(left.tolist())
+    active = np.flatnonzero(left > 0)
+    for it in range(max(expiries, default=0)):
         if not active.size:
             break
-        p = psi[active]
+        p, prev = psi[active], value[active]
         val_left, phi_new = _min_eigvecs((_pairs(p) @ w_pairs.T).reshape(-1, d_left, d_left))
         val_right, psi_new = _min_eigvecs(
             (_pairs(phi_new) @ w_pairs).reshape(-1, d_right, d_right)
         )
         # exact eigenvector steps can only lower the objective (fp slack only)
-        rising = val_right > val_left + slack
-        if it:
-            rising |= val_left > trace[active, 2 * it - 1] + slack
-        if rising.any():
+        if ((val_right > val_left + slack) | (val_left > prev + slack)).any():
             raise NumericalError(
                 f"see-saw step raised the objective beyond slack {slack:.3e}"
             )
         trace[active, 2 * it] = val_left
         trace[active, 2 * it + 1] = val_right
+        change = np.abs(val_right - prev)
         move = np.maximum(
-            np.abs(val_right - value[active]),
+            change,
             np.maximum(
                 np.abs(phi_new - phi[active]).max(axis=1),
                 np.abs(psi_new - p).max(axis=1),
             ),
         )
         phi[active], psi[active], value[active] = phi_new, psi_new, val_right
-        done = move < CONVERGENCE_TOL
-        converged[active[done]] = True
-        lengths[active[done]] = 2 * (it + 1)
-        active = active[~done]
-    return value, phi, psi, trace, lengths, converged
+        still = move < CONVERGENCE_TOL
+        stop = still | (change <= stall_tol)
+        done = stop | (left[active] == it + 1) if it + 1 in expiries else stop
+        if done.any():
+            leaving = active[done]
+            settled[leaving], converged[leaving] = still[done], stop[done]
+            iters[leaving] += it + 1
+            active = active[~done]
+    return value, phi, psi, trace, iters, converged, settled
 
 
 def min_product_expectation(
@@ -236,25 +271,31 @@ def min_product_expectation(
     Each restart alternates exact minimal-eigenvector updates of the two
     party vectors, so the objective is non-increasing step by step.  All
     restarts run in lock step: every half-step is one stacked contraction and
-    one stacked eigensolve, and a restart that meets the stop rule is masked
-    out of later steps.  Restart ``r`` starts from ``rng_from(seed, r)``, or
-    from a shared Generator drawn in restart order.  The report keeps
-    per-restart values, vectors and traces; the overall best takes the
-    lowest restart index on ties.
+    one stacked eigensolve.  A restart is masked out of later steps once it
+    settles (vectors and value still) or once one iteration moves its value
+    by at most STALL_TOL * ||W||_F: on a continuum of minima the value is
+    reached long before the vectors stop drifting.  Restart ``r`` starts
+    from ``rng_from(seed, r)``, or from a shared Generator drawn in restart
+    order.  The report keeps per-restart values, vectors, iteration counts
+    and traces; the overall best takes the lowest restart index on ties.
     """
     op = _op_of(W)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     op.layout.require_bipartite()
     starts = _start_vectors(seed, range(restarts), op.layout.right_dim)
-    values, phis, psis, trace, lengths, converged = _lockstep_descents(op, starts)
+    values, phis, psis, trace, iters, converged, settled = _lockstep_descents(
+        op, starts, stall=True
+    )
     return SeeSawReport(
         best_value=float(values.min()),
         restarts=restarts,
         restart_values=tuple(values.tolist()),
         restart_vectors=tuple(ProductVector(pair) for pair in zip(phis, psis)),
         converged=tuple(converged.tolist()),
-        value_traces=tuple(tuple(row[:k].tolist()) for row, k in zip(trace, lengths)),
+        settled=tuple(settled.tolist()),
+        iterations=tuple(iters.tolist()),
+        value_traces=tuple(tuple(row[: 2 * k].tolist()) for row, k in zip(trace, iters)),
         seed=None if isinstance(seed, np.random.Generator) else seed,
     )
 
@@ -320,12 +361,16 @@ def collect_zero_set(
     Descent ``t`` starts from ``rng_from(seed, t)``, exactly as restart ``t``
     of a see-saw at the same seed, so a ``seesaw`` report of W supplies
     descents 0 to ``seesaw.restarts - 1`` without running them again.  The
-    remaining descents run in lock-step chunks, each as large as the number
-    of zeros still missing (capped by the budget).  Results are accepted in
-    descent order, so the kept set is the one a one-at-a-time harvest keeps
-    and no descent past what that harvest would run is started.  Distinct
-    means Gram overlap below 1 - 1e-6; the span rank is the singular-value
-    rank of the stacked full vectors at a 1e-8 relative threshold.
+    harvest takes descents under the strict stop rule alone, so the report's
+    restarts that stopped on a stalled value are first run on together from
+    their stored states, for the rest of their budget; each ends where an
+    uninterrupted descent ends.  The remaining descents run in lock-step
+    chunks, each as large as the number of zeros still missing (capped by
+    the budget).  Results are accepted in descent order, so the kept set is
+    the one a one-at-a-time harvest keeps and no descent past what that
+    harvest would run is started.  Distinct means Gram overlap below
+    1 - 1e-6; the span rank is the singular-value rank of the stacked full
+    vectors at a 1e-8 relative threshold.
     """
     op = _op_of(W)
     op.layout.require_bipartite()
@@ -340,8 +385,15 @@ def collect_zero_set(
     fulls: list[Array] = []
     pending, next_descent = [], 0  # (value, phi, psi) not yet read; next to start
     if seesaw is not None:
-        reused = zip(seesaw.restart_values[:max_descents], seesaw.restart_vectors)
-        pending = [(value, *vector.factors) for value, vector in reused]
+        n = min(seesaw.restarts, max_descents)
+        vectors = seesaw.restart_vectors[:n]
+        lefts, rights = (np.array([v.factors[i] for v in vectors]) for i in (0, 1))
+        # restarts stopped on a stalled value run on under the strict rule
+        # alone; settled ones have nothing left to run
+        iters = np.where(seesaw.settled[:n], DEFAULT_MAX_ITERS, seesaw.iterations[:n])
+        resume = (np.array(seesaw.restart_values[:n]), lefts, iters)
+        values, phis, psis, *_ = _lockstep_descents(op, rights, resume=resume)
+        pending = list(zip(values, phis, psis))
         next_descent = seesaw.restarts
     while len(kept) < target_count and (pending or next_descent < max_descents):
         if not pending:
@@ -423,6 +475,7 @@ def certify_indecomposable(
 ) -> bool:
     """One-sided certificate: W detects the PPT state rho_candidate.
 
+    Detection means Tr(W rho) < -tol ||W||_F, whatever the scale of W.
     False means "not certified by this state", never "decomposable".
     """
     op = _op_of(W)
@@ -434,4 +487,4 @@ def certify_indecomposable(
         return False
     if not is_psd(partial_transpose(rho_candidate), tol):
         return False
-    return expectation(op, rho_candidate) < -tol
+    return expectation(op, rho_candidate) < -tol * float(np.linalg.norm(op.mat))

@@ -80,13 +80,17 @@ def _min_eigpair(mat):
     return float(vals[k]), v * (pivot.conj() / abs(pivot))
 
 
-def seesaw_descent_reference(mat, d_left, d_right, rng, max_iters=500, conv_tol=1e-12):
+def seesaw_descent_reference(
+    mat, d_left, d_right, rng, max_iters=500, conv_tol=1e-12, stall_tol=None
+):
     """One see-saw descent from a complex Gaussian right-party start.
 
     Alternates exact minimal eigenvectors of the two effective operators and
     stops once the value and both vectors move by less than ``conv_tol`` in
-    one step.  Returns (value, phi, psi, trace, converged); the trace holds
-    both half-step values of every iteration.
+    one step, or, given ``stall_tol``, once two consecutive right-half values
+    differ by at most ``stall_tol`` times the Frobenius norm of ``mat``.
+    Returns (value, phi, psi, trace, converged); the trace holds both
+    half-step values of every iteration.
     """
     w4 = np.asarray(mat, dtype=complex).reshape(d_left, d_right, d_left, d_right)
     psi = rng.normal(size=d_right) + 1j * rng.normal(size=d_right)
@@ -94,6 +98,7 @@ def seesaw_descent_reference(mat, d_left, d_right, rng, max_iters=500, conv_tol=
     phi = np.zeros(d_left, dtype=complex)
     value = np.inf
     trace = []
+    stall = None if stall_tol is None else stall_tol * np.sqrt(np.sum(np.abs(mat) ** 2))
     for _ in range(max_iters):
         val_left, phi_new = _min_eigpair(np.einsum("irjs,r,s->ij", w4, psi.conj(), psi))
         val_right, psi_new = _min_eigpair(
@@ -105,8 +110,11 @@ def seesaw_descent_reference(mat, d_left, d_right, rng, max_iters=500, conv_tol=
             np.abs(phi_new - phi).max(),
             np.abs(psi_new - psi).max(),
         )
+        stalled = (
+            stall is not None and len(trace) > 2 and abs(trace[-1] - trace[-3]) <= stall
+        )
         phi, psi, value = phi_new, psi_new, val_right
-        if move < conv_tol:
+        if move < conv_tol or stalled:
             return value, phi, psi, trace, True
     return value, phi, psi, trace, False
 
@@ -119,10 +127,16 @@ def descent_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def min_product_reference(mat, d_left, d_right, restarts, seed, max_iters=500):
-    """Per-restart descents, run one after another in restart order."""
+def min_product_reference(
+    mat, d_left, d_right, restarts, seed, max_iters=500, stall_tol=1e-13
+):
+    """Per-restart descents, run one after another in restart order, with the
+    certification see-saw's stall stop (``stall_tol=None`` for the strict
+    rule alone)."""
     return [
-        seesaw_descent_reference(mat, d_left, d_right, descent_rng(seed, r), max_iters)
+        seesaw_descent_reference(
+            mat, d_left, d_right, descent_rng(seed, r), max_iters, stall_tol=stall_tol
+        )
         for r in range(restarts)
     ]
 

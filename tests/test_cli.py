@@ -44,6 +44,22 @@ def test_certify_swap_summary_on_stderr(capsys):
     assert "is witness (numeric): True" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("certify", "swap", "--restarts", "8"),
+     ("extend", "swap", "--random-caps", "2", "2", "--restarts", "8")],
+    ids=["certify", "extend"],
+)
+def test_restart_stops_are_summarized_on_stderr_only(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    line = next(x for x in err.splitlines() if x.startswith("see-saw restarts:"))
+    counts = [int(word) for word in line.replace(",", " ").split() if word.isdigit()]
+    settled, stalled, at_budget = counts[:3]
+    assert settled + stalled + at_budget == 8
+    assert "see-saw restarts" not in out and "settled" not in out
+
+
 def test_certify_identity_is_not_a_witness(capsys):
     code, out, _ = run_cli(capsys, "certify", "identity", "--quiet")
     assert code == 0

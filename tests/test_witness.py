@@ -95,7 +95,7 @@ def _assert_matches_reference(report, reference, op):
 @pytest.mark.parametrize("name", ["choi", "swap", "capped-choi"])
 def test_lockstep_seesaw_matches_reference_descents(name, choi, swap):
     if name == "capped-choi":
-        op = extend_witness(choi, _caps_random((2, 2), 42)).op
+        op = _capped_choi(choi)
     else:
         op = {"choi": choi, "swap": swap}[name].op
     report = min_product_expectation(op, seed=42)
@@ -103,6 +103,42 @@ def test_lockstep_seesaw_matches_reference_descents(name, choi, swap):
         op.mat, op.layout.left_dim, op.layout.right_dim, report.restarts, 42
     )
     _assert_matches_reference(report, reference, op)
+
+
+def _capped_choi(choi):
+    return extend_witness(choi, _caps_random((2, 2), 42)).op
+
+
+def test_capped_choi_restarts_stop_before_the_budget(choi):
+    # the minimum is reached on a continuum of product zeros, where the
+    # vectors drift on long after the value is reached
+    report = min_product_expectation(_capped_choi(choi), seed=42)
+    assert sum(report.converged) >= 32
+    assert sum(report.iterations) <= 32000 / 3
+    assert [len(t) for t in report.value_traces] == [2 * k for k in report.iterations]
+
+
+def _random_hermitian(dims, seed):
+    rng = np.random.default_rng(seed)
+    d = dims[0] * dims[1]
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (g + g.conj().T) / 2
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["raw", "shifted"])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
+def test_stall_stop_keeps_the_strict_product_minimum(dims, shifted):
+    # shifting by the product minimum puts it at 0, where verdicts are made
+    for seed in range(4):
+        mat = _random_hermitian(dims, 300 + seed)
+        if shifted:
+            strict = min_product_reference(mat, *dims, 16, seed, stall_tol=None)
+            mat = mat - min(r[0] for r in strict) * np.eye(len(mat))
+        op = HermitianOperator(mat, SystemLayout(dims, 1))
+        report = min_product_expectation(op, restarts=16, seed=seed)
+        strict = min_product_reference(mat, *dims, 16, seed, stall_tol=None)
+        gap = abs(report.best_value - min(r[0] for r in strict))
+        assert gap <= 1e-11 * np.linalg.norm(mat)
 
 
 @pytest.mark.parametrize("name", ["choi", "swap"])
@@ -168,6 +204,35 @@ def test_chunked_harvest_matches_sequential_reference(
         other = min_product_expectation(op, restarts, seed=43)
         with pytest.raises(ValueError):
             collect_zero_set(op, target_count=target_count, seed=42, seesaw=other)
+
+
+@pytest.mark.parametrize("target_count, max_descents", [(5, 7), (16, 64)])
+def test_harvest_runs_stalled_restarts_on_as_uninterrupted_descents(
+    target_count, max_descents, choi
+):
+    # On the capped Choi extension the restarts stop on a stalled value while
+    # their vectors still drift along a continuum of zeros.  The drift turns
+    # last-bit differences between the lock step and the sequential reference
+    # into different end points, so the kept vectors are checked against
+    # fresh strict lock-step descents from the same starts, and only their
+    # count against the reference.
+    op = _capped_choi(choi)
+    report = min_product_expectation(op, seed=42)
+    stalled = [c and not s for c, s in zip(report.converged, report.settled)]
+    assert any(stalled[:max_descents])
+    resumed = collect_zero_set(
+        op, target_count=target_count, max_descents=max_descents, seed=42, seesaw=report
+    )
+    fresh = collect_zero_set(
+        op, target_count=target_count, max_descents=max_descents, seed=42
+    )
+    assert len(resumed.vectors) == len(fresh.vectors)
+    for kept, strict in zip(resumed.vectors, fresh.vectors):
+        np.testing.assert_array_equal(kept.full(), strict.full())
+    reference, _ = zero_harvest_reference(
+        op.mat, op.layout.left_dim, op.layout.right_dim, target_count, max_descents, 42
+    )
+    assert len(resumed.vectors) == len(reference)
 
 
 def test_seesaw_best_vector_reproduces_best_value(swap):
@@ -271,6 +336,12 @@ def test_certify_indecomposable_rejects_decomposable_witness(swap):
     for seed in range(10):
         rho = random_separable(layout, k=3, seed=seed).density(cut=1)
         assert not certify_indecomposable(swap, rho)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-8, 1.0, 1e8])
+def test_certify_indecomposable_does_not_depend_on_scale(scale, choi):
+    scaled = HermitianOperator(scale * choi.op.mat, choi.op.layout)
+    assert certify_indecomposable(scaled, choi_detected_ppt_state())
 
 
 def test_certify_indecomposable_dimension_mismatch(choi):
