@@ -87,7 +87,6 @@ from .serialization import (
 from .witness import (
     SeeSawReport,
     SpanningReport,
-    Witness,
     WitnessCertificate,
     ZeroSet,
     certify_indecomposable,
@@ -117,7 +116,6 @@ __all__ = [
     "SpanningReport",
     "StateBasis",
     "SystemLayout",
-    "Witness",
     "WitnessCertificate",
     "ZeroSet",
     "basis_vector",

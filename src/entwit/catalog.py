@@ -15,7 +15,6 @@ from .operators import (
     maximally_entangled_vector,
     projector,
 )
-from .witness import Witness
 from .choi import choi_witness
 
 __all__ = [
@@ -25,7 +24,7 @@ __all__ = [
 ]
 
 
-def swap_witness(d: int = 2) -> Witness:
+def swap_witness(d: int = 2) -> HermitianOperator:
     """Flip operator sum_{ij} |ij><ji| on two d-level systems."""
     if d < 2:
         raise ValueError(f"swap needs local dimension >= 2, got {d}")
@@ -33,7 +32,7 @@ def swap_witness(d: int = 2) -> Witness:
     for i in range(d):
         for j in range(d):
             mat[i * d + j, j * d + i] = 1.0
-    return Witness(HermitianOperator(mat, SystemLayout((d, d), 1)), provenance="swap")
+    return HermitianOperator(mat, SystemLayout((d, d), 1))
 
 
 def choi_detected_ppt_state() -> HermitianOperator:
@@ -57,5 +56,5 @@ def choi_detected_ppt_state() -> HermitianOperator:
     return HermitianOperator(raw / raw.trace().real, SystemLayout((d, d), 1))
 
 
-def catalogued_witnesses() -> dict[str, Witness]:
+def catalogued_witnesses() -> dict[str, HermitianOperator]:
     return {"choi": choi_witness(), "swap": swap_witness()}

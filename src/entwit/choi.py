@@ -29,7 +29,7 @@ from .operators import (
     partial_transpose,
     projector,
 )
-from .witness import IMAG_TOL, Witness, expectation
+from .witness import IMAG_TOL, expectation
 
 __all__ = [
     "choi_witness",
@@ -52,7 +52,7 @@ AB_PSD_TOL = 1e-10
 CLOSED_FORM_SCALE = 1.0 / 3.0
 
 
-def choi_witness() -> Witness:
+def choi_witness() -> HermitianOperator:
     """The 9x9 witness above, as an operator on dims (3, 3) with cut 1."""
     d = 3
     mat = np.zeros((d * d, d * d), dtype=complex)
@@ -63,9 +63,7 @@ def choi_witness() -> Witness:
     for i in range(d):
         for j in range(d):
             mat[i * d + i, j * d + j] -= 1.0
-    return Witness(
-        HermitianOperator(mat, SystemLayout((d, d), 1)), provenance="choi"
-    )
+    return HermitianOperator(mat, SystemLayout((d, d), 1))
 
 
 def shift_operator(d: int) -> Array:
@@ -172,7 +170,7 @@ def detection_values(
     second is the point: the cap alone buys the detection.
     """
     cap_mat = _cap_2x2(cap_right)
-    w = choi_witness().op
+    w = choi_witness()
     state = rho_abb(params)
     ext_op = HermitianOperator(np.kron(w.mat, cap_mat), state.layout)
     ext_value = expectation(ext_op, state)

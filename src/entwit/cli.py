@@ -46,7 +46,7 @@ from .serialization import (
     operator_to_dict,
 )
 from .witness import (
-    DEFAULT_RESTARTS, VERDICT_CONFIRMED, VERDICT_NOT_FOUND, SeeSawReport, Witness,
+    DEFAULT_RESTARTS, VERDICT_CONFIRMED, VERDICT_NOT_FOUND, SeeSawReport,
     certify_witness, has_spanning_property, nd_spanning,
 )
 
@@ -122,8 +122,7 @@ def _restart_summary(report: SeeSawReport) -> str:
 def cmd_certify(args) -> int:
     cfg = _config(args)
     label, op = resolve_operator(args.witness)
-    witness = Witness(op, provenance=label)
-    cert = certify_witness(witness, restarts=cfg.restarts, seed=cfg.seed, tol=cfg.tol)
+    cert = certify_witness(op, restarts=cfg.restarts, seed=cfg.seed, tol=cfg.tol)
     payload = {
         "command": "certify",
         "config": asdict(cfg),
@@ -150,9 +149,9 @@ def cmd_certify(args) -> int:
     ]
     if cert.is_witness_numeric:
         span = has_spanning_property(
-            witness, seed=cfg.seed, restarts=cfg.restarts, certificate=cert
+            op, seed=cfg.seed, restarts=cfg.restarts, certificate=cert
         )
-        nd = nd_spanning(witness, seed=cfg.seed, restarts=cfg.restarts, primal=span)
+        nd = nd_spanning(op, seed=cfg.seed, restarts=cfg.restarts, primal=span)
         nd_verdict = VERDICT_CONFIRMED if nd else VERDICT_NOT_FOUND
         payload["spanning"] = asdict(span)
         payload["nd_spanning"] = {"verdict": nd_verdict, "holds": nd}
@@ -201,18 +200,17 @@ def _caps_random(dims: tuple[int, int], seed: int) -> ExtensionSpec:
 def cmd_extend(args) -> int:
     cfg = _config(args)
     label, op = resolve_operator(args.witness)
-    witness = Witness(op, provenance=label)
     if args.caps is not None:
         spec = _caps_from_file(args.caps)
         caps_source = args.caps
     else:
         spec = _caps_random(tuple(args.random_caps), cfg.seed)
         caps_source = f"random({args.random_caps[0]}, {args.random_caps[1]})"
-    extended = extend_witness(witness, spec)
+    extended = extend_witness(op, spec)
     recert = certify_witness(
         extended, restarts=cfg.restarts, seed=cfg.seed, tol=cfg.tol
     )
-    gamma_ok = gamma_of_extension_check(witness, spec)
+    gamma_ok = gamma_of_extension_check(op, spec)
     payload = {
         "command": "extend",
         "config": asdict(cfg),
@@ -220,7 +218,7 @@ def cmd_extend(args) -> int:
         "caps_source": caps_source,
         "cap_left": operator_to_dict(spec.cap_left),
         "cap_right": operator_to_dict(spec.cap_right),
-        "extended": operator_to_dict(extended.op),
+        "extended": operator_to_dict(extended),
         "recertification": {
             "is_witness_numeric": recert.is_witness_numeric,
             "min_eigenvalue": float(recert.min_eigenvalue),
@@ -228,7 +226,7 @@ def cmd_extend(args) -> int:
         },
         "gamma_structure_ok": gamma_ok,
     }
-    dims = extended.op.layout.dims
+    dims = extended.layout.dims
     lines = [
         f"extended {label} by caps of dims {spec.dims} -> systems {dims}",
         f"re-certified as witness: {recert.is_witness_numeric}",
@@ -275,7 +273,7 @@ def cmd_choi_demo(args) -> int:
 def cmd_mdiew_decompose(args) -> int:
     cfg = _config(args)
     label, op = resolve_operator(args.witness)
-    scenario = MdiewScenario.ideal(Witness(op, provenance=label))
+    scenario = MdiewScenario.ideal(op)
     residual = reconstruction_residual(
         scenario.witness, scenario.basis_left, scenario.basis_right, scenario.beta
     )
@@ -300,7 +298,7 @@ def cmd_mdiew_decompose(args) -> int:
 def cmd_mdiew_audit(args) -> int:
     cfg = _config(args)
     label, op = resolve_operator(args.witness)
-    scenario = MdiewScenario.ideal(Witness(op, provenance=label))
+    scenario = MdiewScenario.ideal(op)
     embed_dims = tuple(args.embed_dims) if args.embed_dims else None
     report = separable_nonnegativity_audit(
         scenario,

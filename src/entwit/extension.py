@@ -27,7 +27,7 @@ from .operators import (
     is_psd,
     partial_transpose,
 )
-from .witness import Witness, ZeroSet, _op_of, span_rank
+from .witness import ZeroSet, span_rank
 
 __all__ = [
     "CAP_PSD_TOL",
@@ -85,15 +85,10 @@ def _sandwich(mid_mat: Array, mid_layout: SystemLayout, left: Array, right: Arra
     return HermitianOperator(mat, layout)
 
 
-def extend_witness(W: Witness | HermitianOperator, spec: ExtensionSpec) -> Witness:
+def extend_witness(W: HermitianOperator, spec: ExtensionSpec) -> HermitianOperator:
     """cap_left (x) W (x) cap_right, cut moved so A-side systems stay left."""
-    op = _op_of(W)
-    op.layout.require_bipartite()
-    label = W.provenance if isinstance(W, Witness) and W.provenance else "witness"
-    return Witness(
-        _sandwich(op.mat, op.layout, spec.cap_left.mat, spec.cap_right.mat),
-        provenance=f"extended({label}, {spec.dims[0]}, {spec.dims[1]})",
-    )
+    W.layout.require_bipartite()
+    return _sandwich(W.mat, W.layout, spec.cap_left.mat, spec.cap_right.mat)
 
 
 def extend_state(
@@ -138,12 +133,10 @@ def extended_zero_set(zeros: ZeroSet, d_ap: int, d_bp: int) -> ZeroSet:
     return ZeroSet(tuple(vectors), span_rank(fulls), zeros.zero_tol)
 
 
-def gamma_of_extension_check(W: Witness | HermitianOperator, spec: ExtensionSpec) -> bool:
+def gamma_of_extension_check(W: HermitianOperator, spec: ExtensionSpec) -> bool:
     """Partial transpose factors through: Gamma of the extension must equal
     cap_left (x) Gamma(W) (x) cap_right^T in Frobenius norm."""
-    op = _op_of(W)
-    ext = extend_witness(op, spec)
-    lhs = partial_transpose(ext.op)
-    gamma_w = partial_transpose(op)
+    lhs = partial_transpose(extend_witness(W, spec))
+    gamma_w = partial_transpose(W)
     rhs = _sandwich(gamma_w.mat, gamma_w.layout, spec.cap_left.mat, spec.cap_right.mat.T)
     return bool(np.linalg.norm(lhs.mat - rhs.mat) <= GAMMA_CHECK_TOL)

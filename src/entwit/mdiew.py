@@ -51,7 +51,7 @@ from .sampling import (
     random_unitary,
     rng_from,
 )
-from .witness import Witness, _op_of, expectation
+from .witness import expectation
 
 __all__ = [
     "DECOMPOSITION_RESIDUAL_TOL",
@@ -75,12 +75,12 @@ __all__ = [
     "separable_nonnegativity_audit",
 ]
 
-DECOMPOSITION_RESIDUAL_TOL = 1e-9
-BETA_IMAG_TOL = 1e-10
+DECOMPOSITION_RESIDUAL_TOL = 1e-9  # relative to the Frobenius norm of W
+BETA_IMAG_TOL = 1e-10  # relative to the Frobenius norm of W
 PROBABILITY_RANGE_TOL = 1e-10
 POVM_BOUND_TOL = 1e-10
-ROUTE_AGREEMENT_TOL = 1e-9
-AUDIT_VALUE_TOL = 1e-9
+ROUTE_AGREEMENT_TOL = 1e-9  # relative to the Frobenius norm of W
+AUDIT_VALUE_TOL = 1e-9  # relative to the Frobenius norm of W
 AUDIT_MAX_MEMBERS = 4  # members per separable ensemble drawn by the audit
 
 POVM_MODES = ("ideal", "arbitrary", "misaligned")
@@ -156,49 +156,50 @@ def _product_basis(basis_left: StateBasis, basis_right: StateBasis) -> Array:
 
 
 def reconstruction_residual(
-    W: Witness | HermitianOperator,
+    W: HermitianOperator,
     basis_left: StateBasis,
     basis_right: StateBasis,
     beta: Array,
 ) -> float:
     """Frobenius norm of (sum beta[s, t] sigma_s (x) sigma_t) - W."""
     recon = _product_basis(basis_left, basis_right) @ np.ravel(beta)
-    return float(np.linalg.norm(recon - _op_of(W).mat.ravel()))
+    return float(np.linalg.norm(recon - W.mat.ravel()))
 
 
 def decompose_witness(
-    W: Witness | HermitianOperator,
+    W: HermitianOperator,
     basis_left: StateBasis,
     basis_right: StateBasis,
 ) -> Array:
     """Least-squares coefficients beta with sum beta[s,t] s (x) t = W.
 
     Solved over complex coefficients; Hermiticity of W and of the basis
-    members forces the true solution real, which is checked at 1e-10 rather
-    than assumed.  A reconstruction residual above 1e-9 raises.
+    members forces the true solution real, which is checked at
+    1e-10 ||W||_F rather than assumed.  A reconstruction residual above
+    1e-9 ||W||_F raises.
     """
-    op = _op_of(W)
-    op.layout.require_bipartite()
-    d_a, d_b = op.layout.left_dim, op.layout.right_dim
+    W.layout.require_bipartite()
+    d_a, d_b = W.layout.left_dim, W.layout.right_dim
     if basis_left.dim != d_a or basis_right.dim != d_b:
         raise LayoutError(
             f"basis dims ({basis_left.dim}, {basis_right.dim}) do not match "
             f"witness parties ({d_a}, {d_b})"
         )
     coeffs, *_ = np.linalg.lstsq(
-        _product_basis(basis_left, basis_right), op.mat.ravel(), rcond=None
+        _product_basis(basis_left, basis_right), W.mat.ravel(), rcond=None
     )
+    norm = float(np.linalg.norm(W.mat))
     imag = float(np.abs(coeffs.imag).max())
-    if imag > BETA_IMAG_TOL:
+    if imag > BETA_IMAG_TOL * norm:
         raise NumericalError(
             f"decomposition coefficients have imaginary part {imag:.3e}"
         )
     beta = coeffs.real.reshape(len(basis_left), len(basis_right))
-    residual = reconstruction_residual(op, basis_left, basis_right, beta)
-    if residual > DECOMPOSITION_RESIDUAL_TOL:
+    residual = reconstruction_residual(W, basis_left, basis_right, beta)
+    if residual > DECOMPOSITION_RESIDUAL_TOL * norm:
         raise NumericalError(
             f"witness decomposition residual {residual:.3e} exceeds "
-            f"{DECOMPOSITION_RESIDUAL_TOL:.0e}"
+            f"{DECOMPOSITION_RESIDUAL_TOL:.0e} ||W||_F"
         )
     beta.setflags(write=False)
     return beta
@@ -228,7 +229,7 @@ def _povm_matrix(E: HermitianOperator | Array, dim: int, name: str) -> Array:
 class MdiewScenario:
     """Witness, input bases, solved coefficients, and the measurement pair."""
 
-    witness: Witness
+    witness: HermitianOperator
     basis_left: StateBasis
     basis_right: StateBasis
     beta: Array
@@ -236,7 +237,7 @@ class MdiewScenario:
     povm_right: Array
 
     def __post_init__(self):
-        self.witness.op.layout.require_bipartite()
+        self.witness.layout.require_bipartite()
         d_a, d_b = self.party_dims
         if self.basis_left.dim != d_a or self.basis_right.dim != d_b:
             raise LayoutError(
@@ -252,7 +253,8 @@ class MdiewScenario:
         residual = reconstruction_residual(
             self.witness, self.basis_left, self.basis_right, beta
         )
-        if residual > DECOMPOSITION_RESIDUAL_TOL:
+        norm = float(np.linalg.norm(self.witness.mat))
+        if residual > DECOMPOSITION_RESIDUAL_TOL * norm:
             raise NumericalError(
                 f"beta does not reconstruct the witness: residual {residual:.3e}"
             )
@@ -266,19 +268,17 @@ class MdiewScenario:
         object.__setattr__(self, "povm_right", e_r)
 
     @classmethod
-    def ideal(cls, W: Witness | HermitianOperator) -> "MdiewScenario":
+    def ideal(cls, W: HermitianOperator) -> "MdiewScenario":
         """Tomographic bases, solved beta, maximally entangled projectors."""
-        witness = W if isinstance(W, Witness) else Witness(W)
-        witness.op.layout.require_bipartite()
-        d_a = witness.op.layout.left_dim
-        d_b = witness.op.layout.right_dim
+        W.layout.require_bipartite()
+        d_a, d_b = W.layout.left_dim, W.layout.right_dim
         basis_left = tomographic_basis(d_a)
         basis_right = tomographic_basis(d_b)
         return cls(
-            witness=witness,
+            witness=W,
             basis_left=basis_left,
             basis_right=basis_right,
-            beta=decompose_witness(witness, basis_left, basis_right),
+            beta=decompose_witness(W, basis_left, basis_right),
             povm_left=ideal_projector(d_a),
             povm_right=ideal_projector(d_b),
         )
@@ -290,7 +290,7 @@ class MdiewScenario:
 
     @property
     def party_dims(self) -> tuple[int, int]:
-        return self.witness.op.layout.left_dim, self.witness.op.layout.right_dim
+        return self.witness.layout.left_dim, self.witness.layout.right_dim
 
     def ideal_value(self, rho: HermitianOperator) -> float:
         """Tr(W rho) / (d_A d_B): the ideal-measurement benchmark."""
@@ -460,8 +460,9 @@ def separable_nonnegativity_audit(
     along both routes.  With embed_dims the measurement elements live in
     enlarged spaces reached through random isometries; the direct route runs
     up there while the mixture route sees only the isometry-compressed
-    elements, so agreement also exercises the embedding.  Failures are
-    recorded, never raised.
+    elements, so agreement also exercises the embedding.  A value below
+    -1e-9 ||W||_F or a route gap above 1e-9 ||W||_F is a failure; failures
+    are recorded, never raised.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -478,7 +479,9 @@ def separable_nonnegativity_audit(
     layout = SystemLayout((d_a, d_b), 1)
     sig_l = np.array(scenario.basis_left.states)
     sig_r = np.array(scenario.basis_right.states)
-    w_t4 = scenario.witness.op.mat.T.reshape(d_a, d_b, d_a, d_b)
+    w_t4 = scenario.witness.mat.T.reshape(d_a, d_b, d_a, d_b)
+    norm = float(np.linalg.norm(scenario.witness.mat))
+    value_tol, gap_tol = AUDIT_VALUE_TOL * norm, ROUTE_AGREEMENT_TOL * norm
 
     failures: list[AuditFailure] = []
     min_value = np.inf
@@ -507,11 +510,11 @@ def separable_nonnegativity_audit(
         min_value = min(min_value, direct, mixture)
         max_gap = max(max_gap, gap)
         reasons = []
-        if direct < -AUDIT_VALUE_TOL:
+        if direct < -value_tol:
             reasons.append(f"direct route negative: {direct:.3e}")
-        if mixture < -AUDIT_VALUE_TOL:
+        if mixture < -value_tol:
             reasons.append(f"mixture route negative: {mixture:.3e}")
-        if gap > ROUTE_AGREEMENT_TOL:
+        if gap > gap_tol:
             reasons.append(f"route gap {gap:.3e}")
         if reasons:
             failures.append(

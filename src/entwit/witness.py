@@ -28,7 +28,6 @@ from .operators import (
 from .sampling import rng_from
 
 __all__ = [
-    "Witness",
     "SeeSawReport",
     "ZeroSet",
     "WitnessCertificate",
@@ -56,20 +55,12 @@ MONOTONE_SLACK = 1e-10  # relative to the Frobenius norm of W
 ZERO_TOL = 1e-8  # relative to the Frobenius norm of W
 SPAN_SV_THRESHOLD = 1e-8
 DEDUP_OVERLAP = 1 - 1e-6
-IMAG_TOL = 1e-10  # largest imaginary part tolerated on a real-valued trace
-
-
-@dataclass(frozen=True)
-class Witness(object):
-    """A Hermitian operator proposed as an entanglement witness."""
-
-    op: HermitianOperator
-    provenance: str = ""
+IMAG_TOL = 1e-10  # imaginary part tolerated on a real-valued trace of unit scale
 
 
 @dataclass(frozen=True)
 class SeeSawReport:
-    """Per-restart results in restart order; ``seed`` is None for a Generator.
+    """Per-restart results in restart order, for the see-saw seeded by ``seed``.
 
     ``converged`` marks restarts that stopped before the iteration budget, by
     either stop rule; ``settled`` marks those stopped by the strict rule
@@ -85,7 +76,7 @@ class SeeSawReport:
     settled: tuple[bool, ...]
     iterations: tuple[int, ...]
     value_traces: tuple[tuple[float, ...], ...]
-    seed: int | None
+    seed: int
 
     @property
     def best_vector(self) -> ProductVector:
@@ -109,7 +100,6 @@ class WitnessCertificate:
     min_product: SeeSawReport
     detection_state: HermitianOperator | None
     detection_value: float | None
-    witness: Witness
 
 
 @dataclass(frozen=True)
@@ -121,18 +111,18 @@ class SpanningReport:
     note: str = ""
 
 
-def _op_of(W: Witness | HermitianOperator) -> HermitianOperator:
-    return W.op if isinstance(W, Witness) else W
+def expectation(W: HermitianOperator, rho: HermitianOperator | Array) -> float:
+    """Re Tr(W rho); raises if the trace has a stray imaginary part.
 
-
-def expectation(W: Witness | HermitianOperator, rho: HermitianOperator | Array) -> float:
-    """Re Tr(W rho); raises if the trace has a stray imaginary part."""
-    wmat = _op_of(W).mat
+    The imaginary part is measured against ||W||_F ||rho||_F, the
+    Cauchy-Schwarz bound on |Tr(W rho)|, so the check holds at any scale.
+    """
+    wmat = W.mat
     rmat = _as_matrix(rho)
     if wmat.shape != rmat.shape:
         raise LayoutError(f"dimension mismatch: {wmat.shape} vs {rmat.shape}")
     val = np.sum(wmat * rmat.T)
-    if abs(val.imag) > IMAG_TOL:
+    if abs(val.imag) > IMAG_TOL * np.linalg.norm(wmat) * np.linalg.norm(rmat):
         raise NumericalError(f"expectation has imaginary part {val.imag:.3e}")
     return float(val.real)
 
@@ -152,15 +142,12 @@ def _min_eigvecs(mats: Array) -> tuple[Array, Array]:
     return vals[rows, idx], v * (pivot.conj() / np.abs(pivot))[:, None]
 
 
-def _start_vectors(seed, indices: range, d_right: int) -> Array:
-    """One normalized complex Gaussian right-party start per descent index.
-
-    Descent ``t`` draws from ``rng_from(seed, t)``; a shared Generator is
-    drawn from in index order instead.
-    """
+def _start_vectors(seed: int, indices: range, d_right: int) -> Array:
+    """One normalized complex Gaussian right-party start per descent index;
+    descent ``t`` draws from ``rng_from(seed, t)``."""
     starts = np.empty((len(indices), d_right), dtype=complex)
     for n, t in enumerate(indices):
-        rng = seed if isinstance(seed, np.random.Generator) else rng_from(seed, t)
+        rng = rng_from(seed, t)
         psi = rng.normal(size=d_right) + 1j * rng.normal(size=d_right)
         starts[n] = psi / np.linalg.norm(psi)
     return starts
@@ -262,9 +249,9 @@ def _lockstep_descents(
 
 
 def min_product_expectation(
-    W: Witness | HermitianOperator,
+    W: HermitianOperator,
     restarts: int = DEFAULT_RESTARTS,
-    seed: int | np.random.Generator = 0,
+    seed: int = 0,
 ) -> SeeSawReport:
     """Minimize <phi (x) psi| W |phi (x) psi> over the bipartition by see-saw.
 
@@ -275,17 +262,15 @@ def min_product_expectation(
     settles (vectors and value still) or once one iteration moves its value
     by at most STALL_TOL * ||W||_F: on a continuum of minima the value is
     reached long before the vectors stop drifting.  Restart ``r`` starts
-    from ``rng_from(seed, r)``, or from a shared Generator drawn in restart
-    order.  The report keeps per-restart values, vectors, iteration counts
+    from ``rng_from(seed, r)``.  The report keeps per-restart values, vectors, iteration counts
     and traces; the overall best takes the lowest restart index on ties.
     """
-    op = _op_of(W)
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    op.layout.require_bipartite()
-    starts = _start_vectors(seed, range(restarts), op.layout.right_dim)
+    W.layout.require_bipartite()
+    starts = _start_vectors(seed, range(restarts), W.layout.right_dim)
     values, phis, psis, trace, iters, converged, settled = _lockstep_descents(
-        op, starts, stall=True
+        W, starts, stall=True
     )
     return SeeSawReport(
         best_value=float(values.min()),
@@ -296,12 +281,12 @@ def min_product_expectation(
         settled=tuple(settled.tolist()),
         iterations=tuple(iters.tolist()),
         value_traces=tuple(tuple(row[: 2 * k].tolist()) for row, k in zip(trace, iters)),
-        seed=None if isinstance(seed, np.random.Generator) else seed,
+        seed=seed,
     )
 
 
 def certify_witness(
-    W: Witness | HermitianOperator,
+    W: HermitianOperator,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
     tol: float = PSD_TOL,
@@ -312,12 +297,10 @@ def certify_witness(
     separable negativity found) while the minimum eigenvalue is < -tol ||W||_F
     (so W detects its own negative eigenspace), whatever the scale of W.
     """
-    op = _op_of(W)
-    witness = W if isinstance(W, Witness) else Witness(op)
-    report = min_product_expectation(op, restarts=restarts, seed=seed)
-    vals, vecs = eigh(op)
+    report = min_product_expectation(W, restarts=restarts, seed=seed)
+    vals, vecs = eigh(W)
     min_eig = float(vals[-1])
-    cutoff = tol * float(np.linalg.norm(op.mat))
+    cutoff = tol * float(np.linalg.norm(W.mat))
     ok = report.best_value >= -cutoff and min_eig < -cutoff
 
     detection_state = None
@@ -326,15 +309,14 @@ def certify_witness(
     if neg.any():
         cols = vecs[:, neg]
         proj = (cols @ cols.conj().T) / cols.shape[1]
-        detection_state = HermitianOperator(proj, op.layout)
-        detection_value = expectation(op, detection_state)
+        detection_state = HermitianOperator(proj, W.layout)
+        detection_value = expectation(W, detection_state)
     return WitnessCertificate(
         is_witness_numeric=bool(ok),
         min_eigenvalue=min_eig,
         min_product=report,
         detection_state=detection_state,
         detection_value=detection_value,
-        witness=witness,
     )
 
 
@@ -347,7 +329,7 @@ def span_rank(vectors: list[Array], threshold: float = SPAN_SV_THRESHOLD) -> int
 
 
 def collect_zero_set(
-    W: Witness | HermitianOperator,
+    W: HermitianOperator,
     target_count: int | None = None,
     seed: int = 0,
     max_descents: int | None = None,
@@ -372,15 +354,14 @@ def collect_zero_set(
     1 - 1e-6; the span rank is the singular-value rank of the stacked full
     vectors at a 1e-8 relative threshold.
     """
-    op = _op_of(W)
-    op.layout.require_bipartite()
+    W.layout.require_bipartite()
     if target_count is None:
-        target_count = 4 * op.layout.total_dim
+        target_count = 4 * W.layout.total_dim
     if max_descents is None:
         max_descents = 5 * target_count
     if seesaw is not None and seesaw.seed != seed:
         raise ValueError(f"report seed {seesaw.seed!r} differs from harvest seed {seed!r}")
-    zero_tol = ZERO_TOL * float(np.linalg.norm(op.mat))
+    zero_tol = ZERO_TOL * float(np.linalg.norm(W.mat))
     kept: list[ProductVector] = []
     fulls: list[Array] = []
     pending, next_descent = [], 0  # (value, phi, psi) not yet read; next to start
@@ -392,7 +373,7 @@ def collect_zero_set(
         # alone; settled ones have nothing left to run
         iters = np.where(seesaw.settled[:n], DEFAULT_MAX_ITERS, seesaw.iterations[:n])
         resume = (np.array(seesaw.restart_values[:n]), lefts, iters)
-        values, phis, psis, *_ = _lockstep_descents(op, rights, resume=resume)
+        values, phis, psis, *_ = _lockstep_descents(W, rights, resume=resume)
         pending = list(zip(values, phis, psis))
         next_descent = seesaw.restarts
     while len(kept) < target_count and (pending or next_descent < max_descents):
@@ -400,8 +381,8 @@ def collect_zero_set(
             missing = target_count - len(kept)
             chunk = range(next_descent, min(max_descents, next_descent + missing))
             next_descent = chunk.stop
-            starts = _start_vectors(seed, chunk, op.layout.right_dim)
-            values, phis, psis, *_ = _lockstep_descents(op, starts)
+            starts = _start_vectors(seed, chunk, W.layout.right_dim)
+            values, phis, psis, *_ = _lockstep_descents(W, starts)
             pending = list(zip(values, phis, psis))
         value, phi, psi = pending.pop(0)
         if abs(value) > zero_tol:
@@ -415,7 +396,7 @@ def collect_zero_set(
 
 
 def has_spanning_property(
-    W: Witness | HermitianOperator,
+    W: HermitianOperator,
     seed: int = 0,
     certificate: WitnessCertificate | None = None,
     restarts: int = DEFAULT_RESTARTS,
@@ -426,7 +407,6 @@ def has_spanning_property(
     failed check is reported as not-found-at-budget, never as a claim of
     non-optimality: zero discovery is heuristic.
     """
-    op = _op_of(W)
     if certificate is None:
         certificate = certify_witness(W, restarts=restarts, seed=seed)
     if not certificate.is_witness_numeric:
@@ -435,8 +415,8 @@ def has_spanning_property(
             f"min product {certificate.min_product.best_value:.3e}, "
             f"min eigenvalue {certificate.min_eigenvalue:.3e}"
         )
-    zeros = collect_zero_set(op, seed=seed, seesaw=certificate.min_product)
-    dim = op.layout.total_dim
+    zeros = collect_zero_set(W, seed=seed, seesaw=certificate.min_product)
+    dim = W.layout.total_dim
     spanning = zeros.span_rank == dim
     return SpanningReport(
         spanning=spanning,
@@ -448,7 +428,7 @@ def has_spanning_property(
 
 
 def nd_spanning(
-    W: Witness | HermitianOperator,
+    W: HermitianOperator,
     seed: int = 0,
     restarts: int = DEFAULT_RESTARTS,
     primal: SpanningReport | None = None,
@@ -463,13 +443,13 @@ def nd_spanning(
         primal = has_spanning_property(W, seed=seed, restarts=restarts)
     if not primal.spanning:
         return False
-    gamma = partial_transpose(_op_of(W))
+    gamma = partial_transpose(W)
     zeros = collect_zero_set(gamma, seed=seed)
     return zeros.span_rank == gamma.layout.total_dim
 
 
 def certify_indecomposable(
-    W: Witness | HermitianOperator,
+    W: HermitianOperator,
     rho_candidate: HermitianOperator,
     tol: float = PSD_TOL,
 ) -> bool:
@@ -478,13 +458,12 @@ def certify_indecomposable(
     Detection means Tr(W rho) < -tol ||W||_F, whatever the scale of W.
     False means "not certified by this state", never "decomposable".
     """
-    op = _op_of(W)
-    if op.dim != rho_candidate.dim:
+    if W.dim != rho_candidate.dim:
         raise LayoutError(
-            f"dimension mismatch: witness {op.dim} vs state {rho_candidate.dim}"
+            f"dimension mismatch: witness {W.dim} vs state {rho_candidate.dim}"
         )
     if not is_psd(rho_candidate, tol):
         return False
     if not is_psd(partial_transpose(rho_candidate), tol):
         return False
-    return expectation(op, rho_candidate) < -tol * float(np.linalg.norm(op.mat))
+    return expectation(W, rho_candidate) < -tol * float(np.linalg.norm(W.mat))

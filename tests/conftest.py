@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from entwit import choi_witness, swap_witness
+from entwit import HermitianOperator, choi_witness, random_unitary, rng_from, swap_witness
 
 
 @pytest.fixture(scope="session")
@@ -11,3 +12,13 @@ def choi():
 @pytest.fixture(scope="session")
 def swap():
     return swap_witness()
+
+
+@pytest.fixture(scope="session")
+def rotated_choi(choi):
+    """(U_A (x) U_B) choi (U_A (x) U_B)^H for seeded Haar unitaries,
+    symmetrized as (m + m^H) / 2 the way operator files are read."""
+    rng = rng_from(7)
+    u = np.kron(random_unitary(3, rng), random_unitary(3, rng))
+    m = u @ choi.mat @ u.conj().T
+    return HermitianOperator((m + m.conj().T) / 2, choi.layout)

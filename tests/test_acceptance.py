@@ -77,8 +77,8 @@ def _random_hermitian_22(seed):
 
 def test_criterion_01_choi_exactness():
     w = choi_witness()
-    np.testing.assert_array_equal(w.op.mat, CHOI_MATRIX)
-    vals, vecs = eigh(w.op)
+    np.testing.assert_array_equal(w.mat, CHOI_MATRIX)
+    vals, vecs = eigh(w)
     assert abs(vals[-1] - (-1.0)) <= 1e-10
     psi = maximally_entangled_vector(3)
     assert abs(psi.conj() @ vecs[:, -1]) >= 1.0 - 1e-9
@@ -155,7 +155,7 @@ def test_criterion_05_spanning_transfer():
     w = swap_witness()
     base = collect_zero_set(w, seed=0)
     assert base.span_rank == 4
-    flipped = collect_zero_set(partial_transpose(w.op), seed=0)
+    flipped = collect_zero_set(partial_transpose(w), seed=0)
     assert flipped.span_rank == 3
     for d_ap, d_bp in ((1, 2), (2, 2), (3, 2)):
         spec = ExtensionSpec(
@@ -166,8 +166,8 @@ def test_criterion_05_spanning_transfer():
         assert lifted.span_rank == 4 * d_ap * d_bp
         for v in lifted.vectors:
             full = v.full()
-            assert abs(np.real(full.conj() @ ext.op.mat @ full)) <= 1e-10
-        gamma_ext = partial_transpose(ext.op)
+            assert abs(np.real(full.conj() @ ext.mat @ full)) <= 1e-10
+        gamma_ext = partial_transpose(ext)
         lifted_g = extended_zero_set(flipped, d_ap, d_bp)
         assert lifted_g.span_rank == 3 * d_ap * d_bp
         for v in lifted_g.vectors:
@@ -198,8 +198,8 @@ def test_criterion_06_extension_exhibit():
 
 def test_criterion_07_decomposition_residuals():
     for w in (choi_witness(), swap_witness()):
-        d_a = w.op.layout.left_dim
-        d_b = w.op.layout.right_dim
+        d_a = w.layout.left_dim
+        d_b = w.layout.right_dim
         bl, br = tomographic_basis(d_a), tomographic_basis(d_b)
         beta = decompose_witness(w, bl, br)
         assert beta.dtype == np.float64 and np.isrealobj(beta)
@@ -208,14 +208,14 @@ def test_criterion_07_decomposition_residuals():
             for s in range(len(bl))
             for t in range(len(br))
         )
-        assert np.linalg.norm(recon - w.op.mat) <= 1e-9
+        assert np.linalg.norm(recon - w.mat) <= 1e-9
     _ok(7, "tomographic decompositions are real and reconstruct to 1e-9")
 
 
 def test_criterion_08_ideal_identity():
     for w, n_states in ((choi_witness(), 100), (swap_witness(), 100)):
         sc = MdiewScenario.ideal(w)
-        d = w.op.layout.left_dim
+        d = w.layout.left_dim
         for seed in range(n_states):
             rho = HermitianOperator(
                 random_density(d * d, rng_from(seed, 91)).mat,

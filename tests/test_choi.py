@@ -44,12 +44,12 @@ CHOI_MATRIX = np.array(
 
 
 def test_choi_witness_matches_frozen_matrix(choi):
-    np.testing.assert_array_equal(choi.op.mat, CHOI_MATRIX)
-    assert choi.op.layout == SystemLayout((3, 3), 1)
+    np.testing.assert_array_equal(choi.mat, CHOI_MATRIX)
+    assert choi.layout == SystemLayout((3, 3), 1)
 
 
 def test_choi_spectrum_and_extremal_vector(choi):
-    vals, vecs = eigh(choi.op)
+    vals, vecs = eigh(choi)
     np.testing.assert_allclose(
         vals, [2, 2, 1, 1, 1, 0, 0, 0, -1], atol=1e-10
     )
@@ -203,5 +203,5 @@ def test_detected_ppt_state(choi):
 def test_catalog_contents(choi, swap):
     cat = catalogued_witnesses()
     assert set(cat) == {"choi", "swap"}
-    np.testing.assert_array_equal(cat["choi"].op.mat, choi.op.mat)
-    np.testing.assert_array_equal(cat["swap"].op.mat, swap.op.mat)
+    np.testing.assert_array_equal(cat["choi"].mat, choi.mat)
+    np.testing.assert_array_equal(cat["swap"].mat, swap.mat)

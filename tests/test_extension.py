@@ -5,7 +5,6 @@ from entwit import (
     ExtensionSpec,
     HermitianOperator,
     SystemLayout,
-    Witness,
     certify_witness,
     choi_detected_ppt_state,
     collect_zero_set,
@@ -39,28 +38,27 @@ def test_extension_spec_validates_caps():
 def test_trivial_caps_change_nothing_but_bookkeeping(swap):
     spec = ExtensionSpec(np.ones((1, 1)), np.ones((1, 1)))
     ext = extend_witness(swap, spec)
-    np.testing.assert_array_equal(ext.op.mat, swap.op.mat)
-    assert ext.op.layout.dims == (1, 2, 2, 1)
-    assert ext.op.layout.cut == 2
+    np.testing.assert_array_equal(ext.mat, swap.mat)
+    assert ext.layout.dims == (1, 2, 2, 1)
+    assert ext.layout.cut == 2
 
 
 def test_extend_witness_layout_and_values(choi):
     spec = ExtensionSpec(random_psd(2, seed=3), random_psd(2, seed=4))
     ext = extend_witness(choi, spec)
-    assert ext.op.layout.dims == (2, 3, 3, 2)
-    assert ext.op.layout.cut == 2
+    assert ext.layout.dims == (2, 3, 3, 2)
+    assert ext.layout.cut == 2
     expect = np.kron(
-        spec.cap_left.mat, np.kron(choi.op.mat, spec.cap_right.mat)
+        spec.cap_left.mat, np.kron(choi.mat, spec.cap_right.mat)
     )
-    np.testing.assert_allclose(ext.op.mat, expect, atol=1e-13)
-    assert "extended" in ext.provenance
+    np.testing.assert_allclose(ext.mat, expect, atol=1e-13)
 
 
 def test_identity_caps_trace_back_to_the_original(swap):
     spec = ExtensionSpec(np.eye(2), np.eye(3))
     ext = extend_witness(swap, spec)
-    mid = partial_trace(ext.op, keep=(1, 2))
-    np.testing.assert_allclose(mid.mat, 6.0 * swap.op.mat, atol=1e-12)
+    mid = partial_trace(ext, keep=(1, 2))
+    np.testing.assert_allclose(mid.mat, 6.0 * swap.mat, atol=1e-12)
 
 
 def test_extend_state_requires_psd_and_normalizes(choi):
@@ -70,7 +68,7 @@ def test_extend_state_requires_psd_and_normalizes(choi):
     assert ext.trace == pytest.approx(1.0, abs=1e-12)
     assert is_psd(ext)
     with pytest.raises(ValueError):
-        extend_state(choi.op, spec)  # not a state
+        extend_state(choi, spec)  # not a state
 
 
 def test_transposed_extension_factorizes_exactly(choi, swap):
@@ -78,10 +76,10 @@ def test_transposed_extension_factorizes_exactly(choi, swap):
         spec = ExtensionSpec(random_psd(2, seed=seed), random_psd(3, seed=seed + 10))
         assert gamma_of_extension_check(w, spec)
         ext = extend_witness(w, spec)
-        lhs = partial_transpose(ext.op).mat
+        lhs = partial_transpose(ext).mat
         rhs = np.kron(
             spec.cap_left.mat,
-            np.kron(partial_transpose(w.op).mat, spec.cap_right.mat.T),
+            np.kron(partial_transpose(w).mat, spec.cap_right.mat.T),
         )
         np.testing.assert_array_equal(lhs, rhs)
 
@@ -95,17 +93,17 @@ def test_extended_zero_set_multiplies_rank(swap):
     ext = extend_witness(swap, spec)
     for v in lifted.vectors:
         full = v.full()
-        assert abs(np.real(full.conj() @ ext.op.mat @ full)) <= 1e-10
+        assert abs(np.real(full.conj() @ ext.mat @ full)) <= 1e-10
 
 
 def test_extended_zero_set_transposed_side(swap):
-    flipped = partial_transpose(swap.op)
+    flipped = partial_transpose(swap)
     base = collect_zero_set(flipped, seed=0)
     assert base.span_rank == 3
     lifted = extended_zero_set(base, 2, 2)
     assert lifted.span_rank == 12
     spec = ExtensionSpec(random_psd(2, seed=4), random_psd(2, seed=5))
-    gamma_ext = partial_transpose(extend_witness(swap, spec).op)
+    gamma_ext = partial_transpose(extend_witness(swap, spec))
     for v in lifted.vectors:
         full = v.full()
         assert abs(np.real(full.conj() @ gamma_ext.mat @ full)) <= 1e-10

@@ -9,7 +9,6 @@ from entwit import (
     NumericalError,
     StateBasis,
     SystemLayout,
-    Witness,
     decompose_witness,
     expectation,
     ideal_projector,
@@ -60,8 +59,8 @@ def test_state_basis_rejects_non_states():
 
 def test_decompose_witness_residuals(choi, swap):
     for w in (choi, swap):
-        d_a = w.op.layout.left_dim
-        d_b = w.op.layout.right_dim
+        d_a = w.layout.left_dim
+        d_b = w.layout.right_dim
         bl, br = tomographic_basis(d_a), tomographic_basis(d_b)
         beta = decompose_witness(w, bl, br)
         assert beta.dtype == np.float64
@@ -124,7 +123,7 @@ def test_joint_probability_extreme_elements():
 def test_ideal_measurement_reproduces_witness_value(choi, swap):
     for w, n in ((choi, 6), (swap, 6)):
         sc = MdiewScenario.ideal(w)
-        d = w.op.layout.left_dim
+        d = w.layout.left_dim
         for seed in range(n):
             rho = _as_state(random_density(d * d, rng_from(seed, 40)).mat, (d, d))
             got = mdiew_value(sc, rho)
@@ -182,16 +181,27 @@ def test_separable_audit_is_deterministic(swap):
     assert r1 == r2
 
 
-def test_separable_audit_flags_sign_violations():
-    neg = Witness(
-        HermitianOperator(-np.eye(4), SystemLayout((2, 2), 1)), provenance="neg"
-    )
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8])
+def test_separable_audit_flags_sign_violations(scale):
+    neg = HermitianOperator(-scale * np.eye(4), SystemLayout((2, 2), 1))
     report = separable_nonnegativity_audit(
         MdiewScenario.ideal(neg), trials=6, seed=0
     )
     assert not report.passed
     assert len(report.failures) > 0
-    assert report.min_value < -1e-9
+    assert report.min_value < -1e-9 * scale
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6, 1e8])
+@pytest.mark.parametrize("name", ["choi", "swap", "rotated-choi"])
+def test_decompose_and_audit_do_not_depend_on_scale(name, scale, choi, swap, rotated_choi):
+    op = {"choi": choi, "swap": swap, "rotated-choi": rotated_choi}[name]
+    scaled = HermitianOperator(scale * op.mat, op.layout)
+    sc = MdiewScenario.ideal(scaled)
+    residual = reconstruction_residual(scaled, sc.basis_left, sc.basis_right, sc.beta)
+    assert residual <= 1e-9 * np.linalg.norm(scaled.mat)
+    report = separable_nonnegativity_audit(sc, trials=100, seed=3)
+    assert report.passed, report.failures[:3]
 
 
 def test_separable_audit_rejects_unknown_mode(swap):

@@ -4,7 +4,6 @@ import pytest
 from entwit import (
     HermitianOperator,
     SystemLayout,
-    Witness,
     certify_indecomposable,
     certify_witness,
     choi_detected_ppt_state,
@@ -97,7 +96,7 @@ def test_lockstep_seesaw_matches_reference_descents(name, choi, swap):
     if name == "capped-choi":
         op = _capped_choi(choi)
     else:
-        op = {"choi": choi, "swap": swap}[name].op
+        op = {"choi": choi, "swap": swap}[name]
     report = min_product_expectation(op, seed=42)
     reference = min_product_reference(
         op.mat, op.layout.left_dim, op.layout.right_dim, report.restarts, 42
@@ -106,7 +105,7 @@ def test_lockstep_seesaw_matches_reference_descents(name, choi, swap):
 
 
 def _capped_choi(choi):
-    return extend_witness(choi, _caps_random((2, 2), 42)).op
+    return extend_witness(choi, _caps_random((2, 2), 42))
 
 
 def test_capped_choi_restarts_stop_before_the_budget(choi):
@@ -141,16 +140,6 @@ def test_stall_stop_keeps_the_strict_product_minimum(dims, shifted):
         assert gap <= 1e-11 * np.linalg.norm(mat)
 
 
-@pytest.mark.parametrize("name", ["choi", "swap"])
-def test_seesaw_shared_generator_matches_reference(name, choi, swap):
-    op = {"choi": choi, "swap": swap}[name].op
-    report = min_product_expectation(op, restarts=4, seed=np.random.default_rng(5))
-    reference = min_product_reference(
-        op.mat, op.layout.left_dim, op.layout.right_dim, 4, np.random.default_rng(5)
-    )
-    _assert_matches_reference(report, reference, op)
-
-
 def _harvest_case(name, target_count, max_descents, restarts=None):
     case_id = f"{name}-{target_count}-{max_descents}"
     if restarts is not None:
@@ -176,7 +165,7 @@ def _harvest_case(name, target_count, max_descents, restarts=None):
 def test_chunked_harvest_matches_sequential_reference(
     name, target_count, max_descents, restarts, choi, swap, monkeypatch
 ):
-    op = {"swap": swap.op, "swap-gamma": partial_transpose(swap.op), "choi": choi.op}[name]
+    op = {"swap": swap, "swap-gamma": partial_transpose(swap), "choi": choi}[name]
     seesaw = None if restarts is None else min_product_expectation(op, restarts, seed=42)
     started = []
     rng_from = witness_module.rng_from
@@ -238,7 +227,7 @@ def test_harvest_runs_stalled_restarts_on_as_uninterrupted_descents(
 def test_seesaw_best_vector_reproduces_best_value(swap):
     report = min_product_expectation(swap, restarts=8, seed=3)
     v = report.best_vector.full()
-    val = float(np.real(v.conj() @ swap.op.mat @ v))
+    val = float(np.real(v.conj() @ swap.mat @ v))
     assert val == pytest.approx(report.best_value, abs=1e-12)
 
 
@@ -287,11 +276,11 @@ def test_zero_set_ranks_are_stable(choi, swap):
         assert zs.span_rank == 4
     for v in zc.vectors:
         full = v.full()
-        assert abs(np.real(full.conj() @ choi.op.mat @ full)) <= 1e-8
+        assert abs(np.real(full.conj() @ choi.mat @ full)) <= 1e-8
 
 
 def test_transposed_swap_zero_rank_is_three(swap):
-    flipped = partial_transpose(swap.op)
+    flipped = partial_transpose(swap)
     zeros = collect_zero_set(flipped, seed=0)
     assert zeros.span_rank == 3
 
@@ -340,7 +329,7 @@ def test_certify_indecomposable_rejects_decomposable_witness(swap):
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1.0, 1e8])
 def test_certify_indecomposable_does_not_depend_on_scale(scale, choi):
-    scaled = HermitianOperator(scale * choi.op.mat, choi.op.layout)
+    scaled = HermitianOperator(scale * choi.mat, choi.layout)
     assert certify_indecomposable(scaled, choi_detected_ppt_state())
 
 
@@ -350,9 +339,11 @@ def test_certify_indecomposable_dimension_mismatch(choi):
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1.0, 1e6, 1e8])
-def test_certify_and_spanning_verdicts_do_not_depend_on_scale(scale, choi, swap):
-    identity = HermitianOperator(np.eye(9), choi.op.layout)
-    for op, rank in ((choi.op, 7), (swap.op, 4), (identity, None)):
+def test_certify_and_spanning_verdicts_do_not_depend_on_scale(
+    scale, choi, swap, rotated_choi
+):
+    identity = HermitianOperator(np.eye(9), choi.layout)
+    for op, rank in ((choi, 7), (swap, 4), (rotated_choi, 7), (identity, None)):
         scaled = HermitianOperator(scale * op.mat, op.layout)
         cert = certify_witness(scaled, seed=42)
         assert cert.is_witness_numeric is (rank is not None)
@@ -362,6 +353,6 @@ def test_certify_and_spanning_verdicts_do_not_depend_on_scale(scale, choi, swap)
 
 
 def test_certify_large_scale_witness_does_not_raise(choi):
-    big = HermitianOperator(1e6 * choi.op.mat, choi.op.layout)
+    big = HermitianOperator(1e6 * choi.mat, choi.layout)
     cert = certify_witness(big)
     assert cert.min_eigenvalue == pytest.approx(-1e6, rel=1e-12)
