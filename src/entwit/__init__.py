@@ -60,7 +60,6 @@ from .operators import (
     maximally_entangled_vector,
     partial_trace,
     partial_transpose,
-    permute_systems,
     projector,
     single_system,
 )
@@ -153,7 +152,6 @@ __all__ = [
     "operator_to_dict",
     "partial_trace",
     "partial_transpose",
-    "permute_systems",
     "projector",
     "random_density",
     "random_povm_first_element",

@@ -30,12 +30,7 @@ import numpy as np
 
 from .choi import nontrivial_extension_exhibit
 from .extension import ExtensionSpec, extend_witness, gamma_of_extension_check
-from .mdiew import (
-    POVM_MODES,
-    MdiewScenario,
-    reconstruction_residual,
-    separable_nonnegativity_audit,
-)
+from .mdiew import POVM_MODES, MdiewScenario, separable_nonnegativity_audit
 from .operators import PSD_TOL, HermitianOperator, LayoutError, NumericalError
 from .sampling import random_psd, rng_from
 from .serialization import (
@@ -148,10 +143,8 @@ def cmd_certify(args) -> int:
         f"see-saw restarts:     {_restart_summary(cert.min_product)}",
     ]
     if cert.is_witness_numeric:
-        span = has_spanning_property(
-            op, seed=cfg.seed, restarts=cfg.restarts, certificate=cert
-        )
-        nd = nd_spanning(op, seed=cfg.seed, restarts=cfg.restarts, primal=span)
+        span = has_spanning_property(op, cert)
+        nd = nd_spanning(op, span, seed=cfg.seed)
         nd_verdict = VERDICT_CONFIRMED if nd else VERDICT_NOT_FOUND
         payload["spanning"] = asdict(span)
         payload["nd_spanning"] = {"verdict": nd_verdict, "holds": nd}
@@ -274,9 +267,6 @@ def cmd_mdiew_decompose(args) -> int:
     cfg = _config(args)
     label, op = resolve_operator(args.witness)
     scenario = MdiewScenario.ideal(op)
-    residual = reconstruction_residual(
-        scenario.witness, scenario.basis_left, scenario.basis_right, scenario.beta
-    )
     payload = {
         "command": "mdiew-decompose",
         "config": asdict(cfg),
@@ -284,12 +274,12 @@ def cmd_mdiew_decompose(args) -> int:
         "party_dims": list(scenario.party_dims),
         "basis_sizes": [len(scenario.basis_left), len(scenario.basis_right)],
         "beta": [[float(v) for v in row] for row in scenario.beta],
-        "residual": float(residual),
+        "residual": scenario.residual,
     }
     lines = [
         f"decomposed {label} over tomographic product bases "
         f"{len(scenario.basis_left)} x {len(scenario.basis_right)}",
-        f"reconstruction residual: {residual:.3e}",
+        f"reconstruction residual: {scenario.residual:.3e}",
     ]
     _emit(args, payload, lines)
     return 0

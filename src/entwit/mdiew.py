@@ -29,7 +29,7 @@ inputs enter transposed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .sampling import (
     random_unitary,
     rng_from,
 )
-from .witness import expectation
 
 __all__ = [
     "DECOMPOSITION_RESIDUAL_TOL",
@@ -185,17 +184,16 @@ def decompose_witness(
             f"basis dims ({basis_left.dim}, {basis_right.dim}) do not match "
             f"witness parties ({d_a}, {d_b})"
         )
-    coeffs, *_ = np.linalg.lstsq(
-        _product_basis(basis_left, basis_right), W.mat.ravel(), rcond=None
-    )
+    products, target = _product_basis(basis_left, basis_right), W.mat.ravel()
+    coeffs, *_ = np.linalg.lstsq(products, target, rcond=None)
     norm = float(np.linalg.norm(W.mat))
     imag = float(np.abs(coeffs.imag).max())
     if imag > BETA_IMAG_TOL * norm:
         raise NumericalError(
             f"decomposition coefficients have imaginary part {imag:.3e}"
         )
+    residual = float(np.linalg.norm(products @ coeffs.real - target))
     beta = coeffs.real.reshape(len(basis_left), len(basis_right))
-    residual = reconstruction_residual(W, basis_left, basis_right, beta)
     if residual > DECOMPOSITION_RESIDUAL_TOL * norm:
         raise NumericalError(
             f"witness decomposition residual {residual:.3e} exceeds "
@@ -227,14 +225,19 @@ def _povm_matrix(E: HermitianOperator | Array, dim: int, name: str) -> Array:
 
 @dataclass(frozen=True)
 class MdiewScenario:
-    """Witness, input bases, solved coefficients, and the measurement pair."""
+    """What the verifier owns: the witness, the input bases and coefficients
+    beta with sum beta[s, t] sigma_s (x) sigma_t = W.
+
+    The reconstruction residual is computed once, on construction, and a
+    residual above 1e-9 ||W||_F raises.  The measurements belong to the
+    untrusted devices; they are arguments of ``mdiew_value``.
+    """
 
     witness: HermitianOperator
     basis_left: StateBasis
     basis_right: StateBasis
     beta: Array
-    povm_left: Array
-    povm_right: Array
+    residual: float = field(init=False)
 
     def __post_init__(self):
         self.witness.layout.require_bipartite()
@@ -260,42 +263,24 @@ class MdiewScenario:
             )
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
-        e_l = _povm_matrix(self.povm_left, d_a * d_a, "left POVM element").copy()
-        e_r = _povm_matrix(self.povm_right, d_b * d_b, "right POVM element").copy()
-        e_l.setflags(write=False)
-        e_r.setflags(write=False)
-        object.__setattr__(self, "povm_left", e_l)
-        object.__setattr__(self, "povm_right", e_r)
+        object.__setattr__(self, "residual", residual)
 
     @classmethod
     def ideal(cls, W: HermitianOperator) -> "MdiewScenario":
-        """Tomographic bases, solved beta, maximally entangled projectors."""
+        """Tomographic bases and the beta solved over them."""
         W.layout.require_bipartite()
-        d_a, d_b = W.layout.left_dim, W.layout.right_dim
-        basis_left = tomographic_basis(d_a)
-        basis_right = tomographic_basis(d_b)
+        basis_left = tomographic_basis(W.layout.left_dim)
+        basis_right = tomographic_basis(W.layout.right_dim)
         return cls(
             witness=W,
             basis_left=basis_left,
             basis_right=basis_right,
             beta=decompose_witness(W, basis_left, basis_right),
-            povm_left=ideal_projector(d_a),
-            povm_right=ideal_projector(d_b),
         )
-
-    def with_povms(
-        self, povm_left: HermitianOperator | Array, povm_right: HermitianOperator | Array
-    ) -> "MdiewScenario":
-        return replace(self, povm_left=povm_left, povm_right=povm_right)
 
     @property
     def party_dims(self) -> tuple[int, int]:
         return self.witness.layout.left_dim, self.witness.layout.right_dim
-
-    def ideal_value(self, rho: HermitianOperator) -> float:
-        """Tr(W rho) / (d_A d_B): the ideal-measurement benchmark."""
-        d_a, d_b = self.party_dims
-        return expectation(self.witness, rho) / (d_a * d_b)
 
 
 def _input_factors(sigmas: Array, element: Array, iso: Array) -> Array:
@@ -369,18 +354,19 @@ def mdiew_value(
     povm_left: HermitianOperator | Array | None = None,
     povm_right: HermitianOperator | Array | None = None,
 ) -> float:
-    """sum beta[s, t] P(0,0 | s, t); the scenario's measurement by default."""
+    """sum beta[s, t] P(0,0 | s, t); the ideal projectors by default."""
     d_a, d_b = scenario.party_dims
     if rho.layout.left_dim != d_a or rho.layout.right_dim != d_b:
         raise LayoutError(
             f"state parties ({rho.layout.left_dim}, {rho.layout.right_dim}) "
             f"do not match scenario ({d_a}, {d_b})"
         )
-    e_l, e_r = scenario.povm_left, scenario.povm_right
-    if povm_left is not None:
-        e_l = _povm_matrix(povm_left, d_a * d_a, "left POVM element")
-    if povm_right is not None:
-        e_r = _povm_matrix(povm_right, d_b * d_b, "right POVM element")
+    if povm_left is None:
+        povm_left = ideal_projector(d_a)
+    if povm_right is None:
+        povm_right = ideal_projector(d_b)
+    e_l = _povm_matrix(povm_left, d_a * d_a, "left POVM element")
+    e_r = _povm_matrix(povm_right, d_b * d_b, "right POVM element")
     sig_l = np.array(scenario.basis_left.states)
     sig_r = np.array(scenario.basis_right.states)
     return float(np.sum(scenario.beta * _click_table(rho.mat, sig_l, sig_r, e_l, e_r)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "kron",
     "partial_transpose",
     "partial_trace",
-    "permute_systems",
     "eigh",
     "is_psd",
     "basis_vector",
@@ -126,8 +125,9 @@ class HermitianOperator:
                 f"matrix side {mat.shape[0]} != layout total dimension "
                 f"{self.layout.total_dim}"
             )
-        defect = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
-        if defect > HERMITICITY_TOL:
+        # relative to the largest entry, as rounding defects scale with it
+        defect = np.abs(mat - mat.conj().T).max()
+        if defect > HERMITICITY_TOL * np.abs(mat).max():
             raise NumericalError(f"matrix is not Hermitian: defect {defect:.3e}")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
@@ -269,24 +269,6 @@ def partial_trace(M: HermitianOperator, keep: Iterable[int]) -> HermitianOperato
     new_cut = sum(1 for k in keep_set if k < layout.cut)
     d = int(np.prod(new_dims))
     return HermitianOperator(t.reshape(d, d), SystemLayout(new_dims, new_cut))
-
-
-def permute_systems(M: HermitianOperator, perm: Sequence[int]) -> HermitianOperator:
-    """Reorder subsystems so that new position i holds old subsystem perm[i].
-
-    The cut index is kept positionally; callers are responsible for its
-    meaning after reordering.
-    """
-    layout = M.layout
-    n = layout.n_subsystems
-    p = tuple(int(x) for x in perm)
-    if sorted(p) != list(range(n)):
-        raise LayoutError(f"perm {perm} is not a bijection on {n} subsystems")
-    t = M.mat.reshape(layout.dims + layout.dims)
-    axes = list(p) + [x + n for x in p]
-    out = np.ascontiguousarray(t.transpose(axes)).reshape(M.dim, M.dim)
-    new_dims = tuple(layout.dims[x] for x in p)
-    return HermitianOperator(out, SystemLayout(new_dims, layout.cut))
 
 
 def eigh(M: HermitianOperator | Array) -> tuple[Array, Array]:

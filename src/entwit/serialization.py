@@ -2,8 +2,9 @@
 
 Operator files carry ``{"dims": [...], "cut": k, "data": [[[re, im], ...]]}``
 with ``data`` row-major over the total dimension.  Readers reject matrices
-whose Hermiticity defect exceeds 1e-9 and symmetrize the survivors, so text
-round-trips stay stable against the tiny asymmetries decimal JSON introduces.
+whose Hermiticity defect exceeds 1e-9 of their largest entry and symmetrize
+the survivors, so text round-trips stay stable against the tiny asymmetries
+decimal JSON introduces.
 """
 from __future__ import annotations
 
@@ -84,9 +85,10 @@ def operator_from_dict(d: Any) -> HermitianOperator:
             f"data is {mat.shape[0]}x{mat.shape[1]} but dims {list(dims)} need {n}x{n}"
         )
     defect = np.abs(mat - mat.conj().T).max()
-    if defect > JSON_HERMITICITY_TOL:
+    if defect > JSON_HERMITICITY_TOL * np.abs(mat).max():
         raise SerializationError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds {JSON_HERMITICITY_TOL:.0e}"
+            f"matrix is not Hermitian: defect {defect:.3e} exceeds "
+            f"{JSON_HERMITICITY_TOL:.0e} of the largest entry"
         )
     return HermitianOperator((mat + mat.conj().T) / 2, layout)
 

@@ -396,26 +396,22 @@ def collect_zero_set(
 
 
 def has_spanning_property(
-    W: HermitianOperator,
-    seed: int = 0,
-    certificate: WitnessCertificate | None = None,
-    restarts: int = DEFAULT_RESTARTS,
+    W: HermitianOperator, certificate: WitnessCertificate
 ) -> SpanningReport:
     """Rank check on the product-zero set; sufficient for optimality only.
 
-    The harvest reuses the certificate's restarts (same seed required).  A
-    failed check is reported as not-found-at-budget, never as a claim of
+    The harvest reuses the certificate's restarts, at their seed.  A failed
+    check is reported as not-found-at-budget, never as a claim of
     non-optimality: zero discovery is heuristic.
     """
-    if certificate is None:
-        certificate = certify_witness(W, restarts=restarts, seed=seed)
     if not certificate.is_witness_numeric:
         raise ValueError(
             "spanning check requires a certified witness; "
             f"min product {certificate.min_product.best_value:.3e}, "
             f"min eigenvalue {certificate.min_eigenvalue:.3e}"
         )
-    zeros = collect_zero_set(W, seed=seed, seesaw=certificate.min_product)
+    seesaw = certificate.min_product
+    zeros = collect_zero_set(W, seed=seesaw.seed, seesaw=seesaw)
     dim = W.layout.total_dim
     spanning = zeros.span_rank == dim
     return SpanningReport(
@@ -427,20 +423,13 @@ def has_spanning_property(
     )
 
 
-def nd_spanning(
-    W: HermitianOperator,
-    seed: int = 0,
-    restarts: int = DEFAULT_RESTARTS,
-    primal: SpanningReport | None = None,
-) -> bool:
+def nd_spanning(W: HermitianOperator, primal: SpanningReport, seed: int = 0) -> bool:
     """True iff zero sets of both W and its partial transpose span fully.
 
-    The partial transpose need not itself be a witness (it may even be PSD),
-    so only its zero set is collected, with no certification demanded.  A
-    precomputed primal SpanningReport can be passed to skip re-certifying W.
+    ``primal`` is W's own spanning report.  The partial transpose need not
+    itself be a witness (it may even be PSD), so only its zero set is
+    collected, with no certification demanded.
     """
-    if primal is None:
-        primal = has_spanning_property(W, seed=seed, restarts=restarts)
     if not primal.spanning:
         return False
     gamma = partial_transpose(W)

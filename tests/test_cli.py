@@ -11,6 +11,8 @@ from entwit import (
     dump_operator,
     operator_from_dict,
     operator_to_dict,
+    random_unitary,
+    rng_from,
 )
 from entwit.cli import main
 
@@ -153,6 +155,27 @@ def test_extend_random_caps_deterministic(capsys):
     doc = json.loads(out1)
     assert doc["caps_source"] == "random(2, 2)"
     assert doc["extended"]["dims"] == [2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e6, 1e8])
+@pytest.mark.parametrize("name", ["choi", "swap", "rotated-choi"])
+def test_extend_does_not_depend_on_scale(tmp_path, capsys, choi, swap, name, scale):
+    """The caps' rounding defects, and a rotation's, grow with the scale of W;
+    the rotated file is written without symmetrizing it."""
+    op = {"choi": choi, "swap": swap, "rotated-choi": choi}[name]
+    mat = scale * op.mat
+    if name == "rotated-choi":
+        rng = rng_from(7)
+        u = np.kron(random_unitary(3, rng), random_unitary(3, rng))
+        mat = u @ mat @ u.conj().T
+    path = tmp_path / "scaled.json"
+    dump_operator(HermitianOperator(mat, op.layout), path)
+    argv = ("extend", str(path), "--random-caps", "2", "2", "--restarts", "16", "--quiet")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["recertification"]["is_witness_numeric"] is True
+    assert doc["gamma_structure_ok"] is True
 
 
 def test_extend_requires_a_cap_source(capsys):

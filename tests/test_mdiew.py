@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from entwit import (
     NumericalError,
     StateBasis,
     SystemLayout,
+    choi_witness,
     decompose_witness,
     expectation,
     ideal_projector,
@@ -88,13 +90,42 @@ def test_decompose_dimension_mismatch(choi):
 def test_scenario_ideal_construction(swap):
     sc = MdiewScenario.ideal(swap)
     assert sc.party_dims == (2, 2)
-    np.testing.assert_allclose(sc.povm_left, ideal_projector(2), atol=1e-15)
     with pytest.raises(NumericalError):
         dataclasses.replace(sc, beta=sc.beta + 0.1)
+    rho = _as_state(random_density(4, seed=3).mat, (2, 2))
+    ideal = mdiew_value(sc, rho, ideal_projector(2), ideal_projector(2))
+    assert mdiew_value(sc, rho) == ideal
     with pytest.raises(NumericalError):
-        sc.with_povms(np.eye(4) * 2.0, sc.povm_right)
+        mdiew_value(sc, rho, np.eye(4) * 2.0)
     with pytest.raises(NumericalError):
-        sc.with_povms(np.triu(np.ones((4, 4))), sc.povm_right)
+        mdiew_value(sc, rho, None, np.triu(np.ones((4, 4))))
+
+
+def test_scenario_solves_and_checks_beta_once(monkeypatch, capsys):
+    import entwit.mdiew as mdiew
+    from entwit.cli import main
+
+    calls = {"basis": 0, "residual": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mdiew, "_product_basis", counted("basis", mdiew._product_basis))
+    monkeypatch.setattr(
+        mdiew, "reconstruction_residual", counted("residual", reconstruction_residual)
+    )
+    assert main(["mdiew", "decompose", "choi", "--quiet"]) == 0
+    assert calls["basis"] <= 2
+    assert calls["residual"] == 1
+    doc = json.loads(capsys.readouterr().out)
+    monkeypatch.undo()
+    sc = MdiewScenario.ideal(choi_witness())
+    want = reconstruction_residual(sc.witness, sc.basis_left, sc.basis_right, sc.beta)
+    assert sc.residual == want
+    assert doc["residual"] == want
 
 
 def test_joint_probability_matches_loop_oracle():
@@ -129,7 +160,6 @@ def test_ideal_measurement_reproduces_witness_value(choi, swap):
             got = mdiew_value(sc, rho)
             want = expectation(w, rho) / (d * d)
             assert got == pytest.approx(want, abs=1e-9)
-            assert sc.ideal_value(rho) == pytest.approx(want, abs=1e-12)
 
 
 def test_frozen_ideal_values(choi, swap):

@@ -17,7 +17,6 @@ from entwit import (
     maximally_entangled_vector,
     partial_trace,
     partial_transpose,
-    permute_systems,
     projector,
     single_system,
 )
@@ -154,24 +153,6 @@ def test_partial_trace_of_kron_factorizes():
     joint = kron(a, b)
     left = partial_trace(joint, keep=(0,))
     np.testing.assert_allclose(left.mat, a.mat * b.trace, atol=1e-13)
-
-
-def test_permute_systems_reorders_kron_factors():
-    mats = [_random_hermitian((d,), 20 + d) for d in (2, 3, 4)]
-    joint = kron(kron(mats[0], mats[1]), mats[2])
-    swapped = permute_systems(joint, (2, 0, 1))
-    expect = np.kron(mats[2].mat, np.kron(mats[0].mat, mats[1].mat))
-    # complex multiply is not bitwise-commutative under FMA, so not array_equal
-    np.testing.assert_allclose(swapped.mat, expect, rtol=1e-13, atol=1e-13)
-    assert swapped.layout.dims == (4, 2, 3)
-    back = permute_systems(swapped, (1, 2, 0))
-    np.testing.assert_array_equal(back.mat, joint.mat)
-
-
-def test_permute_systems_rejects_non_permutation():
-    op = _random_hermitian((2, 2), 5)
-    with pytest.raises(LayoutError):
-        permute_systems(op, (0, 0))
 
 
 @pytest.mark.parametrize("side", [2, 3, 6, 9, 16, 36])

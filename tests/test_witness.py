@@ -286,11 +286,11 @@ def test_transposed_swap_zero_rank_is_three(swap):
 
 
 def test_spanning_verdicts(choi, swap):
-    s = has_spanning_property(swap, seed=0, restarts=16)
+    s = has_spanning_property(swap, certify_witness(swap, restarts=16, seed=0))
     assert s.spanning
     assert s.verdict == "confirmed"
     assert (s.rank, s.dim) == (4, 4)
-    c = has_spanning_property(choi, seed=0, restarts=16)
+    c = has_spanning_property(choi, certify_witness(choi, restarts=16, seed=0))
     assert not c.spanning
     assert c.verdict == "not-found-at-budget"
     assert (c.rank, c.dim) == (7, 9)
@@ -300,13 +300,13 @@ def test_spanning_verdicts(choi, swap):
 def test_spanning_requires_a_witness():
     op = HermitianOperator(np.eye(4), SystemLayout((2, 2), 1))
     with pytest.raises(ValueError):
-        has_spanning_property(op, seed=0, restarts=4)
+        has_spanning_property(op, certify_witness(op, restarts=4, seed=0))
 
 
 def test_nd_spanning_swap_fails_on_transposed_side(swap):
-    primal = has_spanning_property(swap, seed=0, restarts=16)
+    primal = has_spanning_property(swap, certify_witness(swap, restarts=16, seed=0))
     assert primal.spanning
-    assert not nd_spanning(swap, seed=0, restarts=16, primal=primal)
+    assert not nd_spanning(swap, primal, seed=0)
 
 
 def test_span_rank_basics():
@@ -348,7 +348,7 @@ def test_certify_and_spanning_verdicts_do_not_depend_on_scale(
         cert = certify_witness(scaled, seed=42)
         assert cert.is_witness_numeric is (rank is not None)
         if rank is not None:
-            span = has_spanning_property(scaled, seed=42, certificate=cert)
+            span = has_spanning_property(scaled, cert)
             assert span.rank == rank
 
 
