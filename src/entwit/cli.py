@@ -321,8 +321,10 @@ def cmd_mdiew_audit(args) -> int:
         f"audited {label}: {report.trials} separable trials, "
         f"POVM mode {report.povm_mode!r}"
         + (f", embedded in dims {embed_dims}" if embed_dims else ""),
-        f"minimum observed value: {report.min_value:+.12e}",
-        f"largest route gap:      {report.max_route_gap:.3e}",
+        f"minimum observed value: {report.min_value:+.12e}, "
+        f"at trial {report.worst_trial}",
+        f"route gaps: median {report.median_route_gap:.3e}, "
+        f"max {report.max_route_gap:.3e}",
         f"failures: {len(report.failures)}",
     ]
     _emit(args, payload, lines)

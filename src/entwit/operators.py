@@ -109,6 +109,15 @@ def single_system(d: int) -> SystemLayout:
     return SystemLayout((int(d),), 1)
 
 
+def _check_hermitian(mats: Array) -> None:
+    """Raise unless each matrix of a stack is Hermitian relative to its largest
+    entry, as rounding defects scale with it."""
+    defect = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    bad = defect > HERMITICITY_TOL * np.abs(mats).max(axis=(-2, -1))
+    if np.any(bad):
+        raise NumericalError(f"matrix is not Hermitian: defect {defect[bad].max():.3e}")
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """Dense complex Hermitian matrix tied to a system layout."""
@@ -125,10 +134,7 @@ class HermitianOperator:
                 f"matrix side {mat.shape[0]} != layout total dimension "
                 f"{self.layout.total_dim}"
             )
-        # relative to the largest entry, as rounding defects scale with it
-        defect = np.abs(mat - mat.conj().T).max()
-        if defect > HERMITICITY_TOL * np.abs(mat).max():
-            raise NumericalError(f"matrix is not Hermitian: defect {defect:.3e}")
+        _check_hermitian(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 

@@ -84,23 +84,31 @@ def random_separable(layout: SystemLayout, k: int, seed) -> SeparableEnsemble:
     return SeparableEnsemble(weights, members)
 
 
-def random_povm_first_element(d: int, seed) -> HermitianOperator:
-    """An effect E with 0 <= E <= I.
+def _effects(raw: Array) -> Array:
+    """Stacked effects (S+T)^(-1/2) S (S+T)^(-1/2), Hermitized, with S = G_0 G_0^H,
+    T = G_1 G_1^H and G_i = raw[..., i, 0] + 1j raw[..., i, 1] for real draws
+    of shape (..., 2, 2, d, d); S+T is positive definite almost surely."""
+    g = raw[..., 0, :, :] + 1j * raw[..., 1, :, :]
+    s, t = (g[..., i, :, :] @ g[..., i, :, :].conj().swapaxes(-1, -2) for i in (0, 1))
+    vals, vecs = np.linalg.eigh(s + t)
+    inv_sqrt = (vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    e = inv_sqrt @ s @ inv_sqrt
+    return (e + e.conj().swapaxes(-1, -2)) / 2
 
-    Draw PSD S, T from Gaussian squares and return the Hermitized
-    (S+T)^(-1/2) S (S+T)^(-1/2); S+T is positive definite almost surely.
-    """
+
+def _unitaries(raw: Array) -> Array:
+    """Stacked Haar unitaries from real draws ``raw`` of shape (..., 2, d, d):
+    the phase-fixed QR of raw[..., 0] + 1j raw[..., 1]."""
+    q, r = np.linalg.qr(raw[..., 0, :, :] + 1j * raw[..., 1, :, :])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def random_povm_first_element(d: int, seed) -> HermitianOperator:
+    """An effect E with 0 <= E <= I (see ``_effects``)."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    rng = rng_from(seed)
-    g = _complex_gaussian(rng, (d, d))
-    s = g @ g.conj().T
-    g = _complex_gaussian(rng, (d, d))
-    t = g @ g.conj().T
-    vals, vecs = np.linalg.eigh(s + t)
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    e = inv_sqrt @ s @ inv_sqrt
-    e = (e + e.conj().T) / 2
+    e = _effects(rng_from(seed).normal(size=(1, 2, 2, d, d)))[0]
     return HermitianOperator(e, single_system(d))
 
 
@@ -108,7 +116,4 @@ def random_unitary(d: int, seed) -> Array:
     """Haar-distributed unitary via phase-fixed QR of a complex Gaussian."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    rng = rng_from(seed)
-    q, r = np.linalg.qr(_complex_gaussian(rng, (d, d)))
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return q * phases
+    return _unitaries(rng_from(seed).normal(size=(1, 2, d, d)))[0]

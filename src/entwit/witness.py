@@ -331,7 +331,7 @@ def span_rank(vectors: list[Array], threshold: float = SPAN_SV_THRESHOLD) -> int
 def collect_zero_set(
     W: HermitianOperator,
     target_count: int | None = None,
-    seed: int = 0,
+    seed: int | None = None,
     max_descents: int | None = None,
     seesaw: SeeSawReport | None = None,
 ) -> ZeroSet:
@@ -342,7 +342,8 @@ def collect_zero_set(
     out; an empty set is a legitimate outcome.
     Descent ``t`` starts from ``rng_from(seed, t)``, exactly as restart ``t``
     of a see-saw at the same seed, so a ``seesaw`` report of W supplies
-    descents 0 to ``seesaw.restarts - 1`` without running them again.  The
+    descents 0 to ``seesaw.restarts - 1`` without running them again; the
+    seed is the report's (0 without one), and another one raises.  The
     harvest takes descents under the strict stop rule alone, so the report's
     restarts that stopped on a stalled value are first run on together from
     their stored states, for the rest of their budget; each ends where an
@@ -359,6 +360,8 @@ def collect_zero_set(
         target_count = 4 * W.layout.total_dim
     if max_descents is None:
         max_descents = 5 * target_count
+    if seed is None:
+        seed = 0 if seesaw is None else seesaw.seed
     if seesaw is not None and seesaw.seed != seed:
         raise ValueError(f"report seed {seesaw.seed!r} differs from harvest seed {seed!r}")
     zero_tol = ZERO_TOL * float(np.linalg.norm(W.mat))
@@ -411,7 +414,7 @@ def has_spanning_property(
             f"min eigenvalue {certificate.min_eigenvalue:.3e}"
         )
     seesaw = certificate.min_product
-    zeros = collect_zero_set(W, seed=seesaw.seed, seesaw=seesaw)
+    zeros = collect_zero_set(W, seesaw=seesaw)
     dim = W.layout.total_dim
     spanning = zeros.span_rank == dim
     return SpanningReport(

@@ -120,8 +120,8 @@ def seesaw_descent_reference(
 
 
 def descent_rng(seed, index):
-    """Stream of descent ``index``: the spawn-key split of the integer seed,
-    or the shared Generator itself."""
+    """Stream of descent (or audit trial) ``index``: the spawn-key split of
+    the integer seed, or the shared Generator itself."""
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
@@ -172,26 +172,111 @@ def joint_probability_loops(rho_mat, sigma_s, sigma_t, e_left, e_right, d_a, d_b
     The verifier feeds sigma_s to the left input slot and sigma_t to the
     right one; the left element measures (input, left party), the right
     element (right party, input).  Transposed inputs appear directly as
-    swapped indices so no reshuffling helper is involved.
+    swapped indices so no reshuffling helper is involved.  Input entries
+    that are zero contribute nothing and are skipped.
     """
+    rho_mat, sigma_s, sigma_t, e_left, e_right = (
+        np.asarray(m).tolist() for m in (rho_mat, sigma_s, sigma_t, e_left, e_right)
+    )
     total = 0.0 + 0.0j
-    for a in range(d_a):
-        for ap in range(d_a):
-            for b in range(d_b):
-                for bp in range(d_b):
-                    for p in range(d_a):
-                        for pp in range(d_a):
-                            for q in range(d_b):
-                                for qp in range(d_b):
+    for p in range(d_a):
+        for pp in range(d_a):
+            if sigma_s[pp][p] == 0:
+                continue
+            for q in range(d_b):
+                for qp in range(d_b):
+                    if sigma_t[qp][q] == 0:
+                        continue
+                    weight = sigma_s[pp][p] * sigma_t[qp][q]
+                    for a in range(d_a):
+                        for ap in range(d_a):
+                            for b in range(d_b):
+                                for bp in range(d_b):
                                     total += (
-                                        rho_mat[a * d_b + b, ap * d_b + bp]
-                                        * sigma_s[pp, p]
-                                        * sigma_t[qp, q]
-                                        * e_left[pp * d_a + ap, p * d_a + a]
-                                        * e_right[bp * d_b + qp, b * d_b + q]
+                                        rho_mat[a * d_b + b][ap * d_b + bp]
+                                        * weight
+                                        * e_left[pp * d_a + ap][p * d_a + a]
+                                        * e_right[bp * d_b + qp][b * d_b + q]
                                     )
     assert abs(total.imag) < 1e-10
     return float(total.real)
+
+
+def _compressed(element, vec, d, party_first):
+    """<vec| E |vec> on the party system of a d*d element, in loops; the
+    party is the first factor of E when ``party_first``, else the second."""
+    out = np.zeros((d, d), dtype=complex)
+    for p in range(d):
+        for r in range(d):
+            for j in range(d):
+                for i in range(d):
+                    if party_first:
+                        row, col = j * d + p, i * d + r
+                    else:
+                        row, col = p * d + j, r * d + i
+                    out[p, r] += np.conj(vec[j]) * element[row, col] * vec[i]
+    return out
+
+
+def audit_trial_reference(scenario, seed, t, mode, embed_dims=None):
+    """Trial ``t`` of ``separable_nonnegativity_audit``: (direct, mixture).
+
+    The trial is redrawn from its own stream with the public draws, in the
+    audit's order: member count, separable ensemble, then the measurement
+    pair (two effects; two pairs of local unitaries around the ideal
+    projectors; or, embedded, two large effects and two isometries, the
+    elements being their compressions).  The direct route sums beta against
+    ``joint_probability_loops``; the mixture route compresses each element
+    on the member's party vector and traces W^T against the product of the
+    two, all in loops.
+    """
+    from entwit import (
+        SystemLayout, random_povm_first_element, random_separable, random_unitary,
+    )
+    from entwit.mdiew import AUDIT_MAX_MEMBERS
+
+    d_a, d_b = scenario.party_dims
+    rng = descent_rng(seed, t)
+    k = int(rng.integers(1, AUDIT_MAX_MEMBERS + 1))
+    ensemble = random_separable(SystemLayout((d_a, d_b), 1), k, rng)
+    if embed_dims is not None:
+        e_big = [random_povm_first_element(n, rng).mat for n in embed_dims]
+        isos = [random_unitary(n, rng)[:, : d * d] for n, d in zip(embed_dims, (d_a, d_b))]
+        e_l, e_r = (v.conj().T @ e @ v for e, v in zip(e_big, isos))
+    elif mode == "arbitrary":
+        e_l, e_r = (random_povm_first_element(d * d, rng).mat for d in (d_a, d_b))
+    else:
+        ideal = []
+        for d in (d_a, d_b):
+            phi = np.eye(d).ravel() / np.sqrt(d)
+            u = np.eye(d * d)
+            if mode == "misaligned":
+                u = np.kron(random_unitary(d, rng), random_unitary(d, rng))
+            ideal.append(u @ np.outer(phi, phi) @ u.conj().T)
+        e_l, e_r = ideal
+    rho = sum(
+        w * np.outer(v, v.conj())
+        for w, v in zip(ensemble.weights, (m.full() for m in ensemble.members))
+    )
+    direct = sum(
+        scenario.beta[s, u] * joint_probability_loops(rho, sig_s, sig_t, e_l, e_r, d_a, d_b)
+        for s, sig_s in enumerate(scenario.basis_left.states)
+        for u, sig_t in enumerate(scenario.basis_right.states)
+    )
+    w4 = scenario.witness.mat.reshape(d_a, d_b, d_a, d_b)
+    mixture = 0.0
+    for weight, member in zip(ensemble.weights, ensemble.members):
+        g_l = _compressed(e_l, member.factors[0], d_a, party_first=False)
+        g_r = _compressed(e_r, member.factors[1], d_b, party_first=True)
+        term = 0.0 + 0.0j
+        for p in range(d_a):
+            for q in range(d_b):
+                for r in range(d_a):
+                    for u in range(d_b):
+                        # W^T[(r, u), (p, q)] = W[(p, q), (r, u)]
+                        term += w4[p, q, r, u] * g_l[p, r] * g_r[q, u]
+        mixture += weight * term.real
+    return float(direct), float(mixture)
 
 
 def partial_transpose_loops(mat, dims, transposed):

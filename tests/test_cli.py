@@ -7,12 +7,15 @@ import pytest
 
 from entwit import (
     HermitianOperator,
+    MdiewScenario,
     SystemLayout,
     dump_operator,
     operator_from_dict,
     operator_to_dict,
     random_unitary,
     rng_from,
+    separable_nonnegativity_audit,
+    swap_witness,
 )
 from entwit.cli import main
 
@@ -219,6 +222,20 @@ def test_mdiew_audit_passes(capsys):
     assert doc["min_value"] >= -1e-9
 
 
+def test_mdiew_audit_summary_names_worst_trial_and_gaps(capsys):
+    code, out, err = run_cli(capsys, "mdiew", "audit", "swap", "--trials", "30")
+    assert code == 0
+    quiet_code, quiet_out, _ = run_cli(
+        capsys, "mdiew", "audit", "swap", "--trials", "30", "--quiet"
+    )
+    assert (quiet_code, quiet_out) == (code, out)
+    doc = json.loads(out)
+    assert "worst_trial" not in doc and "median_route_gap" not in doc
+    report = separable_nonnegativity_audit(MdiewScenario.ideal(swap_witness()), 30, 42)
+    assert f"{doc['min_value']:+.12e}, at trial {report.worst_trial}" in err
+    assert f"route gaps: median {report.median_route_gap:.3e}, max" in err
+
+
 def test_mdiew_audit_detects_violations(tmp_path, capsys):
     neg = HermitianOperator(-np.eye(4), SystemLayout((2, 2), 1))
     path = tmp_path / "neg_op.json"
@@ -236,13 +253,24 @@ def test_mdiew_audit_embedded(capsys):
     code, out, _ = run_cli(
         capsys,
         "mdiew", "audit", "swap",
-        "--trials", "4", "--povm-mode", "misaligned",
+        "--trials", "4", "--povm-mode", "arbitrary",
         "--embed-dims", "5", "6", "--quiet",
     )
     assert code == 0
     doc = json.loads(out)
     assert doc["embed_dims"] == [5, 6]
     assert doc["passed"] is True
+
+
+@pytest.mark.parametrize("mode", ["ideal", "misaligned"])
+def test_mdiew_audit_embedding_needs_arbitrary_mode(capsys, mode):
+    # embedded elements are always drawn arbitrary; another mode would be misreported
+    code, out, err = run_cli(
+        capsys, "mdiew", "audit", "swap", "--povm-mode", mode, "--embed-dims", "9", "9",
+    )
+    assert code == 2
+    assert out == ""
+    assert "arbitrary" in err
 
 
 def test_json_out_mirrors_stdout(tmp_path, capsys):

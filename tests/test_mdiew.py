@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import entwit.mdiew as mdiew_module
 from entwit import (
     HermitianOperator,
     MdiewScenario,
@@ -26,7 +27,13 @@ from entwit import (
     separable_nonnegativity_audit,
     tomographic_basis,
 )
-from oracle_utils import joint_probability_loops
+from oracle_utils import audit_trial_reference, joint_probability_loops
+
+# the three small measurement modes, and arbitrary effects embedded in
+# spaces larger than both measurement spaces of choi
+AUDIT_MODES = [
+    ("ideal", None), ("arbitrary", None), ("misaligned", None), ("arbitrary", (10, 11)),
+]
 
 
 def _as_state(mat, dims):
@@ -239,6 +246,61 @@ def test_separable_audit_rejects_unknown_mode(swap):
         separable_nonnegativity_audit(
             MdiewScenario.ideal(swap), trials=2, seed=0, povm_mode="psychic"
         )
+
+
+@pytest.mark.parametrize("mode", ["ideal", "misaligned"])
+def test_separable_audit_embedding_needs_arbitrary_mode(swap, mode):
+    # embedded elements are always drawn as arbitrary effects
+    with pytest.raises(ValueError, match="arbitrary"):
+        separable_nonnegativity_audit(
+            MdiewScenario.ideal(swap), trials=2, povm_mode=mode, embed_dims=(9, 9)
+        )
+
+
+def _far_below(w):
+    """W - 10 ||W||_F I: negative on every trial, so each one is a failure
+    that carries its two route values."""
+    shift = 10 * np.linalg.norm(w.mat)
+    return MdiewScenario.ideal(HermitianOperator(w.mat - shift * np.eye(w.dim), w.layout))
+
+
+@pytest.mark.parametrize("mode, embed", AUDIT_MODES)
+@pytest.mark.parametrize("name, trials", [("choi", 2), ("swap", 6), ("rotated-choi", 1)])
+def test_audit_values_match_per_trial_oracle(
+    name, trials, mode, embed, choi, swap, rotated_choi
+):
+    # the rotated Choi witness is complex, so a conjugation slip shows
+    w = {"choi": choi, "swap": swap, "rotated-choi": rotated_choi}[name]
+    shifted = _far_below(w)
+    report = separable_nonnegativity_audit(shifted, trials, 11, mode, embed)
+    assert [f.trial for f in report.failures] == list(range(trials))
+    tol = 1e-12 * np.linalg.norm(shifted.witness.mat)
+    for f in report.failures:
+        direct, mixture = audit_trial_reference(shifted, 11, f.trial, mode, embed)
+        assert abs(f.route_direct - direct) <= tol
+        assert abs(f.route_mixture - mixture) <= tol
+    plain = MdiewScenario.ideal(w)
+    report = separable_nonnegativity_audit(plain, trials, 11, mode, embed)
+    refs = [audit_trial_reference(plain, 11, t, mode, embed) for t in range(trials)]
+    lows = [min(r) for r in refs]
+    tol = 1e-12 * np.linalg.norm(w.mat)
+    assert abs(report.min_value - min(lows)) <= tol
+    assert abs(report.max_route_gap - max(abs(d - m) for d, m in refs)) <= tol
+    assert report.worst_trial == int(np.argmin(lows))
+
+
+@pytest.mark.parametrize("mode, embed", AUDIT_MODES)
+@pytest.mark.parametrize("name", ["choi", "swap"])
+def test_audit_trials_do_not_depend_on_their_chunk(
+    name, mode, embed, choi, swap, monkeypatch
+):
+    scenario = _far_below({"choi": choi, "swap": swap}[name])
+    full = separable_nonnegativity_audit(scenario, 40, 5, mode, embed)
+    assert len(full.failures) == 40
+    prefix = separable_nonnegativity_audit(scenario, 7, 5, mode, embed)
+    assert prefix.failures == full.failures[:7]
+    monkeypatch.setattr(mdiew_module, "AUDIT_CHUNK", 7)
+    assert separable_nonnegativity_audit(scenario, 40, 5, mode, embed) == full
 
 
 def test_mdiew_value_matches_loop_oracle_at_choi_size(choi):

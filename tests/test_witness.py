@@ -195,6 +195,18 @@ def test_chunked_harvest_matches_sequential_reference(
             collect_zero_set(op, target_count=target_count, seed=42, seesaw=other)
 
 
+def test_harvest_seed_defaults_to_the_report_seed(swap):
+    report = min_product_expectation(swap, restarts=8, seed=5)
+    implied = collect_zero_set(swap, target_count=6, seesaw=report)
+    explicit = collect_zero_set(swap, target_count=6, seed=5, seesaw=report)
+    fresh = collect_zero_set(swap, target_count=6)
+    zero = collect_zero_set(swap, target_count=6, seed=0)
+    for a, b in ((implied, explicit), (fresh, zero)):
+        assert len(a.vectors) == len(b.vectors) > 0
+        for u, v in zip(a.vectors, b.vectors):
+            np.testing.assert_array_equal(u.full(), v.full())
+
+
 @pytest.mark.parametrize("target_count, max_descents", [(5, 7), (16, 64)])
 def test_harvest_runs_stalled_restarts_on_as_uninterrupted_descents(
     target_count, max_descents, choi
