@@ -48,6 +48,7 @@ from .operators import (
     NumericalError,
     _as_matrix,
     _check_hermitian,
+    _realign,
     maximally_entangled_vector,
     projector,
 )
@@ -133,9 +134,6 @@ class StateBasis:
     def __len__(self) -> int:
         return len(self.states)
 
-    def __getitem__(self, k: int) -> Array:
-        return self.states[k]
-
 
 def tomographic_basis(d: int) -> StateBasis:
     """Projectors onto |m>, (|m>+|n>)/sqrt2, (|m>+i|n>)/sqrt2 for m < n."""
@@ -150,11 +148,34 @@ def tomographic_basis(d: int) -> StateBasis:
     return StateBasis(tuple(states))
 
 
-def _product_basis(basis_left: StateBasis, basis_right: StateBasis) -> Array:
-    """Columns are the raveled sigma_s (x) sigma_t, in (s, t) order."""
-    left, right = np.array(basis_left.states), np.array(basis_right.states)
-    kron = np.einsum("sij,tkl->ikjlst", left, right)
-    return kron.reshape(-1, len(left) * len(right))
+def _realigned(
+    W: HermitianOperator, basis_left: StateBasis, basis_right: StateBasis
+) -> tuple[Array, Array, Array]:
+    """L, R and realign(W), in which sum beta[s, t] sigma_s (x) sigma_t = W
+    reads L beta R^T = realign(W); the columns of L, R are the raveled members.
+    Raises unless W is bipartite with parties of the bases' dimensions."""
+    d_a, d_b = W.layout.left_dim, W.layout.right_dim
+    if basis_left.dim != d_a or basis_right.dim != d_b:
+        raise LayoutError(
+            f"basis dims ({basis_left.dim}, {basis_right.dim}) do not match "
+            f"witness parties ({d_a}, {d_b})"
+        )
+    left, right = (
+        np.array(b.states).reshape(len(b), -1).T for b in (basis_left, basis_right)
+    )
+    return left, right, _realign(W.mat, d_a, d_b)
+
+
+def _residual(left: Array, right: Array, target: Array, beta: Array) -> float:
+    """Equals ||sum beta sigma (x) sigma - W||_F: realignment only permutes entries."""
+    return float(np.linalg.norm(left @ beta @ right.T - target))
+
+
+def _check_residual(residual: float, W: HermitianOperator) -> None:
+    if residual > DECOMPOSITION_RESIDUAL_TOL * float(np.linalg.norm(W.mat)):
+        raise NumericalError(
+            f"beta does not reconstruct the witness: residual {residual:.3e}"
+        )
 
 
 def reconstruction_residual(
@@ -164,8 +185,7 @@ def reconstruction_residual(
     beta: Array,
 ) -> float:
     """Frobenius norm of (sum beta[s, t] sigma_s (x) sigma_t) - W."""
-    recon = _product_basis(basis_left, basis_right) @ np.ravel(beta)
-    return float(np.linalg.norm(recon - W.mat.ravel()))
+    return _residual(*_realigned(W, basis_left, basis_right), beta)
 
 
 def decompose_witness(
@@ -173,35 +193,21 @@ def decompose_witness(
     basis_left: StateBasis,
     basis_right: StateBasis,
 ) -> Array:
-    """Least-squares coefficients beta with sum beta[s,t] s (x) t = W.
+    """Coefficients beta with sum beta[s,t] s (x) t = W: two solves of
+    L beta R^T = realign(W), as each basis has d^2 independent members.
 
-    Solved over complex coefficients; Hermiticity of W and of the basis
-    members forces the true solution real, which is checked at
-    1e-10 ||W||_F rather than assumed.  A reconstruction residual above
-    1e-9 ||W||_F raises.
+    Hermiticity of W and of the members forces the complex solution real,
+    which is checked at 1e-10 ||W||_F; a residual above 1e-9 ||W||_F raises.
     """
-    W.layout.require_bipartite()
-    d_a, d_b = W.layout.left_dim, W.layout.right_dim
-    if basis_left.dim != d_a or basis_right.dim != d_b:
-        raise LayoutError(
-            f"basis dims ({basis_left.dim}, {basis_right.dim}) do not match "
-            f"witness parties ({d_a}, {d_b})"
-        )
-    products, target = _product_basis(basis_left, basis_right), W.mat.ravel()
-    coeffs, *_ = np.linalg.lstsq(products, target, rcond=None)
-    norm = float(np.linalg.norm(W.mat))
+    left, right, target = _realigned(W, basis_left, basis_right)
+    coeffs = np.linalg.solve(right, np.linalg.solve(left, target).T).T
     imag = float(np.abs(coeffs.imag).max())
-    if imag > BETA_IMAG_TOL * norm:
+    if imag > BETA_IMAG_TOL * float(np.linalg.norm(W.mat)):
         raise NumericalError(
             f"decomposition coefficients have imaginary part {imag:.3e}"
         )
-    residual = float(np.linalg.norm(products @ coeffs.real - target))
-    beta = coeffs.real.reshape(len(basis_left), len(basis_right))
-    if residual > DECOMPOSITION_RESIDUAL_TOL * norm:
-        raise NumericalError(
-            f"witness decomposition residual {residual:.3e} exceeds "
-            f"{DECOMPOSITION_RESIDUAL_TOL:.0e} ||W||_F"
-        )
+    beta = coeffs.real
+    _check_residual(_residual(left, right, target, beta), W)
     beta.setflags(write=False)
     return beta
 
@@ -243,13 +249,6 @@ class MdiewScenario:
     residual: float = field(init=False)
 
     def __post_init__(self):
-        self.witness.layout.require_bipartite()
-        d_a, d_b = self.party_dims
-        if self.basis_left.dim != d_a or self.basis_right.dim != d_b:
-            raise LayoutError(
-                f"basis dims ({self.basis_left.dim}, {self.basis_right.dim}) "
-                f"do not match witness parties ({d_a}, {d_b})"
-            )
         beta = np.array(self.beta, dtype=float)
         if beta.shape != (len(self.basis_left), len(self.basis_right)):
             raise LayoutError(
@@ -259,11 +258,7 @@ class MdiewScenario:
         residual = reconstruction_residual(
             self.witness, self.basis_left, self.basis_right, beta
         )
-        norm = float(np.linalg.norm(self.witness.mat))
-        if residual > DECOMPOSITION_RESIDUAL_TOL * norm:
-            raise NumericalError(
-                f"beta does not reconstruct the witness: residual {residual:.3e}"
-            )
+        _check_residual(residual, self.witness)
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "residual", residual)
@@ -271,7 +266,6 @@ class MdiewScenario:
     @classmethod
     def ideal(cls, W: HermitianOperator) -> "MdiewScenario":
         """Tomographic bases and the beta solved over them."""
-        W.layout.require_bipartite()
         basis_left = tomographic_basis(W.layout.left_dim)
         basis_right = tomographic_basis(W.layout.right_dim)
         return cls(
@@ -345,7 +339,6 @@ def joint_probability(
     The left element acts on input (x) left party, the right element on
     right party (x) input, both in canonical system order.
     """
-    rho.layout.require_bipartite()
     d_a, d_b = rho.layout.left_dim, rho.layout.right_dim
     sig_s = np.asarray(sigma_s, dtype=complex)
     sig_t = np.asarray(sigma_t, dtype=complex)
@@ -400,9 +393,10 @@ def _mixture_route_values(
     cap_r = (b[..., :, None, None] * np.eye(d_b)).reshape(n, -1, d_b**2, d_b)
     g_l = cap_l.conj().swapaxes(-1, -2) @ e_left[:, None] @ cap_l
     g_r = cap_r.conj().swapaxes(-1, -2) @ e_right[:, None] @ cap_r
-    # Tr[W^T (G_l (x) G_r)] sums W[p, q, r, u] G_l[p, r] G_r[q, u]
-    kron = g_l[..., :, None, :, None] * g_r[..., None, :, None, :]
-    terms = np.sum(w.reshape(d_a, d_b, d_a, d_b) * kron, axis=(-4, -3, -2, -1))
+    # Tr[W^T (G_l (x) G_r)] sums W[p, q, r, u] G_l[p, r] G_r[q, u], which is
+    # vec(G_l)^T realign(W) vec(G_r): one row product per member
+    rows = g_l.reshape(n, -1, 1, d_a * d_a) @ _realign(w, d_a, d_b)
+    terms = (rows @ g_r.reshape(n, -1, d_b * d_b, 1))[..., 0, 0]
     return np.sum(weights * terms.real, axis=-1)
 
 

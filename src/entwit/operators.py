@@ -217,6 +217,16 @@ def _as_matrix(M: HermitianOperator | Array) -> Array:
     return M.mat if isinstance(M, HermitianOperator) else np.asarray(M, dtype=complex)
 
 
+def _realign(mat: Array, d_left: int, d_right: int) -> Array:
+    """``mat`` regrouped by party: the (d_left², d_right²) matrix whose entry
+    ((i, j), (r, s)) is <i r|mat|j s>, so A (x) B maps to vec(A) vec(B)^T."""
+    return (
+        mat.reshape(d_left, d_right, d_left, d_right)
+        .transpose(0, 2, 1, 3)
+        .reshape(d_left * d_left, d_right * d_right)
+    )
+
+
 def kron(A: HermitianOperator, B: HermitianOperator) -> HermitianOperator:
     """Kronecker product; the cut lands between the two inputs' subsystems."""
     dims = A.layout.dims + B.layout.dims

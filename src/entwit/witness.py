@@ -21,6 +21,7 @@ from .operators import (
     ProductVector,
     PSD_TOL,
     _as_matrix,
+    _realign,
     eigh,
     is_psd,
     partial_transpose,
@@ -193,12 +194,7 @@ def _lockstep_descents(
     norm = float(np.linalg.norm(op.mat))
     slack = MONOTONE_SLACK * norm
     stall_tol = STALL_TOL * norm if stall else -np.inf
-    # W as a (d_left², d_right²) matrix: entry ((i, j), (r, s)) is <i r|W|j s>
-    w_pairs = (
-        op.mat.reshape(d_left, d_right, d_left, d_right)
-        .transpose(0, 2, 1, 3)
-        .reshape(d_left * d_left, d_right * d_right)
-    )
+    w_pairs = _realign(op.mat, d_left, d_right)
     n = len(psi)
     psi = psi.copy()
     if resume is None:

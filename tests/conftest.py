@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from entwit import HermitianOperator, choi_witness, random_unitary, rng_from, swap_witness
+from entwit import (
+    HermitianOperator, choi_witness, extend_witness, random_unitary, rng_from, swap_witness,
+)
+from entwit.cli import _caps_random
 
 
 @pytest.fixture(scope="session")
@@ -22,3 +25,15 @@ def rotated_choi(choi):
     u = np.kron(random_unitary(3, rng), random_unitary(3, rng))
     m = u @ choi.mat @ u.conj().T
     return HermitianOperator((m + m.conj().T) / 2, choi.layout)
+
+
+@pytest.fixture(scope="session")
+def capped_choi(choi):
+    """choi extended by the caps ``extend choi --random-caps 2 2`` draws at seed 42."""
+    return extend_witness(choi, _caps_random((2, 2), 42))
+
+
+@pytest.fixture(scope="session")
+def capped_swap(swap):
+    """swap extended by the caps ``extend swap --random-caps 2 3`` draws at seed 42."""
+    return extend_witness(swap, _caps_random((2, 3), 42))

@@ -3,9 +3,11 @@
 Everything here deliberately avoids the library's own fast paths: the
 product-state minimum goes through a Bloch-angle grid plus local polish
 instead of see-saw, the see-saw reference runs one restart at a time with
-its own eigensolver calls instead of the lock-step kernel, and the click
+its own eigensolver calls instead of the lock-step kernel, the click
 probability is an eight-fold index loop with hand-written offset arithmetic
-instead of kron/permute calls.
+instead of kron/permute calls, and the decomposition coefficients come from
+a least-squares solve over the explicit product basis instead of the
+realigned two-solve route.
 """
 
 import numpy as np
@@ -277,6 +279,15 @@ def audit_trial_reference(scenario, seed, t, mode, embed_dims=None):
                         term += w4[p, q, r, u] * g_l[p, r] * g_r[q, u]
         mixture += weight * term.real
     return float(direct), float(mixture)
+
+
+def decomposition_reference(mat, states_left, states_right):
+    """Coefficients beta with sum beta[s, t] sigma_s (x) sigma_t = W, by least
+    squares over the explicit product basis: one ``np.kron`` column per input
+    pair, in (s, t) order.  Complex; a Hermitian W gives a real beta."""
+    columns = [np.kron(s, t).ravel() for s in states_left for t in states_right]
+    coeffs, *_ = np.linalg.lstsq(np.array(columns).T, np.ravel(mat), rcond=None)
+    return coeffs.reshape(len(states_left), len(states_right))
 
 
 def partial_transpose_loops(mat, dims, transposed):

@@ -27,13 +27,27 @@ from entwit import (
     separable_nonnegativity_audit,
     tomographic_basis,
 )
-from oracle_utils import audit_trial_reference, joint_probability_loops
+from oracle_utils import (
+    audit_trial_reference, decomposition_reference, joint_probability_loops,
+)
 
 # the three small measurement modes, and arbitrary effects embedded in
 # spaces larger than both measurement spaces of choi
 AUDIT_MODES = [
     ("ideal", None), ("arbitrary", None), ("misaligned", None), ("arbitrary", (10, 11)),
 ]
+
+# the bundled fixtures, a complex rotation of choi, and two cap extensions
+# (parties 6 x 6 and 4 x 6)
+OPERATORS = ["choi", "swap", "rotated-choi", "capped-choi", "capped-swap"]
+
+
+@pytest.fixture(scope="module")
+def named(choi, swap, rotated_choi, capped_choi, capped_swap):
+    return {
+        "choi": choi, "swap": swap, "rotated-choi": rotated_choi,
+        "capped-choi": capped_choi, "capped-swap": capped_swap,
+    }
 
 
 def _as_state(mat, dims):
@@ -89,6 +103,15 @@ def test_decompose_product_operator_gives_indicator():
     np.testing.assert_allclose(beta, want, atol=1e-10)
 
 
+@pytest.mark.parametrize("name", OPERATORS)
+def test_beta_matches_least_squares_oracle(name, named):
+    w = named[name]
+    bl, br = tomographic_basis(w.layout.left_dim), tomographic_basis(w.layout.right_dim)
+    beta = decompose_witness(w, bl, br)
+    want = decomposition_reference(w.mat, bl.states, br.states)
+    assert np.abs(beta - want).max() <= 1e-12 * np.linalg.norm(w.mat)
+
+
 def test_decompose_dimension_mismatch(choi):
     with pytest.raises(Exception):
         decompose_witness(choi, tomographic_basis(2), tomographic_basis(3))
@@ -112,7 +135,7 @@ def test_scenario_solves_and_checks_beta_once(monkeypatch, capsys):
     import entwit.mdiew as mdiew
     from entwit.cli import main
 
-    calls = {"basis": 0, "residual": 0}
+    calls = {"residual": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -120,12 +143,10 @@ def test_scenario_solves_and_checks_beta_once(monkeypatch, capsys):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(mdiew, "_product_basis", counted("basis", mdiew._product_basis))
     monkeypatch.setattr(
         mdiew, "reconstruction_residual", counted("residual", reconstruction_residual)
     )
     assert main(["mdiew", "decompose", "choi", "--quiet"]) == 0
-    assert calls["basis"] <= 2
     assert calls["residual"] == 1
     doc = json.loads(capsys.readouterr().out)
     monkeypatch.undo()
@@ -230,9 +251,9 @@ def test_separable_audit_flags_sign_violations(scale):
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6, 1e8])
-@pytest.mark.parametrize("name", ["choi", "swap", "rotated-choi"])
-def test_decompose_and_audit_do_not_depend_on_scale(name, scale, choi, swap, rotated_choi):
-    op = {"choi": choi, "swap": swap, "rotated-choi": rotated_choi}[name]
+@pytest.mark.parametrize("name", OPERATORS)
+def test_decompose_and_audit_do_not_depend_on_scale(name, scale, named):
+    op = named[name]
     scaled = HermitianOperator(scale * op.mat, op.layout)
     sc = MdiewScenario.ideal(scaled)
     residual = reconstruction_residual(scaled, sc.basis_left, sc.basis_right, sc.beta)
@@ -266,11 +287,9 @@ def _far_below(w):
 
 @pytest.mark.parametrize("mode, embed", AUDIT_MODES)
 @pytest.mark.parametrize("name, trials", [("choi", 2), ("swap", 6), ("rotated-choi", 1)])
-def test_audit_values_match_per_trial_oracle(
-    name, trials, mode, embed, choi, swap, rotated_choi
-):
+def test_audit_values_match_per_trial_oracle(name, trials, mode, embed, named):
     # the rotated Choi witness is complex, so a conjugation slip shows
-    w = {"choi": choi, "swap": swap, "rotated-choi": rotated_choi}[name]
+    w = named[name]
     shifted = _far_below(w)
     report = separable_nonnegativity_audit(shifted, trials, 11, mode, embed)
     assert [f.trial for f in report.failures] == list(range(trials))
@@ -291,10 +310,8 @@ def test_audit_values_match_per_trial_oracle(
 
 @pytest.mark.parametrize("mode, embed", AUDIT_MODES)
 @pytest.mark.parametrize("name", ["choi", "swap"])
-def test_audit_trials_do_not_depend_on_their_chunk(
-    name, mode, embed, choi, swap, monkeypatch
-):
-    scenario = _far_below({"choi": choi, "swap": swap}[name])
+def test_audit_trials_do_not_depend_on_their_chunk(name, mode, embed, named, monkeypatch):
+    scenario = _far_below(named[name])
     full = separable_nonnegativity_audit(scenario, 40, 5, mode, embed)
     assert len(full.failures) == 40
     prefix = separable_nonnegativity_audit(scenario, 7, 5, mode, embed)

@@ -9,7 +9,6 @@ from entwit import (
     choi_detected_ppt_state,
     collect_zero_set,
     expectation,
-    extend_witness,
     has_spanning_property,
     maximally_entangled_vector,
     min_product_expectation,
@@ -22,7 +21,6 @@ from entwit import (
     span_rank,
 )
 import entwit.witness as witness_module
-from entwit.cli import _caps_random
 from oracle_utils import (
     min_product_expectation_bloch,
     min_product_reference,
@@ -92,11 +90,8 @@ def _assert_matches_reference(report, reference, op):
 
 
 @pytest.mark.parametrize("name", ["choi", "swap", "capped-choi"])
-def test_lockstep_seesaw_matches_reference_descents(name, choi, swap):
-    if name == "capped-choi":
-        op = _capped_choi(choi)
-    else:
-        op = {"choi": choi, "swap": swap}[name]
+def test_lockstep_seesaw_matches_reference_descents(name, choi, swap, capped_choi):
+    op = {"choi": choi, "swap": swap, "capped-choi": capped_choi}[name]
     report = min_product_expectation(op, seed=42)
     reference = min_product_reference(
         op.mat, op.layout.left_dim, op.layout.right_dim, report.restarts, 42
@@ -104,14 +99,10 @@ def test_lockstep_seesaw_matches_reference_descents(name, choi, swap):
     _assert_matches_reference(report, reference, op)
 
 
-def _capped_choi(choi):
-    return extend_witness(choi, _caps_random((2, 2), 42))
-
-
-def test_capped_choi_restarts_stop_before_the_budget(choi):
+def test_capped_choi_restarts_stop_before_the_budget(capped_choi):
     # the minimum is reached on a continuum of product zeros, where the
     # vectors drift on long after the value is reached
-    report = min_product_expectation(_capped_choi(choi), seed=42)
+    report = min_product_expectation(capped_choi, seed=42)
     assert sum(report.converged) >= 32
     assert sum(report.iterations) <= 32000 / 3
     assert [len(t) for t in report.value_traces] == [2 * k for k in report.iterations]
@@ -209,7 +200,7 @@ def test_harvest_seed_defaults_to_the_report_seed(swap):
 
 @pytest.mark.parametrize("target_count, max_descents", [(5, 7), (16, 64)])
 def test_harvest_runs_stalled_restarts_on_as_uninterrupted_descents(
-    target_count, max_descents, choi
+    target_count, max_descents, capped_choi
 ):
     # On the capped Choi extension the restarts stop on a stalled value while
     # their vectors still drift along a continuum of zeros.  The drift turns
@@ -217,7 +208,7 @@ def test_harvest_runs_stalled_restarts_on_as_uninterrupted_descents(
     # into different end points, so the kept vectors are checked against
     # fresh strict lock-step descents from the same starts, and only their
     # count against the reference.
-    op = _capped_choi(choi)
+    op = capped_choi
     report = min_product_expectation(op, seed=42)
     stalled = [c and not s for c, s in zip(report.converged, report.settled)]
     assert any(stalled[:max_descents])
