@@ -12,164 +12,72 @@ choi           the worked indecomposable example and its extension exhibit
 catalog        bundled witnesses and a detected PPT state
 mdiew          tomographic decomposition and the nonnegativity audit
 serialization  canonical JSON for operators and reports
+cli            the ``entwit`` command
+
+``import entwit`` loads none of them: a layer is imported the first time one
+of its names is looked up (PEP 562), so a CLI command pays only for the
+layers it runs.
 """
 
-from .catalog import catalogued_witnesses, choi_detected_ppt_state, swap_witness
-from .choi import (
-    AbParams,
-    ExhibitReport,
-    choi_witness,
-    closed_form_values,
-    detection_values,
-    nontrivial_extension_exhibit,
-    rho_abb,
-    rho_abb_matrix,
-    shift_operator,
-)
-from .extension import (
-    ExtensionSpec,
-    extend_state,
-    extend_witness,
-    extended_zero_set,
-    gamma_of_extension_check,
-)
-from .mdiew import (
-    AuditFailure,
-    AuditReport,
-    MdiewScenario,
-    StateBasis,
-    decompose_witness,
-    ideal_projector,
-    joint_probability,
-    mdiew_value,
-    reconstruction_residual,
-    separable_nonnegativity_audit,
-    tomographic_basis,
-)
-from .operators import (
-    HermitianOperator,
-    LayoutError,
-    NumericalError,
-    ProductVector,
-    SeparableEnsemble,
-    SystemLayout,
-    basis_vector,
-    eigh,
-    is_psd,
-    kron,
-    maximally_entangled_vector,
-    partial_trace,
-    partial_transpose,
-    projector,
-    single_system,
-)
-from .sampling import (
-    random_density,
-    random_povm_first_element,
-    random_product_vector,
-    random_psd,
-    random_separable,
-    random_unitary,
-    rng_from,
-)
-from .serialization import (
-    SerializationError,
-    dump_operator,
-    dumps_canonical,
-    load_operator,
-    matrix_from_json,
-    matrix_to_json,
-    operator_from_dict,
-    operator_to_dict,
-    to_jsonable,
-)
-from .witness import (
-    SeeSawReport,
-    SpanningReport,
-    WitnessCertificate,
-    ZeroSet,
-    certify_indecomposable,
-    certify_witness,
-    collect_zero_set,
-    expectation,
-    has_spanning_property,
-    min_product_expectation,
-    nd_spanning,
-    span_rank,
-)
+from importlib import import_module
 
-__all__ = [
-    "AbParams",
-    "AuditFailure",
-    "AuditReport",
-    "ExhibitReport",
-    "ExtensionSpec",
-    "HermitianOperator",
-    "LayoutError",
-    "MdiewScenario",
-    "NumericalError",
-    "ProductVector",
-    "SeeSawReport",
-    "SeparableEnsemble",
-    "SerializationError",
-    "SpanningReport",
-    "StateBasis",
-    "SystemLayout",
-    "WitnessCertificate",
-    "ZeroSet",
-    "basis_vector",
-    "catalogued_witnesses",
-    "certify_indecomposable",
-    "certify_witness",
-    "choi_detected_ppt_state",
-    "choi_witness",
-    "closed_form_values",
-    "collect_zero_set",
-    "decompose_witness",
-    "detection_values",
-    "dump_operator",
-    "dumps_canonical",
-    "eigh",
-    "expectation",
-    "extend_state",
-    "extend_witness",
-    "extended_zero_set",
-    "gamma_of_extension_check",
-    "has_spanning_property",
-    "ideal_projector",
-    "is_psd",
-    "joint_probability",
-    "kron",
-    "load_operator",
-    "matrix_from_json",
-    "matrix_to_json",
-    "maximally_entangled_vector",
-    "mdiew_value",
-    "min_product_expectation",
-    "nd_spanning",
-    "nontrivial_extension_exhibit",
-    "operator_from_dict",
-    "operator_to_dict",
-    "partial_trace",
-    "partial_transpose",
-    "projector",
-    "random_density",
-    "random_povm_first_element",
-    "random_product_vector",
-    "random_psd",
-    "random_separable",
-    "random_unitary",
-    "reconstruction_residual",
-    "rho_abb",
-    "rho_abb_matrix",
-    "rng_from",
-    "separable_nonnegativity_audit",
-    "shift_operator",
-    "single_system",
-    "span_rank",
-    "swap_witness",
-    "to_jsonable",
-    "tomographic_basis",
-]
+# The public names, by the layer that defines them.
+_EXPORTS = {
+    "catalog": ("catalogued_witnesses", "choi_detected_ppt_state", "swap_witness"),
+    "choi": (
+        "AbParams", "ExhibitReport", "choi_witness", "closed_form_values",
+        "detection_values", "nontrivial_extension_exhibit", "rho_abb",
+        "rho_abb_matrix", "shift_operator",
+    ),
+    "extension": (
+        "ExtensionSpec", "extend_state", "extend_witness", "extended_zero_set",
+        "gamma_of_extension_check",
+    ),
+    "mdiew": (
+        "AuditFailure", "AuditReport", "MdiewScenario", "StateBasis",
+        "decompose_witness", "ideal_projector", "joint_probability", "mdiew_value",
+        "reconstruction_residual", "separable_nonnegativity_audit",
+        "tomographic_basis",
+    ),
+    "operators": (
+        "HermitianOperator", "LayoutError", "NumericalError", "ProductVector",
+        "SeparableEnsemble", "SystemLayout", "basis_vector", "eigh", "is_psd",
+        "kron", "maximally_entangled_vector", "partial_trace", "partial_transpose",
+        "projector", "single_system",
+    ),
+    "sampling": (
+        "random_density", "random_povm_first_element", "random_product_vector",
+        "random_psd", "random_separable", "random_unitary", "rng_from",
+    ),
+    "serialization": (
+        "SerializationError", "dump_operator", "dumps_canonical", "load_operator",
+        "matrix_from_json", "matrix_to_json", "operator_from_dict",
+        "operator_to_dict", "to_jsonable",
+    ),
+    "witness": (
+        "SeeSawReport", "SpanningReport", "WitnessCertificate", "ZeroSet",
+        "certify_indecomposable", "certify_witness", "collect_zero_set",
+        "expectation", "has_spanning_property", "min_product_expectation",
+        "nd_spanning", "span_rank",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
+
+__all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

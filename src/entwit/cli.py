@@ -15,24 +15,25 @@ byte-identical.  Human-readable summaries go to stderr unless --quiet.
 Exit codes: 0 success, 1 property violation (an audit found a negative
 separable value or a route mismatch), 2 input or validation error, or any
 other failure (reported in one line, without a traceback).
+
+Each command imports the layers it runs when it runs, so that a short command
+does not pay for loading the others.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import asdict, dataclass
-from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
-from .choi import nontrivial_extension_exhibit
-from .extension import ExtensionSpec, extend_witness, gamma_of_extension_check
-from .mdiew import POVM_MODES, MdiewScenario, separable_nonnegativity_audit
 from .operators import PSD_TOL, HermitianOperator, LayoutError, NumericalError
-from .sampling import random_psd, rng_from
+from .sampling import DEFAULT_RESTARTS, POVM_MODES, random_psd, rng_from
 from .serialization import (
     SerializationError,
     dumps_canonical,
@@ -40,10 +41,10 @@ from .serialization import (
     operator_from_dict,
     operator_to_dict,
 )
-from .witness import (
-    DEFAULT_RESTARTS, VERDICT_CONFIRMED, VERDICT_NOT_FOUND, SeeSawReport,
-    certify_witness, has_spanning_property, nd_spanning,
-)
+
+if TYPE_CHECKING:
+    from .extension import ExtensionSpec
+    from .witness import SeeSawReport
 
 DEFAULT_SEED = 42
 
@@ -61,8 +62,8 @@ class RunConfig:
     tol: float = PSD_TOL
 
 
-def _fixture_dir():
-    return resources.files(__package__) / "fixtures"
+def _fixture_dir() -> Path:
+    return Path(__file__).with_name("fixtures")
 
 
 def bundled_operator_names() -> tuple[str, ...]:
@@ -115,6 +116,11 @@ def _restart_summary(report: SeeSawReport) -> str:
 
 
 def cmd_certify(args) -> int:
+    from .witness import (
+        VERDICT_CONFIRMED, VERDICT_NOT_FOUND, certify_witness, has_spanning_property,
+        nd_spanning,
+    )
+
     cfg = _config(args)
     label, op = resolve_operator(args.witness)
     cert = certify_witness(op, restarts=cfg.restarts, seed=cfg.seed, tol=cfg.tol)
@@ -163,6 +169,8 @@ def cmd_certify(args) -> int:
 
 
 def _caps_from_file(path: str) -> ExtensionSpec:
+    from .extension import ExtensionSpec
+
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -181,6 +189,8 @@ def _caps_from_file(path: str) -> ExtensionSpec:
 
 
 def _caps_random(dims: tuple[int, int], seed: int) -> ExtensionSpec:
+    from .extension import ExtensionSpec
+
     d_left, d_right = dims
     if d_left < 1 or d_right < 1:
         raise ValueError(f"cap dimensions must be positive, got {dims}")
@@ -191,6 +201,9 @@ def _caps_random(dims: tuple[int, int], seed: int) -> ExtensionSpec:
 
 
 def cmd_extend(args) -> int:
+    from .extension import extend_witness, gamma_of_extension_check
+    from .witness import certify_witness
+
     cfg = _config(args)
     label, op = resolve_operator(args.witness)
     if args.caps is not None:
@@ -232,6 +245,8 @@ def cmd_extend(args) -> int:
 
 
 def cmd_choi_demo(args) -> int:
+    from .choi import nontrivial_extension_exhibit
+
     cfg = _config(args)
     report = nontrivial_extension_exhibit()
     payload = {
@@ -264,6 +279,8 @@ def cmd_choi_demo(args) -> int:
 
 
 def cmd_mdiew_decompose(args) -> int:
+    from .mdiew import MdiewScenario
+
     cfg = _config(args)
     label, op = resolve_operator(args.witness)
     scenario = MdiewScenario.ideal(op)
@@ -286,6 +303,8 @@ def cmd_mdiew_decompose(args) -> int:
 
 
 def cmd_mdiew_audit(args) -> int:
+    from .mdiew import MdiewScenario, separable_nonnegativity_audit
+
     cfg = _config(args)
     label, op = resolve_operator(args.witness)
     scenario = MdiewScenario.ideal(op)
@@ -436,5 +455,19 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """Process entry point of ``python -m entwit.cli`` and the ``entwit`` script.
+
+    Exits with the code of ``main()``.  The garbage collector is frozen first:
+    the interpreter's collections at exit would otherwise walk every object
+    that numpy and entwit leave alive, which takes about as long as a short
+    command's own work.  ``main`` leaves the collector alone, because tests
+    and in-process replays call it many times in one process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

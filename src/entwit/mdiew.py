@@ -52,7 +52,7 @@ from .operators import (
     maximally_entangled_vector,
     projector,
 )
-from .sampling import _effects, _unitaries, rng_from
+from .sampling import POVM_MODES, _effects, _unitaries, rng_from
 
 __all__ = [
     "DECOMPOSITION_RESIDUAL_TOL",
@@ -85,8 +85,6 @@ ROUTE_AGREEMENT_TOL = 1e-9  # relative to the Frobenius norm of W
 AUDIT_VALUE_TOL = 1e-9  # relative to the Frobenius norm of W
 AUDIT_MAX_MEMBERS = 4  # members per separable ensemble drawn by the audit
 AUDIT_CHUNK = 256  # audit trials evaluated together; bounds the stacked arrays
-
-POVM_MODES = ("ideal", "arbitrary", "misaligned")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,15 @@ __all__ = [
     "random_psd",
 ]
 
+# Seeded see-saw restarts of a certification; restart r starts from the stream
+# rng_from(seed, r).  This constant and POVM_MODES live in this layer, which
+# every command loads, so that the CLI's parser reads them without loading
+# the witness or the mdiew layer.
+DEFAULT_RESTARTS = 64
+# How the MDI audit draws its measurement elements.
+POVM_MODES = ("ideal", "arbitrary", "misaligned")
+
+
 def rng_from(seed, *key: int) -> np.random.Generator:
     """Generator for ``seed``; extra integers select an independent substream."""
     if isinstance(seed, np.random.Generator):

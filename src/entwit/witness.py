@@ -26,7 +26,7 @@ from .operators import (
     is_psd,
     partial_transpose,
 )
-from .sampling import rng_from
+from .sampling import DEFAULT_RESTARTS, rng_from
 
 __all__ = [
     "SeeSawReport",
@@ -48,7 +48,6 @@ __all__ = [
 VERDICT_CONFIRMED = "confirmed"
 VERDICT_NOT_FOUND = "not-found-at-budget"
 
-DEFAULT_RESTARTS = 64
 DEFAULT_MAX_ITERS = 500
 CONVERGENCE_TOL = 1e-12
 STALL_TOL = 1e-13  # relative to the Frobenius norm of W

@@ -311,3 +311,71 @@ def test_unexpected_exception_exits_2_without_traceback(monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: unexpected RuntimeError: boom\n"
+
+
+# A fresh interpreter runs main(argv) and reports which entwit modules it loaded.
+_LOADED_MODULES = """
+import contextlib, io, json, sys
+if sys.argv[1:]:
+    import entwit.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        entwit.cli.main(sys.argv[1:])
+else:
+    import entwit
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("entwit."))))
+"""
+
+_NOT_FOR_MDIEW = {"entwit.witness", "entwit.choi", "entwit.catalog", "entwit.extension"}
+
+
+@pytest.mark.parametrize(
+    "argv, not_loaded",
+    [
+        ([], None),
+        (["mdiew", "audit", "swap", "--trials", "5", "--quiet"], _NOT_FOR_MDIEW),
+        (["mdiew", "decompose", "swap", "--quiet"], _NOT_FOR_MDIEW),
+        (["certify", "swap", "--restarts", "4", "--quiet"],
+         {"entwit.mdiew", "entwit.choi", "entwit.catalog", "entwit.extension"}),
+    ],
+    ids=["import-entwit", "mdiew-audit", "mdiew-decompose", "certify"],
+)
+def test_each_command_loads_only_its_own_layers(argv, not_loaded):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, *argv],
+        capture_output=True, text=True, check=True,
+    )
+    loaded = set(json.loads(proc.stdout))
+    if not_loaded is None:
+        assert loaded == set()
+    else:
+        assert "entwit.cli" in loaded
+        assert loaded.isdisjoint(not_loaded), sorted(loaded & not_loaded)
+
+
+@pytest.mark.parametrize(
+    "argv, want_code",
+    [
+        (["mdiew", "audit", "swap", "--trials", "20"], 0),
+        (["mdiew", "audit", "{neg}", "--trials", "5"], 1),
+        (["mdiew", "audit", "swap", "--povm-mode", "ideal", "--embed-dims", "9", "9"], 2),
+    ],
+    ids=["passes", "violation", "input-error"],
+)
+def test_entry_point_matches_main(tmp_path, capsys, argv, want_code):
+    neg = tmp_path / "neg.json"
+    dump_operator(HermitianOperator(-0.5 * np.eye(4), SystemLayout((2, 2), 1)), neg)
+    argv = [a.format(neg=neg) for a in argv]
+    in_process = tmp_path / "in_process.json"
+    code, out, err = run_cli(capsys, *argv, "--json-out", str(in_process))
+    child_out = tmp_path / "child.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "entwit.cli", *argv, "--json-out", str(child_out)],
+        capture_output=True,
+    )
+    assert code == proc.returncode == want_code
+    assert proc.stdout.decode() == out
+    assert proc.stderr.decode() == err
+    if want_code == 2:
+        assert out == "" and not child_out.exists()
+    else:
+        assert child_out.read_bytes() == proc.stdout
