@@ -13,7 +13,7 @@ W alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .operators import (
     NumericalError,
     SystemLayout,
     _as_matrix,
+    _Frozen,
     is_psd,
     partial_trace,
     partial_transpose,
@@ -89,8 +90,7 @@ def _hermitian_2x2(mat: Array | HermitianOperator | list, name: str) -> Array:
     return arr
 
 
-@dataclass(frozen=True)
-class AbParams:
+class AbParams(_Frozen):
     """Qubit blocks steering the two branches of the A|BB' family.
 
     Both blocks must be PSD and at least one must carry trace.  The default
@@ -100,12 +100,15 @@ class AbParams:
     vanishing diagonal forces a = 0 entirely, collapsing the first branch.)
     """
 
-    a: Array = field(default_factory=lambda: np.ones((2, 2), dtype=complex))
-    b: Array = field(default_factory=lambda: np.eye(2, dtype=complex))
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        a = _hermitian_2x2(self.a, "a")
-        b = _hermitian_2x2(self.b, "b")
+    def __init__(
+        self,
+        a: Array | HermitianOperator | list | None = None,
+        b: Array | HermitianOperator | list | None = None,
+    ) -> None:
+        a = _hermitian_2x2(np.ones((2, 2)) if a is None else a, "a")
+        b = _hermitian_2x2(np.eye(2) if b is None else b, "b")
         if not is_psd(a, AB_PSD_TOL):
             raise ValueError("a is not positive semidefinite")
         if not is_psd(b, AB_PSD_TOL):
@@ -114,8 +117,7 @@ class AbParams:
             raise ValueError("Tr(a) + Tr(b) must be positive")
         a.setflags(write=False)
         b.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self._set(a=a, b=b)
 
 
 def rho_abb_matrix(a: Array, b: Array) -> Array:
@@ -198,8 +200,7 @@ def closed_form_values(
     return float(ext.real), float(red.real)
 
 
-@dataclass(frozen=True)
-class ExhibitReport:
+class ExhibitReport(NamedTuple):
     params: AbParams
     cap_right: Array
     ext_value: float

@@ -23,10 +23,9 @@ does not pay for loading the others.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
+import os
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
@@ -51,15 +50,6 @@ DEFAULT_SEED = 42
 # Cap draws use a spawn key far above the see-saw restart indices so that a
 # shared master seed never hands the same stream to two different consumers.
 _CAP_STREAM = 1 << 20
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Reproducibility knobs, echoed verbatim into every output document."""
-
-    seed: int = DEFAULT_SEED
-    restarts: int = DEFAULT_RESTARTS
-    tol: float = PSD_TOL
 
 
 def _fixture_dir() -> Path:
@@ -101,8 +91,9 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
             print(line, file=sys.stderr)
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(seed=args.seed, restarts=args.restarts, tol=args.tol)
+def _config(args) -> dict:
+    """Reproducibility knobs, echoed verbatim into every output document."""
+    return {"seed": args.seed, "restarts": args.restarts, "tol": args.tol}
 
 
 def _restart_summary(report: SeeSawReport) -> str:
@@ -121,12 +112,11 @@ def cmd_certify(args) -> int:
         nd_spanning,
     )
 
-    cfg = _config(args)
     label, op = resolve_operator(args.witness)
-    cert = certify_witness(op, restarts=cfg.restarts, seed=cfg.seed, tol=cfg.tol)
+    cert = certify_witness(op, restarts=args.restarts, seed=args.seed, tol=args.tol)
     payload = {
         "command": "certify",
-        "config": asdict(cfg),
+        "config": _config(args),
         "witness": label,
         "is_witness_numeric": cert.is_witness_numeric,
         "min_eigenvalue": float(cert.min_eigenvalue),
@@ -150,9 +140,9 @@ def cmd_certify(args) -> int:
     ]
     if cert.is_witness_numeric:
         span = has_spanning_property(op, cert)
-        nd = nd_spanning(op, span, seed=cfg.seed)
+        nd = nd_spanning(op, span, seed=args.seed)
         nd_verdict = VERDICT_CONFIRMED if nd else VERDICT_NOT_FOUND
-        payload["spanning"] = asdict(span)
+        payload["spanning"] = span._asdict()
         payload["nd_spanning"] = {"verdict": nd_verdict, "holds": nd}
         lines += [
             f"zero-set spanning:    {span.verdict} (rank {span.rank} of {span.dim})",
@@ -204,22 +194,21 @@ def cmd_extend(args) -> int:
     from .extension import extend_witness, gamma_of_extension_check
     from .witness import certify_witness
 
-    cfg = _config(args)
     label, op = resolve_operator(args.witness)
     if args.caps is not None:
         spec = _caps_from_file(args.caps)
         caps_source = args.caps
     else:
-        spec = _caps_random(tuple(args.random_caps), cfg.seed)
+        spec = _caps_random(tuple(args.random_caps), args.seed)
         caps_source = f"random({args.random_caps[0]}, {args.random_caps[1]})"
     extended = extend_witness(op, spec)
     recert = certify_witness(
-        extended, restarts=cfg.restarts, seed=cfg.seed, tol=cfg.tol
+        extended, restarts=args.restarts, seed=args.seed, tol=args.tol
     )
     gamma_ok = gamma_of_extension_check(op, spec)
     payload = {
         "command": "extend",
-        "config": asdict(cfg),
+        "config": _config(args),
         "witness": label,
         "caps_source": caps_source,
         "cap_left": operator_to_dict(spec.cap_left),
@@ -247,11 +236,10 @@ def cmd_extend(args) -> int:
 def cmd_choi_demo(args) -> int:
     from .choi import nontrivial_extension_exhibit
 
-    cfg = _config(args)
     report = nontrivial_extension_exhibit()
     payload = {
         "command": "choi-demo",
-        "config": asdict(cfg),
+        "config": _config(args),
         "a": [[report.params.a[i, j].real for j in range(2)] for i in range(2)],
         "b": [[report.params.b[i, j].real for j in range(2)] for i in range(2)],
         "cap_right": [[report.cap_right[i, j].real for j in range(2)] for i in range(2)],
@@ -281,12 +269,11 @@ def cmd_choi_demo(args) -> int:
 def cmd_mdiew_decompose(args) -> int:
     from .mdiew import MdiewScenario
 
-    cfg = _config(args)
     label, op = resolve_operator(args.witness)
     scenario = MdiewScenario.ideal(op)
     payload = {
         "command": "mdiew-decompose",
-        "config": asdict(cfg),
+        "config": _config(args),
         "witness": label,
         "party_dims": list(scenario.party_dims),
         "basis_sizes": [len(scenario.basis_left), len(scenario.basis_right)],
@@ -305,20 +292,19 @@ def cmd_mdiew_decompose(args) -> int:
 def cmd_mdiew_audit(args) -> int:
     from .mdiew import MdiewScenario, separable_nonnegativity_audit
 
-    cfg = _config(args)
     label, op = resolve_operator(args.witness)
     scenario = MdiewScenario.ideal(op)
     embed_dims = tuple(args.embed_dims) if args.embed_dims else None
     report = separable_nonnegativity_audit(
         scenario,
         trials=args.trials,
-        seed=cfg.seed,
+        seed=args.seed,
         povm_mode=args.povm_mode,
         embed_dims=embed_dims,
     )
     payload = {
         "command": "mdiew-audit",
-        "config": asdict(cfg),
+        "config": _config(args),
         "witness": label,
         "trials": report.trials,
         "povm_mode": report.povm_mode,
@@ -458,15 +444,25 @@ def main(argv: list[str] | None = None) -> int:
 def run() -> NoReturn:
     """Process entry point of ``python -m entwit.cli`` and the ``entwit`` script.
 
-    Exits with the code of ``main()``.  The garbage collector is frozen first:
-    the interpreter's collections at exit would otherwise walk every object
-    that numpy and entwit leave alive, which takes about as long as a short
-    command's own work.  ``main`` leaves the collector alone, because tests
-    and in-process replays call it many times in one process.
+    Exits with the code of ``main()`` through ``os._exit``, after flushing
+    stdout and stderr: tearing the interpreter down (every module numpy and
+    entwit loaded) would take longer than a short command's own work.  An
+    output the reader no longer takes is an error, exit 2, reported once.
+    ``main`` itself leaves the process alone, because tests and in-process
+    replays call it many times in one process.
     """
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code != 2:  # main has not reported an error yet
+            print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    try:
+        sys.stderr.flush()
+    except OSError:
+        code = 2
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -12,8 +12,6 @@ permutation is ever applied.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .operators import (
@@ -23,6 +21,7 @@ from .operators import (
     ProductVector,
     PSD_TOL,
     SystemLayout,
+    _Frozen,
     basis_vector,
     is_psd,
     partial_transpose,
@@ -54,23 +53,27 @@ def _as_cap(obj: HermitianOperator | Array, side: str) -> HermitianOperator:
     if cap.layout.n_subsystems != 1:
         raise LayoutError(f"{side} must act on a single system, got dims {cap.dims}")
     if not is_psd(cap, CAP_PSD_TOL):
-        raise ValueError(f"{side} is not positive semidefinite at {CAP_PSD_TOL:.0e}")
+        raise ValueError(
+            f"{side} is not positive semidefinite at relative tolerance {CAP_PSD_TOL:.0e}"
+        )
     if np.abs(cap.mat).max() == 0.0:
         # a zero cap kills every transferred detection value Tr(P Ptilde)
         raise ValueError(f"{side} is the zero operator; the extension would vanish")
     return cap
 
 
-@dataclass(frozen=True)
-class ExtensionSpec:
+class ExtensionSpec(_Frozen):
     """A pair of validated nonzero PSD caps, one per side of the cut."""
 
-    cap_left: HermitianOperator
-    cap_right: HermitianOperator
+    __slots__ = ("cap_left", "cap_right")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cap_left", _as_cap(self.cap_left, "cap_left"))
-        object.__setattr__(self, "cap_right", _as_cap(self.cap_right, "cap_right"))
+    def __init__(
+        self, cap_left: HermitianOperator | Array, cap_right: HermitianOperator | Array
+    ) -> None:
+        self._set(
+            cap_left=_as_cap(cap_left, "cap_left"),
+            cap_right=_as_cap(cap_right, "cap_right"),
+        )
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -101,7 +104,7 @@ def extend_state(
     out = _sandwich(rho.mat, rho.layout, spec.cap_left.mat, spec.cap_right.mat)
     if normalize:
         tr = out.trace
-        if tr <= PSD_TOL:
+        if tr <= PSD_TOL * float(np.linalg.norm(out.mat)):
             raise ValueError(f"extended state has trace {tr!r}; cannot normalize")
         out = HermitianOperator(out.mat / tr, out.layout)
     return out

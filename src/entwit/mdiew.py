@@ -36,7 +36,7 @@ chunk.  Embedded measurements are drawn in ``arbitrary`` mode only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .operators import (
     NumericalError,
     _as_matrix,
     _check_hermitian,
+    _Frozen,
     _realign,
     maximally_entangled_vector,
     projector,
@@ -87,14 +88,13 @@ AUDIT_MAX_MEMBERS = 4  # members per separable ensemble drawn by the audit
 AUDIT_CHUNK = 256  # audit trials evaluated together; bounds the stacked arrays
 
 
-@dataclass(frozen=True)
-class StateBasis:
+class StateBasis(_Frozen):
     """Tomographically complete set of d^2 unit-trace PSD states on C^d."""
 
-    states: tuple[Array, ...]
+    __slots__ = ("states",)
 
-    def __post_init__(self):
-        states = tuple(np.array(s, dtype=complex) for s in self.states)
+    def __init__(self, states: tuple[Array, ...]) -> None:
+        states = tuple(np.array(s, dtype=complex) for s in states)
         if not states:
             raise ValueError("state basis is empty")
         d = states[0].shape[0]
@@ -123,7 +123,7 @@ class StateBasis:
             )
         for s in states:
             s.setflags(write=False)
-        object.__setattr__(self, "states", states)
+        self._set(states=states)
 
     @property
     def dim(self) -> int:
@@ -230,8 +230,7 @@ def _povm_matrix(E: HermitianOperator | Array, dim: int, name: str) -> Array:
     return mat
 
 
-@dataclass(frozen=True)
-class MdiewScenario:
+class MdiewScenario(_Frozen):
     """What the verifier owns: the witness, the input bases and coefficients
     beta with sum beta[s, t] sigma_s (x) sigma_t = W.
 
@@ -240,26 +239,31 @@ class MdiewScenario:
     untrusted devices; they are arguments of ``mdiew_value``.
     """
 
-    witness: HermitianOperator
-    basis_left: StateBasis
-    basis_right: StateBasis
-    beta: Array
-    residual: float = field(init=False)
+    __slots__ = ("witness", "basis_left", "basis_right", "beta", "residual")
 
-    def __post_init__(self):
-        beta = np.array(self.beta, dtype=float)
-        if beta.shape != (len(self.basis_left), len(self.basis_right)):
+    def __init__(
+        self,
+        witness: HermitianOperator,
+        basis_left: StateBasis,
+        basis_right: StateBasis,
+        beta: Array,
+    ) -> None:
+        beta = np.array(beta, dtype=float)
+        if beta.shape != (len(basis_left), len(basis_right)):
             raise LayoutError(
                 f"beta shape {beta.shape} does not match basis sizes "
-                f"({len(self.basis_left)}, {len(self.basis_right)})"
+                f"({len(basis_left)}, {len(basis_right)})"
             )
-        residual = reconstruction_residual(
-            self.witness, self.basis_left, self.basis_right, beta
-        )
-        _check_residual(residual, self.witness)
+        residual = reconstruction_residual(witness, basis_left, basis_right, beta)
+        _check_residual(residual, witness)
         beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "residual", residual)
+        self._set(
+            witness=witness,
+            basis_left=basis_left,
+            basis_right=basis_right,
+            beta=beta,
+            residual=residual,
+        )
 
     @classmethod
     def ideal(cls, W: HermitianOperator) -> "MdiewScenario":
@@ -398,16 +402,14 @@ def _mixture_route_values(
     return np.sum(weights * terms.real, axis=-1)
 
 
-@dataclass(frozen=True)
-class AuditFailure:
+class AuditFailure(NamedTuple):
     trial: int
     route_direct: float
     route_mixture: float
     reason: str
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """``worst_trial`` has the least value over both routes, ``min_value``."""
 
     trials: int

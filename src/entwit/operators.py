@@ -13,7 +13,6 @@ Conventions
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
 
@@ -54,20 +53,57 @@ class NumericalError(RuntimeError):
     """A numerical guarantee failed (solver breakdown, stray imaginary part)."""
 
 
-@dataclass(frozen=True)
-class SystemLayout:
+class _Frozen:
+    """Base of the validated value types: the constructor sets each slot once,
+    through ``_set``, and assigning or deleting an attribute later raises."""
+
+    __slots__ = ()
+
+    def _set(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copies and pickles refill the slots: the values were validated once
+        return _refill, (type(self), tuple(getattr(self, name) for name in self.__slots__))
+
+
+def _refill(cls: type, values: tuple):
+    obj = cls.__new__(cls)
+    obj._set(**dict(zip(cls.__slots__, values)))
+    return obj
+
+
+class SystemLayout(_Frozen):
     """Ordered subsystem dimensions plus the bipartition cut index."""
 
-    dims: tuple[int, ...]
-    cut: int
+    __slots__ = ("dims", "cut")
 
-    def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
+    def __init__(self, dims: tuple[int, ...], cut: int) -> None:
+        dims = tuple(int(d) for d in dims)
         if not dims or any(d < 1 for d in dims):
             raise LayoutError(f"subsystem dimensions must be >= 1, got {dims}")
-        if not 0 <= self.cut <= len(dims):
-            raise LayoutError(f"cut {self.cut} out of range for {len(dims)} subsystems")
+        if not 0 <= cut <= len(dims):
+            raise LayoutError(f"cut {cut} out of range for {len(dims)} subsystems")
+        self._set(dims=dims, cut=cut)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not SystemLayout:
+            return NotImplemented
+        return (self.dims, self.cut) == (other.dims, other.cut)
+
+    def __hash__(self) -> int:
+        return hash((self.dims, self.cut))
 
     @property
     def total_dim(self) -> int:
@@ -118,14 +154,18 @@ def _check_hermitian(mats: Array) -> None:
         raise NumericalError(f"matrix is not Hermitian: defect {defect[bad].max():.3e}")
 
 
-@dataclass(frozen=True)
-class HermitianOperator:
+class HermitianOperator(_Frozen):
     """Dense complex Hermitian matrix tied to a system layout."""
 
-    mat: Array
-    layout: SystemLayout
+    __slots__ = ("mat", "layout")
+
+    def __init__(self, mat: Array, layout: SystemLayout) -> None:
+        self._set(mat=mat, layout=layout)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Validate ``mat`` against ``layout`` and store it as a read-only
+        complex copy."""
         mat = np.array(self.mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise LayoutError(f"operator must be square, got shape {mat.shape}")
@@ -136,7 +176,7 @@ class HermitianOperator:
             )
         _check_hermitian(mat)
         mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
+        self._set(mat=mat)
 
     @property
     def dim(self) -> int:
@@ -151,14 +191,13 @@ class HermitianOperator:
         return float(np.trace(self.mat).real)
 
 
-@dataclass(frozen=True)
-class ProductVector:
+class ProductVector(_Frozen):
     """Pure product vector: one unit factor per subsystem."""
 
-    factors: tuple[Array, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        factors = tuple(np.array(f, dtype=complex).ravel() for f in self.factors)
+    def __init__(self, factors: tuple[Array, ...]) -> None:
+        factors = tuple(np.array(f, dtype=complex).ravel() for f in factors)
         if not factors:
             raise LayoutError("product vector needs at least one factor")
         for i, f in enumerate(factors):
@@ -166,7 +205,7 @@ class ProductVector:
             if abs(norm - 1.0) > HERMITICITY_TOL:
                 raise NumericalError(f"factor {i} has norm {norm!r}, expected 1")
             f.setflags(write=False)
-        object.__setattr__(self, "factors", factors)
+        self._set(factors=factors)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -177,25 +216,25 @@ class ProductVector:
         return reduce(np.kron, self.factors)
 
 
-@dataclass(frozen=True)
-class SeparableEnsemble:
+class SeparableEnsemble(_Frozen):
     """Convex mixture of pure product states with explicit weights."""
 
-    weights: tuple[float, ...]
-    members: tuple[ProductVector, ...]
+    __slots__ = ("weights", "members")
 
-    def __post_init__(self) -> None:
-        weights = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
-        if len(weights) != len(self.members) or not self.members:
+    def __init__(
+        self, weights: tuple[float, ...], members: tuple[ProductVector, ...]
+    ) -> None:
+        weights = tuple(float(w) for w in weights)
+        if len(weights) != len(members) or not members:
             raise LayoutError("need one weight per member and at least one member")
         if min(weights) < -HERMITICITY_TOL:
             raise NumericalError(f"negative weight {min(weights)!r}")
         if abs(sum(weights) - 1.0) > HERMITICITY_TOL:
             raise NumericalError(f"weights sum to {sum(weights)!r}, expected 1")
-        dims = self.members[0].dims
-        if any(m.dims != dims for m in self.members):
+        dims = members[0].dims
+        if any(m.dims != dims for m in members):
             raise LayoutError("ensemble members have differing factor dimensions")
+        self._set(weights=weights, members=members)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -305,11 +344,12 @@ def eigh(M: HermitianOperator | Array) -> tuple[Array, Array]:
 
 
 def is_psd(M: HermitianOperator | Array, tol: float = PSD_TOL) -> bool:
-    """True iff the minimum eigenvalue is >= -tol."""
+    """True iff the minimum eigenvalue is >= -tol times the largest eigenvalue
+    modulus, as rounding defects scale with it."""
     if tol < 0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
-    mat = _as_matrix(M)
-    return bool(np.linalg.eigvalsh(mat).min() >= -tol)
+    vals = np.linalg.eigvalsh(_as_matrix(M))
+    return bool(vals[0] >= -tol * max(-vals[0], vals[-1]))
 
 
 def basis_vector(d: int, k: int) -> Array:

@@ -8,14 +8,13 @@ decimal JSON introduces.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .operators import Array, HermitianOperator, ProductVector, SystemLayout
+from .operators import Array, HermitianOperator, ProductVector, SystemLayout, _Frozen
 
 __all__ = [
     "SerializationError",
@@ -111,7 +110,8 @@ def load_operator(path: str | Path) -> HermitianOperator:
 
 
 def to_jsonable(x: Any) -> Any:
-    """Recursive plain-JSON view: dataclasses to dicts, complex to [re, im]."""
+    """Recursive plain-JSON view: records (named tuples) and value types to
+    dicts of their fields, complex to [re, im]."""
     if x is None or isinstance(x, (bool, int, str)):
         return x
     if isinstance(x, float):
@@ -134,8 +134,10 @@ def to_jsonable(x: Any) -> Any:
                 [float(z.real), float(z.imag)] for z in x
             ]
         return x.tolist()
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return {f.name: to_jsonable(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, tuple) and hasattr(x, "_fields"):
+        return {name: to_jsonable(v) for name, v in zip(x._fields, x)}
+    if isinstance(x, _Frozen):
+        return {name: to_jsonable(getattr(x, name)) for name in x.__slots__}
     if isinstance(x, dict):
         return {str(k): to_jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

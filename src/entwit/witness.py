@@ -9,7 +9,7 @@ verdicts, which are deliberately one-sided: "confirmed" proves the rank,
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,7 @@ DEDUP_OVERLAP = 1 - 1e-6
 IMAG_TOL = 1e-10  # imaginary part tolerated on a real-valued trace of unit scale
 
 
-@dataclass(frozen=True)
-class SeeSawReport:
+class SeeSawReport(NamedTuple):
     """Per-restart results in restart order, for the see-saw seeded by ``seed``.
 
     ``converged`` marks restarts that stopped before the iteration budget, by
@@ -84,8 +83,7 @@ class SeeSawReport:
         return self.restart_vectors[int(np.argmin(self.restart_values))]
 
 
-@dataclass(frozen=True)
-class ZeroSet:
+class ZeroSet(NamedTuple):
     """Product vectors with |expectation| <= zero_tol and their span rank."""
 
     vectors: tuple[ProductVector, ...]
@@ -93,8 +91,7 @@ class ZeroSet:
     zero_tol: float
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(NamedTuple):
     is_witness_numeric: bool
     min_eigenvalue: float
     min_product: SeeSawReport
@@ -102,8 +99,7 @@ class WitnessCertificate:
     detection_value: float | None
 
 
-@dataclass(frozen=True)
-class SpanningReport:
+class SpanningReport(NamedTuple):
     spanning: bool
     rank: int
     dim: int
@@ -442,8 +438,9 @@ def certify_indecomposable(
 ) -> bool:
     """One-sided certificate: W detects the PPT state rho_candidate.
 
-    Detection means Tr(W rho) < -tol ||W||_F, whatever the scale of W.
-    False means "not certified by this state", never "decomposable".
+    Detection means Tr(W rho) < -tol ||W||_F Tr(rho), and both PSD checks are
+    relative to the largest eigenvalue modulus, whatever the scales of W and
+    rho.  False means "not certified by this state", never "decomposable".
     """
     if W.dim != rho_candidate.dim:
         raise LayoutError(
@@ -453,4 +450,5 @@ def certify_indecomposable(
         return False
     if not is_psd(partial_transpose(rho_candidate), tol):
         return False
-    return expectation(W, rho_candidate) < -tol * float(np.linalg.norm(W.mat))
+    cutoff = tol * float(np.linalg.norm(W.mat)) * rho_candidate.trace
+    return expectation(W, rho_candidate) < -cutoff

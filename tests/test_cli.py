@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -313,7 +314,8 @@ def test_unexpected_exception_exits_2_without_traceback(monkeypatch, capsys):
     assert err == "error: unexpected RuntimeError: boom\n"
 
 
-# A fresh interpreter runs main(argv) and reports which entwit modules it loaded.
+# A fresh interpreter runs main(argv) and reports which entwit modules it
+# loaded, and whether it loaded ``dataclasses`` (numpy does not).
 _LOADED_MODULES = """
 import contextlib, io, json, sys
 if sys.argv[1:]:
@@ -322,7 +324,8 @@ if sys.argv[1:]:
         entwit.cli.main(sys.argv[1:])
 else:
     import entwit
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("entwit."))))
+loaded = [m for m in sys.modules if m.startswith("entwit.") or m == "dataclasses"]
+print(json.dumps(sorted(loaded)))
 """
 
 _NOT_FOR_MDIEW = {"entwit.witness", "entwit.choi", "entwit.catalog", "entwit.extension"}
@@ -336,8 +339,11 @@ _NOT_FOR_MDIEW = {"entwit.witness", "entwit.choi", "entwit.catalog", "entwit.ext
         (["mdiew", "decompose", "swap", "--quiet"], _NOT_FOR_MDIEW),
         (["certify", "swap", "--restarts", "4", "--quiet"],
          {"entwit.mdiew", "entwit.choi", "entwit.catalog", "entwit.extension"}),
+        (["extend", "swap", "--random-caps", "2", "2", "--restarts", "4", "--quiet"],
+         {"entwit.mdiew", "entwit.choi", "entwit.catalog"}),
+        (["choi-demo", "--quiet"], {"entwit.mdiew", "entwit.catalog", "entwit.extension"}),
     ],
-    ids=["import-entwit", "mdiew-audit", "mdiew-decompose", "certify"],
+    ids=["import-entwit", "mdiew-audit", "mdiew-decompose", "certify", "extend", "choi-demo"],
 )
 def test_each_command_loads_only_its_own_layers(argv, not_loaded):
     proc = subprocess.run(
@@ -345,11 +351,20 @@ def test_each_command_loads_only_its_own_layers(argv, not_loaded):
         capture_output=True, text=True, check=True,
     )
     loaded = set(json.loads(proc.stdout))
+    assert "dataclasses" not in loaded
     if not_loaded is None:
         assert loaded == set()
     else:
         assert "entwit.cli" in loaded
         assert loaded.isdisjoint(not_loaded), sorted(loaded & not_loaded)
+
+
+def _buffered_env() -> dict:
+    """The environment with block-buffered stdout, as a shell gives a child
+    whose stdout is a pipe: output then waits in the buffer until the exit."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 @pytest.mark.parametrize(
@@ -358,8 +373,10 @@ def test_each_command_loads_only_its_own_layers(argv, not_loaded):
         (["mdiew", "audit", "swap", "--trials", "20"], 0),
         (["mdiew", "audit", "{neg}", "--trials", "5"], 1),
         (["mdiew", "audit", "swap", "--povm-mode", "ideal", "--embed-dims", "9", "9"], 2),
+        # a document larger than a pipe buffer (64 KB)
+        (["extend", "choi", "--random-caps", "2", "2", "--restarts", "4"], 0),
     ],
-    ids=["passes", "violation", "input-error"],
+    ids=["passes", "violation", "input-error", "large-document"],
 )
 def test_entry_point_matches_main(tmp_path, capsys, argv, want_code):
     neg = tmp_path / "neg.json"
@@ -370,7 +387,7 @@ def test_entry_point_matches_main(tmp_path, capsys, argv, want_code):
     child_out = tmp_path / "child.json"
     proc = subprocess.run(
         [sys.executable, "-m", "entwit.cli", *argv, "--json-out", str(child_out)],
-        capture_output=True,
+        capture_output=True, env=_buffered_env(),
     )
     assert code == proc.returncode == want_code
     assert proc.stdout.decode() == out
@@ -379,3 +396,30 @@ def test_entry_point_matches_main(tmp_path, capsys, argv, want_code):
         assert out == "" and not child_out.exists()
     else:
         assert child_out.read_bytes() == proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the document outgrows the stdout buffer: the write inside main fails
+        ["extend", "choi", "--random-caps", "2", "2", "--restarts", "4"],
+        # the document stays in the buffer: only the flush before the exit fails
+        ["mdiew", "audit", "swap", "--trials", "5"],
+    ],
+    ids=["large-document", "small-document"],
+)
+def test_entry_point_reports_a_closed_stdout_once(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "entwit.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=_buffered_env(),
+        )
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "Broken pipe" in errors[0], err
+    assert "Exception ignored" not in err

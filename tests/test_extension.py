@@ -33,6 +33,14 @@ def test_extension_spec_validates_caps():
         ExtensionSpec(bipartite, np.eye(2))
     spec = ExtensionSpec(np.eye(3), random_psd(2, seed=1))
     assert spec.dims == (3, 2)
+    # the PSD check is relative to the cap's largest eigenvalue, at any scale
+    for scale in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+        for seed in range(20):
+            rng = rng_from(seed)
+            v = rng.normal(size=3) + 1j * rng.normal(size=3)
+            ExtensionSpec(scale * np.outer(v, v.conj()), np.eye(2))  # rank one
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            ExtensionSpec(scale * np.diag([1.0, 0.5, -1e-6]), np.eye(2))
 
 
 def test_trivial_caps_change_nothing_but_bookkeeping(swap):
@@ -69,6 +77,10 @@ def test_extend_state_requires_psd_and_normalizes(choi):
     assert is_psd(ext)
     with pytest.raises(ValueError):
         extend_state(choi, spec)  # not a state
+    for scale in (1e-12, 1e8):
+        scaled = HermitianOperator(scale * rho.mat, rho.layout)
+        ext = extend_state(scaled, spec, normalize=True)
+        assert ext.trace == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transposed_extension_factorizes_exactly(choi, swap):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -121,7 +120,7 @@ def test_scenario_ideal_construction(swap):
     sc = MdiewScenario.ideal(swap)
     assert sc.party_dims == (2, 2)
     with pytest.raises(NumericalError):
-        dataclasses.replace(sc, beta=sc.beta + 0.1)
+        MdiewScenario(sc.witness, sc.basis_left, sc.basis_right, sc.beta + 0.1)
     rho = _as_state(random_density(4, seed=3).mat, (2, 2))
     ideal = mdiew_value(sc, rho, ideal_projector(2), ideal_projector(2))
     assert mdiew_value(sc, rho) == ideal

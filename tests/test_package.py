@@ -1,4 +1,5 @@
 import inspect
+import pickle
 import sys
 import types
 
@@ -42,3 +43,38 @@ def test_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
         entwit.no_such_name
     assert not hasattr(entwit, "no_such_name")
+
+
+
+def test_value_types_and_records_are_immutable_and_picklable():
+    swap = entwit.swap_witness()
+    layout = entwit.SystemLayout((2, 2), 1)
+    assert layout == entwit.SystemLayout([2, 2], 1) != entwit.SystemLayout((2, 2), 0)
+    assert hash(layout) == hash(entwit.SystemLayout([2, 2], 1))
+    certificate = entwit.certify_witness(swap, restarts=2)
+    scenario = entwit.MdiewScenario.ideal(swap)
+    instances = [
+        layout,
+        swap,
+        certificate.min_product.best_vector,
+        entwit.random_separable(layout, k=2, seed=0),
+        scenario.basis_left,
+        scenario,
+        entwit.ExtensionSpec(entwit.random_psd(2, seed=0), entwit.random_psd(2, seed=1)),
+        entwit.AbParams(),
+        certificate,
+        certificate.min_product,
+        entwit.collect_zero_set(swap, target_count=2, seed=0),
+        entwit.has_spanning_property(swap, certificate),
+        entwit.AuditFailure(0, 0.0, 0.0, "reason"),
+        entwit.separable_nonnegativity_audit(scenario, trials=2, seed=0),
+        entwit.nontrivial_extension_exhibit(),
+    ]
+    for obj in instances:
+        fields = getattr(obj, "_fields", None) or type(obj).__slots__
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+        copied = pickle.loads(pickle.dumps(obj))
+        assert type(copied) is type(obj)
+        assert repr(copied) == repr(obj)

@@ -6,6 +6,7 @@ import pytest
 from entwit import (
     HermitianOperator,
     SerializationError,
+    SpanningReport,
     SystemLayout,
     dump_operator,
     dumps_canonical,
@@ -98,6 +99,7 @@ def test_to_jsonable_handles_common_shapes():
             "m": np.eye(2, dtype=complex),
             "r": np.array([1.0, 2.0]),
             "t": (1, 2),
+            "s": SpanningReport(spanning=True, rank=4, dim=4, verdict="confirmed"),
         }
     )
     assert out["z"] == [1.0, 2.0]
@@ -105,6 +107,9 @@ def test_to_jsonable_handles_common_shapes():
     assert out["m"][0][0] == [1.0, 0.0]
     assert out["r"] == [1.0, 2.0]
     assert out["t"] == [1, 2]
+    assert out["s"] == {
+        "spanning": True, "rank": 4, "dim": 4, "verdict": "confirmed", "note": ""
+    }
 
 
 def test_dumps_canonical_is_stable():

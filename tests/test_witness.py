@@ -332,8 +332,11 @@ def test_certify_indecomposable_rejects_decomposable_witness(swap):
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1.0, 1e8])
 def test_certify_indecomposable_does_not_depend_on_scale(scale, choi):
+    state = choi_detected_ppt_state()
     scaled = HermitianOperator(scale * choi.mat, choi.layout)
-    assert certify_indecomposable(scaled, choi_detected_ppt_state())
+    assert certify_indecomposable(scaled, state)
+    scaled_state = HermitianOperator(scale * state.mat, state.layout)
+    assert certify_indecomposable(choi, scaled_state)
 
 
 def test_certify_indecomposable_dimension_mismatch(choi):
