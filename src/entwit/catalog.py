@@ -15,7 +15,7 @@ from .operators import (
     maximally_entangled_vector,
     projector,
 )
-from .choi import choi_witness
+from .choi import _choi_blocks, choi_witness
 
 __all__ = [
     "swap_witness",
@@ -43,17 +43,10 @@ def choi_detected_ppt_state() -> HermitianOperator:
     weights 3 : 2 : 1/2; the partial transpose is PSD by construction while
     the witness value stays strictly negative.
     """
-    d = 3
-    pplus = projector(maximally_entangled_vector(d))
-    dplus = np.zeros((d * d, d * d), dtype=complex)
-    dminus = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        kp = i * d + (i + 1) % d
-        km = i * d + (i - 1) % d
-        dplus[kp, kp] = 1.0
-        dminus[km, km] = 1.0
+    pplus = projector(maximally_entangled_vector(3))
+    _, dplus, dminus = _choi_blocks()
     raw = 3.0 * pplus + 2.0 * dplus + 0.5 * dminus
-    return HermitianOperator(raw / raw.trace().real, SystemLayout((d, d), 1))
+    return HermitianOperator(raw / raw.trace().real, SystemLayout((3, 3), 1))
 
 
 def catalogued_witnesses() -> dict[str, HermitianOperator]:

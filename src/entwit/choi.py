@@ -28,7 +28,6 @@ from .operators import (
     is_psd,
     partial_trace,
     partial_transpose,
-    projector,
 )
 from .witness import IMAG_TOL, expectation
 
@@ -53,26 +52,29 @@ AB_PSD_TOL = 1e-10
 CLOSED_FORM_SCALE = 1.0 / 3.0
 
 
+def _choi_blocks() -> tuple[Array, Array, Array]:
+    """The 9x9 blocks the family is built from: sum_{i,j} |i, i><j, j|,
+    D+ = sum_i |i, i+1><i, i+1| and D- = sum_i |i, i-1><i, i-1| (indices mod 3)."""
+    d = 3
+    k = np.arange(d)
+    diag, plus, minus = k * d + k, k * d + (k + 1) % d, k * d + (k - 1) % d
+    ent, dplus, dminus = np.zeros((3, d * d, d * d), dtype=complex)
+    ent[np.ix_(diag, diag)] = 1.0
+    dplus[plus, plus] = 1.0
+    dminus[minus, minus] = 1.0
+    return ent, dplus, dminus
+
+
 def choi_witness() -> HermitianOperator:
     """The 9x9 witness above, as an operator on dims (3, 3) with cut 1."""
-    d = 3
-    mat = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        k = i * d + (i - 1) % d
-        mat[k, k] += 1.0
-        mat[i * d + i, i * d + i] += 2.0
-    for i in range(d):
-        for j in range(d):
-            mat[i * d + i, j * d + j] -= 1.0
-    return HermitianOperator(mat, SystemLayout((d, d), 1))
+    ent, _, dminus = _choi_blocks()
+    mat = dminus + np.diag(2 * ent.diagonal()) - ent
+    return HermitianOperator(mat, SystemLayout((3, 3), 1))
 
 
 def shift_operator(d: int) -> Array:
-    """Cyclic shift |k> -> |k+1 mod d| as a d x d permutation matrix.
-
-    The wraparound (top index maps to 0) keeps the matrix unitary, which the
-    conjugations in rho_abb_matrix rely on.
-    """
+    """Cyclic shift |k> -> |k+1 mod d> as a d x d permutation matrix; the
+    wraparound (top index maps to 0) keeps the matrix unitary."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     mat = np.zeros((d, d), dtype=complex)
@@ -87,6 +89,13 @@ def _hermitian_2x2(mat: Array | HermitianOperator | list, name: str) -> Array:
         raise ValueError(f"{name} must be 2x2, got {arr.shape}")
     if np.abs(arr - arr.conj().T).max() > HERMITICITY_TOL:
         raise ValueError(f"{name} must be Hermitian")
+    return arr
+
+
+def _psd_2x2(mat: Array | HermitianOperator | list, name: str) -> Array:
+    arr = _hermitian_2x2(mat, name)
+    if not is_psd(arr, AB_PSD_TOL):
+        raise ValueError(f"{name} is not positive semidefinite")
     return arr
 
 
@@ -107,12 +116,8 @@ class AbParams(_Frozen):
         a: Array | HermitianOperator | list | None = None,
         b: Array | HermitianOperator | list | None = None,
     ) -> None:
-        a = _hermitian_2x2(np.ones((2, 2)) if a is None else a, "a")
-        b = _hermitian_2x2(np.eye(2) if b is None else b, "b")
-        if not is_psd(a, AB_PSD_TOL):
-            raise ValueError("a is not positive semidefinite")
-        if not is_psd(b, AB_PSD_TOL):
-            raise ValueError("b is not positive semidefinite")
+        a = _psd_2x2(np.ones((2, 2)) if a is None else a, "a")
+        b = _psd_2x2(np.eye(2) if b is None else b, "b")
         if (a + b).trace().real <= 0:
             raise ValueError("Tr(a) + Tr(b) must be positive")
         a.setflags(write=False)
@@ -121,31 +126,19 @@ class AbParams(_Frozen):
 
 
 def rho_abb_matrix(a: Array, b: Array) -> Array:
-    """Unnormalized family member on dims (3, 3, 2), from raw Hermitian blocks.
+    """Unnormalized family member on dims (3, 3, 2), from raw Hermitian blocks:
 
-    Assembled blockwise over the A index: the off-diagonal (i, j) block is
-    |i><j| (x) a on BB', and the diagonal blocks are the shift conjugates
-    (S^i (x) I) X (S^i (x) I)^dag of X = |0><0| (x) a + |2><2| (x) b.  Takes
-    raw matrices rather than AbParams so that the PSD characterization
-    (result PSD iff a and b both are) stays checkable on signed inputs.
+        (sum_{i,j} |i, i><j, j|) (x) a  +  D- (x) b,
+
+    so the A-block (i, j) is |i><j| (x) a on BB', and each diagonal A-block
+    adds |i-1><i-1| (x) b.  Takes raw matrices rather than AbParams so that the
+    PSD characterization (result PSD iff a and b both are) stays checkable on
+    signed inputs.
     """
     a = _hermitian_2x2(a, "a")
     b = _hermitian_2x2(b, "b")
-    d = 3
-    s = shift_operator(d)
-    eye3 = np.eye(d, dtype=complex)
-    x = np.kron(projector(eye3[0]), a) + np.kron(projector(eye3[2]), b)
-    out = np.zeros((d * d * 2, d * d * 2), dtype=complex)
-    block = d * 2
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                left = np.kron(np.linalg.matrix_power(s, i), np.eye(2))
-                piece = left @ x @ left.conj().T
-            else:
-                piece = np.kron(np.outer(eye3[i], eye3[j]), a)
-            out[i * block : (i + 1) * block, j * block : (j + 1) * block] = piece
-    return out
+    ent, _, dminus = _choi_blocks()
+    return np.kron(ent, a) + np.kron(dminus, b)
 
 
 def rho_abb(params: AbParams) -> HermitianOperator:
@@ -153,13 +146,6 @@ def rho_abb(params: AbParams) -> HermitianOperator:
     raw = rho_abb_matrix(params.a, params.b)
     tr = raw.trace().real
     return HermitianOperator(raw / tr, SystemLayout((3, 3, 2), 1))
-
-
-def _cap_2x2(cap: Array | HermitianOperator) -> Array:
-    mat = _hermitian_2x2(cap, "cap")
-    if not is_psd(mat, AB_PSD_TOL):
-        raise ValueError("cap is not positive semidefinite")
-    return mat
 
 
 def detection_values(
@@ -171,7 +157,7 @@ def detection_values(
     the B'-traced A|B marginal.  A negative first entry with a vanishing
     second is the point: the cap alone buys the detection.
     """
-    cap_mat = _cap_2x2(cap_right)
+    cap_mat = _psd_2x2(cap_right, "cap")
     w = choi_witness()
     state = rho_abb(params)
     ext_op = HermitianOperator(np.kron(w.mat, cap_mat), state.layout)
@@ -190,7 +176,7 @@ def closed_form_values(
 
     Multiplying either by CLOSED_FORM_SCALE reproduces detection_values.
     """
-    cap_mat = _cap_2x2(cap_right)
+    cap_mat = _psd_2x2(cap_right, "cap")
     tr_ab = (params.a + params.b).trace().real
     diff = params.b - params.a
     ext = 3.0 / tr_ab * (cap_mat @ diff).trace()
@@ -226,7 +212,7 @@ def nontrivial_extension_exhibit(
     """
     params = AbParams() if params is None else params
     cap_mat = (
-        np.ones((2, 2), dtype=complex) if cap_right is None else _cap_2x2(cap_right)
+        np.ones((2, 2), dtype=complex) if cap_right is None else _psd_2x2(cap_right, "cap")
     )
     ext_value, reduced_value = detection_values(params, cap_mat)
     closed_ext, closed_reduced = closed_form_values(params, cap_mat)

@@ -23,7 +23,6 @@ does not pay for loading the others.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -31,14 +30,14 @@ from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
-from .operators import PSD_TOL, HermitianOperator, LayoutError, NumericalError
+from .operators import PSD_TOL, HermitianOperator, NumericalError
 from .sampling import DEFAULT_RESTARTS, POVM_MODES, random_psd, rng_from
 from .serialization import (
     SerializationError,
+    _read_json,
     dumps_canonical,
     load_operator,
     operator_from_dict,
-    operator_to_dict,
 )
 
 if TYPE_CHECKING:
@@ -69,12 +68,9 @@ def bundled_operator_names() -> tuple[str, ...]:
 
 def resolve_operator(token: str) -> tuple[str, HermitianOperator]:
     """Interpret an operator argument as a file path or a bundled name."""
-    path = Path(token)
-    if path.is_file():
-        return token, load_operator(path)
-    candidate = _fixture_dir() / f"{token}.json"
-    if candidate.is_file():
-        return token, operator_from_dict(json.loads(candidate.read_text()))
+    for path in (Path(token), _fixture_dir() / f"{token}.json"):
+        if path.is_file():
+            return token, load_operator(path)
     raise SerializationError(
         f"{token!r} is neither a readable file nor one of the bundled "
         f"operators {', '.join(bundled_operator_names())}"
@@ -119,15 +115,11 @@ def cmd_certify(args) -> int:
         "config": _config(args),
         "witness": label,
         "is_witness_numeric": cert.is_witness_numeric,
-        "min_eigenvalue": float(cert.min_eigenvalue),
-        "min_product_value": float(cert.min_product.best_value),
+        "min_eigenvalue": cert.min_eigenvalue,
+        "min_product_value": cert.min_product.best_value,
         "see_saw_converged": cert.min_product.converged,
-        "detection_value": None
-        if cert.detection_value is None
-        else float(cert.detection_value),
-        "detection_state": None
-        if cert.detection_state is None
-        else operator_to_dict(cert.detection_state),
+        "detection_value": cert.detection_value,
+        "detection_state": cert.detection_state,
         "spanning": None,
         "nd_spanning": None,
     }
@@ -142,7 +134,7 @@ def cmd_certify(args) -> int:
         span = has_spanning_property(op, cert)
         nd = nd_spanning(op, span, seed=args.seed)
         nd_verdict = VERDICT_CONFIRMED if nd else VERDICT_NOT_FOUND
-        payload["spanning"] = span._asdict()
+        payload["spanning"] = span
         payload["nd_spanning"] = {"verdict": nd_verdict, "holds": nd}
         lines += [
             f"zero-set spanning:    {span.verdict} (rank {span.rank} of {span.dim})",
@@ -161,12 +153,7 @@ def cmd_certify(args) -> int:
 def _caps_from_file(path: str) -> ExtensionSpec:
     from .extension import ExtensionSpec
 
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise SerializationError(f"cannot read cap file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"cap file {path!r} is not valid JSON: {exc}") from exc
+    data = _read_json(path, f"cap file {path!r}")
     if not isinstance(data, dict) or set(data) != {"cap_left", "cap_right"}:
         raise SerializationError(
             f"cap file {path!r} must be an object with exactly the keys "
@@ -211,13 +198,13 @@ def cmd_extend(args) -> int:
         "config": _config(args),
         "witness": label,
         "caps_source": caps_source,
-        "cap_left": operator_to_dict(spec.cap_left),
-        "cap_right": operator_to_dict(spec.cap_right),
-        "extended": operator_to_dict(extended),
+        "cap_left": spec.cap_left,
+        "cap_right": spec.cap_right,
+        "extended": extended,
         "recertification": {
             "is_witness_numeric": recert.is_witness_numeric,
-            "min_eigenvalue": float(recert.min_eigenvalue),
-            "min_product_value": float(recert.min_product.best_value),
+            "min_eigenvalue": recert.min_eigenvalue,
+            "min_product_value": recert.min_product.best_value,
         },
         "gamma_structure_ok": gamma_ok,
     }
@@ -240,14 +227,14 @@ def cmd_choi_demo(args) -> int:
     payload = {
         "command": "choi-demo",
         "config": _config(args),
-        "a": [[report.params.a[i, j].real for j in range(2)] for i in range(2)],
-        "b": [[report.params.b[i, j].real for j in range(2)] for i in range(2)],
-        "cap_right": [[report.cap_right[i, j].real for j in range(2)] for i in range(2)],
-        "ext_value": float(report.ext_value),
-        "reduced_value": float(report.reduced_value),
-        "closed_ext": float(report.closed_ext),
-        "closed_reduced": float(report.closed_reduced),
-        "scale": float(report.scale),
+        "a": report.params.a.real,
+        "b": report.params.b.real,
+        "cap_right": report.cap_right.real,
+        "ext_value": report.ext_value,
+        "reduced_value": report.reduced_value,
+        "closed_ext": report.closed_ext,
+        "closed_reduced": report.closed_reduced,
+        "scale": report.scale,
         "state_psd": report.state_psd,
         "gamma_bprime_psd": report.gamma_bprime_psd,
     }
@@ -275,9 +262,9 @@ def cmd_mdiew_decompose(args) -> int:
         "command": "mdiew-decompose",
         "config": _config(args),
         "witness": label,
-        "party_dims": list(scenario.party_dims),
+        "party_dims": scenario.party_dims,
         "basis_sizes": [len(scenario.basis_left), len(scenario.basis_right)],
-        "beta": [[float(v) for v in row] for row in scenario.beta],
+        "beta": scenario.beta,
         "residual": scenario.residual,
     }
     lines = [
@@ -308,18 +295,10 @@ def cmd_mdiew_audit(args) -> int:
         "witness": label,
         "trials": report.trials,
         "povm_mode": report.povm_mode,
-        "embed_dims": None if report.embed_dims is None else list(report.embed_dims),
-        "min_value": float(report.min_value),
-        "max_route_gap": float(report.max_route_gap),
-        "failures": [
-            {
-                "trial": f.trial,
-                "route_direct": float(f.route_direct),
-                "route_mixture": float(f.route_mixture),
-                "reason": f.reason,
-            }
-            for f in report.failures
-        ],
+        "embed_dims": report.embed_dims,
+        "min_value": report.min_value,
+        "max_route_gap": report.max_route_gap,
+        "failures": report.failures,
         "passed": report.passed,
     }
     lines = [
@@ -431,9 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        SerializationError, LayoutError, NumericalError, ValueError, OSError
-    ) as exc:
+    except (ValueError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit 1 is reserved for property violations

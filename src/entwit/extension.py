@@ -123,7 +123,6 @@ def extended_zero_set(zeros: ZeroSet, d_ap: int, d_bp: int) -> ZeroSet:
     if not zeros.vectors:
         raise ValueError("zero set is empty; nothing to lift")
     vectors: list[ProductVector] = []
-    fulls: list[Array] = []
     for pv in zeros.vectors:
         if len(pv.factors) != 2:
             raise LayoutError("can only lift bipartite (two-factor) zeros")
@@ -132,7 +131,7 @@ def extended_zero_set(zeros: ZeroSet, d_ap: int, d_bp: int) -> ZeroSet:
             for j in range(d_bp):
                 e, f = basis_vector(d_ap, i), basis_vector(d_bp, j)
                 vectors.append(ProductVector((e, phi, psi, f)))
-                fulls.append(np.kron(np.kron(np.kron(e, phi), psi), f))
+    fulls = [v.full() for v in vectors]
     return ZeroSet(tuple(vectors), span_rank(fulls), zeros.zero_tol)
 
 

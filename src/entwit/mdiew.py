@@ -164,39 +164,24 @@ def _realigned(
     return left, right, _realign(W.mat, d_a, d_b)
 
 
-def _residual(left: Array, right: Array, target: Array, beta: Array) -> float:
-    """Equals ||sum beta sigma (x) sigma - W||_F: realignment only permutes entries."""
-    return float(np.linalg.norm(left @ beta @ right.T - target))
-
-
-def _check_residual(residual: float, W: HermitianOperator) -> None:
-    if residual > DECOMPOSITION_RESIDUAL_TOL * float(np.linalg.norm(W.mat)):
-        raise NumericalError(
-            f"beta does not reconstruct the witness: residual {residual:.3e}"
-        )
-
-
 def reconstruction_residual(
     W: HermitianOperator,
     basis_left: StateBasis,
     basis_right: StateBasis,
     beta: Array,
 ) -> float:
-    """Frobenius norm of (sum beta[s, t] sigma_s (x) sigma_t) - W."""
-    return _residual(*_realigned(W, basis_left, basis_right), beta)
+    """Frobenius norm of (sum beta[s, t] sigma_s (x) sigma_t) - W, read off the
+    realigned equation: realignment only permutes entries."""
+    left, right, target = _realigned(W, basis_left, basis_right)
+    return float(np.linalg.norm(left @ beta @ right.T - target))
 
 
-def decompose_witness(
-    W: HermitianOperator,
-    basis_left: StateBasis,
-    basis_right: StateBasis,
+def _solve_beta(
+    W: HermitianOperator, basis_left: StateBasis, basis_right: StateBasis
 ) -> Array:
-    """Coefficients beta with sum beta[s,t] s (x) t = W: two solves of
-    L beta R^T = realign(W), as each basis has d^2 independent members.
-
-    Hermiticity of W and of the members forces the complex solution real,
-    which is checked at 1e-10 ||W||_F; a residual above 1e-9 ||W||_F raises.
-    """
+    """Two solves of L beta R^T = realign(W), as each basis has d^2 independent
+    members.  Hermiticity of W and of the members forces the complex solution
+    real, which is checked at 1e-10 ||W||_F."""
     left, right, target = _realigned(W, basis_left, basis_right)
     coeffs = np.linalg.solve(right, np.linalg.solve(left, target).T).T
     imag = float(np.abs(coeffs.imag).max())
@@ -204,10 +189,18 @@ def decompose_witness(
         raise NumericalError(
             f"decomposition coefficients have imaginary part {imag:.3e}"
         )
-    beta = coeffs.real
-    _check_residual(_residual(left, right, target, beta), W)
-    beta.setflags(write=False)
-    return beta
+    return coeffs.real
+
+
+def decompose_witness(
+    W: HermitianOperator,
+    basis_left: StateBasis,
+    basis_right: StateBasis,
+) -> Array:
+    """Read-only coefficients beta with sum beta[s,t] s (x) t = W, solved as in
+    ``MdiewScenario.ideal``; a residual above 1e-9 ||W||_F raises."""
+    beta = _solve_beta(W, basis_left, basis_right)
+    return MdiewScenario(W, basis_left, basis_right, beta).beta
 
 
 def ideal_projector(d: int) -> Array:
@@ -255,7 +248,10 @@ class MdiewScenario(_Frozen):
                 f"({len(basis_left)}, {len(basis_right)})"
             )
         residual = reconstruction_residual(witness, basis_left, basis_right, beta)
-        _check_residual(residual, witness)
+        if residual > DECOMPOSITION_RESIDUAL_TOL * float(np.linalg.norm(witness.mat)):
+            raise NumericalError(
+                f"beta does not reconstruct the witness: residual {residual:.3e}"
+            )
         beta.setflags(write=False)
         self._set(
             witness=witness,
@@ -270,12 +266,7 @@ class MdiewScenario(_Frozen):
         """Tomographic bases and the beta solved over them."""
         basis_left = tomographic_basis(W.layout.left_dim)
         basis_right = tomographic_basis(W.layout.right_dim)
-        return cls(
-            witness=W,
-            basis_left=basis_left,
-            basis_right=basis_right,
-            beta=decompose_witness(W, basis_left, basis_right),
-        )
+        return cls(W, basis_left, basis_right, _solve_beta(W, basis_left, basis_right))
 
     @property
     def party_dims(self) -> tuple[int, int]:

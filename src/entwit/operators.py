@@ -79,6 +79,12 @@ class _Frozen:
 
 
 def _refill(cls: type, values: tuple):
+    # pickle does not keep the write flag: freeze each array again, whether
+    # it fills a slot or sits in a tuple that does
+    for value in values:
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
     obj = cls.__new__(cls)
     obj._set(**dict(zip(cls.__slots__, values)))
     return obj
@@ -240,16 +246,16 @@ class SeparableEnsemble(_Frozen):
     def dims(self) -> tuple[int, ...]:
         return self.members[0].dims
 
-    def density(self, cut: int | None = None) -> HermitianOperator:
-        """Mix the member projectors into a density operator."""
+    def density(self) -> HermitianOperator:
+        """Mix the member projectors into a density operator, cut after the
+        first subsystem."""
         dims = self.dims
         d = int(np.prod(dims))
         rho = np.zeros((d, d), dtype=complex)
         for w, m in zip(self.weights, self.members):
             v = m.full()
             rho += w * np.outer(v, v.conj())
-        layout = SystemLayout(dims, cut if cut is not None else 1)
-        return HermitianOperator(rho, layout)
+        return HermitianOperator(rho, SystemLayout(dims, 1))
 
 
 def _as_matrix(M: HermitianOperator | Array) -> Array:
@@ -308,12 +314,9 @@ def partial_transpose(
 def partial_trace(M: HermitianOperator, keep: Iterable[int]) -> HermitianOperator:
     """Trace out every subsystem not in ``keep``."""
     layout = M.layout
-    keep_set = tuple(sorted(set(int(k) for k in keep)))
+    keep_set = _validated_subsystems(layout, tuple(keep))
     if not keep_set:
         raise LayoutError("keep set must be nonempty")
-    for k in keep_set:
-        if not 0 <= k < layout.n_subsystems:
-            raise LayoutError(f"subsystem index {k} out of range for dims {layout.dims}")
     n = layout.n_subsystems
     t = M.mat.reshape(layout.dims + layout.dims)
     dropped = [s for s in range(n) if s not in keep_set]

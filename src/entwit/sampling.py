@@ -50,27 +50,18 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> Array:
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def random_psd(d: int, seed) -> HermitianOperator:
+    """PSD matrix G G† from a complex Gaussian G."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    g = _complex_gaussian(rng_from(seed), (d, d))
+    return HermitianOperator(g @ g.conj().T, single_system(d))
+
+
 def random_density(d: int, seed) -> HermitianOperator:
-    """Unit-trace PSD matrix from a normalized complex Gaussian square."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    rng = rng_from(seed)
-    g = _complex_gaussian(rng, (d, d))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    return HermitianOperator(rho, single_system(d))
-
-
-def random_psd(d: int, seed, unit_trace: bool = False) -> HermitianOperator:
-    """PSD matrix G G† from a complex Gaussian G, optionally trace-normalized."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    rng = rng_from(seed)
-    g = _complex_gaussian(rng, (d, d))
-    p = g @ g.conj().T
-    if unit_trace:
-        p /= np.trace(p).real
-    return HermitianOperator(p, single_system(d))
+    """``random_psd`` divided by its trace."""
+    p = random_psd(d, seed)
+    return HermitianOperator(p.mat / p.trace, p.layout)
 
 
 def random_product_vector(layout: SystemLayout, seed) -> ProductVector:

@@ -96,17 +96,20 @@ def dump_operator(op: HermitianOperator, path: str | Path) -> None:
     Path(path).write_text(dumps_canonical(operator_to_dict(op)))
 
 
-def load_operator(path: str | Path) -> HermitianOperator:
-    p = Path(path)
+def _read_json(path: str | Path, what: str) -> Any:
+    """The parsed JSON file at ``path``; ``what`` names it in error messages."""
     try:
-        text = p.read_text()
+        text = Path(path).read_text()
     except OSError as exc:
-        raise SerializationError(f"cannot read {p}: {exc}") from exc
+        raise SerializationError(f"cannot read {what}: {exc}") from exc
     try:
-        payload = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SerializationError(f"{p} is not valid JSON: {exc}") from exc
-    return operator_from_dict(payload)
+        raise SerializationError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def load_operator(path: str | Path) -> HermitianOperator:
+    return operator_from_dict(_read_json(path, str(Path(path))))
 
 
 def to_jsonable(x: Any) -> Any:

@@ -26,7 +26,7 @@ from .operators import (
     is_psd,
     partial_transpose,
 )
-from .sampling import DEFAULT_RESTARTS, rng_from
+from .sampling import DEFAULT_RESTARTS, _complex_gaussian, rng_from
 
 __all__ = [
     "SeeSawReport",
@@ -143,8 +143,7 @@ def _start_vectors(seed: int, indices: range, d_right: int) -> Array:
     descent ``t`` draws from ``rng_from(seed, t)``."""
     starts = np.empty((len(indices), d_right), dtype=complex)
     for n, t in enumerate(indices):
-        rng = rng_from(seed, t)
-        psi = rng.normal(size=d_right) + 1j * rng.normal(size=d_right)
+        psi = _complex_gaussian(rng_from(seed, t), d_right)
         starts[n] = psi / np.linalg.norm(psi)
     return starts
 
@@ -311,12 +310,13 @@ def certify_witness(
     )
 
 
-def span_rank(vectors: list[Array], threshold: float = SPAN_SV_THRESHOLD) -> int:
-    """Singular-value rank of stacked vectors at a relative threshold."""
+def span_rank(vectors: list[Array]) -> int:
+    """Singular-value rank of stacked vectors at the relative threshold
+    SPAN_SV_THRESHOLD."""
     if not vectors:
         return 0
     sv = np.linalg.svd(np.array(vectors), compute_uv=False)
-    return int((sv > threshold * sv[0]).sum())
+    return int((sv > SPAN_SV_THRESHOLD * sv[0]).sum())
 
 
 def collect_zero_set(

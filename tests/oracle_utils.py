@@ -7,7 +7,9 @@ its own eigensolver calls instead of the lock-step kernel, the click
 probability is an eight-fold index loop with hand-written offset arithmetic
 instead of kron/permute calls, and the decomposition coefficients come from
 a least-squares solve over the explicit product basis instead of the
-realigned two-solve route.
+realigned two-solve route.  The Choi witness, its detected PPT state and the
+A|BB' family are filled index by index, and block by block from shift
+conjugates, instead of from the closed forms over shared 9x9 blocks.
 """
 
 import numpy as np
@@ -338,4 +340,59 @@ def partial_trace_loops(mat, dims, keep):
             ro = sum(ridx[k] * s for k, s in zip(kept, kstrides))
             co = sum(cidx[k] * s for k, s in zip(kept, kstrides))
             out[ro, co] += mat[r, c]
+    return out
+
+
+def choi_witness_loops():
+    """The qutrit Choi witness entry by entry: +1 on each |i, i-1> slot, +2 on
+    each |ii>, then -1 on every |ii><jj|."""
+    d = 3
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        k = i * d + (i - 1) % d
+        mat[k, k] += 1.0
+        mat[i * d + i, i * d + i] += 2.0
+    for i in range(d):
+        for j in range(d):
+            mat[i * d + i, j * d + j] -= 1.0
+    return mat
+
+
+def choi_detected_ppt_state_loops():
+    """3 |Phi+><Phi+| + 2 D+ + D- / 2 over its trace, the shifted diagonals
+    D+- = sum_i |i, i+-1><i, i+-1| filled index by index."""
+    d = 3
+    v = np.zeros(d * d, dtype=complex)
+    for k in range(d):
+        v[d * k + k] = 1.0
+    v = v / np.sqrt(d)
+    dplus = np.zeros((d * d, d * d), dtype=complex)
+    dminus = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        kp = i * d + (i + 1) % d
+        km = i * d + (i - 1) % d
+        dplus[kp, kp] = 1.0
+        dminus[km, km] = 1.0
+    raw = 3.0 * np.outer(v, v.conj()) + 2.0 * dplus + 0.5 * dminus
+    return raw / raw.trace().real
+
+
+def rho_abb_blocks(a, b):
+    """The A|BB' family assembled block by block over the A index: block
+    (i, j) is |i><j| (x) a for i != j, and diagonal block i is the shift
+    conjugate (S^i (x) I) X (S^i (x) I)^H of X = |0><0| (x) a + |2><2| (x) b."""
+    d = 3
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)  # |k> -> |k+1 mod d>
+    eye3 = np.eye(d, dtype=complex)
+    x = np.kron(np.outer(eye3[0], eye3[0]), a) + np.kron(np.outer(eye3[2], eye3[2]), b)
+    out = np.zeros((d * d * 2, d * d * 2), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                left = np.kron(np.linalg.matrix_power(shift, i), np.eye(2))
+                piece = left @ x @ left.conj().T
+            else:
+                piece = np.kron(np.outer(eye3[i], eye3[j]), a)
+            out[6 * i : 6 * i + 6, 6 * j : 6 * j + 6] = piece
     return out

@@ -140,7 +140,7 @@ def test_criterion_04_indecomposability_transfer():
         base = (
             rho
             if trial % 2 == 0
-            else random_separable(layout33, k=3, seed=trial).density(cut=1)
+            else random_separable(layout33, k=3, seed=trial).density()
         )
         spec = ExtensionSpec(
             random_density(2, rng_from(trial, 84)),

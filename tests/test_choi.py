@@ -24,6 +24,7 @@ from entwit import (
     shift_operator,
 )
 from entwit.choi import CLOSED_FORM_SCALE
+from oracle_utils import choi_detected_ppt_state_loops, choi_witness_loops, rho_abb_blocks
 
 # frozen 9x9 reference, written out longhand from the defining recipe:
 # +1 on each |i, i-1> diagonal slot, +2 on each |ii>, -1 on every |ii><jj|
@@ -62,6 +63,19 @@ def test_choi_vanishes_on_a_computational_product(choi):
     e01[1] = 1.0
     rho = HermitianOperator(np.outer(e01, e01), SystemLayout((3, 3), 1))
     assert expectation(choi, rho) == 0.0
+
+
+def test_choi_operators_equal_their_index_loops_exactly(choi):
+    assert np.array_equal(choi.mat, choi_witness_loops())
+    assert np.array_equal(choi_detected_ppt_state().mat, choi_detected_ppt_state_loops())
+
+
+def test_rho_abb_matrix_equals_block_assembly_exactly():
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        g = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+        a, b = (m + m.conj().T for m in g)  # signed: indefinite in general
+        assert np.array_equal(rho_abb_matrix(a, b), rho_abb_blocks(a, b))
 
 
 def test_shift_operator():

@@ -151,6 +151,25 @@ def test_extend_rejects_wrong_cap_keys(tmp_path, capsys):
     assert "cap_left" in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read cap file {path!r}: "),
+        ("not json", "cap file {path!r} is not valid JSON: "),
+    ],
+    ids=["missing", "not-json"],
+)
+def test_extend_reports_unreadable_cap_files(tmp_path, capsys, content, message):
+    path = tmp_path / "caps.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run_cli(capsys, "extend", "swap", "--caps", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: " + message.format(path=str(path)))
+    assert err.count("\n") == 1
+
+
 def test_extend_random_caps_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "extend", "swap", "--random-caps", "2", "2", "--quiet")
     code2, out2, _ = run_cli(capsys, "extend", "swap", "--random-caps", "2", "2", "--quiet")

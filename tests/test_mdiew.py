@@ -322,7 +322,7 @@ def test_audit_trials_do_not_depend_on_their_chunk(name, mode, embed, named, mon
 def test_mdiew_value_matches_loop_oracle_at_choi_size(choi):
     sc = MdiewScenario.ideal(choi)
     rng = rng_from(7, 0)
-    rho = random_separable(SystemLayout((3, 3), 1), 3, rng).density(cut=1)
+    rho = random_separable(SystemLayout((3, 3), 1), 3, rng).density()
     e_l = random_povm_first_element(9, rng).mat
     e_r = random_povm_first_element(9, rng).mat
     want = sum(

@@ -81,7 +81,7 @@ def test_separable_ensemble_density():
         g = rng.normal(size=2) + 1j * rng.normal(size=2)
         members.append(ProductVector((f / np.linalg.norm(f), g / np.linalg.norm(g))))
     ens = SeparableEnsemble((0.5, 0.3, 0.2), tuple(members))
-    rho = ens.density(cut=1)
+    rho = ens.density()
     manual = sum(
         w * np.outer(m.full(), m.full().conj())
         for w, m in zip((0.5, 0.3, 0.2), members)

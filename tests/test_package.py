@@ -1,11 +1,14 @@
+import copy
 import inspect
 import pickle
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import entwit
+from entwit.operators import _Frozen
 
 SUBMODULES = (
     "operators", "sampling", "witness", "extension", "choi", "catalog", "mdiew",
@@ -46,6 +49,21 @@ def test_unknown_name_raises_attribute_error_naming_it():
 
 
 
+def _held_arrays(obj):
+    """(owner type name, array) for each array a value type holds, in a slot
+    or in a tuple in a slot, found through records and nested value types."""
+    if isinstance(obj, _Frozen):
+        for name in type(obj).__slots__:
+            value = getattr(obj, name)
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    yield type(obj).__name__, item
+            yield from _held_arrays(value)
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _held_arrays(item)
+
+
 def test_value_types_and_records_are_immutable_and_picklable():
     swap = entwit.swap_witness()
     layout = entwit.SystemLayout((2, 2), 1)
@@ -70,11 +88,17 @@ def test_value_types_and_records_are_immutable_and_picklable():
         entwit.separable_nonnegativity_audit(scenario, trials=2, seed=0),
         entwit.nontrivial_extension_exhibit(),
     ]
+    owners = set()
     for obj in instances:
         fields = getattr(obj, "_fields", None) or type(obj).__slots__
         for name in fields:
             with pytest.raises(AttributeError):
                 setattr(obj, name, None)
-        copied = pickle.loads(pickle.dumps(obj))
-        assert type(copied) is type(obj)
-        assert repr(copied) == repr(obj)
+        for copied in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            assert type(copied) is type(obj)
+            assert repr(copied) == repr(obj)
+            for owner, arr in _held_arrays(copied):
+                assert not arr.flags.writeable, (type(obj).__name__, owner)
+                owners.add(owner)
+    assert {"HermitianOperator", "ProductVector", "StateBasis", "MdiewScenario",
+            "AbParams"} <= owners

@@ -46,7 +46,8 @@ def test_random_psd_properties():
     p = random_psd(4, seed=11)
     assert is_psd(p, tol=1e-12)
     assert p.trace > 0.0
-    q = random_psd(4, seed=11, unit_trace=True)
+    q = random_density(4, seed=11)
+    np.testing.assert_array_equal(q.mat, p.mat / p.trace)
     assert q.trace == pytest.approx(1.0, abs=1e-12)
 
 
@@ -64,7 +65,7 @@ def test_random_separable_mixtures_are_ppt():
     for seed in range(6):
         ens = random_separable(layout, k=3, seed=seed)
         assert sum(ens.weights) == pytest.approx(1.0, abs=1e-12)
-        rho = ens.density(cut=1)
+        rho = ens.density()
         assert rho.trace == pytest.approx(1.0, abs=1e-12)
         assert is_psd(rho, tol=1e-12)
         assert is_psd(partial_transpose(rho), tol=1e-10)

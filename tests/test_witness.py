@@ -326,7 +326,7 @@ def test_certify_indecomposable_choi_pair(choi):
 def test_certify_indecomposable_rejects_decomposable_witness(swap):
     layout = SystemLayout((2, 2), 1)
     for seed in range(10):
-        rho = random_separable(layout, k=3, seed=seed).density(cut=1)
+        rho = random_separable(layout, k=3, seed=seed).density()
         assert not certify_indecomposable(swap, rho)
 
 
