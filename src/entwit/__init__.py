@@ -27,7 +27,7 @@ _EXPORTS = {
     "choi": (
         "AbParams", "ExhibitReport", "choi_witness", "closed_form_values",
         "detection_values", "nontrivial_extension_exhibit", "rho_abb",
-        "rho_abb_matrix", "shift_operator",
+        "rho_abb_matrix",
     ),
     "extension": (
         "ExtensionSpec", "extend_state", "extend_witness", "extended_zero_set",

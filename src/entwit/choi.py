@@ -18,12 +18,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import (
-    HERMITICITY_TOL,
     Array,
     HermitianOperator,
     NumericalError,
     SystemLayout,
     _as_matrix,
+    _check_hermitian,
     _Frozen,
     is_psd,
     partial_trace,
@@ -33,7 +33,6 @@ from .witness import IMAG_TOL, expectation
 
 __all__ = [
     "choi_witness",
-    "shift_operator",
     "AbParams",
     "rho_abb_matrix",
     "rho_abb",
@@ -72,23 +71,11 @@ def choi_witness() -> HermitianOperator:
     return HermitianOperator(mat, SystemLayout((3, 3), 1))
 
 
-def shift_operator(d: int) -> Array:
-    """Cyclic shift |k> -> |k+1 mod d> as a d x d permutation matrix; the
-    wraparound (top index maps to 0) keeps the matrix unitary."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    mat = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        mat[(k + 1) % d, k] = 1.0
-    return mat
-
-
 def _hermitian_2x2(mat: Array | HermitianOperator | list, name: str) -> Array:
     arr = _as_matrix(mat).copy()  # copy: callers may freeze the result
     if arr.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got {arr.shape}")
-    if np.abs(arr - arr.conj().T).max() > HERMITICITY_TOL:
-        raise ValueError(f"{name} must be Hermitian")
+    _check_hermitian(arr, error=ValueError)
     return arr
 
 
@@ -118,7 +105,7 @@ class AbParams(_Frozen):
     ) -> None:
         a = _psd_2x2(np.ones((2, 2)) if a is None else a, "a")
         b = _psd_2x2(np.eye(2) if b is None else b, "b")
-        if (a + b).trace().real <= 0:
+        if not (a + b).trace().real > 0:
             raise ValueError("Tr(a) + Tr(b) must be positive")
         a.setflags(write=False)
         b.setflags(write=False)
@@ -181,7 +168,7 @@ def closed_form_values(
     diff = params.b - params.a
     ext = 3.0 / tr_ab * (cap_mat @ diff).trace()
     red = 3.0 / tr_ab * diff.trace()
-    if abs(ext.imag) > IMAG_TOL or abs(red.imag) > IMAG_TOL:
+    if not (abs(ext.imag) <= IMAG_TOL and abs(red.imag) <= IMAG_TOL):
         raise NumericalError("closed forms came out non-real")
     return float(ext.real), float(red.real)
 
@@ -216,7 +203,7 @@ def nontrivial_extension_exhibit(
     )
     ext_value, reduced_value = detection_values(params, cap_mat)
     closed_ext, closed_reduced = closed_form_values(params, cap_mat)
-    if ext_value >= -1e-6 * CLOSED_FORM_SCALE:
+    if not ext_value < -1e-6 * CLOSED_FORM_SCALE:
         raise ValueError(
             f"extension value {ext_value:.6g} is not negative: the exhibit needs "
             "Tr(cap (b - a)) < 0, i.e. the cap-weighted off-diagonals of a must "

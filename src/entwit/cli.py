@@ -168,12 +168,9 @@ def _caps_from_file(path: str) -> ExtensionSpec:
 def _caps_random(dims: tuple[int, int], seed: int) -> ExtensionSpec:
     from .extension import ExtensionSpec
 
-    d_left, d_right = dims
-    if d_left < 1 or d_right < 1:
-        raise ValueError(f"cap dimensions must be positive, got {dims}")
     return ExtensionSpec(
-        cap_left=random_psd(d_left, rng_from(seed, _CAP_STREAM)),
-        cap_right=random_psd(d_right, rng_from(seed, _CAP_STREAM + 1)),
+        cap_left=random_psd(dims[0], rng_from(seed, _CAP_STREAM)),
+        cap_right=random_psd(dims[1], rng_from(seed, _CAP_STREAM + 1)),
     )
 
 
@@ -409,6 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not 0 <= args.tol < np.inf:  # every document echoes it
+            raise ValueError(f"tol must be finite and nonnegative, got {args.tol}")
         return args.func(args)
     except (ValueError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ from .operators import (
     ProductVector,
     PSD_TOL,
     SystemLayout,
+    _frobenius,
     _Frozen,
     basis_vector,
     is_psd,
@@ -43,13 +44,10 @@ GAMMA_CHECK_TOL = 1e-10
 
 
 def _as_cap(obj: HermitianOperator | Array, side: str) -> HermitianOperator:
-    if isinstance(obj, HermitianOperator):
-        cap = obj
-    else:
+    cap = obj
+    if not isinstance(cap, HermitianOperator):  # HermitianOperator raises unless square
         mat = np.asarray(obj, dtype=complex)
-        if mat.ndim != 2:
-            raise LayoutError(f"{side} must be a square matrix, got shape {mat.shape}")
-        cap = HermitianOperator(mat, SystemLayout((mat.shape[0],), 1))
+        cap = HermitianOperator(mat, SystemLayout(mat.shape[:1], 1))
     if cap.layout.n_subsystems != 1:
         raise LayoutError(f"{side} must act on a single system, got dims {cap.dims}")
     if not is_psd(cap, CAP_PSD_TOL):
@@ -104,7 +102,7 @@ def extend_state(
     out = _sandwich(rho.mat, rho.layout, spec.cap_left.mat, spec.cap_right.mat)
     if normalize:
         tr = out.trace
-        if tr <= PSD_TOL * float(np.linalg.norm(out.mat)):
+        if not tr > PSD_TOL * _frobenius(out.mat):
             raise ValueError(f"extended state has trace {tr!r}; cannot normalize")
         out = HermitianOperator(out.mat / tr, out.layout)
     return out

@@ -48,8 +48,10 @@ from .operators import (
     NumericalError,
     _as_matrix,
     _check_hermitian,
+    _frobenius,
     _Frozen,
     _realign,
+    is_psd,
     maximally_entangled_vector,
     projector,
 )
@@ -101,11 +103,10 @@ class StateBasis(_Frozen):
         for k, s in enumerate(states):
             if s.shape != (d, d):
                 raise ValueError(f"member {k} has shape {s.shape}, expected {(d, d)}")
-            if np.abs(s - s.conj().T).max() > HERMITICITY_TOL:
-                raise ValueError(f"member {k} is not Hermitian")
-            if abs(np.trace(s).real - 1.0) > 1e-12:
+            _check_hermitian(s, error=ValueError)
+            if not abs(np.trace(s).real - 1.0) <= 1e-12:
                 raise ValueError(f"member {k} has trace {np.trace(s).real!r}, expected 1")
-            if np.linalg.eigvalsh(s).min() < -1e-9:
+            if not is_psd(s):
                 raise ValueError(f"member {k} is not positive semidefinite")
         if len(states) != d * d:
             raise ValueError(
@@ -173,7 +174,7 @@ def reconstruction_residual(
     """Frobenius norm of (sum beta[s, t] sigma_s (x) sigma_t) - W, read off the
     realigned equation: realignment only permutes entries."""
     left, right, target = _realigned(W, basis_left, basis_right)
-    return float(np.linalg.norm(left @ beta @ right.T - target))
+    return _frobenius(left @ beta @ right.T - target)
 
 
 def _solve_beta(
@@ -185,7 +186,7 @@ def _solve_beta(
     left, right, target = _realigned(W, basis_left, basis_right)
     coeffs = np.linalg.solve(right, np.linalg.solve(left, target).T).T
     imag = float(np.abs(coeffs.imag).max())
-    if imag > BETA_IMAG_TOL * float(np.linalg.norm(W.mat)):
+    if not imag <= BETA_IMAG_TOL * _frobenius(W.mat):
         raise NumericalError(
             f"decomposition coefficients have imaginary part {imag:.3e}"
         )
@@ -212,10 +213,9 @@ def _povm_matrix(E: HermitianOperator | Array, dim: int, name: str) -> Array:
     mat = _as_matrix(E)
     if mat.shape != (dim, dim):
         raise LayoutError(f"{name} must be {dim}x{dim}, got {mat.shape}")
-    if np.abs(mat - mat.conj().T).max() > HERMITICITY_TOL:
-        raise NumericalError(f"{name} is not Hermitian")
+    _check_hermitian(mat)
     vals = np.linalg.eigvalsh(mat)
-    if vals.min() < -POVM_BOUND_TOL or vals.max() > 1.0 + POVM_BOUND_TOL:
+    if not (vals[0] >= -POVM_BOUND_TOL and vals[-1] <= 1.0 + POVM_BOUND_TOL):
         raise NumericalError(
             f"{name} is not a POVM element: eigenvalues in "
             f"[{vals.min():.3e}, {vals.max():.3e}]"
@@ -248,7 +248,7 @@ class MdiewScenario(_Frozen):
                 f"({len(basis_left)}, {len(basis_right)})"
             )
         residual = reconstruction_residual(witness, basis_left, basis_right, beta)
-        if residual > DECOMPOSITION_RESIDUAL_TOL * float(np.linalg.norm(witness.mat)):
+        if not residual <= DECOMPOSITION_RESIDUAL_TOL * _frobenius(witness.mat):
             raise NumericalError(
                 f"beta does not reconstruct the witness: residual {residual:.3e}"
             )
@@ -311,11 +311,11 @@ def _click_table(
     rho_r = rho.reshape(n, d_a, d_b, d_a, d_b).transpose(0, 3, 1, 4, 2)
     table = f_l @ rho_r.reshape(n, d_a * d_a, d_b * d_b) @ f_r.swapaxes(-1, -2)
     imag = float(np.abs(table.imag).max())
-    if imag > PROBABILITY_RANGE_TOL:
+    if not imag <= PROBABILITY_RANGE_TOL:
         raise NumericalError(f"probability has imaginary part {imag:.3e}")
     lo, hi = float(table.real.min()), float(table.real.max())
-    if lo < -PROBABILITY_RANGE_TOL or hi > 1.0 + PROBABILITY_RANGE_TOL:
-        bad = lo if lo < -PROBABILITY_RANGE_TOL else hi
+    if not (lo >= -PROBABILITY_RANGE_TOL and hi <= 1.0 + PROBABILITY_RANGE_TOL):
+        bad = hi if lo >= -PROBABILITY_RANGE_TOL else lo
         raise NumericalError(f"probability {bad!r} outside [0, 1]")
     return table.real
 
@@ -448,7 +448,7 @@ def _audit_chunk(
     a, b = (f / np.linalg.norm(f, axis=-1, keepdims=True) for f in (a, b))
     norm_defect = max(np.abs(np.linalg.norm(f, axis=-1) - 1.0).max() for f in (a, b))
     sum_defect = np.abs(weights.sum(axis=-1) - 1.0).max()
-    if max(norm_defect, sum_defect, -weights.min()) > HERMITICITY_TOL:
+    if not np.max((norm_defect, sum_defect, -weights.min())) <= HERMITICITY_TOL:
         raise NumericalError(
             f"invalid ensemble: factor norms off 1 by {norm_defect:.3e}, weight "
             f"sums off 1 by {sum_defect:.3e}, least weight {weights.min()!r}"
@@ -521,18 +521,18 @@ def separable_nonnegativity_audit(
             scenario, seed, chunk, povm_mode, blocks
         )
 
-    norm = float(np.linalg.norm(scenario.witness.mat))
+    norm = _frobenius(scenario.witness.mat)
     value_tol, gap_tol = AUDIT_VALUE_TOL * norm, ROUTE_AGREEMENT_TOL * norm
     gaps, lows = np.abs(direct - mixture), np.minimum(direct, mixture)
     ordered = np.sort(gaps)  # np.median would first import numpy.ma, ~25 ms
     failures = []
-    for t in np.flatnonzero((lows < -value_tol) | (gaps > gap_tol)):
+    for t in np.flatnonzero(~((lows >= -value_tol) & (gaps <= gap_tol))):
         reasons = []
-        if direct[t] < -value_tol:
+        if not direct[t] >= -value_tol:
             reasons.append(f"direct route negative: {direct[t]:.3e}")
-        if mixture[t] < -value_tol:
+        if not mixture[t] >= -value_tol:
             reasons.append(f"mixture route negative: {mixture[t]:.3e}")
-        if gaps[t] > gap_tol:
+        if not gaps[t] <= gap_tol:
             reasons.append(f"route gap {gaps[t]:.3e}")
         failures.append(
             AuditFailure(int(t), float(direct[t]), float(mixture[t]), "; ".join(reasons))

@@ -22,6 +22,7 @@ Array = np.ndarray
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-9
+_TINY = float(np.finfo(float).tiny)  # least normal float
 
 __all__ = [
     "Array",
@@ -151,13 +152,31 @@ def single_system(d: int) -> SystemLayout:
     return SystemLayout((int(d),), 1)
 
 
-def _check_hermitian(mats: Array) -> None:
-    """Raise unless each matrix of a stack is Hermitian relative to its largest
-    entry, as rounding defects scale with it."""
+def _check_hermitian(mats: Array, tol=HERMITICITY_TOL, error=NumericalError) -> None:
+    """Raise ``error`` unless each matrix of a stack is finite and Hermitian
+    relative to its largest entry, as rounding defects scale with it."""
+    scale = np.abs(mats).max(axis=(-2, -1))
+    if not np.isfinite(scale).all():
+        raise error("matrix has non-finite entries")
     defect = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    bad = defect > HERMITICITY_TOL * np.abs(mats).max(axis=(-2, -1))
-    if np.any(bad):
-        raise NumericalError(f"matrix is not Hermitian: defect {defect[bad].max():.3e}")
+    bad = ~(defect <= tol * scale)
+    if bad.any():
+        worst = (defect[bad] / scale[bad]).max()
+        raise error(f"matrix is not Hermitian: relative defect {worst:.1e} > {tol:.0e}")
+
+
+def _frobenius(mat: Array) -> float:
+    """||mat||_F, the scale of every relative tolerance: np.linalg.norm's value
+    wherever its sum of squares is a normal float, else the norm of mat over
+    its largest entry, times that entry (nan or inf for non-finite entries)."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(mat))
+    if _TINY <= norm * norm < np.inf:
+        return norm
+    scale = float(np.abs(mat).max())
+    if not 0.0 < scale < np.inf:  # a zero matrix, or non-finite entries
+        return norm
+    return scale * float(np.linalg.norm(mat / scale))
 
 
 class HermitianOperator(_Frozen):
@@ -208,7 +227,7 @@ class ProductVector(_Frozen):
             raise LayoutError("product vector needs at least one factor")
         for i, f in enumerate(factors):
             norm = np.linalg.norm(f)
-            if abs(norm - 1.0) > HERMITICITY_TOL:
+            if not abs(norm - 1.0) <= HERMITICITY_TOL:
                 raise NumericalError(f"factor {i} has norm {norm!r}, expected 1")
             f.setflags(write=False)
         self._set(factors=factors)
@@ -233,9 +252,9 @@ class SeparableEnsemble(_Frozen):
         weights = tuple(float(w) for w in weights)
         if len(weights) != len(members) or not members:
             raise LayoutError("need one weight per member and at least one member")
-        if min(weights) < -HERMITICITY_TOL:
-            raise NumericalError(f"negative weight {min(weights)!r}")
-        if abs(sum(weights) - 1.0) > HERMITICITY_TOL:
+        if not all(w >= -HERMITICITY_TOL for w in weights):
+            raise NumericalError(f"weights {weights!r} are not all nonnegative")
+        if not abs(sum(weights) - 1.0) <= HERMITICITY_TOL:
             raise NumericalError(f"weights sum to {sum(weights)!r}, expected 1")
         dims = members[0].dims
         if any(m.dims != dims for m in members):
@@ -341,17 +360,20 @@ def eigh(M: HermitianOperator | Array) -> tuple[Array, Array]:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare solver failure
         raise NumericalError(
             f"eigensolver failed on shape {mat.shape}, "
-            f"norm {np.linalg.norm(mat):.3e}: {exc}"
+            f"norm {_frobenius(mat):.3e}: {exc}"
         ) from exc
     return vals[..., ::-1].copy(), vecs[..., ::-1].copy()
 
 
 def is_psd(M: HermitianOperator | Array, tol: float = PSD_TOL) -> bool:
-    """True iff the minimum eigenvalue is >= -tol times the largest eigenvalue
-    modulus, as rounding defects scale with it."""
-    if tol < 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
-    vals = np.linalg.eigvalsh(_as_matrix(M))
+    """True iff every entry is finite and the minimum eigenvalue is >= -tol
+    times the largest eigenvalue modulus, as rounding defects scale with it."""
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    mat = _as_matrix(M)
+    if not np.isfinite(mat).all():  # eigvalsh returns no nan for every nan
+        return False
+    vals = np.linalg.eigvalsh(mat)
     return bool(vals[0] >= -tol * max(-vals[0], vals[-1]))
 
 

@@ -1,10 +1,10 @@
 """Operator JSON round-trips and canonical (byte-stable) report output.
 
 Operator files carry ``{"dims": [...], "cut": k, "data": [[[re, im], ...]]}``
-with ``data`` row-major over the total dimension.  Readers reject matrices
-whose Hermiticity defect exceeds 1e-9 of their largest entry and symmetrize
-the survivors, so text round-trips stay stable against the tiny asymmetries
-decimal JSON introduces.
+with ``data`` row-major over the total dimension.  Readers reject non-finite
+entries and matrices whose Hermiticity defect exceeds 1e-9 of their largest
+entry, and symmetrize the survivors, so text round-trips stay stable against
+the tiny asymmetries decimal JSON introduces.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .operators import Array, HermitianOperator, ProductVector, SystemLayout, _Frozen
+from .operators import Array, HermitianOperator, SystemLayout, _check_hermitian, _Frozen
 
 __all__ = [
     "SerializationError",
@@ -51,6 +51,8 @@ def matrix_from_json(data: Any, context: str = "data") -> Array:
         raise SerializationError(
             f"{context}: expected an NxMx2 nest of [re, im] pairs, got shape {arr.shape}"
         )
+    if not np.isfinite(arr).all():
+        raise SerializationError(f"{context}: entries must be finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -83,12 +85,7 @@ def operator_from_dict(d: Any) -> HermitianOperator:
         raise SerializationError(
             f"data is {mat.shape[0]}x{mat.shape[1]} but dims {list(dims)} need {n}x{n}"
         )
-    defect = np.abs(mat - mat.conj().T).max()
-    if defect > JSON_HERMITICITY_TOL * np.abs(mat).max():
-        raise SerializationError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds "
-            f"{JSON_HERMITICITY_TOL:.0e} of the largest entry"
-        )
+    _check_hermitian(mat, JSON_HERMITICITY_TOL, SerializationError)
     return HermitianOperator((mat + mat.conj().T) / 2, layout)
 
 
@@ -125,12 +122,6 @@ def to_jsonable(x: Any) -> Any:
         return [x.real, x.imag]
     if isinstance(x, HermitianOperator):
         return operator_to_dict(x)
-    if isinstance(x, ProductVector):
-        return {
-            "factors": [
-                [[float(z.real), float(z.imag)] for z in f] for f in x.factors
-            ]
-        }
     if isinstance(x, np.ndarray):
         if np.iscomplexobj(x):
             return matrix_to_json(x) if x.ndim == 2 else [

@@ -21,6 +21,7 @@ from .operators import (
     ProductVector,
     PSD_TOL,
     _as_matrix,
+    _frobenius,
     _realign,
     eigh,
     is_psd,
@@ -118,7 +119,7 @@ def expectation(W: HermitianOperator, rho: HermitianOperator | Array) -> float:
     if wmat.shape != rmat.shape:
         raise LayoutError(f"dimension mismatch: {wmat.shape} vs {rmat.shape}")
     val = np.sum(wmat * rmat.T)
-    if abs(val.imag) > IMAG_TOL * np.linalg.norm(wmat) * np.linalg.norm(rmat):
+    if not abs(val.imag) <= IMAG_TOL * _frobenius(wmat) * _frobenius(rmat):
         raise NumericalError(f"expectation has imaginary part {val.imag:.3e}")
     return float(val.real)
 
@@ -185,7 +186,7 @@ def _lockstep_descents(
     flags.
     """
     d_left, d_right = op.layout.left_dim, op.layout.right_dim
-    norm = float(np.linalg.norm(op.mat))
+    norm = _frobenius(op.mat)
     slack = MONOTONE_SLACK * norm
     stall_tol = STALL_TOL * norm if stall else -np.inf
     w_pairs = _realign(op.mat, d_left, d_right)
@@ -212,7 +213,7 @@ def _lockstep_descents(
             (_pairs(phi_new) @ w_pairs).reshape(-1, d_right, d_right)
         )
         # exact eigenvector steps can only lower the objective (fp slack only)
-        if ((val_right > val_left + slack) | (val_left > prev + slack)).any():
+        if not ((val_right <= val_left + slack) & (val_left <= prev + slack)).all():
             raise NumericalError(
                 f"see-saw step raised the objective beyond slack {slack:.3e}"
             )
@@ -287,10 +288,12 @@ def certify_witness(
     separable negativity found) while the minimum eigenvalue is < -tol ||W||_F
     (so W detects its own negative eigenspace), whatever the scale of W.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     report = min_product_expectation(W, restarts=restarts, seed=seed)
     vals, vecs = eigh(W)
     min_eig = float(vals[-1])
-    cutoff = tol * float(np.linalg.norm(W.mat))
+    cutoff = tol * _frobenius(W.mat)
     ok = report.best_value >= -cutoff and min_eig < -cutoff
 
     detection_state = None
@@ -355,7 +358,7 @@ def collect_zero_set(
         seed = 0 if seesaw is None else seesaw.seed
     if seesaw is not None and seesaw.seed != seed:
         raise ValueError(f"report seed {seesaw.seed!r} differs from harvest seed {seed!r}")
-    zero_tol = ZERO_TOL * float(np.linalg.norm(W.mat))
+    zero_tol = ZERO_TOL * _frobenius(W.mat)
     kept: list[ProductVector] = []
     fulls: list[Array] = []
     pending, next_descent = [], 0  # (value, phi, psi) not yet read; next to start
@@ -450,5 +453,5 @@ def certify_indecomposable(
         return False
     if not is_psd(partial_transpose(rho_candidate), tol):
         return False
-    cutoff = tol * float(np.linalg.norm(W.mat)) * rho_candidate.trace
+    cutoff = tol * _frobenius(W.mat) * rho_candidate.trace
     return expectation(W, rho_candidate) < -cutoff

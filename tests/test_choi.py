@@ -21,7 +21,6 @@ from entwit import (
     rho_abb,
     rho_abb_matrix,
     rng_from,
-    shift_operator,
 )
 from entwit.choi import CLOSED_FORM_SCALE
 from oracle_utils import choi_detected_ppt_state_loops, choi_witness_loops, rho_abb_blocks
@@ -76,17 +75,6 @@ def test_rho_abb_matrix_equals_block_assembly_exactly():
         g = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
         a, b = (m + m.conj().T for m in g)  # signed: indefinite in general
         assert np.array_equal(rho_abb_matrix(a, b), rho_abb_blocks(a, b))
-
-
-def test_shift_operator():
-    np.testing.assert_array_equal(
-        shift_operator(2), np.array([[0.0, 1.0], [1.0, 0.0]])
-    )
-    s3 = shift_operator(3)
-    np.testing.assert_array_equal(np.linalg.matrix_power(s3, 3), np.eye(3))
-    np.testing.assert_allclose(s3 @ s3.conj().T, np.eye(3), atol=1e-15)
-    with pytest.raises(ValueError):
-        shift_operator(1)
 
 
 def test_ab_params_validation():

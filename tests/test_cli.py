@@ -7,16 +7,26 @@ import numpy as np
 import pytest
 
 from entwit import (
+    AbParams,
+    ExtensionSpec,
     HermitianOperator,
     MdiewScenario,
+    NumericalError,
+    ProductVector,
+    SeparableEnsemble,
+    StateBasis,
     SystemLayout,
+    certify_witness,
     dump_operator,
+    is_psd,
+    mdiew_value,
     operator_from_dict,
     operator_to_dict,
     random_unitary,
     rng_from,
     separable_nonnegativity_audit,
     swap_witness,
+    tomographic_basis,
 )
 from entwit.cli import main
 
@@ -141,6 +151,61 @@ def test_extend_rejects_non_psd_cap(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "positive semidefinite" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_input_is_rejected(tmp_path, capsys, bad):
+    # operator and cap files: exit 2, nothing on stdout
+    doc = operator_to_dict(swap_witness())
+    doc["data"][0][1][0] = bad
+    op_path = tmp_path / "op.json"
+    op_path.write_text(json.dumps(doc))
+    cap = {"dims": [2], "cut": 1, "data": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [bad, 0.0]]]}
+    caps_path = tmp_path / "caps.json"
+    caps_path.write_text(json.dumps({"cap_left": cap, "cap_right": cap}))
+    for argv in (
+        ("certify", op_path), ("extend", op_path, "--random-caps", "2", "2"),
+        ("mdiew", "decompose", op_path), ("mdiew", "audit", op_path, "--trials", "5"),
+        ("extend", "swap", "--caps", caps_path),
+    ):
+        code, out, err = run_cli(capsys, *map(str, argv), "--quiet")
+        assert (code, out) == (2, ""), argv
+        assert "finite" in err, argv
+    # a tolerance must be finite and nonnegative, also where only the config echoes it
+    for argv in (("certify", "swap"), ("mdiew", "decompose", "swap"), ("choi-demo",)):
+        for tol in (bad, -1.0):
+            code, out, err = run_cli(capsys, *argv, f"--tol={tol}", "--quiet")
+            assert (code, out) == (2, "") and "tol must be finite" in err
+    for tol in (bad, -1.0):
+        with pytest.raises(ValueError):
+            certify_witness(swap_witness(), tol=tol)
+        with pytest.raises(ValueError):
+            is_psd(np.eye(2), tol=tol)
+    # public constructors raise; is_psd is never True
+    for m in (np.diag([bad, 1.0]), np.array([[1.0, bad], [bad, 1.0]])):
+        assert not is_psd(m)
+        with pytest.raises(NumericalError):
+            HermitianOperator(m, SystemLayout((2,), 1))
+        with pytest.raises((ValueError, NumericalError)):
+            ExtensionSpec(m, np.eye(2))
+        with pytest.raises(ValueError):
+            AbParams(a=m)
+        with pytest.raises(ValueError):
+            StateBasis((m / 2,) + tomographic_basis(2).states[1:])
+    e0 = np.array([1.0, 0.0])
+    with pytest.raises(NumericalError):
+        ProductVector((np.array([bad, 0.0]), e0))
+    with pytest.raises(NumericalError):
+        SeparableEnsemble((bad, 1.0), (ProductVector((e0, e0)),) * 2)
+    scenario = MdiewScenario.ideal(swap_witness())
+    rho = HermitianOperator(np.eye(4) / 4, SystemLayout((2, 2), 1))
+    povm = np.eye(4)
+    povm[1, 2] = povm[2, 1] = bad
+    with pytest.raises(NumericalError):
+        mdiew_value(scenario, rho, povm)
+    with pytest.raises(NumericalError):
+        mdiew_value(scenario, rho, None, povm)
 
 
 def test_extend_rejects_wrong_cap_keys(tmp_path, capsys):

@@ -261,6 +261,20 @@ def test_decompose_and_audit_do_not_depend_on_scale(name, scale, named):
     assert report.passed, report.failures[:3]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-200, 1e160, 1e300])
+@pytest.mark.parametrize("name", ["choi", "swap", "capped-choi", "capped-swap"])
+def test_decompose_and_audit_hold_at_extreme_scales(name, scale, named):
+    # ||scale * op||_F under- or overflows in np.linalg.norm at these scales,
+    # so the residual bound is taken from the unscaled operator
+    op = named[name]
+    sc = MdiewScenario.ideal(HermitianOperator(scale * op.mat, op.layout))
+    assert sc.residual <= 1e-9 * scale * np.linalg.norm(op.mat)
+    for mode in ("ideal", "arbitrary", "misaligned"):
+        report = separable_nonnegativity_audit(sc, trials=30, seed=3, povm_mode=mode)
+        assert report.passed, (mode, report.failures[:3])
+
+
 def test_separable_audit_rejects_unknown_mode(swap):
     with pytest.raises(ValueError):
         separable_nonnegativity_audit(

@@ -344,7 +344,8 @@ def test_certify_indecomposable_dimension_mismatch(choi):
         certify_indecomposable(choi, random_density(4, seed=0))
 
 
-@pytest.mark.parametrize("scale", [1e-12, 1e-8, 1.0, 1e6, 1e8])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-200, 1e-12, 1e-8, 1.0, 1e6, 1e8, 1e160, 1e300])
 def test_certify_and_spanning_verdicts_do_not_depend_on_scale(
     scale, choi, swap, rotated_choi
 ):
