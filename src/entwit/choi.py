@@ -24,6 +24,7 @@ from .operators import (
     SystemLayout,
     _as_matrix,
     _check_hermitian,
+    _frobenius,
     _Frozen,
     is_psd,
     partial_trace,
@@ -193,9 +194,9 @@ def nontrivial_extension_exhibit(
 
     Defaults to the all-ones a, identity b, all-ones cap, where the extension
     value lands at -1/2 while the reduced value is exactly 0.  Parameter
-    choices whose extension value fails to go negative are rejected with the
-    sign condition spelled out: for the all-ones cap the off-diagonal of a
-    must exceed that of b.
+    choices whose extension value fails to go below -1e-6 CLOSED_FORM_SCALE
+    ||cap||_F are rejected with the sign condition spelled out: for the
+    all-ones cap the off-diagonal of a must exceed that of b.
     """
     params = AbParams() if params is None else params
     cap_mat = (
@@ -203,7 +204,7 @@ def nontrivial_extension_exhibit(
     )
     ext_value, reduced_value = detection_values(params, cap_mat)
     closed_ext, closed_reduced = closed_form_values(params, cap_mat)
-    if not ext_value < -1e-6 * CLOSED_FORM_SCALE:
+    if not ext_value < -1e-6 * CLOSED_FORM_SCALE * _frobenius(cap_mat):
         raise ValueError(
             f"extension value {ext_value:.6g} is not negative: the exhibit needs "
             "Tr(cap (b - a)) < 0, i.e. the cap-weighted off-diagonals of a must "

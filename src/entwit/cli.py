@@ -159,10 +159,13 @@ def _caps_from_file(path: str) -> ExtensionSpec:
             f"cap file {path!r} must be an object with exactly the keys "
             "'cap_left' and 'cap_right'"
         )
-    return ExtensionSpec(
-        cap_left=operator_from_dict(data["cap_left"]),
-        cap_right=operator_from_dict(data["cap_right"]),
-    )
+    caps = {}
+    for key in ("cap_left", "cap_right"):
+        try:
+            caps[key] = operator_from_dict(data[key])
+        except SerializationError as exc:
+            raise SerializationError(f"cap file {path!r}, {key}: {exc}") from exc
+    return ExtensionSpec(**caps)
 
 
 def _caps_random(dims: tuple[int, int], seed: int) -> ExtensionSpec:

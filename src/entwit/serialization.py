@@ -106,7 +106,13 @@ def _read_json(path: str | Path, what: str) -> Any:
 
 
 def load_operator(path: str | Path) -> HermitianOperator:
-    return operator_from_dict(_read_json(path, str(Path(path))))
+    """The operator in the file at ``path``; errors in its document name the file."""
+    what = str(Path(path))
+    doc = _read_json(path, what)
+    try:
+        return operator_from_dict(doc)
+    except SerializationError as exc:
+        raise SerializationError(f"{what}: {exc}") from exc
 
 
 def to_jsonable(x: Any) -> Any:

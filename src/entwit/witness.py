@@ -50,7 +50,7 @@ VERDICT_CONFIRMED = "confirmed"
 VERDICT_NOT_FOUND = "not-found-at-budget"
 
 DEFAULT_MAX_ITERS = 500
-CONVERGENCE_TOL = 1e-12
+CONVERGENCE_TOL = 1e-12  # on vector entries; times ||W||_F on values
 STALL_TOL = 1e-13  # relative to the Frobenius norm of W
 MONOTONE_SLACK = 1e-10  # relative to the Frobenius norm of W
 ZERO_TOL = 1e-8  # relative to the Frobenius norm of W
@@ -173,9 +173,9 @@ def _lockstep_descents(
     share the stack, and one stopped and resumed ends bit for bit where an
     uninterrupted one ends (one (n, K) product would not do: BLAS rounds a
     one-row product differently).  A descent settles, and leaves the active
-    set, once its vectors and value all move by less than CONVERGENCE_TOL in
-    one step; with ``stall`` it also leaves once one iteration moves its
-    value by at most STALL_TOL * ||W||_F.
+    set, once one step moves its vectors by less than CONVERGENCE_TOL and its
+    value by at most CONVERGENCE_TOL * ||W||_F; with ``stall`` it also leaves
+    once one iteration moves its value by at most STALL_TOL * ||W||_F.
     Every descent stops after DEFAULT_MAX_ITERS iterations in all.
     ``resume = (value, phi, iterations)`` continues descents stopped earlier
     from their last state (``psi`` then holds their last right vectors).
@@ -187,7 +187,7 @@ def _lockstep_descents(
     """
     d_left, d_right = op.layout.left_dim, op.layout.right_dim
     norm = _frobenius(op.mat)
-    slack = MONOTONE_SLACK * norm
+    slack, settle_tol = MONOTONE_SLACK * norm, CONVERGENCE_TOL * norm
     stall_tol = STALL_TOL * norm if stall else -np.inf
     w_pairs = _realign(op.mat, d_left, d_right)
     n = len(psi)
@@ -221,14 +221,10 @@ def _lockstep_descents(
         trace[active, 2 * it + 1] = val_right
         change = np.abs(val_right - prev)
         move = np.maximum(
-            change,
-            np.maximum(
-                np.abs(phi_new - phi[active]).max(axis=1),
-                np.abs(psi_new - p).max(axis=1),
-            ),
+            np.abs(phi_new - phi[active]).max(axis=1), np.abs(psi_new - p).max(axis=1)
         )
         phi[active], psi[active], value[active] = phi_new, psi_new, val_right
-        still = move < CONVERGENCE_TOL
+        still = (move < CONVERGENCE_TOL) & (change <= settle_tol)
         stop = still | (change <= stall_tol)
         done = stop | (left[active] == it + 1) if it + 1 in expiries else stop
         if done.any():

@@ -193,6 +193,17 @@ def test_exhibit_rejects_flipped_weights():
         nontrivial_extension_exhibit(AbParams(a=np.eye(2), b=np.ones((2, 2))))
 
 
+def test_exhibit_threshold_scales_with_the_cap():
+    # the extension value is linear in the cap, and so is the threshold it must beat
+    for c in (1e-12, 1e-8, 1.0, 1e8):
+        rep = nontrivial_extension_exhibit(cap_right=c * np.ones((2, 2)))
+        assert rep.ext_value == pytest.approx(-c / 2, rel=1e-12)
+    with pytest.raises(ValueError, match="not negative"):
+        nontrivial_extension_exhibit(cap_right=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="not negative"):
+        nontrivial_extension_exhibit(AbParams(a=np.eye(2), b=np.ones((2, 2))))
+
+
 def test_detected_ppt_state(choi):
     rho = choi_detected_ppt_state()
     assert rho.trace == pytest.approx(1.0, abs=1e-12)

@@ -208,6 +208,27 @@ def test_non_finite_input_is_rejected(tmp_path, capsys, bad):
         mdiew_value(scenario, rho, None, povm)
 
 
+@pytest.mark.parametrize("key", ["cap_left", "cap_right"])
+def test_input_errors_name_their_file_and_cap(tmp_path, capsys, key):
+    cap = {"dims": [2], "cut": 1, "data": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+    bad = json.loads(json.dumps(cap))
+    bad["data"][1][1][0] = np.nan
+    caps_path = tmp_path / "caps.json"
+    caps_path.write_text(json.dumps({"cap_left": cap, "cap_right": cap, key: bad}))
+    code, out, err = run_cli(capsys, "extend", "swap", "--caps", str(caps_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cap file {str(caps_path)!r}, {key}: data: entries must be finite numbers\n"
+    op_path = tmp_path / f"{key}.json"
+    op_path.write_text(json.dumps(bad))
+    code, out, err = run_cli(capsys, "certify", str(op_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {op_path}: data: entries must be finite numbers\n"
+    # a file that is no JSON at all is named once, not twice
+    op_path.write_text("not json")
+    code, out, err = run_cli(capsys, "certify", str(op_path))
+    assert (code, out) == (2, "") and err.startswith(f"error: {op_path} is not valid JSON: ")
+
+
 def test_extend_rejects_wrong_cap_keys(tmp_path, capsys):
     path = tmp_path / "keys.json"
     path.write_text(json.dumps({"left": 1}))

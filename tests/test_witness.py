@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entwit import (
     HermitianOperator,
@@ -18,6 +20,8 @@ from entwit import (
     random_density,
     random_psd,
     random_separable,
+    random_unitary,
+    rng_from,
     span_rank,
 )
 import entwit.witness as witness_module
@@ -357,6 +361,47 @@ def test_certify_and_spanning_verdicts_do_not_depend_on_scale(
         if rank is not None:
             span = has_spanning_property(scaled, cert)
             assert span.rank == rank
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_seesaw_does_not_depend_on_scale(choi, swap, capped_choi):
+    # the settle rule's value test is relative to ||W||_F, so under W -> 2^k W
+    # (exact in binary) every descent stops where it stops at k = 0
+    def run(op, c, max_descents):
+        scaled = HermitianOperator(c * op.mat, op.layout)
+        report = min_product_expectation(scaled, seed=42)
+        zeros = collect_zero_set(scaled, max_descents=max_descents, seesaw=report)
+        return (report.iterations, report.converged, report.settled,
+                len(zeros.vectors), zeros.span_rank)
+
+    for op, max_descents in ((swap, None), (choi, None), (capped_choi, 8)):
+        base = run(op, 1.0, max_descents)
+        for k in (-600, -40, 40, 600):
+            assert run(op, 2.0**k, max_descents) == base, (op.layout.dims, k)
+    # a zero W settles too: the value test needs no division by ||W||_F
+    report = min_product_expectation(HermitianOperator(0 * swap.mat, swap.layout), seed=42)
+    assert all(report.settled) and report.best_value == 0.0
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    name=st.sampled_from(["choi", "swap", "identity"]),
+    exponent=st.floats(-200, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certify_verdict_is_invariant_under_scale_and_local_unitaries(
+    name, exponent, seed, choi, swap
+):
+    # witness-hood is a property of the ray of W and of its local-unitary orbit
+    op = {"choi": choi, "swap": swap, "identity": HermitianOperator(np.eye(9), choi.layout)}[name]
+    d_a, d_b = op.layout.left_dim, op.layout.right_dim
+    rng = rng_from(seed)
+    u = np.kron(random_unitary(d_a, rng), random_unitary(d_b, rng))
+    m = u @ op.mat @ u.conj().T
+    moved = HermitianOperator(10.0**exponent * (m + m.conj().T) / 2, op.layout)
+    verdict = certify_witness(op, restarts=16).is_witness_numeric
+    assert certify_witness(moved, restarts=16).is_witness_numeric is verdict
+    assert verdict is (name != "identity")
 
 
 def test_certify_large_scale_witness_does_not_raise(choi):
