@@ -204,11 +204,13 @@ def nontrivial_extension_exhibit(
     )
     ext_value, reduced_value = detection_values(params, cap_mat)
     closed_ext, closed_reduced = closed_form_values(params, cap_mat)
-    if not ext_value < -1e-6 * CLOSED_FORM_SCALE * _frobenius(cap_mat):
+    threshold = -1e-6 * CLOSED_FORM_SCALE * _frobenius(cap_mat)
+    if not ext_value < threshold:
+        sign = "negative but" if ext_value < 0 else "not negative, so"
         raise ValueError(
-            f"extension value {ext_value:.6g} is not negative: the exhibit needs "
-            "Tr(cap (b - a)) < 0, i.e. the cap-weighted off-diagonals of a must "
-            "dominate those of b"
+            f"extension value {ext_value:.6g} is {sign} not below {threshold:.6g}: "
+            "the exhibit needs Tr(cap (b - a)) < 0, i.e. the cap-weighted "
+            "off-diagonals of a must dominate those of b"
         )
     state = rho_abb(params)
     return ExhibitReport(

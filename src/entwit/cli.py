@@ -95,10 +95,11 @@ def _config(args) -> dict:
 def _restart_summary(report: SeeSawReport) -> str:
     """How the see-saw restarts stopped, for the stderr summary."""
     settled, stopped = sum(report.settled), sum(report.converged)
+    abandoned = sum(report.abandoned)
     return (
         f"{settled} settled, {stopped - settled} stalled, "
-        f"{report.restarts - stopped} at budget; iterations median "
-        f"{np.median(report.iterations):g}, max {max(report.iterations)}"
+        f"{report.restarts - stopped - abandoned} at budget, {abandoned} abandoned; "
+        f"iterations median {np.median(report.iterations):g}, max {max(report.iterations)}"
     )
 
 
@@ -165,7 +166,10 @@ def _caps_from_file(path: str) -> ExtensionSpec:
             caps[key] = operator_from_dict(data[key])
         except SerializationError as exc:
             raise SerializationError(f"cap file {path!r}, {key}: {exc}") from exc
-    return ExtensionSpec(**caps)
+    try:
+        return ExtensionSpec(**caps)
+    except ValueError as exc:  # the message names the cap
+        raise ValueError(f"cap file {path!r}: {exc}") from exc
 
 
 def _caps_random(dims: tuple[int, int], seed: int) -> ExtensionSpec:

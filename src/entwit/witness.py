@@ -51,9 +51,11 @@ VERDICT_NOT_FOUND = "not-found-at-budget"
 
 DEFAULT_MAX_ITERS = 500
 CONVERGENCE_TOL = 1e-12  # on vector entries; times ||W||_F on values
-STALL_TOL = 1e-13  # relative to the Frobenius norm of W
 MONOTONE_SLACK = 1e-10  # relative to the Frobenius norm of W
 ZERO_TOL = 1e-8  # relative to the Frobenius norm of W
+STALL_TOL = 1e-13  # relative to the Frobenius norm of W
+ABANDON_AFTER = 20  # iterations in all before a descent may be abandoned
+ABANDON_FLOOR = 3 * ZERO_TOL  # relative to the Frobenius norm of W
 SPAN_SV_THRESHOLD = 1e-8
 DEDUP_OVERLAP = 1 - 1e-6
 IMAG_TOL = 1e-10  # imaginary part tolerated on a real-valued trace of unit scale
@@ -62,10 +64,13 @@ IMAG_TOL = 1e-10  # imaginary part tolerated on a real-valued trace of unit scal
 class SeeSawReport(NamedTuple):
     """Per-restart results in restart order, for the see-saw seeded by ``seed``.
 
-    ``converged`` marks restarts that stopped before the iteration budget, by
-    either stop rule; ``settled`` marks those stopped by the strict rule
-    (vectors and value still), the others having stopped on a stalled value
-    or at the budget.  ``iterations`` counts the full iterations each used.
+    ``converged`` marks restarts that stopped on a still value, by either
+    stop rule; ``settled`` marks those stopped by the strict rule (vectors
+    and value still), the others having stopped on a stalled value.  A
+    restart that is neither ran to the budget or was abandoned, as a descent
+    whose value, run on to the budget along its own power law, stays above
+    the zero band; ``abandoned`` marks the latter.  ``iterations`` counts
+    the full iterations each used.
     """
 
     best_value: float
@@ -82,6 +87,13 @@ class SeeSawReport(NamedTuple):
     def best_vector(self) -> ProductVector:
         """The lowest-index restart reaching the best value."""
         return self.restart_vectors[int(np.argmin(self.restart_values))]
+
+    @property
+    def abandoned(self) -> tuple[bool, ...]:
+        """Restarts that stopped early without a still value."""
+        return tuple(
+            not c and k < DEFAULT_MAX_ITERS for c, k in zip(self.converged, self.iterations)
+        )
 
 
 class ZeroSet(NamedTuple):
@@ -175,8 +187,16 @@ def _lockstep_descents(
     one-row product differently).  A descent settles, and leaves the active
     set, once one step moves its vectors by less than CONVERGENCE_TOL and its
     value by at most CONVERGENCE_TOL * ||W||_F; with ``stall`` it also leaves
-    once one iteration moves its value by at most STALL_TOL * ||W||_F.
-    Every descent stops after DEFAULT_MAX_ITERS iterations in all.
+    once one iteration moves its value by at most STALL_TOL * ||W||_F.  A
+    descent is abandoned after ABANDON_AFTER or more iterations in all, k,
+    when its value v_k is above the floor ABANDON_FLOOR * ||W||_F and the
+    power law through its last two values, run on to the budget, still ends
+    above it: v_k (v_k / v_{k-1})^(ln(DEFAULT_MAX_ITERS / k) / ln(k / (k-1)))
+    > floor.  Such a descent creeps toward a degenerate minimum that it
+    cannot reach inside the zero band within its budget.  The rule reads the
+    descent's own values only, and leaves it neither settled nor stopped
+    early, as if at the budget.  Every descent stops after DEFAULT_MAX_ITERS
+    iterations in all.
     ``resume = (value, phi, iterations)`` continues descents stopped earlier
     from their last state (``psi`` then holds their last right vectors).
     A step raising an objective by over 1e-10 * ||W||_F raises NumericalError.
@@ -188,6 +208,7 @@ def _lockstep_descents(
     d_left, d_right = op.layout.left_dim, op.layout.right_dim
     norm = _frobenius(op.mat)
     slack, settle_tol = MONOTONE_SLACK * norm, CONVERGENCE_TOL * norm
+    floor = ABANDON_FLOOR * norm
     stall_tol = STALL_TOL * norm if stall else -np.inf
     w_pairs = _realign(op.mat, d_left, d_right)
     n = len(psi)
@@ -226,7 +247,16 @@ def _lockstep_descents(
         phi[active], psi[active], value[active] = phi_new, psi_new, val_right
         still = (move < CONVERGENCE_TOL) & (change <= settle_tol)
         stop = still | (change <= stall_tol)
-        done = stop | (left[active] == it + 1) if it + 1 in expiries else stop
+        k = iters[active] + it + 1  # iterations in all, this one included
+        hopeless = (k >= ABANDON_AFTER) & (val_right > floor)
+        if hopeless.any():
+            # the power law through v_{k-1} and v_k, run on to the budget
+            v, k = val_right[hopeless], k[hopeless]
+            power = np.log(DEFAULT_MAX_ITERS / k) / np.log(k / (k - 1))
+            hopeless[hopeless] = v * (v / prev[hopeless]) ** power > floor
+        done = stop | hopeless
+        if it + 1 in expiries:
+            done |= left[active] == it + 1
         if done.any():
             leaving = active[done]
             settled[leaving], converged[leaving] = still[done], stop[done]
@@ -334,16 +364,20 @@ def collect_zero_set(
     of a see-saw at the same seed, so a ``seesaw`` report of W supplies
     descents 0 to ``seesaw.restarts - 1`` without running them again; the
     seed is the report's (0 without one), and another one raises.  The
-    harvest takes descents under the strict stop rule alone, so the report's
+    harvest's descents settle under the strict stop rule and are abandoned
+    under the see-saw's rule (above the zero band and not heading into it
+    within the budget), but do not stop on a stalled value.  So the report's
     restarts that stopped on a stalled value are first run on together from
     their stored states, for the rest of their budget; each ends where an
-    uninterrupted descent ends.  The remaining descents run in lock-step
-    chunks, each as large as the number of zeros still missing (capped by
-    the budget).  Results are accepted in descent order, so the kept set is
-    the one a one-at-a-time harvest keeps and no descent past what that
-    harvest would run is started.  Distinct means Gram overlap below
-    1 - 1e-6; the span rank is the singular-value rank of the stacked full
-    vectors at a 1e-8 relative threshold.
+    uninterrupted descent ends.  A restart the see-saw abandoned was
+    abandoned at the same step an uninterrupted descent is, so it is not run
+    on, and its value stays above the zero band.  The remaining descents run
+    in lock-step chunks, each as large as the number of zeros still missing
+    (capped by the budget).  Results are accepted in descent order, so the
+    kept set is the one a one-at-a-time harvest keeps and no descent past
+    what that harvest would run is started.  Distinct means Gram overlap
+    below 1 - 1e-6; the span rank is the singular-value rank of the stacked
+    full vectors at a 1e-8 relative threshold.
     """
     W.layout.require_bipartite()
     if target_count is None:
@@ -362,9 +396,10 @@ def collect_zero_set(
         n = min(seesaw.restarts, max_descents)
         vectors = seesaw.restart_vectors[:n]
         lefts, rights = (np.array([v.factors[i] for v in vectors]) for i in (0, 1))
-        # restarts stopped on a stalled value run on under the strict rule
-        # alone; settled ones have nothing left to run
-        iters = np.where(seesaw.settled[:n], DEFAULT_MAX_ITERS, seesaw.iterations[:n])
+        # restarts stopped on a stalled value run on without the stall rule;
+        # settled, abandoned and spent ones have nothing left to run
+        stalled = np.array(seesaw.converged[:n]) & ~np.array(seesaw.settled[:n])
+        iters = np.where(stalled, seesaw.iterations[:n], DEFAULT_MAX_ITERS)
         resume = (np.array(seesaw.restart_values[:n]), lefts, iters)
         values, phis, psis, *_ = _lockstep_descents(W, rights, resume=resume)
         pending = list(zip(values, phis, psis))

@@ -85,7 +85,8 @@ def _min_eigpair(mat):
 
 
 def seesaw_descent_reference(
-    mat, d_left, d_right, rng, max_iters=500, conv_tol=1e-12, stall_tol=None
+    mat, d_left, d_right, rng, max_iters=500, conv_tol=1e-12, stall_tol=None,
+    abandon_tol=3e-8,
 ):
     """One see-saw descent from a complex Gaussian right-party start.
 
@@ -93,6 +94,10 @@ def seesaw_descent_reference(
     stops once the value and both vectors move by less than ``conv_tol`` in
     one step, or, given ``stall_tol``, once two consecutive right-half values
     differ by at most ``stall_tol`` times the Frobenius norm of ``mat``.
+    Given ``abandon_tol``, it also gives up from iteration 20 on when the
+    value lies above ``abandon_tol`` times the Frobenius norm and a power law
+    C / k^p fitted to the last two right-half values still lies above it at
+    iteration ``max_iters``; a descent given up counts as not converged.
     Returns (value, phi, psi, trace, converged); the trace holds both
     half-step values of every iteration.
     """
@@ -102,8 +107,10 @@ def seesaw_descent_reference(
     phi = np.zeros(d_left, dtype=complex)
     value = np.inf
     trace = []
-    stall = None if stall_tol is None else stall_tol * np.sqrt(np.sum(np.abs(mat) ** 2))
-    for _ in range(max_iters):
+    norm = np.sqrt(np.sum(np.abs(mat) ** 2))
+    stall = None if stall_tol is None else stall_tol * norm
+    band = None if abandon_tol is None else abandon_tol * norm
+    for k in range(1, max_iters + 1):
         val_left, phi_new = _min_eigpair(np.einsum("irjs,r,s->ij", w4, psi.conj(), psi))
         val_right, psi_new = _min_eigpair(
             np.einsum("irjs,i,j->rs", w4, phi_new.conj(), phi_new)
@@ -120,6 +127,11 @@ def seesaw_descent_reference(
         phi, psi, value = phi_new, psi_new, val_right
         if move < conv_tol or stalled:
             return value, phi, psi, trace, True
+        if band is not None and k >= 20 and value > band:
+            # the exponent p of C / k^p through the values at k - 1 and k
+            p = np.log(trace[-3] / value) / np.log(k / (k - 1))
+            if value * (k / max_iters) ** p > band:
+                return value, phi, psi, trace, False
     return value, phi, psi, trace, False
 
 
@@ -147,11 +159,13 @@ def min_product_reference(
 
 def zero_harvest_reference(
     mat, d_left, d_right, target_count, max_descents, seed,
-    zero_tol=1e-8, overlap=1 - 1e-6,
+    zero_tol=1e-8, overlap=1 - 1e-6, abandon_tol=3e-8,
 ):
     """Sequential zero harvest: one descent at a time until ``target_count``
-    distinct product zeros are kept or ``max_descents`` have run.  Returns
-    the kept full vectors in order and the number of descents run."""
+    distinct product zeros are kept or ``max_descents`` have run, each
+    descent given up as ``seesaw_descent_reference`` gives up at
+    ``abandon_tol`` (``None`` runs every unsettled descent to the budget).
+    Returns the kept full vectors in order and the number of descents run."""
     kept = []
     run = 0
     for t in range(max_descents):
@@ -159,7 +173,7 @@ def zero_harvest_reference(
             break
         run += 1
         value, phi, psi, _, _ = seesaw_descent_reference(
-            mat, d_left, d_right, descent_rng(seed, t)
+            mat, d_left, d_right, descent_rng(seed, t), abandon_tol=abandon_tol
         )
         if abs(value) > zero_tol:
             continue

@@ -204,6 +204,15 @@ def test_exhibit_threshold_scales_with_the_cap():
         nontrivial_extension_exhibit(AbParams(a=np.eye(2), b=np.ones((2, 2))))
 
 
+def test_exhibit_names_a_negative_value_that_misses_the_threshold():
+    # -1e-7 is negative, just not below -1e-6 * CLOSED_FORM_SCALE * ||cap||_F
+    with pytest.raises(ValueError) as info:
+        nontrivial_extension_exhibit(AbParams(b=(1 - 1e-7) * np.ones((2, 2))))
+    message = str(info.value)
+    assert message.startswith("extension value -1e-07 is negative but not below -6.66667e-07:")
+    assert "not negative" not in message
+
+
 def test_detected_ppt_state(choi):
     rho = choi_detected_ppt_state()
     assert rho.trace == pytest.approx(1.0, abs=1e-12)

@@ -76,6 +76,13 @@ def test_restart_stops_are_summarized_on_stderr_only(capsys, argv):
     assert "see-saw restarts" not in out and "settled" not in out
 
 
+def test_restart_summary_counts_abandoned_restarts_apart_from_budget(capsys):
+    code, _, err = run_cli(capsys, "certify", "choi")
+    assert code == 0
+    line = next(x for x in err.splitlines() if x.startswith("see-saw restarts:"))
+    assert "0 settled, 47 stalled, 0 at budget, 17 abandoned;" in line
+
+
 def test_certify_identity_is_not_a_witness(capsys):
     code, out, _ = run_cli(capsys, "certify", "identity", "--quiet")
     assert code == 0
@@ -227,6 +234,21 @@ def test_input_errors_name_their_file_and_cap(tmp_path, capsys, key):
     op_path.write_text("not json")
     code, out, err = run_cli(capsys, "certify", str(op_path))
     assert (code, out) == (2, "") and err.startswith(f"error: {op_path} is not valid JSON: ")
+
+
+def test_invalid_cap_names_its_file_and_cap(tmp_path, capsys):
+    # the cap reads fine but is no valid cap: the error names where it came from
+    good = {"dims": [2], "cut": 1, "data": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+    bad = json.loads(json.dumps(good))
+    bad["data"][1][1][0] = -1.0
+    path = tmp_path / "caps.json"
+    path.write_text(json.dumps({"cap_left": bad, "cap_right": good}))
+    code, out, err = run_cli(capsys, "extend", "choi", "--caps", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cap file {str(path)!r}: cap_left is not positive semidefinite "
+        "at relative tolerance 1e-10\n"
+    )
 
 
 def test_extend_rejects_wrong_cap_keys(tmp_path, capsys):

@@ -231,6 +231,53 @@ def test_harvest_runs_stalled_restarts_on_as_uninterrupted_descents(
     assert len(resumed.vectors) == len(reference)
 
 
+def _haar_rotated(op, seed):
+    rng = rng_from(seed)
+    u = np.kron(random_unitary(op.layout.left_dim, rng), random_unitary(op.layout.right_dim, rng))
+    m = u @ op.mat @ u.conj().T
+    return HermitianOperator((m + m.conj().T) / 2, op.layout)
+
+
+@pytest.mark.parametrize(
+    "name", ["choi", "choi-rot1", "choi-rot2", "choi-rot3", "swap", "swap-gamma", "capped-choi"]
+)
+def test_abandoned_descents_drop_no_zero(name, choi, swap, capped_choi):
+    # The harvest keeps what a sequential harvest that runs every unsettled
+    # descent to the budget keeps: abandoning a descent never loses a zero.
+    # Witnesses are harvested from their see-saw report, as certify does;
+    # the partial transpose from fresh descents, as nd_spanning does.
+    ops = {
+        "choi": choi, "swap": swap, "swap-gamma": partial_transpose(swap),
+        "capped-choi": capped_choi,
+    }
+    op = ops[name] if name in ops else _haar_rotated(choi, int(name[-1]))
+    seesaw = None if name == "swap-gamma" else min_product_expectation(op, seed=42)
+    zeros = collect_zero_set(op, seed=42, seesaw=seesaw)
+    dim = op.layout.total_dim
+    reference, _ = zero_harvest_reference(
+        op.mat, op.layout.left_dim, op.layout.right_dim, 4 * dim, 20 * dim, 42,
+        zero_tol=witness_module.ZERO_TOL * np.linalg.norm(op.mat), abandon_tol=None,
+    )
+    assert len(zeros.vectors) == len(reference) > 0
+    assert zeros.span_rank == span_rank(reference)
+    if name == "capped-choi":
+        return  # kept vectors fixed by rounding on a continuum: count and rank only
+    for kept, ref in zip(zeros.vectors, reference):
+        np.testing.assert_allclose(kept.full(), ref, atol=1e-9)
+
+
+def test_certifying_choi_abandons_its_creeping_restarts(choi):
+    # 17 restarts at seed 42 creep like C / k^2 toward values above the zero
+    # band; they stop within tens of iterations instead of at the budget
+    cert = certify_witness(choi, seed=42)
+    report = cert.min_product
+    assert sum(report.abandoned) == 17
+    band = witness_module.ZERO_TOL * np.linalg.norm(choi.mat)
+    assert all(v > band for v, a in zip(report.restart_values, report.abandoned) if a)
+    assert max(report.iterations) <= 40
+    assert has_spanning_property(choi, cert).rank == 7
+
+
 def test_seesaw_best_vector_reproduces_best_value(swap):
     report = min_product_expectation(swap, restarts=8, seed=3)
     v = report.best_vector.full()
