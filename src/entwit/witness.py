@@ -56,6 +56,7 @@ ZERO_TOL = 1e-8  # relative to the Frobenius norm of W
 STALL_TOL = 1e-13  # relative to the Frobenius norm of W
 ABANDON_AFTER = 20  # iterations in all before a descent may be abandoned
 ABANDON_FLOOR = 3 * ZERO_TOL  # relative to the Frobenius norm of W
+ABANDON_EXPONENT_TOL = 0.1  # relative change of a creeping descent's power-law exponent
 SPAN_SV_THRESHOLD = 1e-8
 DEDUP_OVERLAP = 1 - 1e-6
 IMAG_TOL = 1e-10  # imaginary part tolerated on a real-valued trace of unit scale
@@ -68,9 +69,10 @@ class SeeSawReport(NamedTuple):
     stop rule; ``settled`` marks those stopped by the strict rule (vectors
     and value still), the others having stopped on a stalled value.  A
     restart that is neither ran to the budget or was abandoned, as a descent
-    whose value, run on to the budget along its own power law, stays above
-    the zero band; ``abandoned`` marks the latter.  ``iterations`` counts
-    the full iterations each used.
+    creeping along a steady power law that stays above the zero band
+    (``_abandoned``); ``abandoned`` marks the latter.  An abandoned restart
+    is not converged even where, run on, it would have stalled later.
+    ``iterations`` counts the full iterations each used.
     """
 
     best_value: float
@@ -189,16 +191,16 @@ def _lockstep_descents(
     value by at most CONVERGENCE_TOL * ||W||_F; with ``stall`` it also leaves
     once one iteration moves its value by at most STALL_TOL * ||W||_F.  A
     descent is abandoned after ABANDON_AFTER or more iterations in all, k,
-    when its value v_k is above the floor ABANDON_FLOOR * ||W||_F and the
-    power law through its last two values, run on to the budget, still ends
-    above it: v_k (v_k / v_{k-1})^(ln(DEFAULT_MAX_ITERS / k) / ln(k / (k-1)))
-    > floor.  Such a descent creeps toward a degenerate minimum that it
-    cannot reach inside the zero band within its budget.  The rule reads the
-    descent's own values only, and leaves it neither settled nor stopped
-    early, as if at the budget.  Every descent stops after DEFAULT_MAX_ITERS
-    iterations in all.
-    ``resume = (value, phi, iterations)`` continues descents stopped earlier
-    from their last state (``psi`` then holds their last right vectors).
+    when it creeps along a power law that cannot bring it into the zero band
+    within the budget (see ``_abandoned``).  The rule reads the descent's
+    own values only, takes no precedence over a stop rule met at the same
+    step, and leaves the descent neither settled nor stopped early, as if
+    at the budget.  Every descent stops after DEFAULT_MAX_ITERS iterations
+    in all.
+    ``resume = (value, before, phi, iterations)`` continues descents
+    stopped earlier from their last state (``psi`` then holds their last
+    right vectors; ``before`` is the value of the iteration before the last,
+    which the abandonment rule reads).
     A step raising an objective by over 1e-10 * ||W||_F raises NumericalError.
     Returns the final values, left and right vectors, the value traces (two
     entries per iteration of this call, from column 0), the iteration counts
@@ -215,10 +217,10 @@ def _lockstep_descents(
     psi = psi.copy()
     if resume is None:
         phi = np.zeros((n, d_left), dtype=complex)
-        value = np.full(n, np.inf)
+        value, before = np.full(n, np.inf), np.full(n, np.inf)
         iters = np.zeros(n, dtype=int)
     else:
-        value, phi, iters = (np.array(a) for a in resume)
+        value, before, phi, iters = (np.array(a) for a in resume)
     trace = np.empty((n, 2 * DEFAULT_MAX_ITERS))
     converged = np.zeros(n, dtype=bool)
     settled = np.zeros(n, dtype=bool)
@@ -228,7 +230,7 @@ def _lockstep_descents(
     for it in range(max(expiries, default=0)):
         if not active.size:
             break
-        p, prev = psi[active], value[active]
+        p, prev, prev2 = psi[active], value[active], before[active]
         val_left, phi_new = _min_eigvecs((_pairs(p) @ w_pairs.T).reshape(-1, d_left, d_left))
         val_right, psi_new = _min_eigvecs(
             (_pairs(phi_new) @ w_pairs).reshape(-1, d_right, d_right)
@@ -245,16 +247,11 @@ def _lockstep_descents(
             np.abs(phi_new - phi[active]).max(axis=1), np.abs(psi_new - p).max(axis=1)
         )
         phi[active], psi[active], value[active] = phi_new, psi_new, val_right
+        before[active] = prev
         still = (move < CONVERGENCE_TOL) & (change <= settle_tol)
         stop = still | (change <= stall_tol)
         k = iters[active] + it + 1  # iterations in all, this one included
-        hopeless = (k >= ABANDON_AFTER) & (val_right > floor)
-        if hopeless.any():
-            # the power law through v_{k-1} and v_k, run on to the budget
-            v, k = val_right[hopeless], k[hopeless]
-            power = np.log(DEFAULT_MAX_ITERS / k) / np.log(k / (k - 1))
-            hopeless[hopeless] = v * (v / prev[hopeless]) ** power > floor
-        done = stop | hopeless
+        done = stop | _abandoned(k, val_right, prev, prev2, floor)
         if it + 1 in expiries:
             done |= left[active] == it + 1
         if done.any():
@@ -263,6 +260,31 @@ def _lockstep_descents(
             iters[leaving] += it + 1
             active = active[~done]
     return value, phi, psi, trace, iters, converged, settled
+
+
+def _abandoned(k: Array, v: Array, v1: Array, v2: Array, floor: float) -> Array:
+    """Descents to abandon at iteration ``k`` (in all), from the values v_k,
+    v_{k-1} and v_{k-2} of their last three iterations.
+
+    A descent creeping toward a degenerate minimum follows a power law
+    C / k^p with a steady exponent (p near 2 on the Choi map).  It is
+    abandoned from iteration ABANDON_AFTER on when v_k lies above ``floor``,
+    the exponent p_k fitted through v_{k-1} and v_k differs from the one
+    through v_{k-2} and v_{k-1} by at most ABANDON_EXPONENT_TOL of the
+    latter, and the power law run on to the budget still ends above the
+    floor: v_k (k / DEFAULT_MAX_ITERS)^p_k > floor.  The steady exponent
+    keeps descents running that settle onto a minimum, whose exponent falls
+    by the contraction factor every iteration, and descents leaving a
+    saddle, whose exponent climbs.
+    """
+    out = (k >= ABANDON_AFTER) & (v > floor)
+    if out.any():
+        k, v, v1, v2 = k[out], v[out], v1[out], v2[out]
+        p = np.log(v1 / v) / np.log(k / (k - 1))
+        q = np.log(v2 / v1) / np.log((k - 1) / (k - 2))
+        steady = (q > 0) & (np.abs(p - q) <= ABANDON_EXPONENT_TOL * q)
+        out[out] = steady & (v * (k / DEFAULT_MAX_ITERS) ** p > floor)
+    return out
 
 
 def min_product_expectation(
@@ -365,19 +387,19 @@ def collect_zero_set(
     descents 0 to ``seesaw.restarts - 1`` without running them again; the
     seed is the report's (0 without one), and another one raises.  The
     harvest's descents settle under the strict stop rule and are abandoned
-    under the see-saw's rule (above the zero band and not heading into it
-    within the budget), but do not stop on a stalled value.  So the report's
+    under the see-saw's rule (creeping along a power law that stays above
+    the zero band), but do not stop on a stalled value.  So the report's
     restarts that stopped on a stalled value are first run on together from
     their stored states, for the rest of their budget; each ends where an
-    uninterrupted descent ends.  A restart the see-saw abandoned was
-    abandoned at the same step an uninterrupted descent is, so it is not run
-    on, and its value stays above the zero band.  The remaining descents run
-    in lock-step chunks, each as large as the number of zeros still missing
-    (capped by the budget).  Results are accepted in descent order, so the
-    kept set is the one a one-at-a-time harvest keeps and no descent past
-    what that harvest would run is started.  Distinct means Gram overlap
-    below 1 - 1e-6; the span rank is the singular-value rank of the stacked
-    full vectors at a 1e-8 relative threshold.
+    uninterrupted descent ends.  A restart the see-saw abandoned, or one
+    that stalled at a step where the abandonment rule also holds, ends where
+    an uninterrupted descent is abandoned, so it is not run on.  The
+    remaining descents run in lock-step chunks, each as large as the number
+    of zeros still missing (capped by the budget).  Results are accepted in
+    descent order, so the kept set is the one a one-at-a-time harvest keeps
+    and no descent past what that harvest would run is started.  Distinct
+    means Gram overlap below 1 - 1e-6; the span rank is the singular-value
+    rank of the stacked full vectors at a 1e-8 relative threshold.
     """
     W.layout.require_bipartite()
     if target_count is None:
@@ -396,11 +418,20 @@ def collect_zero_set(
         n = min(seesaw.restarts, max_descents)
         vectors = seesaw.restart_vectors[:n]
         lefts, rights = (np.array([v.factors[i] for v in vectors]) for i in (0, 1))
-        # restarts stopped on a stalled value run on without the stall rule;
-        # settled, abandoned and spent ones have nothing left to run
+        # restarts stopped on a stalled value run on without the stall rule,
+        # unless the abandonment rule, read at the same step, ends an
+        # uninterrupted descent there; settled, abandoned and spent ones
+        # have nothing left to run
+        k = np.array(seesaw.iterations[:n])
+        v, traces = np.array(seesaw.restart_values[:n]), seesaw.value_traces[:n]
+        v1, v2 = (  # the values of the two iterations before the last
+            np.array([t[2 * j - 1] if j > 0 else np.inf for t, j in zip(traces, k - i)])
+            for i in (1, 2)
+        )
         stalled = np.array(seesaw.converged[:n]) & ~np.array(seesaw.settled[:n])
-        iters = np.where(stalled, seesaw.iterations[:n], DEFAULT_MAX_ITERS)
-        resume = (np.array(seesaw.restart_values[:n]), lefts, iters)
+        stalled &= ~_abandoned(k, v, v1, v2, ABANDON_FLOOR * _frobenius(W.mat))
+        iters = np.where(stalled, k, DEFAULT_MAX_ITERS)
+        resume = (v, v1, lefts, iters)
         values, phis, psis, *_ = _lockstep_descents(W, rights, resume=resume)
         pending = list(zip(values, phis, psis))
         next_descent = seesaw.restarts

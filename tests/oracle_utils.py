@@ -86,7 +86,7 @@ def _min_eigpair(mat):
 
 def seesaw_descent_reference(
     mat, d_left, d_right, rng, max_iters=500, conv_tol=1e-12, stall_tol=None,
-    abandon_tol=3e-8,
+    abandon_tol=None,
 ):
     """One see-saw descent from a complex Gaussian right-party start.
 
@@ -95,9 +95,11 @@ def seesaw_descent_reference(
     one step, or, given ``stall_tol``, once two consecutive right-half values
     differ by at most ``stall_tol`` times the Frobenius norm of ``mat``.
     Given ``abandon_tol``, it also gives up from iteration 20 on when the
-    value lies above ``abandon_tol`` times the Frobenius norm and a power law
-    C / k^p fitted to the last two right-half values still lies above it at
-    iteration ``max_iters``; a descent given up counts as not converged.
+    value lies above ``abandon_tol`` times the Frobenius norm, the exponent p
+    of a power law C / k^p fitted to the last two right-half values is
+    within 10% of the one fitted to the two before, and that power law still
+    lies above the band at iteration ``max_iters``; a descent given up counts
+    as not converged.  Without it every unsettled descent runs to the budget.
     Returns (value, phi, psi, trace, converged); the trace holds both
     half-step values of every iteration.
     """
@@ -128,9 +130,12 @@ def seesaw_descent_reference(
         if move < conv_tol or stalled:
             return value, phi, psi, trace, True
         if band is not None and k >= 20 and value > band:
-            # the exponent p of C / k^p through the values at k - 1 and k
+            # exponents of C / k^p through the values at k - 1 and k, and
+            # through those at k - 2 and k - 1
             p = np.log(trace[-3] / value) / np.log(k / (k - 1))
-            if value * (k / max_iters) ** p > band:
+            p_before = np.log(trace[-5] / trace[-3]) / np.log((k - 1) / (k - 2))
+            steady = p_before > 0 and abs(p - p_before) <= 0.1 * p_before
+            if steady and value * (k / max_iters) ** p > band:
                 return value, phi, psi, trace, False
     return value, phi, psi, trace, False
 
@@ -144,14 +149,16 @@ def descent_rng(seed, index):
 
 
 def min_product_reference(
-    mat, d_left, d_right, restarts, seed, max_iters=500, stall_tol=1e-13
+    mat, d_left, d_right, restarts, seed, max_iters=500, stall_tol=1e-13,
+    abandon_tol=None,
 ):
     """Per-restart descents, run one after another in restart order, with the
     certification see-saw's stall stop (``stall_tol=None`` for the strict
-    rule alone)."""
+    rule alone) and, given ``abandon_tol``, its abandonment rule."""
     return [
         seesaw_descent_reference(
-            mat, d_left, d_right, descent_rng(seed, r), max_iters, stall_tol=stall_tol
+            mat, d_left, d_right, descent_rng(seed, r), max_iters,
+            stall_tol=stall_tol, abandon_tol=abandon_tol,
         )
         for r in range(restarts)
     ]
@@ -159,7 +166,7 @@ def min_product_reference(
 
 def zero_harvest_reference(
     mat, d_left, d_right, target_count, max_descents, seed,
-    zero_tol=1e-8, overlap=1 - 1e-6, abandon_tol=3e-8,
+    zero_tol=1e-8, overlap=1 - 1e-6, abandon_tol=None,
 ):
     """Sequential zero harvest: one descent at a time until ``target_count``
     distinct product zeros are kept or ``max_descents`` have run, each

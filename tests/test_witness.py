@@ -98,7 +98,8 @@ def test_lockstep_seesaw_matches_reference_descents(name, choi, swap, capped_cho
     op = {"choi": choi, "swap": swap, "capped-choi": capped_choi}[name]
     report = min_product_expectation(op, seed=42)
     reference = min_product_reference(
-        op.mat, op.layout.left_dim, op.layout.right_dim, report.restarts, 42
+        op.mat, op.layout.left_dim, op.layout.right_dim, report.restarts, 42,
+        abandon_tol=witness_module.ABANDON_FLOOR,
     )
     _assert_matches_reference(report, reference, op)
 
@@ -133,6 +134,22 @@ def test_stall_stop_keeps_the_strict_product_minimum(dims, shifted):
         strict = min_product_reference(mat, *dims, 16, seed, stall_tol=None)
         gap = abs(report.best_value - min(r[0] for r in strict))
         assert gap <= 1e-11 * np.linalg.norm(mat)
+
+
+def test_abandonment_leaves_restarts_settling_above_the_band_alone():
+    # A strict witness whose product minimum sits 1e-2 ||W||_F above zero:
+    # its restarts contract onto minima above the zero band, which the
+    # abandonment rule must not take for a creep, so their flags, values and
+    # traces are those of descents that are never abandoned.
+    dims = (3, 3)
+    mat = _random_hermitian(dims, [7, 3, 3, 10])
+    shift = min(r[0] for r in min_product_reference(mat, *dims, 16, 0, stall_tol=None))
+    mat = mat - (shift - 1e-2 * np.linalg.norm(mat)) * np.eye(len(mat))
+    op = HermitianOperator(mat, SystemLayout(dims, 1))
+    report = min_product_expectation(op, restarts=16, seed=42)
+    assert min(report.iterations) >= witness_module.ABANDON_AFTER
+    assert not any(report.abandoned)
+    _assert_matches_reference(report, min_product_reference(mat, *dims, 16, 42), op)
 
 
 def _harvest_case(name, target_count, max_descents, restarts=None):
@@ -174,7 +191,8 @@ def test_chunked_harvest_matches_sequential_reference(
         op, target_count=target_count, max_descents=max_descents, seed=42, seesaw=seesaw
     )
     reference, descents_run = zero_harvest_reference(
-        op.mat, op.layout.left_dim, op.layout.right_dim, target_count, max_descents, 42
+        op.mat, op.layout.left_dim, op.layout.right_dim, target_count, max_descents, 42,
+        abandon_tol=witness_module.ABANDON_FLOOR,
     )
     assert len(zeros.vectors) == len(reference)
     for kept, ref in zip(zeros.vectors, reference):
@@ -226,9 +244,44 @@ def test_harvest_runs_stalled_restarts_on_as_uninterrupted_descents(
     for kept, strict in zip(resumed.vectors, fresh.vectors):
         np.testing.assert_array_equal(kept.full(), strict.full())
     reference, _ = zero_harvest_reference(
-        op.mat, op.layout.left_dim, op.layout.right_dim, target_count, max_descents, 42
+        op.mat, op.layout.left_dim, op.layout.right_dim, target_count, max_descents, 42,
+        abandon_tol=witness_module.ABANDON_FLOOR,
     )
     assert len(resumed.vectors) == len(reference)
+
+
+@pytest.mark.parametrize("stall_tol", [None, 5e-6], ids=["default", "stall-at-20"])
+def test_harvest_resumes_restarts_as_uninterrupted_strict_descents(
+    stall_tol, choi, monkeypatch
+):
+    # Every descent the harvest reads from a see-saw report ends bit for bit
+    # where a strict descent from the same start ends.  Stalling at 5e-6 on
+    # choi stops restarts at iteration 20, where the abandonment rule holds
+    # too: a strict descent is abandoned there, so they must not run on.
+    if stall_tol is not None:
+        monkeypatch.setattr(witness_module, "STALL_TOL", stall_tol)
+    report = min_product_expectation(choi, seed=42)
+    stalled = [c and not s for c, s in zip(report.converged, report.settled)]
+    assert any(stalled)
+    if stall_tol is not None:
+        floor = witness_module.ABANDON_FLOOR * np.linalg.norm(choi.mat)
+        assert any(
+            s and k == 20 and v > floor
+            for s, k, v in zip(stalled, report.iterations, report.restart_values)
+        )
+    lockstep = witness_module._lockstep_descents
+    runs = []
+
+    def recording_lockstep(*args, **kwargs):
+        runs.append(lockstep(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(witness_module, "_lockstep_descents", recording_lockstep)
+    collect_zero_set(choi, seed=42, seesaw=report)
+    starts = witness_module._start_vectors(42, range(report.restarts), choi.layout.right_dim)
+    strict = lockstep(choi, starts)
+    for resumed, uninterrupted in zip(runs[0][:3], strict[:3]):
+        np.testing.assert_array_equal(resumed, uninterrupted)
 
 
 def _haar_rotated(op, seed):
