@@ -23,7 +23,7 @@ from importlib import import_module
 
 # The public names, by the layer that defines them.
 _EXPORTS = {
-    "catalog": ("catalogued_witnesses", "choi_detected_ppt_state", "swap_witness"),
+    "catalog": ("choi_detected_ppt_state", "swap_witness"),
     "choi": (
         "AbParams", "ExhibitReport", "choi_witness", "closed_form_values",
         "detection_values", "nontrivial_extension_exhibit", "rho_abb",
@@ -35,7 +35,7 @@ _EXPORTS = {
     ),
     "mdiew": (
         "AuditFailure", "AuditReport", "MdiewScenario", "StateBasis",
-        "decompose_witness", "ideal_projector", "joint_probability", "mdiew_value",
+        "decompose_witness", "ideal_projector", "mdiew_value",
         "reconstruction_residual", "separable_nonnegativity_audit",
         "tomographic_basis",
     ),

@@ -15,12 +15,11 @@ from .operators import (
     maximally_entangled_vector,
     projector,
 )
-from .choi import _choi_blocks, choi_witness
+from .choi import _choi_blocks
 
 __all__ = [
     "swap_witness",
     "choi_detected_ppt_state",
-    "catalogued_witnesses",
 ]
 
 
@@ -47,7 +46,3 @@ def choi_detected_ppt_state() -> HermitianOperator:
     _, dplus, dminus = _choi_blocks()
     raw = 3.0 * pplus + 2.0 * dplus + 0.5 * dminus
     return HermitianOperator(raw / raw.trace().real, SystemLayout((3, 3), 1))
-
-
-def catalogued_witnesses() -> dict[str, HermitianOperator]:
-    return {"choi": choi_witness(), "swap": swap_witness()}

@@ -79,9 +79,9 @@ def resolve_operator(token: str) -> tuple[str, HermitianOperator]:
 
 def _emit(args, payload: dict, lines: list[str]) -> None:
     text = dumps_canonical(payload)
-    sys.stdout.write(text)
-    if args.json_out:
+    if args.json_out:  # first, so a failed mirror leaves stdout empty
         Path(args.json_out).write_text(text)
+    sys.stdout.write(text)
     if not args.quiet:
         for line in lines:
             print(line, file=sys.stderr)

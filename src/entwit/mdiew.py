@@ -72,7 +72,6 @@ __all__ = [
     "reconstruction_residual",
     "ideal_projector",
     "MdiewScenario",
-    "joint_probability",
     "mdiew_value",
     "AuditFailure",
     "AuditReport",
@@ -317,32 +316,6 @@ def _click_table(
         bad = hi if lo >= -PROBABILITY_RANGE_TOL else lo
         raise NumericalError(f"probability {bad!r} outside [0, 1]")
     return table.real
-
-
-def joint_probability(
-    rho: HermitianOperator,
-    sigma_s: Array,
-    sigma_t: Array,
-    povm_left: HermitianOperator | Array,
-    povm_right: HermitianOperator | Array,
-) -> float:
-    """P(0,0 | s, t) for one pair of verifier inputs.
-
-    The left element acts on input (x) left party, the right element on
-    right party (x) input, both in canonical system order.
-    """
-    d_a, d_b = rho.layout.left_dim, rho.layout.right_dim
-    sig_s = np.asarray(sigma_s, dtype=complex)
-    sig_t = np.asarray(sigma_t, dtype=complex)
-    if sig_s.shape != (d_a, d_a) or sig_t.shape != (d_b, d_b):
-        raise LayoutError(
-            f"input shapes {sig_s.shape}, {sig_t.shape} do not match parties "
-            f"({d_a}, {d_b})"
-        )
-    e_l = _povm_matrix(povm_left, d_a * d_a, "left POVM element")
-    e_r = _povm_matrix(povm_right, d_b * d_b, "right POVM element")
-    table = _click_table(rho.mat[None], sig_s[None], sig_t[None], e_l[None], e_r[None])
-    return float(table[0, 0, 0])
 
 
 def mdiew_value(

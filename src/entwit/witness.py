@@ -70,9 +70,8 @@ class SeeSawReport(NamedTuple):
     and value still), the others having stopped on a stalled value.  A
     restart that is neither ran to the budget or was abandoned, as a descent
     creeping along a steady power law that stays above the zero band
-    (``_abandoned``); ``abandoned`` marks the latter.  An abandoned restart
-    is not converged even where, run on, it would have stalled later.
-    ``iterations`` counts the full iterations each used.
+    (``_abandoned``); ``abandoned`` marks the latter.  ``iterations`` counts
+    the full iterations each used.
     """
 
     best_value: float
@@ -186,17 +185,17 @@ def _lockstep_descents(
     product, so a descent's arithmetic does not depend on which descents
     share the stack, and one stopped and resumed ends bit for bit where an
     uninterrupted one ends (one (n, K) product would not do: BLAS rounds a
-    one-row product differently).  A descent settles, and leaves the active
-    set, once one step moves its vectors by less than CONVERGENCE_TOL and its
-    value by at most CONVERGENCE_TOL * ||W||_F; with ``stall`` it also leaves
-    once one iteration moves its value by at most STALL_TOL * ||W||_F.  A
-    descent is abandoned after ABANDON_AFTER or more iterations in all, k,
-    when it creeps along a power law that cannot bring it into the zero band
-    within the budget (see ``_abandoned``).  The rule reads the descent's
-    own values only, takes no precedence over a stop rule met at the same
-    step, and leaves the descent neither settled nor stopped early, as if
-    at the budget.  Every descent stops after DEFAULT_MAX_ITERS iterations
-    in all.
+    one-row product differently).  A descent leaves the active set on the
+    first rule it meets, in this order: it settles once one step moves its
+    vectors by less than CONVERGENCE_TOL and its value by at most
+    CONVERGENCE_TOL * ||W||_F; it is abandoned after ABANDON_AFTER or more
+    iterations in all when it creeps along a power law that cannot bring it
+    into the zero band within the budget (``_abandoned``), and is then
+    neither settled nor stopped early, as if at the budget; with ``stall``
+    it stops once one iteration moves its value by at most
+    STALL_TOL * ||W||_F; and it stops after DEFAULT_MAX_ITERS iterations in
+    all.  So a descent stopped on a stalled value did not meet the
+    abandonment rule at that step.
     ``resume = (value, before, phi, iterations)`` continues descents
     stopped earlier from their last state (``psi`` then holds their last
     right vectors; ``before`` is the value of the iteration before the last,
@@ -248,10 +247,11 @@ def _lockstep_descents(
         )
         phi[active], psi[active], value[active] = phi_new, psi_new, val_right
         before[active] = prev
-        still = (move < CONVERGENCE_TOL) & (change <= settle_tol)
-        stop = still | (change <= stall_tol)
         k = iters[active] + it + 1  # iterations in all, this one included
-        done = stop | _abandoned(k, val_right, prev, prev2, floor)
+        hopeless = _abandoned(k, val_right, prev, prev2, floor)
+        still = (move < CONVERGENCE_TOL) & (change <= settle_tol)
+        stop = still | (change <= stall_tol) & ~hopeless
+        done = stop | hopeless
         if it + 1 in expiries:
             done |= left[active] == it + 1
         if done.any():
@@ -386,20 +386,17 @@ def collect_zero_set(
     of a see-saw at the same seed, so a ``seesaw`` report of W supplies
     descents 0 to ``seesaw.restarts - 1`` without running them again; the
     seed is the report's (0 without one), and another one raises.  The
-    harvest's descents settle under the strict stop rule and are abandoned
-    under the see-saw's rule (creeping along a power law that stays above
-    the zero band), but do not stop on a stalled value.  So the report's
-    restarts that stopped on a stalled value are first run on together from
-    their stored states, for the rest of their budget; each ends where an
-    uninterrupted descent ends.  A restart the see-saw abandoned, or one
-    that stalled at a step where the abandonment rule also holds, ends where
-    an uninterrupted descent is abandoned, so it is not run on.  The
-    remaining descents run in lock-step chunks, each as large as the number
-    of zeros still missing (capped by the budget).  Results are accepted in
-    descent order, so the kept set is the one a one-at-a-time harvest keeps
-    and no descent past what that harvest would run is started.  Distinct
-    means Gram overlap below 1 - 1e-6; the span rank is the singular-value
-    rank of the stacked full vectors at a 1e-8 relative threshold.
+    harvest's descents settle and are abandoned as the see-saw's are, but do
+    not stop on a stalled value.  So the report's restarts that stopped on a
+    stalled value are first run on together from their stored states, for
+    the rest of their budget; each ends where an uninterrupted descent ends.
+    The remaining descents run in lock-step chunks, each as large as the
+    number of zeros still missing (capped by the budget).  Results are
+    accepted in descent order, so the kept set is the one a one-at-a-time
+    harvest keeps and no descent past what that harvest would run is
+    started.  Distinct means Gram overlap below 1 - 1e-6; the span rank is
+    the singular-value rank of the stacked full vectors at a 1e-8 relative
+    threshold.
     """
     W.layout.require_bipartite()
     if target_count is None:
@@ -418,20 +415,14 @@ def collect_zero_set(
         n = min(seesaw.restarts, max_descents)
         vectors = seesaw.restart_vectors[:n]
         lefts, rights = (np.array([v.factors[i] for v in vectors]) for i in (0, 1))
-        # restarts stopped on a stalled value run on without the stall rule,
-        # unless the abandonment rule, read at the same step, ends an
-        # uninterrupted descent there; settled, abandoned and spent ones
-        # have nothing left to run
-        k = np.array(seesaw.iterations[:n])
-        v, traces = np.array(seesaw.restart_values[:n]), seesaw.value_traces[:n]
-        v1, v2 = (  # the values of the two iterations before the last
-            np.array([t[2 * j - 1] if j > 0 else np.inf for t, j in zip(traces, k - i)])
-            for i in (1, 2)
-        )
+        # restarts stopped on a stalled value run on without the stall rule;
+        # settled, abandoned and spent ones have nothing left to run
         stalled = np.array(seesaw.converged[:n]) & ~np.array(seesaw.settled[:n])
-        stalled &= ~_abandoned(k, v, v1, v2, ABANDON_FLOOR * _frobenius(W.mat))
-        iters = np.where(stalled, k, DEFAULT_MAX_ITERS)
-        resume = (v, v1, lefts, iters)
+        k = np.where(stalled, seesaw.iterations[:n], DEFAULT_MAX_ITERS)
+        before = [  # the value of the iteration before the last
+            t[2 * j - 3] if s else np.inf for t, j, s in zip(seesaw.value_traces, k, stalled)
+        ]
+        resume = (seesaw.restart_values[:n], before, lefts, k)
         values, phis, psis, *_ = _lockstep_descents(W, rights, resume=resume)
         pending = list(zip(values, phis, psis))
         next_descent = seesaw.restarts

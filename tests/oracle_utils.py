@@ -91,15 +91,14 @@ def seesaw_descent_reference(
     """One see-saw descent from a complex Gaussian right-party start.
 
     Alternates exact minimal eigenvectors of the two effective operators and
-    stops once the value and both vectors move by less than ``conv_tol`` in
-    one step, or, given ``stall_tol``, once two consecutive right-half values
-    differ by at most ``stall_tol`` times the Frobenius norm of ``mat``.
-    Given ``abandon_tol``, it also gives up from iteration 20 on when the
-    value lies above ``abandon_tol`` times the Frobenius norm, the exponent p
-    of a power law C / k^p fitted to the last two right-half values is
-    within 10% of the one fitted to the two before, and that power law still
-    lies above the band at iteration ``max_iters``; a descent given up counts
-    as not converged.  Without it every unsettled descent runs to the budget.
+    ends on the first of these checks that holds after an iteration, in this
+    order.  It converges once the value and both vectors move by less than
+    ``conv_tol`` in one step.  Given ``abandon_tol``, it gives up as
+    ``abandonment_holds`` says, with the band ``abandon_tol`` times the
+    Frobenius norm of ``mat``; a descent given up counts as not converged.
+    Given ``stall_tol``, it converges once two consecutive right-half values
+    differ by at most ``stall_tol`` times that norm.  Without ``abandon_tol``
+    every unsettled, unstalled descent runs to the budget.
     Returns (value, phi, psi, trace, converged); the trace holds both
     half-step values of every iteration.
     """
@@ -123,21 +122,35 @@ def seesaw_descent_reference(
             np.abs(phi_new - phi).max(),
             np.abs(psi_new - psi).max(),
         )
-        stalled = (
-            stall is not None and len(trace) > 2 and abs(trace[-1] - trace[-3]) <= stall
-        )
         phi, psi, value = phi_new, psi_new, val_right
-        if move < conv_tol or stalled:
+        if move < conv_tol:
             return value, phi, psi, trace, True
-        if band is not None and k >= 20 and value > band:
-            # exponents of C / k^p through the values at k - 1 and k, and
-            # through those at k - 2 and k - 1
-            p = np.log(trace[-3] / value) / np.log(k / (k - 1))
-            p_before = np.log(trace[-5] / trace[-3]) / np.log((k - 1) / (k - 2))
-            steady = p_before > 0 and abs(p - p_before) <= 0.1 * p_before
-            if steady and value * (k / max_iters) ** p > band:
-                return value, phi, psi, trace, False
+        if band is not None and abandonment_holds(trace, k, band, max_iters):
+            return value, phi, psi, trace, False
+        if stall is not None and k > 1 and abs(trace[-1] - trace[-3]) <= stall:
+            return value, phi, psi, trace, True
     return value, phi, psi, trace, False
+
+
+def abandonment_holds(trace, k, band, max_iters=500):
+    """Whether a descent is given up at iteration ``k`` (from 1), read from
+    its trace of both half-step values per iteration.
+
+    From iteration 20 on, a right-half value above ``band`` is given up when
+    the exponent p of a power law C / k^p fitted to the last two right-half
+    values is within 10% of the one fitted to the two before, and that power
+    law still lies above the band at iteration ``max_iters``.
+    """
+    value = trace[2 * k - 1]
+    if k < 20 or not value > band:
+        return False
+    # exponents of C / k^p through the values at k - 1 and k, and through
+    # those at k - 2 and k - 1
+    v1, v2 = trace[2 * k - 3], trace[2 * k - 5]
+    p = np.log(v1 / value) / np.log(k / (k - 1))
+    p_before = np.log(v2 / v1) / np.log((k - 1) / (k - 2))
+    steady = p_before > 0 and abs(p - p_before) <= 0.1 * p_before
+    return bool(steady and value * (k / max_iters) ** p > band)
 
 
 def descent_rng(seed, index):

@@ -5,7 +5,6 @@ from entwit import (
     AbParams,
     HermitianOperator,
     SystemLayout,
-    catalogued_witnesses,
     certify_indecomposable,
     choi_detected_ppt_state,
     closed_form_values,
@@ -220,10 +219,3 @@ def test_detected_ppt_state(choi):
     assert is_psd(partial_transpose(rho), tol=1e-12)
     assert expectation(choi, rho) == pytest.approx(-1.0 / 7.0, abs=1e-12)
     assert certify_indecomposable(choi, rho)
-
-
-def test_catalog_contents(choi, swap):
-    cat = catalogued_witnesses()
-    assert set(cat) == {"choi", "swap"}
-    np.testing.assert_array_equal(cat["choi"].mat, choi.mat)
-    np.testing.assert_array_equal(cat["swap"].mat, swap.mat)

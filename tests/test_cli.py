@@ -410,6 +410,17 @@ def test_json_out_mirrors_stdout(tmp_path, capsys):
     assert target.read_text() == out
 
 
+def test_failed_json_out_leaves_stdout_empty(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(
+        capsys, "certify", "swap", "--json-out", str(target), "--quiet"
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not target.exists()
+
+
 def test_seed_is_recorded_verbatim(capsys):
     code, out, _ = run_cli(
         capsys, "certify", "swap", "--seed", "7", "--restarts", "12",

@@ -14,7 +14,6 @@ from entwit import (
     decompose_witness,
     expectation,
     ideal_projector,
-    joint_probability,
     maximally_entangled_vector,
     mdiew_value,
     projector,
@@ -155,27 +154,31 @@ def test_scenario_solves_and_checks_beta_once(monkeypatch, capsys):
     assert doc["residual"] == want
 
 
+def _one_click(rho, sigma_s, sigma_t, e_l, e_r):
+    """P(0,0 | s, t) for one pair of inputs, from one-member stacks."""
+    stacks = (rho[None], sigma_s[None], sigma_t[None], e_l[None], e_r[None])
+    return float(mdiew_module._click_table(*stacks)[0, 0, 0])
+
+
 def test_joint_probability_matches_loop_oracle():
-    rho = _as_state(random_density(4, seed=21).mat, (2, 2))
+    rho = random_density(4, seed=21).mat
     basis = tomographic_basis(2)
     e_l = random_povm_first_element(4, seed=22).mat
     e_r = random_povm_first_element(4, seed=23).mat
     for s in basis.states[:3]:
         for t in basis.states[-3:]:
-            lib = joint_probability(rho, s, t, e_l, e_r)
-            orc = joint_probability_loops(rho.mat, s, t, e_l, e_r, 2, 2)
+            lib = _one_click(rho, s, t, e_l, e_r)
+            orc = joint_probability_loops(rho, s, t, e_l, e_r, 2, 2)
             assert lib == pytest.approx(orc, abs=1e-12)
             assert 0.0 <= lib <= 1.0
 
 
 def test_joint_probability_extreme_elements():
-    rho = _as_state(random_density(4, seed=31).mat, (2, 2))
+    rho = random_density(4, seed=31).mat
     basis = tomographic_basis(2)
     s, t = basis.states[1], basis.states[2]
-    assert joint_probability(rho, s, t, np.eye(4), np.eye(4)) == pytest.approx(
-        1.0, abs=1e-12
-    )
-    assert joint_probability(rho, s, t, np.zeros((4, 4)), np.eye(4)) == 0.0
+    assert _one_click(rho, s, t, np.eye(4), np.eye(4)) == pytest.approx(1.0, abs=1e-12)
+    assert _one_click(rho, s, t, np.zeros((4, 4)), np.eye(4)) == 0.0
 
 
 def test_ideal_measurement_reproduces_witness_value(choi, swap):

@@ -26,6 +26,7 @@ from entwit import (
 )
 import entwit.witness as witness_module
 from oracle_utils import (
+    abandonment_holds,
     min_product_expectation_bloch,
     min_product_reference,
     zero_harvest_reference,
@@ -256,19 +257,25 @@ def test_harvest_resumes_restarts_as_uninterrupted_strict_descents(
 ):
     # Every descent the harvest reads from a see-saw report ends bit for bit
     # where a strict descent from the same start ends.  Stalling at 5e-6 on
-    # choi stops restarts at iteration 20, where the abandonment rule holds
-    # too: a strict descent is abandoned there, so they must not run on.
+    # choi stops restarts at iteration 20, where some of them meet the
+    # abandonment rule too: those are abandoned, as a strict descent is, so
+    # no restart reported as stalled meets the rule at its stop.
     if stall_tol is not None:
         monkeypatch.setattr(witness_module, "STALL_TOL", stall_tol)
     report = min_product_expectation(choi, seed=42)
+    norm = np.linalg.norm(choi.mat)
+    floor, stall = witness_module.ABANDON_FLOOR * norm, witness_module.STALL_TOL * norm
     stalled = [c and not s for c, s in zip(report.converged, report.settled)]
     assert any(stalled)
-    if stall_tol is not None:
-        floor = witness_module.ABANDON_FLOOR * np.linalg.norm(choi.mat)
-        assert any(
-            s and k == 20 and v > floor
-            for s, k, v in zip(stalled, report.iterations, report.restart_values)
-        )
+    for s, k, trace in zip(stalled, report.iterations, report.value_traces):
+        assert not (s and abandonment_holds(trace, k, floor))
+    both = [
+        k >= 20 and abs(t[39] - t[37]) <= stall and abandonment_holds(t, 20, floor)
+        for k, t in zip(report.iterations, report.value_traces)
+    ]
+    assert any(both) == (stall_tol is not None)
+    for b, a, k in zip(both, report.abandoned, report.iterations):
+        assert not b or (a and k == 20)
     lockstep = witness_module._lockstep_descents
     runs = []
 
