@@ -52,11 +52,10 @@ VERDICT_NOT_FOUND = "not-found-at-budget"
 DEFAULT_MAX_ITERS = 500
 CONVERGENCE_TOL = 1e-12  # on vector entries; times ||W||_F on values
 MONOTONE_SLACK = 1e-10  # relative to the Frobenius norm of W
-ZERO_TOL = 1e-8  # relative to the Frobenius norm of W
+ZERO_TOL = 1e-13  # relative to the Frobenius norm of W
 STALL_TOL = 1e-13  # relative to the Frobenius norm of W
 ABANDON_AFTER = 20  # iterations in all before a descent may be abandoned
 ABANDON_FLOOR = 3 * ZERO_TOL  # relative to the Frobenius norm of W
-ABANDON_EXPONENT_TOL = 0.1  # relative change of a creeping descent's power-law exponent
 SPAN_SV_THRESHOLD = 1e-8
 DEDUP_OVERLAP = 1 - 1e-6
 IMAG_TOL = 1e-10  # imaginary part tolerated on a real-valued trace of unit scale
@@ -69,7 +68,7 @@ class SeeSawReport(NamedTuple):
     stop rule; ``settled`` marks those stopped by the strict rule (vectors
     and value still), the others having stopped on a stalled value.  A
     restart that is neither ran to the budget or was abandoned, as a descent
-    creeping along a steady power law that stays above the zero band
+    creeping along a power law that cannot reach the zero band by the budget
     (``_abandoned``); ``abandoned`` marks the latter.  ``iterations`` counts
     the full iterations each used.
     """
@@ -190,12 +189,12 @@ def _lockstep_descents(
     vectors by less than CONVERGENCE_TOL and its value by at most
     CONVERGENCE_TOL * ||W||_F; it is abandoned after ABANDON_AFTER or more
     iterations in all when it creeps along a power law that cannot bring it
-    into the zero band within the budget (``_abandoned``), and is then
-    neither settled nor stopped early, as if at the budget; with ``stall``
-    it stops once one iteration moves its value by at most
-    STALL_TOL * ||W||_F; and it stops after DEFAULT_MAX_ITERS iterations in
-    all.  So a descent stopped on a stalled value did not meet the
-    abandonment rule at that step.
+    into the zero band (ZERO_TOL * ||W||_F) within the budget
+    (``_abandoned``), and is then neither settled nor stopped early, as if
+    at the budget; with ``stall`` it stops once one iteration moves its
+    value by at most STALL_TOL * ||W||_F; and it stops after
+    DEFAULT_MAX_ITERS iterations in all.  So a descent stopped on a stalled
+    value did not meet the abandonment rule at that step.
     ``resume = (value, before, phi, iterations)`` continues descents
     stopped earlier from their last state (``psi`` then holds their last
     right vectors; ``before`` is the value of the iteration before the last,
@@ -269,20 +268,20 @@ def _abandoned(k: Array, v: Array, v1: Array, v2: Array, floor: float) -> Array:
     A descent creeping toward a degenerate minimum follows a power law
     C / k^p with a steady exponent (p near 2 on the Choi map).  It is
     abandoned from iteration ABANDON_AFTER on when v_k lies above ``floor``,
-    the exponent p_k fitted through v_{k-1} and v_k differs from the one
-    through v_{k-2} and v_{k-1} by at most ABANDON_EXPONENT_TOL of the
-    latter, and the power law run on to the budget still ends above the
-    floor: v_k (k / DEFAULT_MAX_ITERS)^p_k > floor.  The steady exponent
-    keeps descents running that settle onto a minimum, whose exponent falls
-    by the contraction factor every iteration, and descents leaving a
-    saddle, whose exponent climbs.
+    the exponent p_k fitted through v_{k-1} and v_k differs from the
+    exponent q through v_{k-2} and v_{k-1} by at most q / k, and the power
+    law run on to the budget still ends above the floor:
+    v_k (k / DEFAULT_MAX_ITERS)^p_k > floor.  On a power law the fitted
+    exponent changes by O(q / k^2) per iteration.  On a geometric descent
+    C r^k, however slow, it grows like k ln(1/r), by about q / (k - 1.5)
+    per iteration, so a descent contracting onto a minimum keeps running.
     """
     out = (k >= ABANDON_AFTER) & (v > floor)
     if out.any():
         k, v, v1, v2 = k[out], v[out], v1[out], v2[out]
         p = np.log(v1 / v) / np.log(k / (k - 1))
         q = np.log(v2 / v1) / np.log((k - 1) / (k - 2))
-        steady = (q > 0) & (np.abs(p - q) <= ABANDON_EXPONENT_TOL * q)
+        steady = (q > 0) & (np.abs(p - q) <= q / k)
         out[out] = steady & (v * (k / DEFAULT_MAX_ITERS) ** p > floor)
     return out
 
@@ -380,8 +379,8 @@ def collect_zero_set(
     """Harvest product vectors on which W vanishes, from see-saw descents.
 
     Runs descents until ``target_count`` distinct zeros (descents ending at
-    |value| <= 1e-8 ||W||_F) are held or the ``max_descents`` budget runs
-    out; an empty set is a legitimate outcome.
+    |value| <= ZERO_TOL * ||W||_F, 1e-13 ||W||_F) are held or the
+    ``max_descents`` budget runs out; an empty set is a legitimate outcome.
     Descent ``t`` starts from ``rng_from(seed, t)``, exactly as restart ``t``
     of a see-saw at the same seed, so a ``seesaw`` report of W supplies
     descents 0 to ``seesaw.restarts - 1`` without running them again; the

@@ -138,8 +138,12 @@ def abandonment_holds(trace, k, band, max_iters=500):
 
     From iteration 20 on, a right-half value above ``band`` is given up when
     the exponent p of a power law C / k^p fitted to the last two right-half
-    values is within 10% of the one fitted to the two before, and that power
-    law still lies above the band at iteration ``max_iters``.
+    values differs from the one fitted to the two before by at most 1/k of
+    the latter, and that power law still lies above the band at iteration
+    ``max_iters``.  On a power law the fitted exponent changes by O(1/k^2)
+    per step; on a geometric descent C r^k it grows like k ln(1/r), by
+    about 1/(k - 1.5) of itself per step, so a geometric descent is never
+    given up.
     """
     value = trace[2 * k - 1]
     if k < 20 or not value > band:
@@ -149,7 +153,7 @@ def abandonment_holds(trace, k, band, max_iters=500):
     v1, v2 = trace[2 * k - 3], trace[2 * k - 5]
     p = np.log(v1 / value) / np.log(k / (k - 1))
     p_before = np.log(v2 / v1) / np.log((k - 1) / (k - 2))
-    steady = p_before > 0 and abs(p - p_before) <= 0.1 * p_before
+    steady = p_before > 0 and abs(p - p_before) <= p_before / k
     return bool(steady and value * (k / max_iters) ** p > band)
 
 

@@ -321,6 +321,10 @@ def test_abandoned_descents_drop_no_zero(name, choi, swap, capped_choi):
     assert len(zeros.vectors) == len(reference) > 0
     assert zeros.span_rank == span_rank(reference)
     if name == "capped-choi":
+        # positive-definite caps lift a zero span of rank r to r * d_A' * d_B':
+        # choi's 7 (6 for its partial transpose) under (2, 2) caps
+        assert zeros.span_rank == 7 * 2 * 2
+        assert collect_zero_set(partial_transpose(op), seed=42).span_rank == 6 * 2 * 2
         return  # kept vectors fixed by rounding on a continuum: count and rank only
     for kept, ref in zip(zeros.vectors, reference):
         np.testing.assert_allclose(kept.full(), ref, atol=1e-9)
@@ -336,6 +340,51 @@ def test_certifying_choi_abandons_its_creeping_restarts(choi):
     assert all(v > band for v, a in zip(report.restart_values, report.abandoned) if a)
     assert max(report.iterations) <= 40
     assert has_spanning_property(choi, cert).rank == 7
+
+
+def test_certifying_capped_choi_abandons_its_creeping_restarts(capped_choi):
+    # 10 restarts at seed 42 creep like C / k^2 and would end near
+    # 1e-9 ||W||_F at the budget, far above the zero band: they stop within
+    # tens of iterations, and the best value is that of a see-saw that
+    # abandons nothing
+    op = capped_choi
+    report = min_product_expectation(op, seed=42)
+    assert sum(report.abandoned) == 10
+    assert max(report.iterations) <= 40
+    reference = min_product_reference(
+        op.mat, op.layout.left_dim, op.layout.right_dim, report.restarts, 42
+    )
+    gap = abs(report.best_value - min(r[0] for r in reference))
+    assert gap <= 1e-11 * np.linalg.norm(op.mat)
+
+
+def _generalized_choi(a):
+    """Cho-Kye-Lee's Phi[a, b, c] on the curve a + b + c = 2, bc = (1 - a)^2,
+    with b >= c: a |ii><ii| + b |i,i+1><i,i+1| + c |i,i-1><i,i-1| summed over
+    i, minus |ii><jj| for every i != j."""
+    disc = np.sqrt((2 - a) ** 2 - 4 * (1 - a) ** 2)
+    b, c = (2 - a + disc) / 2, (2 - a - disc) / 2
+    mat = np.zeros((9, 9))
+    for i in range(3):
+        for j in range(3):
+            mat[3 * i + i, 3 * j + j] = a if i == j else -1.0
+        mat[3 * i + (i + 1) % 3, 3 * i + (i + 1) % 3] = b
+        mat[3 * i + (i - 1) % 3, 3 * i + (i - 1) % 3] = c
+    return HermitianOperator(mat, SystemLayout((3, 3), 1))
+
+
+@pytest.mark.parametrize("a", [0.1, 0.25, 0.5])
+def test_generalized_choi_keeps_its_spanning_zeros(a):
+    # Phi[a]'s descents near its zeros contract geometrically, however
+    # slowly; the abandonment rule must not take them for creeps, or the
+    # harvest loses zeros (at a = 0.1 a 10% steadiness test abandoned 56 of
+    # 64 restarts and left rank 7 and partial-transpose rank 6)
+    op = _generalized_choi(a)
+    cert = certify_witness(op, seed=42)
+    assert cert.is_witness_numeric
+    primal = has_spanning_property(op, cert)
+    assert primal.rank == 9
+    assert nd_spanning(op, primal, seed=42)
 
 
 def test_seesaw_best_vector_reproduces_best_value(swap):
