@@ -94,11 +94,10 @@ def _config(args) -> dict:
 
 def _restart_summary(report: SeeSawReport) -> str:
     """How the see-saw restarts stopped, for the stderr summary."""
-    settled, stopped = sum(report.settled), sum(report.converged)
-    abandoned = sum(report.abandoned)
+    count = report.stops.count
     return (
-        f"{settled} settled, {stopped - settled} stalled, "
-        f"{report.restarts - stopped - abandoned} at budget, {abandoned} abandoned; "
+        f"{count('settled')} settled, {count('stalled')} stalled, "
+        f"{count('budget')} at budget, {count('abandoned')} abandoned; "
         f"iterations median {np.median(report.iterations):g}, max {max(report.iterations)}"
     )
 

@@ -13,6 +13,7 @@ Conventions
 """
 from __future__ import annotations
 
+import numbers
 from functools import reduce
 from typing import Iterable
 
@@ -91,13 +92,23 @@ def _refill(cls: type, values: tuple):
     return obj
 
 
+def _integer(x, what: str) -> int:
+    """``x`` as an int; bools, strings and floats raise instead of being coerced."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise LayoutError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 class SystemLayout(_Frozen):
-    """Ordered subsystem dimensions plus the bipartition cut index."""
+    """Ordered subsystem dimensions plus the bipartition cut index, all integers."""
 
     __slots__ = ("dims", "cut")
 
-    def __init__(self, dims: tuple[int, ...], cut: int) -> None:
-        dims = tuple(int(d) for d in dims)
+    def __init__(self, dims: Iterable[int], cut: int) -> None:
+        if not isinstance(dims, Iterable):
+            raise LayoutError(f"subsystem dimensions must be a list, got {dims!r}")
+        dims = tuple(_integer(d, "subsystem dimension") for d in dims)
+        cut = _integer(cut, "cut")
         if not dims or any(d < 1 for d in dims):
             raise LayoutError(f"subsystem dimensions must be >= 1, got {dims}")
         if not 0 <= cut <= len(dims):
@@ -149,7 +160,7 @@ class SystemLayout(_Frozen):
 
 def single_system(d: int) -> SystemLayout:
     """Layout of one subsystem (no bipartite semantics available)."""
-    return SystemLayout((int(d),), 1)
+    return SystemLayout((d,), 1)
 
 
 def _check_hermitian(mats: Array, tol=HERMITICITY_TOL, error=NumericalError) -> None:

@@ -37,9 +37,9 @@ class SerializationError(ValueError):
 
 
 def matrix_to_json(mat: Array) -> list:
-    """Nested [re, im] pairs, row-major."""
+    """Nested [re, im] pairs, row-major, for an array of any shape."""
     m = np.asarray(mat, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def matrix_from_json(data: Any, context: str = "data") -> Array:
@@ -71,19 +71,14 @@ def operator_from_dict(d: Any) -> HermitianOperator:
     if missing:
         raise SerializationError(f"operator JSON missing keys: {', '.join(missing)}")
     try:
-        dims = tuple(int(x) for x in d["dims"])
-        cut = int(d["cut"])
-    except (TypeError, ValueError) as exc:
-        raise SerializationError("dims must be a list of ints and cut an int") from exc
-    try:
-        layout = SystemLayout(dims, cut)
+        layout = SystemLayout(d["dims"], d["cut"])
     except ValueError as exc:
         raise SerializationError(str(exc)) from exc
     mat = matrix_from_json(d["data"])
     n = layout.total_dim
     if mat.shape != (n, n):
         raise SerializationError(
-            f"data is {mat.shape[0]}x{mat.shape[1]} but dims {list(dims)} need {n}x{n}"
+            f"data is {mat.shape[0]}x{mat.shape[1]} but dims {list(layout.dims)} need {n}x{n}"
         )
     _check_hermitian(mat, JSON_HERMITICITY_TOL, SerializationError)
     return HermitianOperator((mat + mat.conj().T) / 2, layout)
@@ -129,11 +124,7 @@ def to_jsonable(x: Any) -> Any:
     if isinstance(x, HermitianOperator):
         return operator_to_dict(x)
     if isinstance(x, np.ndarray):
-        if np.iscomplexobj(x):
-            return matrix_to_json(x) if x.ndim == 2 else [
-                [float(z.real), float(z.imag)] for z in x
-            ]
-        return x.tolist()
+        return matrix_to_json(x) if np.iscomplexobj(x) else x.tolist()
     if isinstance(x, tuple) and hasattr(x, "_fields"):
         return {name: to_jsonable(v) for name, v in zip(x._fields, x)}
     if isinstance(x, _Frozen):

@@ -64,21 +64,17 @@ IMAG_TOL = 1e-10  # imaginary part tolerated on a real-valued trace of unit scal
 class SeeSawReport(NamedTuple):
     """Per-restart results in restart order, for the see-saw seeded by ``seed``.
 
-    ``converged`` marks restarts that stopped on a still value, by either
-    stop rule; ``settled`` marks those stopped by the strict rule (vectors
-    and value still), the others having stopped on a stalled value.  A
-    restart that is neither ran to the budget or was abandoned, as a descent
-    creeping along a power law that cannot reach the zero band by the budget
-    (``_abandoned``); ``abandoned`` marks the latter.  ``iterations`` counts
-    the full iterations each used.
+    ``stops`` names the rule that ended each restart: ``"settled"``,
+    ``"abandoned"``, ``"stalled"`` or ``"budget"``, the first it met in the
+    order of ``_lockstep_descents``.  ``iterations`` counts the full
+    iterations each used.
     """
 
     best_value: float
     restarts: int
     restart_values: tuple[float, ...]
     restart_vectors: tuple[ProductVector, ...]
-    converged: tuple[bool, ...]
-    settled: tuple[bool, ...]
+    stops: tuple[str, ...]
     iterations: tuple[int, ...]
     value_traces: tuple[tuple[float, ...], ...]
     seed: int
@@ -89,11 +85,9 @@ class SeeSawReport(NamedTuple):
         return self.restart_vectors[int(np.argmin(self.restart_values))]
 
     @property
-    def abandoned(self) -> tuple[bool, ...]:
-        """Restarts that stopped early without a still value."""
-        return tuple(
-            not c and k < DEFAULT_MAX_ITERS for c, k in zip(self.converged, self.iterations)
-        )
+    def converged(self) -> tuple[bool, ...]:
+        """Restarts that stopped on a still value, settled or stalled."""
+        return tuple(s in ("settled", "stalled") for s in self.stops)
 
 
 class ZeroSet(NamedTuple):
@@ -185,16 +179,16 @@ def _lockstep_descents(
     share the stack, and one stopped and resumed ends bit for bit where an
     uninterrupted one ends (one (n, K) product would not do: BLAS rounds a
     one-row product differently).  A descent leaves the active set on the
-    first rule it meets, in this order: it settles once one step moves its
-    vectors by less than CONVERGENCE_TOL and its value by at most
-    CONVERGENCE_TOL * ||W||_F; it is abandoned after ABANDON_AFTER or more
-    iterations in all when it creeps along a power law that cannot bring it
-    into the zero band (ZERO_TOL * ||W||_F) within the budget
-    (``_abandoned``), and is then neither settled nor stopped early, as if
-    at the budget; with ``stall`` it stops once one iteration moves its
-    value by at most STALL_TOL * ||W||_F; and it stops after
-    DEFAULT_MAX_ITERS iterations in all.  So a descent stopped on a stalled
-    value did not meet the abandonment rule at that step.
+    first rule it meets, in this order, which names its stop: ``"settled"``
+    once one step moves its vectors by less than CONVERGENCE_TOL and its
+    value by at most CONVERGENCE_TOL * ||W||_F; ``"abandoned"`` after
+    ABANDON_AFTER or more iterations in all when it creeps along a power law
+    that cannot bring it into the zero band (ZERO_TOL * ||W||_F) within the
+    budget (``_abandoned``); with ``stall``, ``"stalled"`` once one
+    iteration moves its value by at most STALL_TOL * ||W||_F; and
+    ``"budget"`` after DEFAULT_MAX_ITERS iterations in all.  So a descent
+    stopped on a stalled value did not meet the abandonment rule at that
+    step.
     ``resume = (value, before, phi, iterations)`` continues descents
     stopped earlier from their last state (``psi`` then holds their last
     right vectors; ``before`` is the value of the iteration before the last,
@@ -202,8 +196,8 @@ def _lockstep_descents(
     A step raising an objective by over 1e-10 * ||W||_F raises NumericalError.
     Returns the final values, left and right vectors, the value traces (two
     entries per iteration of this call, from column 0), the iteration counts
-    (in all, resumed ones included), and the stopped-early and settled
-    flags.
+    (in all, resumed ones included), and the stop names (``"budget"`` for
+    descents resumed with no budget left).
     """
     d_left, d_right = op.layout.left_dim, op.layout.right_dim
     norm = _frobenius(op.mat)
@@ -220,8 +214,7 @@ def _lockstep_descents(
     else:
         value, before, phi, iters = (np.array(a) for a in resume)
     trace = np.empty((n, 2 * DEFAULT_MAX_ITERS))
-    converged = np.zeros(n, dtype=bool)
-    settled = np.zeros(n, dtype=bool)
+    stops = np.full(n, "budget", dtype=object)
     left = DEFAULT_MAX_ITERS - iters  # iterations left in each descent's budget
     expiries = set(left.tolist())
     active = np.flatnonzero(left > 0)
@@ -249,16 +242,17 @@ def _lockstep_descents(
         k = iters[active] + it + 1  # iterations in all, this one included
         hopeless = _abandoned(k, val_right, prev, prev2, floor)
         still = (move < CONVERGENCE_TOL) & (change <= settle_tol)
-        stop = still | (change <= stall_tol) & ~hopeless
-        done = stop | hopeless
+        stalled = change <= stall_tol
+        done = still | hopeless | stalled
         if it + 1 in expiries:
             done |= left[active] == it + 1
         if done.any():
             leaving = active[done]
-            settled[leaving], converged[leaving] = still[done], stop[done]
+            stops[leaving] = np.where(still, "settled", np.where(
+                hopeless, "abandoned", np.where(stalled, "stalled", "budget")))[done]
             iters[leaving] += it + 1
             active = active[~done]
-    return value, phi, psi, trace, iters, converged, settled
+    return value, phi, psi, trace, iters, stops
 
 
 def _abandoned(k: Array, v: Array, v1: Array, v2: Array, floor: float) -> Array:
@@ -297,26 +291,23 @@ def min_product_expectation(
     party vectors, so the objective is non-increasing step by step.  All
     restarts run in lock step: every half-step is one stacked contraction and
     one stacked eigensolve.  A restart is masked out of later steps once it
-    settles (vectors and value still) or once one iteration moves its value
-    by at most STALL_TOL * ||W||_F: on a continuum of minima the value is
-    reached long before the vectors stop drifting.  Restart ``r`` starts
-    from ``rng_from(seed, r)``.  The report keeps per-restart values, vectors, iteration counts
-    and traces; the overall best takes the lowest restart index on ties.
+    meets a stop rule of ``_lockstep_descents``, here with the stall rule:
+    on a continuum of minima the value is reached long before the vectors
+    stop drifting.  Restart ``r`` starts from ``rng_from(seed, r)``.  The
+    report keeps per-restart values, vectors, stops, iteration counts and
+    traces; the overall best takes the lowest restart index on ties.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     W.layout.require_bipartite()
     starts = _start_vectors(seed, range(restarts), W.layout.right_dim)
-    values, phis, psis, trace, iters, converged, settled = _lockstep_descents(
-        W, starts, stall=True
-    )
+    values, phis, psis, trace, iters, stops = _lockstep_descents(W, starts, stall=True)
     return SeeSawReport(
         best_value=float(values.min()),
         restarts=restarts,
         restart_values=tuple(values.tolist()),
         restart_vectors=tuple(ProductVector(pair) for pair in zip(phis, psis)),
-        converged=tuple(converged.tolist()),
-        settled=tuple(settled.tolist()),
+        stops=tuple(stops.tolist()),
         iterations=tuple(iters.tolist()),
         value_traces=tuple(tuple(row[: 2 * k].tolist()) for row, k in zip(trace, iters)),
         seed=seed,
@@ -385,10 +376,10 @@ def collect_zero_set(
     of a see-saw at the same seed, so a ``seesaw`` report of W supplies
     descents 0 to ``seesaw.restarts - 1`` without running them again; the
     seed is the report's (0 without one), and another one raises.  The
-    harvest's descents settle and are abandoned as the see-saw's are, but do
-    not stop on a stalled value.  So the report's restarts that stopped on a
-    stalled value are first run on together from their stored states, for
-    the rest of their budget; each ends where an uninterrupted descent ends.
+    harvest's descents stop by the rules of ``_lockstep_descents`` without
+    the stall rule.  So the report's ``"stalled"`` restarts are first run on
+    together from their stored states, for the rest of their budget; each
+    ends where an uninterrupted descent ends.
     The remaining descents run in lock-step chunks, each as large as the
     number of zeros still missing (capped by the budget).  Results are
     accepted in descent order, so the kept set is the one a one-at-a-time
@@ -414,9 +405,9 @@ def collect_zero_set(
         n = min(seesaw.restarts, max_descents)
         vectors = seesaw.restart_vectors[:n]
         lefts, rights = (np.array([v.factors[i] for v in vectors]) for i in (0, 1))
-        # restarts stopped on a stalled value run on without the stall rule;
-        # settled, abandoned and spent ones have nothing left to run
-        stalled = np.array(seesaw.converged[:n]) & ~np.array(seesaw.settled[:n])
+        # stalled restarts run on without the stall rule; the others have
+        # nothing left to run
+        stalled = np.array(seesaw.stops[:n]) == "stalled"
         k = np.where(stalled, seesaw.iterations[:n], DEFAULT_MAX_ITERS)
         before = [  # the value of the iteration before the last
             t[2 * j - 3] if s else np.inf for t, j, s in zip(seesaw.value_traces, k, stalled)

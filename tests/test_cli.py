@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -20,6 +21,7 @@ from entwit import (
     dump_operator,
     is_psd,
     mdiew_value,
+    min_product_expectation,
     operator_from_dict,
     operator_to_dict,
     random_unitary,
@@ -28,7 +30,7 @@ from entwit import (
     swap_witness,
     tomographic_basis,
 )
-from entwit.cli import main
+from entwit.cli import main, resolve_operator
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +83,25 @@ def test_restart_summary_counts_abandoned_restarts_apart_from_budget(capsys):
     assert code == 0
     line = next(x for x in err.splitlines() if x.startswith("see-saw restarts:"))
     assert "0 settled, 47 stalled, 0 at budget, 17 abandoned;" in line
+
+
+@pytest.mark.parametrize("name", ["choi", "swap", "identity", "capped-choi"])
+def test_certify_reports_the_stops_the_seesaw_names(capsys, tmp_path, name, capped_choi):
+    # stdout's converged flags and stderr's four counts are read off the
+    # stop names of the same see-saw, never decoded apart from them
+    if name == "capped-choi":
+        name = str(tmp_path / "capped-choi.json")
+        dump_operator(capped_choi, name)
+    _, op = resolve_operator(name)
+    stops = min_product_expectation(op, seed=42).stops
+    code, out, err = run_cli(capsys, "certify", name)
+    assert code == 0
+    assert json.loads(out)["see_saw_converged"] == [s in ("settled", "stalled") for s in stops]
+    line = next(x for x in err.splitlines() if x.startswith("see-saw restarts:"))
+    counts = re.findall(r"(\d+) (settled|stalled|at budget|abandoned)", line)
+    assert {word.removeprefix("at "): int(n) for n, word in counts} == {
+        s: stops.count(s) for s in ("settled", "stalled", "budget", "abandoned")
+    }
 
 
 def test_certify_identity_is_not_a_witness(capsys):
@@ -234,6 +255,27 @@ def test_input_errors_name_their_file_and_cap(tmp_path, capsys, key):
     op_path.write_text("not json")
     code, out, err = run_cli(capsys, "certify", str(op_path))
     assert (code, out) == (2, "") and err.startswith(f"error: {op_path} is not valid JSON: ")
+
+
+@pytest.mark.parametrize(
+    "dims, cut",
+    [([2.5, 2.9], 1.9), (["2", "2"], True), ([2, 2], 1.5), ([True, 2], 1), (4, 1)],
+    ids=["fractional", "string-and-bool", "fractional-cut", "bool-dim", "scalar-dims"],
+)
+def test_layout_integers_are_checked_not_coerced(tmp_path, capsys, dims, cut):
+    # an operator or cap file whose dims or cut are no integers is an input error
+    doc = dict(operator_to_dict(swap_witness()), dims=dims, cut=cut)
+    op_path = tmp_path / "op.json"
+    op_path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "certify", str(op_path))
+    assert (code, out) == (2, "") and err.startswith(f"error: {op_path}: ")
+    cap = {"dims": [2], "cut": 1, "data": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+    bad = dict(cap, dims=dims[:1] if isinstance(dims, list) else dims, cut=cut)
+    caps_path = tmp_path / "caps.json"
+    caps_path.write_text(json.dumps({"cap_left": cap, "cap_right": bad}))
+    code, out, err = run_cli(capsys, "extend", "swap", "--caps", str(caps_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cap file {str(caps_path)!r}, cap_right: ")
 
 
 def test_invalid_cap_names_its_file_and_cap(tmp_path, capsys):

@@ -39,6 +39,8 @@ def test_layout_properties():
     assert lay.total_dim == 24
     assert lay.n_subsystems == 3
     assert single_system(5) == SystemLayout((5,), 1)
+    numpy_ints = SystemLayout((np.int64(2), np.int32(3)), np.int64(1))
+    assert all(type(x) is int for x in (*numpy_ints.dims, numpy_ints.cut))
 
 
 def test_layout_rejects_bad_input():
@@ -50,6 +52,11 @@ def test_layout_rejects_bad_input():
         SystemLayout((2, 2), 3)
     with pytest.raises(LayoutError):
         SystemLayout((4,), 1).require_bipartite()
+    # dims and cut are checked, never coerced: 2.5 is no 2, and "2" or True no dimension
+    for dims, cut in (((2.5, 2), 1), ((2, 2), 1.5), ((2.0, 2), 1), (("2", 2), 1),
+                      ((True, 2), 1), ((2, 2), True), (2, 1), (None, 1)):
+        with pytest.raises(LayoutError, match="must be"):
+            SystemLayout(dims, cut)
 
 
 def test_hermitian_operator_validation():

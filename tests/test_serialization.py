@@ -97,6 +97,8 @@ def test_to_jsonable_handles_common_shapes():
             "z": 1 + 2j,
             "v": np.array([1.0 + 0j, 0.5j]),
             "m": np.eye(2, dtype=complex),
+            "z0": np.array(1 + 2j),
+            "z3": np.ones((2, 2, 2), complex),
             "r": np.array([1.0, 2.0]),
             "t": (1, 2),
             "s": SpanningReport(spanning=True, rank=4, dim=4, verdict="confirmed"),
@@ -105,6 +107,8 @@ def test_to_jsonable_handles_common_shapes():
     assert out["z"] == [1.0, 2.0]
     assert out["v"] == [[1.0, 0.0], [0.0, 0.5]]
     assert out["m"][0][0] == [1.0, 0.0]
+    assert out["z0"] == [1.0, 2.0]
+    assert out["z3"] == [[[[1.0, 0.0]] * 2] * 2] * 2
     assert out["r"] == [1.0, 2.0]
     assert out["t"] == [1, 2]
     assert out["s"] == {

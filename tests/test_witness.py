@@ -149,7 +149,7 @@ def test_abandonment_leaves_restarts_settling_above_the_band_alone():
     op = HermitianOperator(mat, SystemLayout(dims, 1))
     report = min_product_expectation(op, restarts=16, seed=42)
     assert min(report.iterations) >= witness_module.ABANDON_AFTER
-    assert not any(report.abandoned)
+    assert "abandoned" not in report.stops
     _assert_matches_reference(report, min_product_reference(mat, *dims, 16, 42), op)
 
 
@@ -233,7 +233,7 @@ def test_harvest_runs_stalled_restarts_on_as_uninterrupted_descents(
     # count against the reference.
     op = capped_choi
     report = min_product_expectation(op, seed=42)
-    stalled = [c and not s for c, s in zip(report.converged, report.settled)]
+    stalled = [s == "stalled" for s in report.stops]
     assert any(stalled[:max_descents])
     resumed = collect_zero_set(
         op, target_count=target_count, max_descents=max_descents, seed=42, seesaw=report
@@ -265,7 +265,7 @@ def test_harvest_resumes_restarts_as_uninterrupted_strict_descents(
     report = min_product_expectation(choi, seed=42)
     norm = np.linalg.norm(choi.mat)
     floor, stall = witness_module.ABANDON_FLOOR * norm, witness_module.STALL_TOL * norm
-    stalled = [c and not s for c, s in zip(report.converged, report.settled)]
+    stalled = [s == "stalled" for s in report.stops]
     assert any(stalled)
     for s, k, trace in zip(stalled, report.iterations, report.value_traces):
         assert not (s and abandonment_holds(trace, k, floor))
@@ -274,8 +274,8 @@ def test_harvest_resumes_restarts_as_uninterrupted_strict_descents(
         for k, t in zip(report.iterations, report.value_traces)
     ]
     assert any(both) == (stall_tol is not None)
-    for b, a, k in zip(both, report.abandoned, report.iterations):
-        assert not b or (a and k == 20)
+    for b, s, k in zip(both, report.stops, report.iterations):
+        assert not b or (s == "abandoned" and k == 20)
     lockstep = witness_module._lockstep_descents
     runs = []
 
@@ -335,9 +335,12 @@ def test_certifying_choi_abandons_its_creeping_restarts(choi):
     # band; they stop within tens of iterations instead of at the budget
     cert = certify_witness(choi, seed=42)
     report = cert.min_product
-    assert sum(report.abandoned) == 17
+    assert report.stops.count("abandoned") == 17
+    assert report.stops.count("stalled") == 47
     band = witness_module.ZERO_TOL * np.linalg.norm(choi.mat)
-    assert all(v > band for v, a in zip(report.restart_values, report.abandoned) if a)
+    assert all(
+        v > band for v, s in zip(report.restart_values, report.stops) if s == "abandoned"
+    )
     assert max(report.iterations) <= 40
     assert has_spanning_property(choi, cert).rank == 7
 
@@ -349,7 +352,7 @@ def test_certifying_capped_choi_abandons_its_creeping_restarts(capped_choi):
     # abandons nothing
     op = capped_choi
     report = min_product_expectation(op, seed=42)
-    assert sum(report.abandoned) == 10
+    assert report.stops.count("abandoned") == 10
     assert max(report.iterations) <= 40
     reference = min_product_reference(
         op.mat, op.layout.left_dim, op.layout.right_dim, report.restarts, 42
@@ -527,8 +530,7 @@ def test_seesaw_does_not_depend_on_scale(choi, swap, capped_choi):
         scaled = HermitianOperator(c * op.mat, op.layout)
         report = min_product_expectation(scaled, seed=42)
         zeros = collect_zero_set(scaled, max_descents=max_descents, seesaw=report)
-        return (report.iterations, report.converged, report.settled,
-                len(zeros.vectors), zeros.span_rank)
+        return report.iterations, report.stops, len(zeros.vectors), zeros.span_rank
 
     for op, max_descents in ((swap, None), (choi, None), (capped_choi, 8)):
         base = run(op, 1.0, max_descents)
@@ -536,7 +538,7 @@ def test_seesaw_does_not_depend_on_scale(choi, swap, capped_choi):
             assert run(op, 2.0**k, max_descents) == base, (op.layout.dims, k)
     # a zero W settles too: the value test needs no division by ||W||_F
     report = min_product_expectation(HermitianOperator(0 * swap.mat, swap.layout), seed=42)
-    assert all(report.settled) and report.best_value == 0.0
+    assert set(report.stops) == {"settled"} and report.best_value == 0.0
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
