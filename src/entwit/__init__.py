@@ -35,8 +35,7 @@ _EXPORTS = {
     ),
     "mdiew": (
         "AuditFailure", "AuditReport", "MdiewScenario", "StateBasis",
-        "decompose_witness", "ideal_projector", "mdiew_value",
-        "reconstruction_residual", "separable_nonnegativity_audit",
+        "ideal_projector", "mdiew_value", "separable_nonnegativity_audit",
         "tomographic_basis",
     ),
     "operators": (

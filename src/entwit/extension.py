@@ -130,7 +130,7 @@ def extended_zero_set(zeros: ZeroSet, d_ap: int, d_bp: int) -> ZeroSet:
                 e, f = basis_vector(d_ap, i), basis_vector(d_bp, j)
                 vectors.append(ProductVector((e, phi, psi, f)))
     fulls = [v.full() for v in vectors]
-    return ZeroSet(tuple(vectors), span_rank(fulls), zeros.zero_tol)
+    return ZeroSet(tuple(vectors), span_rank(fulls))
 
 
 def gamma_of_extension_check(W: HermitianOperator, spec: ExtensionSpec) -> bool:

@@ -49,6 +49,7 @@ from .operators import (
     _check_hermitian,
     _frobenius,
     _Frozen,
+    _integer,
     _realign,
     is_psd,
     maximally_entangled_vector,
@@ -68,8 +69,6 @@ __all__ = [
     "POVM_MODES",
     "StateBasis",
     "tomographic_basis",
-    "decompose_witness",
-    "reconstruction_residual",
     "ideal_projector",
     "MdiewScenario",
     "mdiew_value",
@@ -145,63 +144,6 @@ def tomographic_basis(d: int) -> StateBasis:
     return StateBasis(tuple(states))
 
 
-def _realigned(
-    W: HermitianOperator, basis_left: StateBasis, basis_right: StateBasis
-) -> tuple[Array, Array, Array]:
-    """L, R and realign(W), in which sum beta[s, t] sigma_s (x) sigma_t = W
-    reads L beta R^T = realign(W); the columns of L, R are the raveled members.
-    Raises unless W is bipartite with parties of the bases' dimensions."""
-    d_a, d_b = W.layout.left_dim, W.layout.right_dim
-    if basis_left.dim != d_a or basis_right.dim != d_b:
-        raise LayoutError(
-            f"basis dims ({basis_left.dim}, {basis_right.dim}) do not match "
-            f"witness parties ({d_a}, {d_b})"
-        )
-    left, right = (
-        np.array(b.states).reshape(len(b), -1).T for b in (basis_left, basis_right)
-    )
-    return left, right, _realign(W.mat, d_a, d_b)
-
-
-def reconstruction_residual(
-    W: HermitianOperator,
-    basis_left: StateBasis,
-    basis_right: StateBasis,
-    beta: Array,
-) -> float:
-    """Frobenius norm of (sum beta[s, t] sigma_s (x) sigma_t) - W, read off the
-    realigned equation: realignment only permutes entries."""
-    left, right, target = _realigned(W, basis_left, basis_right)
-    return _frobenius(left @ beta @ right.T - target)
-
-
-def _solve_beta(
-    W: HermitianOperator, basis_left: StateBasis, basis_right: StateBasis
-) -> Array:
-    """Two solves of L beta R^T = realign(W), as each basis has d^2 independent
-    members.  Hermiticity of W and of the members forces the complex solution
-    real, which is checked at 1e-10 ||W||_F."""
-    left, right, target = _realigned(W, basis_left, basis_right)
-    coeffs = np.linalg.solve(right, np.linalg.solve(left, target).T).T
-    imag = float(np.abs(coeffs.imag).max())
-    if not imag <= BETA_IMAG_TOL * _frobenius(W.mat):
-        raise NumericalError(
-            f"decomposition coefficients have imaginary part {imag:.3e}"
-        )
-    return coeffs.real
-
-
-def decompose_witness(
-    W: HermitianOperator,
-    basis_left: StateBasis,
-    basis_right: StateBasis,
-) -> Array:
-    """Read-only coefficients beta with sum beta[s,t] s (x) t = W, solved as in
-    ``MdiewScenario.ideal``; a residual above 1e-9 ||W||_F raises."""
-    beta = _solve_beta(W, basis_left, basis_right)
-    return MdiewScenario(W, basis_left, basis_right, beta).beta
-
-
 def ideal_projector(d: int) -> Array:
     """Rank-one projector onto the d-dimensional maximally entangled vector."""
     return projector(maximally_entangled_vector(d))
@@ -222,31 +164,44 @@ def _povm_matrix(E: HermitianOperator | Array, dim: int, name: str) -> Array:
 
 
 class MdiewScenario(_Frozen):
-    """What the verifier owns: the witness, the input bases and coefficients
-    beta with sum beta[s, t] sigma_s (x) sigma_t = W.
+    """What the verifier owns: the witness, the input bases and the
+    coefficients beta with sum beta[s, t] sigma_s (x) sigma_t = W.
 
-    The reconstruction residual is computed once, on construction, and a
-    residual above 1e-9 ||W||_F raises.  The measurements belong to the
-    untrusted devices; they are arguments of ``mdiew_value``.
+    beta is solved once, on construction.  With the raveled members as the
+    columns of L and R, the expansion reads L beta R^T = realign(W), and two
+    solves give the unique beta, as each basis has d^2 independent members.
+    Hermiticity of W and of the members forces it real: an imaginary part
+    above 1e-10 ||W||_F raises.  The residual is read off the same equation,
+    since realignment only permutes entries, and one above 1e-9 ||W||_F
+    raises.  The measurements belong to the untrusted devices; they are
+    arguments of ``mdiew_value``.
     """
 
     __slots__ = ("witness", "basis_left", "basis_right", "beta", "residual")
 
     def __init__(
-        self,
-        witness: HermitianOperator,
-        basis_left: StateBasis,
-        basis_right: StateBasis,
-        beta: Array,
+        self, witness: HermitianOperator, basis_left: StateBasis, basis_right: StateBasis
     ) -> None:
-        beta = np.array(beta, dtype=float)
-        if beta.shape != (len(basis_left), len(basis_right)):
+        d_a, d_b = witness.layout.left_dim, witness.layout.right_dim
+        if basis_left.dim != d_a or basis_right.dim != d_b:
             raise LayoutError(
-                f"beta shape {beta.shape} does not match basis sizes "
-                f"({len(basis_left)}, {len(basis_right)})"
+                f"basis dims ({basis_left.dim}, {basis_right.dim}) do not match "
+                f"witness parties ({d_a}, {d_b})"
             )
-        residual = reconstruction_residual(witness, basis_left, basis_right, beta)
-        if not residual <= DECOMPOSITION_RESIDUAL_TOL * _frobenius(witness.mat):
+        left, right = (
+            np.array(b.states).reshape(len(b), -1).T for b in (basis_left, basis_right)
+        )
+        target = _realign(witness.mat, d_a, d_b)
+        coeffs = np.linalg.solve(right, np.linalg.solve(left, target).T).T
+        norm = _frobenius(witness.mat)
+        imag = float(np.abs(coeffs.imag).max())
+        if not imag <= BETA_IMAG_TOL * norm:
+            raise NumericalError(
+                f"decomposition coefficients have imaginary part {imag:.3e}"
+            )
+        beta = np.array(coeffs.real, dtype=float)
+        residual = _frobenius(left @ beta @ right.T - target)
+        if not residual <= DECOMPOSITION_RESIDUAL_TOL * norm:
             raise NumericalError(
                 f"beta does not reconstruct the witness: residual {residual:.3e}"
             )
@@ -262,9 +217,7 @@ class MdiewScenario(_Frozen):
     @classmethod
     def ideal(cls, W: HermitianOperator) -> "MdiewScenario":
         """Tomographic bases and the beta solved over them."""
-        basis_left = tomographic_basis(W.layout.left_dim)
-        basis_right = tomographic_basis(W.layout.right_dim)
-        return cls(W, basis_left, basis_right, _solve_beta(W, basis_left, basis_right))
+        return cls(W, *map(tomographic_basis, (W.layout.left_dim, W.layout.right_dim)))
 
     @property
     def party_dims(self) -> tuple[int, int]:
@@ -459,7 +412,7 @@ def separable_nonnegativity_audit(
     embedding.  A value below -1e-9 ||W||_F or a route gap above
     1e-9 ||W||_F is a failure; failures are recorded, never raised.
     """
-    if trials < 1:
+    if _integer(trials, "trials") < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if povm_mode not in POVM_MODES:
         raise ValueError(f"povm_mode must be one of {POVM_MODES}, got {povm_mode!r}")
@@ -468,7 +421,7 @@ def separable_nonnegativity_audit(
         povm_mode, ((2, d_a * d_a), (2, d_b * d_b))
     )
     if embed_dims is not None:
-        big_l, big_r = int(embed_dims[0]), int(embed_dims[1])
+        big_l, big_r = (_integer(d, "embed dim") for d in embed_dims)
         if povm_mode != "arbitrary":
             raise ValueError(f"embed dims need povm mode 'arbitrary', got {povm_mode!r}")
         if big_l < d_a * d_a or big_r < d_b * d_b:

@@ -15,6 +15,7 @@ from .operators import (
     ProductVector,
     SeparableEnsemble,
     SystemLayout,
+    _integer,
     single_system,
 )
 
@@ -38,12 +39,14 @@ POVM_MODES = ("ideal", "arbitrary", "misaligned")
 
 
 def rng_from(seed, *key: int) -> np.random.Generator:
-    """Generator for ``seed``; extra integers select an independent substream."""
+    """Generator for ``seed``, a Generator or an integer (anything else raises
+    ``LayoutError``); extra integers select an independent substream."""
     if isinstance(seed, np.random.Generator):
         if key:
             raise ValueError("substream keys require an integer master seed")
         return seed
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
+    seq = np.random.SeedSequence(_integer(seed, "seed"), spawn_key=key)
+    return np.random.default_rng(seq)
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> Array:

@@ -22,6 +22,7 @@ from .operators import (
     PSD_TOL,
     _as_matrix,
     _frobenius,
+    _integer,
     _realign,
     eigh,
     is_psd,
@@ -91,11 +92,10 @@ class SeeSawReport(NamedTuple):
 
 
 class ZeroSet(NamedTuple):
-    """Product vectors with |expectation| <= zero_tol and their span rank."""
+    """Product zeros of a witness and the rank of their span."""
 
     vectors: tuple[ProductVector, ...]
     span_rank: int
-    zero_tol: float
 
 
 class WitnessCertificate(NamedTuple):
@@ -297,7 +297,7 @@ def min_product_expectation(
     report keeps per-restart values, vectors, stops, iteration counts and
     traces; the overall best takes the lowest restart index on ties.
     """
-    if restarts < 1:
+    if _integer(restarts, "restarts") < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     W.layout.require_bipartite()
     starts = _start_vectors(seed, range(restarts), W.layout.right_dim)
@@ -432,7 +432,7 @@ def collect_zero_set(
             continue
         kept.append(ProductVector((phi, psi)))
         fulls.append(candidate)
-    return ZeroSet(tuple(kept), span_rank(fulls), zero_tol)
+    return ZeroSet(tuple(kept), span_rank(fulls))
 
 
 def has_spanning_property(

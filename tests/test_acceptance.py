@@ -23,7 +23,6 @@ from entwit import (
     closed_form_values,
     collect_zero_set,
     certify_indecomposable,
-    decompose_witness,
     detection_values,
     eigh,
     expectation,
@@ -201,7 +200,7 @@ def test_criterion_07_decomposition_residuals():
         d_a = w.layout.left_dim
         d_b = w.layout.right_dim
         bl, br = tomographic_basis(d_a), tomographic_basis(d_b)
-        beta = decompose_witness(w, bl, br)
+        beta = MdiewScenario(w, bl, br).beta
         assert beta.dtype == np.float64 and np.isrealobj(beta)
         recon = sum(
             beta[s, t] * np.kron(bl.states[s], br.states[t])

@@ -125,7 +125,7 @@ def test_extended_zero_set_rejects_degenerate_input(swap):
     base = collect_zero_set(swap, seed=0)
     with pytest.raises(ValueError):
         extended_zero_set(base, 0, 2)
-    empty = type(base)(vectors=(), span_rank=0, zero_tol=base.zero_tol)
+    empty = type(base)(vectors=(), span_rank=0)
     with pytest.raises(ValueError):
         extended_zero_set(empty, 2, 2)
 

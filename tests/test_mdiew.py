@@ -6,12 +6,12 @@ import pytest
 import entwit.mdiew as mdiew_module
 from entwit import (
     HermitianOperator,
+    LayoutError,
     MdiewScenario,
     NumericalError,
     StateBasis,
     SystemLayout,
     choi_witness,
-    decompose_witness,
     expectation,
     ideal_projector,
     maximally_entangled_vector,
@@ -20,7 +20,7 @@ from entwit import (
     random_density,
     random_povm_first_element,
     random_separable,
-    reconstruction_residual,
+    random_unitary,
     rng_from,
     separable_nonnegativity_audit,
     tomographic_basis,
@@ -78,14 +78,15 @@ def test_state_basis_rejects_non_states():
         StateBasis(tuple(basis))
 
 
-def test_decompose_witness_residuals(choi, swap):
+def test_scenario_beta_residuals(choi, swap):
     for w in (choi, swap):
         d_a = w.layout.left_dim
         d_b = w.layout.right_dim
         bl, br = tomographic_basis(d_a), tomographic_basis(d_b)
-        beta = decompose_witness(w, bl, br)
+        sc = MdiewScenario(w, bl, br)
+        beta = sc.beta
         assert beta.dtype == np.float64
-        assert reconstruction_residual(w, bl, br, beta) <= 1e-9
+        assert sc.residual <= 1e-9
         with pytest.raises(ValueError):
             beta[0, 0] = 1.0
 
@@ -95,7 +96,7 @@ def test_decompose_product_operator_gives_indicator():
     br = tomographic_basis(2)
     mat = np.kron(bl.states[2], br.states[3])
     op = HermitianOperator(mat, SystemLayout((2, 2), 1))
-    beta = decompose_witness(op, bl, br)
+    beta = MdiewScenario(op, bl, br).beta
     want = np.zeros((4, 4))
     want[2, 3] = 1.0
     np.testing.assert_allclose(beta, want, atol=1e-10)
@@ -105,21 +106,52 @@ def test_decompose_product_operator_gives_indicator():
 def test_beta_matches_least_squares_oracle(name, named):
     w = named[name]
     bl, br = tomographic_basis(w.layout.left_dim), tomographic_basis(w.layout.right_dim)
-    beta = decompose_witness(w, bl, br)
+    beta = MdiewScenario(w, bl, br).beta
     want = decomposition_reference(w.mat, bl.states, br.states)
     assert np.abs(beta - want).max() <= 1e-12 * np.linalg.norm(w.mat)
 
 
+def _rotated_basis(d, seed):
+    """U sigma U^H over the tomographic basis, for a Haar U: complete, but
+    neither real nor made of the computational and Fourier projectors."""
+    u = random_unitary(d, seed)
+    return StateBasis(tuple(u @ s @ u.conj().T for s in tomographic_basis(d).states))
+
+
+@pytest.mark.parametrize("name", ["choi", "swap", "rotated-choi", "capped-swap"])
+def test_beta_on_rotated_bases_matches_least_squares_oracle(name, named):
+    w = named[name]
+    seed = OPERATORS.index(name)
+    bl = _rotated_basis(w.layout.left_dim, rng_from(seed, 60))
+    br = _rotated_basis(w.layout.right_dim, rng_from(seed, 61))
+    sc = MdiewScenario(w, bl, br)
+    want = decomposition_reference(w.mat, bl.states, br.states)
+    assert np.abs(sc.beta - want).max() <= 1e-12 * np.linalg.norm(w.mat)
+    assert sc.residual <= 1e-9 * np.linalg.norm(w.mat)
+
+
 def test_decompose_dimension_mismatch(choi):
     with pytest.raises(Exception):
-        decompose_witness(choi, tomographic_basis(2), tomographic_basis(3))
+        MdiewScenario(choi, tomographic_basis(2), tomographic_basis(3))
+
+
+@pytest.mark.parametrize("factor, message", [
+    (1 + 1e-3j, "imaginary part"),  # beta picks up a phase
+    (1 + 1e-6, "does not reconstruct"),  # beta is real but off by 2e-6
+])
+def test_scenario_guards_its_solve(choi, monkeypatch, factor, message):
+    bl, br = tomographic_basis(3), tomographic_basis(3)
+    solve = np.linalg.solve
+    monkeypatch.setattr(
+        mdiew_module.np.linalg, "solve", lambda a, b: factor * solve(a, b)
+    )
+    with pytest.raises(NumericalError, match=message):
+        MdiewScenario(choi, bl, br)
 
 
 def test_scenario_ideal_construction(swap):
     sc = MdiewScenario.ideal(swap)
     assert sc.party_dims == (2, 2)
-    with pytest.raises(NumericalError):
-        MdiewScenario(sc.witness, sc.basis_left, sc.basis_right, sc.beta + 0.1)
     rho = _as_state(random_density(4, seed=3).mat, (2, 2))
     ideal = mdiew_value(sc, rho, ideal_projector(2), ideal_projector(2))
     assert mdiew_value(sc, rho) == ideal
@@ -129,29 +161,22 @@ def test_scenario_ideal_construction(swap):
         mdiew_value(sc, rho, None, np.triu(np.ones((4, 4))))
 
 
-def test_scenario_solves_and_checks_beta_once(monkeypatch, capsys):
-    import entwit.mdiew as mdiew
+def test_scenario_realigns_the_witness_once(monkeypatch, capsys):
     from entwit.cli import main
 
-    calls = {"residual": 0}
+    calls = []
+    realign = mdiew_module._realign
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted(*args):
+        calls.append(args)
+        return realign(*args)
 
-    monkeypatch.setattr(
-        mdiew, "reconstruction_residual", counted("residual", reconstruction_residual)
-    )
+    monkeypatch.setattr(mdiew_module, "_realign", counted)
     assert main(["mdiew", "decompose", "choi", "--quiet"]) == 0
-    assert calls["residual"] == 1
+    assert len(calls) == 1
     doc = json.loads(capsys.readouterr().out)
     monkeypatch.undo()
-    sc = MdiewScenario.ideal(choi_witness())
-    want = reconstruction_residual(sc.witness, sc.basis_left, sc.basis_right, sc.beta)
-    assert sc.residual == want
-    assert doc["residual"] == want
+    assert doc["residual"] == MdiewScenario.ideal(choi_witness()).residual
 
 
 def _one_click(rho, sigma_s, sigma_t, e_l, e_r):
@@ -258,8 +283,7 @@ def test_decompose_and_audit_do_not_depend_on_scale(name, scale, named):
     op = named[name]
     scaled = HermitianOperator(scale * op.mat, op.layout)
     sc = MdiewScenario.ideal(scaled)
-    residual = reconstruction_residual(scaled, sc.basis_left, sc.basis_right, sc.beta)
-    assert residual <= 1e-9 * np.linalg.norm(scaled.mat)
+    assert sc.residual <= 1e-9 * np.linalg.norm(scaled.mat)
     report = separable_nonnegativity_audit(sc, trials=100, seed=3)
     assert report.passed, report.failures[:3]
 
@@ -282,6 +306,20 @@ def test_separable_audit_rejects_unknown_mode(swap):
     with pytest.raises(ValueError):
         separable_nonnegativity_audit(
             MdiewScenario.ideal(swap), trials=2, seed=0, povm_mode="psychic"
+        )
+
+
+@pytest.mark.parametrize("trials", [2.5, 2.0, True])
+def test_audit_trials_are_checked_not_coerced(swap, trials):
+    with pytest.raises(LayoutError, match="trials must be an integer"):
+        separable_nonnegativity_audit(MdiewScenario.ideal(swap), trials=trials)
+
+
+@pytest.mark.parametrize("embed_dims", [(16.9, 5.5), (16, 5.0), ("16", 5)])
+def test_audit_embed_dims_are_checked_not_coerced(swap, embed_dims):
+    with pytest.raises(LayoutError, match="embed dim must be an integer"):
+        separable_nonnegativity_audit(
+            MdiewScenario.ideal(swap), trials=2, embed_dims=embed_dims
         )
 
 

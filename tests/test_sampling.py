@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from entwit import (
+    LayoutError,
     SystemLayout,
     is_psd,
     partial_transpose,
@@ -30,6 +31,13 @@ def test_rng_from_passes_generators_through():
     assert rng_from(gen) is gen
     with pytest.raises(ValueError):
         rng_from(gen, 1)
+
+
+@pytest.mark.parametrize("seed", [2.7, 2.0, "2", True, None])
+def test_seeds_are_checked_not_coerced(seed):
+    with pytest.raises(LayoutError, match="seed must be an integer"):
+        random_psd(2, seed)
+    np.testing.assert_array_equal(random_psd(2, np.int64(2)).mat, random_psd(2, 2).mat)
 
 
 def test_random_density_properties():

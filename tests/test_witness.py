@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from entwit import (
     HermitianOperator,
+    LayoutError,
     SystemLayout,
     certify_indecomposable,
     certify_witness,
@@ -566,3 +567,9 @@ def test_certify_large_scale_witness_does_not_raise(choi):
     big = HermitianOperator(1e6 * choi.mat, choi.layout)
     cert = certify_witness(big)
     assert cert.min_eigenvalue == pytest.approx(-1e6, rel=1e-12)
+
+
+@pytest.mark.parametrize("restarts", [True, 2.0, "2"])
+def test_restarts_are_checked_not_coerced(swap, restarts):
+    with pytest.raises(LayoutError, match="restarts must be an integer"):
+        min_product_expectation(swap, restarts=restarts)
