@@ -12,6 +12,7 @@ import numpy as np
 from .operators import (
     HermitianOperator,
     SystemLayout,
+    _integer,
     maximally_entangled_vector,
     projector,
 )
@@ -25,8 +26,7 @@ __all__ = [
 
 def swap_witness(d: int = 2) -> HermitianOperator:
     """Flip operator sum_{ij} |ij><ji| on two d-level systems."""
-    if d < 2:
-        raise ValueError(f"swap needs local dimension >= 2, got {d}")
+    d = _integer(d, "dimension", 2)
     mat = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):

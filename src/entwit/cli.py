@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
-from .operators import PSD_TOL, HermitianOperator, NumericalError
+from .operators import PSD_TOL, HermitianOperator, NumericalError, _tolerance
 from .sampling import DEFAULT_RESTARTS, POVM_MODES, random_psd, rng_from
 from .serialization import (
     SerializationError,
@@ -412,8 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if not 0 <= args.tol < np.inf:  # every document echoes it
-            raise ValueError(f"tol must be finite and nonnegative, got {args.tol}")
+        _tolerance(args.tol)  # every document echoes it
         return args.func(args)
     except (ValueError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

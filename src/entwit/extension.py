@@ -23,11 +23,11 @@ from .operators import (
     SystemLayout,
     _frobenius,
     _Frozen,
-    basis_vector,
+    _integer,
     is_psd,
     partial_transpose,
 )
-from .witness import ZeroSet, span_rank
+from .witness import ZeroSet
 
 __all__ = [
     "CAP_PSD_TOL",
@@ -114,10 +114,10 @@ def extended_zero_set(zeros: ZeroSet, d_ap: int, d_bp: int) -> ZeroSet:
     Each zero phi (x) psi expands over the computational bases of the two cap
     spaces into e_i (x) phi (x) psi (x) f_j; every lift annihilates any
     extension of the original operator because the middle factor already
-    does, and the lifted span rank is the input rank times d_ap * d_bp.
+    does.  The lifts are the rows of I (x) Z (x) I for the stacked zeros Z,
+    so the span rank is exactly the input rank times d_ap * d_bp.
     """
-    if d_ap < 1 or d_bp < 1:
-        raise ValueError(f"cap dimensions must be >= 1, got ({d_ap}, {d_bp})")
+    d_ap, d_bp = (_integer(d, "cap dimension", 1) for d in (d_ap, d_bp))
     if not zeros.vectors:
         raise ValueError("zero set is empty; nothing to lift")
     vectors: list[ProductVector] = []
@@ -125,12 +125,10 @@ def extended_zero_set(zeros: ZeroSet, d_ap: int, d_bp: int) -> ZeroSet:
         if len(pv.factors) != 2:
             raise LayoutError("can only lift bipartite (two-factor) zeros")
         phi, psi = pv.factors
-        for i in range(d_ap):
-            for j in range(d_bp):
-                e, f = basis_vector(d_ap, i), basis_vector(d_bp, j)
+        for e in np.eye(d_ap):
+            for f in np.eye(d_bp):
                 vectors.append(ProductVector((e, phi, psi, f)))
-    fulls = [v.full() for v in vectors]
-    return ZeroSet(tuple(vectors), span_rank(fulls))
+    return ZeroSet(tuple(vectors), zeros.span_rank * d_ap * d_bp)
 
 
 def gamma_of_extension_check(W: HermitianOperator, spec: ExtensionSpec) -> bool:

@@ -133,8 +133,7 @@ class StateBasis(_Frozen):
 
 def tomographic_basis(d: int) -> StateBasis:
     """Projectors onto |m>, (|m>+|n>)/sqrt2, (|m>+i|n>)/sqrt2 for m < n."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    d = _integer(d, "dimension", 2)
     eye = np.eye(d, dtype=complex)
     states = [projector(eye[m]) for m in range(d)]
     for m in range(d):
@@ -412,8 +411,7 @@ def separable_nonnegativity_audit(
     embedding.  A value below -1e-9 ||W||_F or a route gap above
     1e-9 ||W||_F is a failure; failures are recorded, never raised.
     """
-    if _integer(trials, "trials") < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _integer(trials, "trials", 1)
     if povm_mode not in POVM_MODES:
         raise ValueError(f"povm_mode must be one of {POVM_MODES}, got {povm_mode!r}")
     d_a, d_b = scenario.party_dims

@@ -92,11 +92,20 @@ def _refill(cls: type, values: tuple):
     return obj
 
 
-def _integer(x, what: str) -> int:
-    """``x`` as an int; bools, strings and floats raise instead of being coerced."""
+def _integer(x, what: str, least: int | None = None) -> int:
+    """``x`` as an int, at least ``least`` if given: the one check of integer
+    arguments.  Bools, strings and floats raise instead of being coerced."""
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
         raise LayoutError(f"{what} must be an integer, got {x!r}")
+    if least is not None and x < least:
+        raise LayoutError(f"{what} must be >= {least}, got {x}")
     return int(x)
+
+
+def _tolerance(tol: float) -> None:
+    """The one check of tolerance arguments: finite and nonnegative."""
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
 class SystemLayout(_Frozen):
@@ -107,10 +116,9 @@ class SystemLayout(_Frozen):
     def __init__(self, dims: Iterable[int], cut: int) -> None:
         if not isinstance(dims, Iterable):
             raise LayoutError(f"subsystem dimensions must be a list, got {dims!r}")
-        dims = tuple(_integer(d, "subsystem dimension") for d in dims)
+        dims = tuple(_integer(d, "subsystem dimension", 1) for d in dims)
+        _integer(len(dims), "number of subsystems", 1)
         cut = _integer(cut, "cut")
-        if not dims or any(d < 1 for d in dims):
-            raise LayoutError(f"subsystem dimensions must be >= 1, got {dims}")
         if not 0 <= cut <= len(dims):
             raise LayoutError(f"cut {cut} out of range for {len(dims)} subsystems")
         self._set(dims=dims, cut=cut)
@@ -316,9 +324,9 @@ def _validated_subsystems(
     if subsystems is None:
         layout.require_bipartite()
         return tuple(range(layout.cut, layout.n_subsystems))
-    subs = tuple(sorted(set(int(s) for s in subsystems)))
+    subs = tuple(sorted({_integer(s, "subsystem index", 0) for s in subsystems}))
     for s in subs:
-        if not 0 <= s < layout.n_subsystems:
+        if not s < layout.n_subsystems:
             raise LayoutError(f"subsystem index {s} out of range for dims {layout.dims}")
     return subs
 
@@ -379,8 +387,7 @@ def eigh(M: HermitianOperator | Array) -> tuple[Array, Array]:
 def is_psd(M: HermitianOperator | Array, tol: float = PSD_TOL) -> bool:
     """True iff every entry is finite and the minimum eigenvalue is >= -tol
     times the largest eigenvalue modulus, as rounding defects scale with it."""
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    _tolerance(tol)
     mat = _as_matrix(M)
     if not np.isfinite(mat).all():  # eigvalsh returns no nan for every nan
         return False
@@ -389,8 +396,8 @@ def is_psd(M: HermitianOperator | Array, tol: float = PSD_TOL) -> bool:
 
 
 def basis_vector(d: int, k: int) -> Array:
-    e = np.zeros(d, dtype=complex)
-    e[k] = 1.0
+    e = np.zeros(_integer(d, "dimension", 1), dtype=complex)
+    e[_integer(k, "basis index", 0)] = 1.0
     return e
 
 
@@ -401,7 +408,5 @@ def projector(v: Array) -> Array:
 
 def maximally_entangled_vector(d: int) -> Array:
     """(1/sqrt(d)) sum_k |kk> on a d x d bipartite space."""
-    v = np.zeros(d * d, dtype=complex)
-    for k in range(d):
-        v[d * k + k] = 1.0
-    return v / np.sqrt(d)
+    d = _integer(d, "dimension", 1)
+    return np.eye(d, dtype=complex).ravel() / np.sqrt(d)

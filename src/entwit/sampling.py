@@ -55,8 +55,7 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> Array:
 
 def random_psd(d: int, seed) -> HermitianOperator:
     """PSD matrix G G† from a complex Gaussian G."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = _integer(d, "dimension", 1)
     g = _complex_gaussian(rng_from(seed), (d, d))
     return HermitianOperator(g @ g.conj().T, single_system(d))
 
@@ -79,8 +78,7 @@ def random_product_vector(layout: SystemLayout, seed) -> ProductVector:
 
 def random_separable(layout: SystemLayout, k: int, seed) -> SeparableEnsemble:
     """Dirichlet(1,...,1) mixture of k independent product vectors."""
-    if k < 1:
-        raise ValueError(f"ensemble size must be >= 1, got {k}")
+    k = _integer(k, "ensemble size", 1)
     rng = rng_from(seed)
     weights = tuple(rng.dirichlet(np.ones(k)).tolist())
     members = tuple(random_product_vector(layout, rng) for _ in range(k))
@@ -109,14 +107,12 @@ def _unitaries(raw: Array) -> Array:
 
 def random_povm_first_element(d: int, seed) -> HermitianOperator:
     """An effect E with 0 <= E <= I (see ``_effects``)."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = _integer(d, "dimension", 1)
     e = _effects(rng_from(seed).normal(size=(1, 2, 2, d, d)))[0]
     return HermitianOperator(e, single_system(d))
 
 
 def random_unitary(d: int, seed) -> Array:
     """Haar-distributed unitary via phase-fixed QR of a complex Gaussian."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = _integer(d, "dimension", 1)
     return _unitaries(rng_from(seed).normal(size=(1, 2, d, d)))[0]

@@ -24,6 +24,7 @@ from .operators import (
     _frobenius,
     _integer,
     _realign,
+    _tolerance,
     eigh,
     is_psd,
     partial_transpose,
@@ -297,8 +298,7 @@ def min_product_expectation(
     report keeps per-restart values, vectors, stops, iteration counts and
     traces; the overall best takes the lowest restart index on ties.
     """
-    if _integer(restarts, "restarts") < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    restarts = _integer(restarts, "restarts", 1)
     W.layout.require_bipartite()
     starts = _start_vectors(seed, range(restarts), W.layout.right_dim)
     values, phis, psis, trace, iters, stops = _lockstep_descents(W, starts, stall=True)
@@ -326,8 +326,7 @@ def certify_witness(
     separable negativity found) while the minimum eigenvalue is < -tol ||W||_F
     (so W detects its own negative eigenspace), whatever the scale of W.
     """
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    _tolerance(tol)
     report = min_product_expectation(W, restarts=restarts, seed=seed)
     vals, vecs = eigh(W)
     min_eig = float(vals[-1])
@@ -391,8 +390,10 @@ def collect_zero_set(
     W.layout.require_bipartite()
     if target_count is None:
         target_count = 4 * W.layout.total_dim
+    target_count = _integer(target_count, "target_count", 0)
     if max_descents is None:
         max_descents = 5 * target_count
+    max_descents = _integer(max_descents, "max_descents", 0)
     if seed is None:
         seed = 0 if seesaw is None else seesaw.seed
     if seesaw is not None and seesaw.seed != seed:

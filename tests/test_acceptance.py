@@ -41,6 +41,7 @@ from entwit import (
     random_separable,
     rng_from,
     separable_nonnegativity_audit,
+    span_rank,
     swap_witness,
     tomographic_basis,
 )
@@ -163,12 +164,14 @@ def test_criterion_05_spanning_transfer():
         ext = extend_witness(w, spec)
         lifted = extended_zero_set(base, d_ap, d_bp)
         assert lifted.span_rank == 4 * d_ap * d_bp
+        assert span_rank([v.full() for v in lifted.vectors]) == 4 * d_ap * d_bp
         for v in lifted.vectors:
             full = v.full()
             assert abs(np.real(full.conj() @ ext.mat @ full)) <= 1e-10
         gamma_ext = partial_transpose(ext)
         lifted_g = extended_zero_set(flipped, d_ap, d_bp)
         assert lifted_g.span_rank == 3 * d_ap * d_bp
+        assert span_rank([v.full() for v in lifted_g.vectors]) == 3 * d_ap * d_bp
         for v in lifted_g.vectors:
             full = v.full()
             assert abs(np.real(full.conj() @ gamma_ext.mat @ full)) <= 1e-10

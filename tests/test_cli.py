@@ -258,24 +258,35 @@ def test_input_errors_name_their_file_and_cap(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize(
-    "dims, cut",
-    [([2.5, 2.9], 1.9), (["2", "2"], True), ([2, 2], 1.5), ([True, 2], 1), (4, 1)],
-    ids=["fractional", "string-and-bool", "fractional-cut", "bool-dim", "scalar-dims"],
+    "dims, cut, message",
+    [
+        ([2.5, 2.9], 1.9, "subsystem dimension must be an integer, got 2.5"),
+        (["2", "2"], True, "subsystem dimension must be an integer, got '2'"),
+        ([2, 2], 1.5, "cut must be an integer, got 1.5"),
+        ([True, 2], 1, "subsystem dimension must be an integer, got True"),
+        (4, 1, "subsystem dimensions must be a list, got 4"),
+        ([0, 2], 1, "subsystem dimension must be >= 1, got 0"),
+        ([], 0, "number of subsystems must be >= 1, got 0"),
+    ],
+    ids=[
+        "fractional", "string-and-bool", "fractional-cut", "bool-dim", "scalar-dims",
+        "zero-dim", "no-dims",
+    ],
 )
-def test_layout_integers_are_checked_not_coerced(tmp_path, capsys, dims, cut):
-    # an operator or cap file whose dims or cut are no integers is an input error
+def test_layout_integers_are_checked_not_coerced(tmp_path, capsys, dims, cut, message):
+    # an operator or cap file whose dims or cut are no valid integers is an input error
     doc = dict(operator_to_dict(swap_witness()), dims=dims, cut=cut)
     op_path = tmp_path / "op.json"
     op_path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "certify", str(op_path))
-    assert (code, out) == (2, "") and err.startswith(f"error: {op_path}: ")
+    assert (code, out, err) == (2, "", f"error: {op_path}: {message}\n")
     cap = {"dims": [2], "cut": 1, "data": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
     bad = dict(cap, dims=dims[:1] if isinstance(dims, list) else dims, cut=cut)
     caps_path = tmp_path / "caps.json"
     caps_path.write_text(json.dumps({"cap_left": cap, "cap_right": bad}))
     code, out, err = run_cli(capsys, "extend", "swap", "--caps", str(caps_path))
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: cap file {str(caps_path)!r}, cap_right: ")
+    assert err == f"error: cap file {str(caps_path)!r}, cap_right: {message}\n"
 
 
 def test_invalid_cap_names_its_file_and_cap(tmp_path, capsys):

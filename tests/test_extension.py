@@ -20,7 +20,9 @@ from entwit import (
     random_psd,
     rng_from,
     single_system,
+    span_rank,
 )
+from integer_args import check_integer_case, integer_cases
 
 
 def test_extension_spec_validates_caps():
@@ -101,6 +103,7 @@ def test_extended_zero_set_multiplies_rank(swap):
     assert base.span_rank == 4
     lifted = extended_zero_set(base, 2, 2)
     assert lifted.span_rank == 16
+    assert span_rank([v.full() for v in lifted.vectors]) == 16
     spec = ExtensionSpec(random_psd(2, seed=2), random_psd(2, seed=3))
     ext = extend_witness(swap, spec)
     for v in lifted.vectors:
@@ -114,6 +117,7 @@ def test_extended_zero_set_transposed_side(swap):
     assert base.span_rank == 3
     lifted = extended_zero_set(base, 2, 2)
     assert lifted.span_rank == 12
+    assert span_rank([v.full() for v in lifted.vectors]) == 12
     spec = ExtensionSpec(random_psd(2, seed=4), random_psd(2, seed=5))
     gamma_ext = partial_transpose(extend_witness(swap, spec))
     for v in lifted.vectors:
@@ -123,8 +127,11 @@ def test_extended_zero_set_transposed_side(swap):
 
 def test_extended_zero_set_rejects_degenerate_input(swap):
     base = collect_zero_set(swap, seed=0)
-    with pytest.raises(ValueError):
-        extended_zero_set(base, 0, 2)
+    for case in integer_cases({
+        "d_ap": (lambda x: extended_zero_set(base, x, 2), "cap dimension", 1),
+        "d_bp": (lambda x: extended_zero_set(base, 2, x), "cap dimension", 1),
+    }):
+        check_integer_case(*case.values)
     empty = type(base)(vectors=(), span_rank=0)
     with pytest.raises(ValueError):
         extended_zero_set(empty, 2, 2)

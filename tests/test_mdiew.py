@@ -23,8 +23,10 @@ from entwit import (
     random_unitary,
     rng_from,
     separable_nonnegativity_audit,
+    swap_witness,
     tomographic_basis,
 )
+from integer_args import check_integer_case, integer_cases
 from oracle_utils import (
     audit_trial_reference, decomposition_reference, joint_probability_loops,
 )
@@ -309,10 +311,17 @@ def test_separable_audit_rejects_unknown_mode(swap):
         )
 
 
-@pytest.mark.parametrize("trials", [2.5, 2.0, True])
-def test_audit_trials_are_checked_not_coerced(swap, trials):
-    with pytest.raises(LayoutError, match="trials must be an integer"):
-        separable_nonnegativity_audit(MdiewScenario.ideal(swap), trials=trials)
+@pytest.mark.parametrize("call, value, message", integer_cases({
+    "trials": (
+        lambda x: separable_nonnegativity_audit(MdiewScenario.ideal(swap_witness()), trials=x),
+        "trials", 1,
+    ),
+    "tomographic_basis": (tomographic_basis, "dimension", 2),
+    "ideal_projector": (ideal_projector, "dimension", 1),
+}, own="trials"))
+def test_audit_trials_are_checked_not_coerced(call, value, message):
+    # so are the dimensions of the input states and the ideal measurement
+    check_integer_case(call, value, message)
 
 
 @pytest.mark.parametrize("embed_dims", [(16.9, 5.5), (16, 5.0), ("16", 5)])

@@ -19,7 +19,9 @@ from entwit import (
     partial_transpose,
     projector,
     single_system,
+    swap_witness,
 )
+from integer_args import check_integer_case, integer_cases
 from oracle_utils import partial_trace_loops, partial_transpose_loops
 
 
@@ -44,9 +46,9 @@ def test_layout_properties():
 
 
 def test_layout_rejects_bad_input():
-    with pytest.raises(LayoutError):
+    with pytest.raises(LayoutError, match="number of subsystems must be >= 1, got 0"):
         SystemLayout((), 0)
-    with pytest.raises(LayoutError):
+    with pytest.raises(LayoutError, match="subsystem dimension must be >= 1, got 0"):
         SystemLayout((2, 0), 1)
     with pytest.raises(LayoutError):
         SystemLayout((2, 2), 3)
@@ -57,6 +59,24 @@ def test_layout_rejects_bad_input():
                       ((True, 2), 1), ((2, 2), True), (2, 1), (None, 1)):
         with pytest.raises(LayoutError, match="must be"):
             SystemLayout(dims, cut)
+    assert SystemLayout((np.int64(2), 2), np.int64(1)) == SystemLayout((2, 2), 1)
+
+
+@pytest.mark.parametrize("call, value, message", integer_cases({
+    "partial_transpose": (
+        lambda x: partial_transpose(_random_hermitian((2, 2), 0), [x]), "subsystem index", 0,
+    ),
+    "partial_trace": (
+        lambda x: partial_trace(_random_hermitian((2, 2), 0), keep=[x]), "subsystem index", 0,
+    ),
+    "basis_vector-d": (lambda x: basis_vector(x, 0), "dimension", 1),
+    "basis_vector-k": (lambda x: basis_vector(2, x), "basis index", 0),
+    "maximally_entangled_vector": (maximally_entangled_vector, "dimension", 1),
+    "swap_witness": (swap_witness, "dimension", 2),
+}, values=(True, 1.0, 1.7, "1")))
+def test_operator_integers_are_checked_not_coerced(call, value, message):
+    # a subsystem index of 1.7 or True is no 1, and no dimension is 0
+    check_integer_case(call, value, message)
 
 
 def test_hermitian_operator_validation():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from entwit import (
-    LayoutError,
     SystemLayout,
     is_psd,
     partial_transpose,
@@ -14,6 +13,7 @@ from entwit import (
     random_unitary,
     rng_from,
 )
+from integer_args import check_integer_case, integer_cases
 
 
 def test_rng_from_is_reproducible_and_key_split():
@@ -33,10 +33,19 @@ def test_rng_from_passes_generators_through():
         rng_from(gen, 1)
 
 
-@pytest.mark.parametrize("seed", [2.7, 2.0, "2", True, None])
-def test_seeds_are_checked_not_coerced(seed):
-    with pytest.raises(LayoutError, match="seed must be an integer"):
-        random_psd(2, seed)
+@pytest.mark.parametrize("call, value, message", integer_cases({
+    "seed": (lambda x: random_psd(2, x), "seed", None),
+    "random_psd": (lambda x: random_psd(x, 0), "dimension", 1),
+    "random_density": (lambda x: random_density(x, 0), "dimension", 1),
+    "random_povm_first_element": (lambda x: random_povm_first_element(x, 0), "dimension", 1),
+    "random_unitary": (lambda x: random_unitary(x, 0), "dimension", 1),
+    "random_separable": (
+        lambda x: random_separable(SystemLayout((2, 2), 1), x, 0), "ensemble size", 1,
+    ),
+}, own="seed", values=(2.7, 2.0, "2", True, None)))
+def test_seeds_are_checked_not_coerced(call, value, message):
+    # so are the dimensions and the ensemble size of every draw
+    check_integer_case(call, value, message)
     np.testing.assert_array_equal(random_psd(2, np.int64(2)).mat, random_psd(2, 2).mat)
 
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from entwit import (
     HermitianOperator,
-    LayoutError,
     SystemLayout,
     certify_indecomposable,
     certify_witness,
@@ -24,8 +23,10 @@ from entwit import (
     random_unitary,
     rng_from,
     span_rank,
+    swap_witness,
 )
 import entwit.witness as witness_module
+from integer_args import check_integer_case, integer_cases
 from oracle_utils import (
     abandonment_holds,
     min_product_expectation_bloch,
@@ -569,7 +570,15 @@ def test_certify_large_scale_witness_does_not_raise(choi):
     assert cert.min_eigenvalue == pytest.approx(-1e6, rel=1e-12)
 
 
-@pytest.mark.parametrize("restarts", [True, 2.0, "2"])
-def test_restarts_are_checked_not_coerced(swap, restarts):
-    with pytest.raises(LayoutError, match="restarts must be an integer"):
-        min_product_expectation(swap, restarts=restarts)
+@pytest.mark.parametrize("call, value, message", integer_cases({
+    "restarts": (lambda x: min_product_expectation(swap_witness(), restarts=x), "restarts", 1),
+    "target_count": (
+        lambda x: collect_zero_set(swap_witness(), target_count=x), "target_count", 0,
+    ),
+    "max_descents": (
+        lambda x: collect_zero_set(swap_witness(), max_descents=x), "max_descents", 0,
+    ),
+}, own="restarts"))
+def test_restarts_are_checked_not_coerced(call, value, message):
+    # so are the harvest's counts; 0 of either harvests nothing
+    check_integer_case(call, value, message)
