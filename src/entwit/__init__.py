@@ -31,7 +31,6 @@ _EXPORTS = {
     ),
     "extension": (
         "ExtensionSpec", "extend_state", "extend_witness", "extended_zero_set",
-        "gamma_of_extension_check",
     ),
     "mdiew": (
         "AuditFailure", "AuditReport", "MdiewScenario", "StateBasis",

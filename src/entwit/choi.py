@@ -162,14 +162,16 @@ def closed_form_values(
 
         (3 / Tr(a + b)) * Tr(cap (b - a))   and   (3 / Tr(a + b)) * Tr(b - a).
 
-    Multiplying either by CLOSED_FORM_SCALE reproduces detection_values.
+    Multiplying either by CLOSED_FORM_SCALE reproduces detection_values.  Each
+    imaginary part is measured against its Cauchy-Schwarz bound, so at any scale.
     """
     cap_mat = _psd_2x2(cap_right, "cap")
-    tr_ab = (params.a + params.b).trace().real
+    weight = 3.0 / (params.a + params.b).trace().real
     diff = params.b - params.a
-    ext = 3.0 / tr_ab * (cap_mat @ diff).trace()
-    red = 3.0 / tr_ab * diff.trace()
-    if not (abs(ext.imag) <= IMAG_TOL and abs(red.imag) <= IMAG_TOL):
+    ext = weight * (cap_mat @ diff).trace()
+    red = weight * diff.trace()
+    bound = IMAG_TOL * weight * _frobenius(diff)
+    if not (abs(ext.imag) <= bound * _frobenius(cap_mat) and abs(red.imag) <= bound * 2**0.5):
         raise NumericalError("closed forms came out non-real")
     return float(ext.real), float(red.real)
 

@@ -396,9 +396,10 @@ def is_psd(M: HermitianOperator | Array, tol: float = PSD_TOL) -> bool:
 
 
 def basis_vector(d: int, k: int) -> Array:
-    e = np.zeros(_integer(d, "dimension", 1), dtype=complex)
-    e[_integer(k, "basis index", 0)] = 1.0
-    return e
+    d, k = _integer(d, "dimension", 1), _integer(k, "basis index", 0)
+    if not k < d:
+        raise LayoutError(f"basis index {k} out of range for dimension {d}")
+    return np.eye(1, d, k, dtype=complex)[0]
 
 
 def projector(v: Array) -> Array:

@@ -216,10 +216,8 @@ def _lockstep_descents(
         value, before, phi, iters = (np.array(a) for a in resume)
     trace = np.empty((n, 2 * DEFAULT_MAX_ITERS))
     stops = np.full(n, "budget", dtype=object)
-    left = DEFAULT_MAX_ITERS - iters  # iterations left in each descent's budget
-    expiries = set(left.tolist())
-    active = np.flatnonzero(left > 0)
-    for it in range(max(expiries, default=0)):
+    active = np.flatnonzero(iters < DEFAULT_MAX_ITERS)
+    for it in range(DEFAULT_MAX_ITERS):
         if not active.size:
             break
         p, prev, prev2 = psi[active], value[active], before[active]
@@ -244,9 +242,7 @@ def _lockstep_descents(
         hopeless = _abandoned(k, val_right, prev, prev2, floor)
         still = (move < CONVERGENCE_TOL) & (change <= settle_tol)
         stalled = change <= stall_tol
-        done = still | hopeless | stalled
-        if it + 1 in expiries:
-            done |= left[active] == it + 1
+        done = still | hopeless | stalled | (k >= DEFAULT_MAX_ITERS)
         if done.any():
             leaving = active[done]
             stops[leaving] = np.where(still, "settled", np.where(

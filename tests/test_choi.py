@@ -203,6 +203,23 @@ def test_exhibit_threshold_scales_with_the_cap():
         nontrivial_extension_exhibit(AbParams(a=np.eye(2), b=np.ones((2, 2))))
 
 
+def test_closed_forms_are_real_at_any_cap_scale():
+    # the imaginary-part guard is relative to the cap and the blocks, so a
+    # cap the exhibit accepts at c = 1 passes at every c > 0
+    params = AbParams()
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+    caps = [m @ m.conj().T for m in g]
+    caps = [cap for cap in caps if closed_form_values(params, cap)[0] < 0]
+    assert len(caps) > 80
+    for cap in caps:
+        ext = closed_form_values(params, cap)[0]
+        for c in (1e-12, 1e-8, 1e-4, 1e4, 1e6, 1e8, 1e12):
+            assert closed_form_values(params, c * cap)[0] == pytest.approx(c * ext)
+        rep = nontrivial_extension_exhibit(params, 1e12 * cap)
+        assert rep.ext_value == pytest.approx(CLOSED_FORM_SCALE * rep.closed_ext, rel=1e-9)
+
+
 def test_exhibit_names_a_negative_value_that_misses_the_threshold():
     # -1e-7 is negative, just not below -1e-6 * CLOSED_FORM_SCALE * ||cap||_F
     with pytest.raises(ValueError) as info:

@@ -12,7 +12,6 @@ from entwit import (
     extend_state,
     extend_witness,
     extended_zero_set,
-    gamma_of_extension_check,
     is_psd,
     partial_trace,
     partial_transpose,
@@ -86,16 +85,28 @@ def test_extend_state_requires_psd_and_normalizes(choi):
 
 
 def test_transposed_extension_factorizes_exactly(choi, swap):
-    for w, seed in ((choi, 0), (swap, 1)):
-        spec = ExtensionSpec(random_psd(2, seed=seed), random_psd(3, seed=seed + 10))
-        assert gamma_of_extension_check(w, spec)
-        ext = extend_witness(w, spec)
-        lhs = partial_transpose(ext).mat
+    # Gamma only moves entries, so Gamma(cap_left (x) W (x) cap_right) and
+    # cap_left (x) Gamma(W) (x) cap_right^T are the same products of the
+    # same floats, at any scale and for any dims
+    cases = [
+        (choi, ExtensionSpec(random_psd(2, seed=0), random_psd(3, seed=10))),
+        (swap, ExtensionSpec(random_psd(2, seed=1), random_psd(3, seed=11))),
+    ]
+    rng = rng_from(21)
+    for _ in range(300):
+        dims = tuple(int(d) for d in rng.integers(1, 4, size=2))
+        n = dims[0] * dims[1]
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        scale = 10.0 ** rng.uniform(-50, 50)
+        w = HermitianOperator(scale * (g + g.conj().T), SystemLayout(dims, 1))
+        caps = (random_psd(int(d), rng) for d in rng.integers(1, 4, size=2))
+        cases.append((w, ExtensionSpec(*caps)))
+    for w, spec in cases:
+        lhs = partial_transpose(extend_witness(w, spec)).mat
         rhs = np.kron(
-            spec.cap_left.mat,
-            np.kron(partial_transpose(w).mat, spec.cap_right.mat.T),
+            np.kron(spec.cap_left.mat, partial_transpose(w).mat), spec.cap_right.mat.T
         )
-        np.testing.assert_array_equal(lhs, rhs)
+        assert np.array_equal(lhs, rhs)
 
 
 def test_extended_zero_set_multiplies_rank(swap):

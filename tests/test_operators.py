@@ -73,9 +73,15 @@ def test_layout_rejects_bad_input():
     "basis_vector-k": (lambda x: basis_vector(2, x), "basis index", 0),
     "maximally_entangled_vector": (maximally_entangled_vector, "dimension", 1),
     "swap_witness": (swap_witness, "dimension", 2),
-}, values=(True, 1.0, 1.7, "1")))
+}, values=(True, 1.0, 1.7, "1")) + [
+    pytest.param(lambda x: basis_vector(2, x), 2, "basis index 2 out of range for dimension 2",
+                 id="basis_vector-k-above"),
+    pytest.param(lambda x: basis_vector(2, x), 5, "basis index 5 out of range for dimension 2",
+                 id="basis_vector-k-far-above"),
+])
 def test_operator_integers_are_checked_not_coerced(call, value, message):
-    # a subsystem index of 1.7 or True is no 1, and no dimension is 0
+    # a subsystem index of 1.7 or True is no 1, no dimension is 0, and a
+    # basis index is below its dimension
     check_integer_case(call, value, message)
 
 

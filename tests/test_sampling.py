@@ -24,6 +24,9 @@ def test_rng_from_is_reproducible_and_key_split():
     d = rng_from(7, 2).normal(size=4)
     assert not np.array_equal(c, d)
     assert not np.array_equal(a, c)
+    # a key selects numpy's own spawned stream
+    spawned = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(1,)))
+    np.testing.assert_array_equal(c, spawned.normal(size=4))
 
 
 def test_rng_from_passes_generators_through():
@@ -42,9 +45,11 @@ def test_rng_from_passes_generators_through():
     "random_separable": (
         lambda x: random_separable(SystemLayout((2, 2), 1), x, 0), "ensemble size", 1,
     ),
+    "rng_from-key": (lambda x: rng_from(1, x), "substream key", 0),
 }, own="seed", values=(2.7, 2.0, "2", True, None)))
 def test_seeds_are_checked_not_coerced(call, value, message):
-    # so are the dimensions and the ensemble size of every draw
+    # so are the dimensions and the ensemble size of every draw, and the
+    # substream keys, which are named rather than the seed
     check_integer_case(call, value, message)
     np.testing.assert_array_equal(random_psd(2, np.int64(2)).mat, random_psd(2, 2).mat)
 

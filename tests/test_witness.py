@@ -293,6 +293,39 @@ def test_harvest_resumes_restarts_as_uninterrupted_strict_descents(
         np.testing.assert_array_equal(resumed, uninterrupted)
 
 
+def test_resumed_descents_stop_at_the_budget(choi):
+    # A descent resumed with its whole budget spent comes back as it went in,
+    # with stop "budget"; one with one iteration left runs exactly that one,
+    # the first iteration of a two-iteration run from the same state.  The
+    # states are those of stalled see-saw restarts, still drifting in the
+    # zero band, given counts at the end of the budget.
+    budget = witness_module.DEFAULT_MAX_ITERS
+    lockstep = witness_module._lockstep_descents
+    report = min_product_expectation(choi, seed=42)
+    rows = [r for r, s in enumerate(report.stops) if s == "stalled"][:6]
+    assert len(rows) == 6
+    value = np.array([report.restart_values[r] for r in rows])
+    before = np.array([report.value_traces[r][-3] for r in rows])
+    phi, psi = (np.array([report.restart_vectors[r].factors[i] for r in rows]) for i in (0, 1))
+    spent = np.arange(6) % 2 == 0
+    out = lockstep(choi, psi, resume=(value, before, phi, np.where(spent, budget, budget - 1)))
+    for got, held in zip(out[:3], (value, phi, psi)):
+        np.testing.assert_array_equal(got[spent], held[spent])
+    assert (out[4] == budget).all() and (out[5] == "budget").all()
+    left = ~spent
+    two = lockstep(
+        choi, psi[left], resume=(value[left], before[left], phi[left], [budget - 2] * 3)
+    )
+    assert (two[4] == budget).all() and (two[5] == "budget").all()
+    np.testing.assert_array_equal(out[3][left, :2], two[3][:, :2])
+    np.testing.assert_array_equal(out[0][left], two[3][:, 1])
+    last = lockstep(
+        choi, out[2][left], resume=(out[0][left], value[left], out[1][left], [budget - 1] * 3)
+    )
+    for got, whole in zip(last[:3], two[:3]):
+        np.testing.assert_array_equal(got, whole)
+
+
 def _haar_rotated(op, seed):
     rng = rng_from(seed)
     u = np.kron(random_unitary(op.layout.left_dim, rng), random_unitary(op.layout.right_dim, rng))
