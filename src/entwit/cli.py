@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
-from .operators import PSD_TOL, HermitianOperator, NumericalError, _tolerance
+from .operators import PSD_TOL, HermitianOperator, NumericalError, _integer, _tolerance
 from .sampling import DEFAULT_RESTARTS, POVM_MODES, random_psd, rng_from
 from .serialization import (
     SerializationError,
@@ -42,7 +42,7 @@ from .serialization import (
 
 if TYPE_CHECKING:
     from .extension import ExtensionSpec
-    from .witness import SeeSawReport
+    from .witness import SeeSawReport, WitnessCertificate
 
 DEFAULT_SEED = 42
 
@@ -87,11 +87,6 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
             print(line, file=sys.stderr)
 
 
-def _config(args) -> dict:
-    """Reproducibility knobs, echoed verbatim into every output document."""
-    return {"seed": args.seed, "restarts": args.restarts, "tol": args.tol}
-
-
 def _restart_summary(report: SeeSawReport) -> str:
     """How the see-saw restarts stopped, for the stderr summary."""
     count = report.stops.count
@@ -102,21 +97,25 @@ def _restart_summary(report: SeeSawReport) -> str:
     )
 
 
-def cmd_certify(args) -> int:
+def _witness_fields(cert: WitnessCertificate) -> dict:
+    """The verdict keys of ``certify``, which ``extend`` reports for the extension."""
+    return {
+        "is_witness_numeric": cert.is_witness_numeric,
+        "min_eigenvalue": cert.min_eigenvalue,
+        "min_product_value": cert.min_product.best_value,
+    }
+
+
+def cmd_certify(args) -> tuple[dict, list[str], int]:
     from .witness import (
         VERDICT_CONFIRMED, VERDICT_NOT_FOUND, certify_witness, has_spanning_property,
         nd_spanning,
     )
 
-    label, op = resolve_operator(args.witness)
+    op = args.operator
     cert = certify_witness(op, restarts=args.restarts, seed=args.seed, tol=args.tol)
     payload = {
-        "command": "certify",
-        "config": _config(args),
-        "witness": label,
-        "is_witness_numeric": cert.is_witness_numeric,
-        "min_eigenvalue": cert.min_eigenvalue,
-        "min_product_value": cert.min_product.best_value,
+        **_witness_fields(cert),
         "see_saw_converged": cert.min_product.converged,
         "detection_value": cert.detection_value,
         "detection_state": cert.detection_state,
@@ -124,7 +123,7 @@ def cmd_certify(args) -> int:
         "nd_spanning": None,
     }
     lines = [
-        f"operator: {label} (dim {op.layout.total_dim})",
+        f"operator: {args.witness} (dim {op.layout.total_dim})",
         f"is witness (numeric): {cert.is_witness_numeric}",
         f"min eigenvalue:       {cert.min_eigenvalue:+.12e}",
         f"min product value:    {cert.min_product.best_value:+.12e}",
@@ -146,8 +145,7 @@ def cmd_certify(args) -> int:
             "spanning analysis not applicable"
         )
         lines.append("spanning analysis:    not applicable")
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
 def _caps_from_file(path: str) -> ExtensionSpec:
@@ -180,55 +178,44 @@ def _caps_random(dims: tuple[int, int], seed: int) -> ExtensionSpec:
     )
 
 
-def cmd_extend(args) -> int:
+def cmd_extend(args) -> tuple[dict, list[str], int]:
     from .extension import extend_witness
     from .witness import certify_witness
 
-    label, op = resolve_operator(args.witness)
     if args.caps is not None:
         spec = _caps_from_file(args.caps)
         caps_source = args.caps
     else:
         spec = _caps_random(tuple(args.random_caps), args.seed)
         caps_source = f"random({args.random_caps[0]}, {args.random_caps[1]})"
-    extended = extend_witness(op, spec)
+    extended = extend_witness(args.operator, spec)
     recert = certify_witness(
         extended, restarts=args.restarts, seed=args.seed, tol=args.tol
     )
     payload = {
-        "command": "extend",
-        "config": _config(args),
-        "witness": label,
         "caps_source": caps_source,
         "cap_left": spec.cap_left,
         "cap_right": spec.cap_right,
         "extended": extended,
-        "recertification": {
-            "is_witness_numeric": recert.is_witness_numeric,
-            "min_eigenvalue": recert.min_eigenvalue,
-            "min_product_value": recert.min_product.best_value,
-        },
+        "recertification": _witness_fields(recert),
         # exact: Gamma(cap_l (x) W (x) cap_r) = cap_l (x) Gamma(W) (x) cap_r^T
         "gamma_structure_ok": True,
     }
     dims = extended.layout.dims
     lines = [
-        f"extended {label} by caps of dims {spec.dims} -> systems {dims}",
+        f"extended {args.witness} by caps of dims {spec.dims} -> systems {dims}",
         f"re-certified as witness: {recert.is_witness_numeric}",
         f"min product value:       {recert.min_product.best_value:+.12e}",
         f"see-saw restarts:        {_restart_summary(recert.min_product)}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def cmd_choi_demo(args) -> int:
+def cmd_choi_demo(args) -> tuple[dict, list[str], int]:
     from .choi import nontrivial_extension_exhibit
 
     report = nontrivial_extension_exhibit()
     payload = {
-        "command": "choi-demo",
-        "config": _config(args),
         "a": report.params.a.real,
         "b": report.params.b.real,
         "cap_right": report.cap_right.real,
@@ -251,38 +238,31 @@ def cmd_choi_demo(args) -> int:
         f"  {'third-system PT PSD':<24}{report.gamma_bprime_psd}",
         "the extension detects the state although the reduced witness does not",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def cmd_mdiew_decompose(args) -> int:
+def cmd_mdiew_decompose(args) -> tuple[dict, list[str], int]:
     from .mdiew import MdiewScenario
 
-    label, op = resolve_operator(args.witness)
-    scenario = MdiewScenario.ideal(op)
+    scenario = MdiewScenario.ideal(args.operator)
     payload = {
-        "command": "mdiew-decompose",
-        "config": _config(args),
-        "witness": label,
         "party_dims": scenario.party_dims,
         "basis_sizes": [len(scenario.basis_left), len(scenario.basis_right)],
         "beta": scenario.beta,
         "residual": scenario.residual,
     }
     lines = [
-        f"decomposed {label} over tomographic product bases "
+        f"decomposed {args.witness} over tomographic product bases "
         f"{len(scenario.basis_left)} x {len(scenario.basis_right)}",
         f"reconstruction residual: {scenario.residual:.3e}",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines, 0
 
 
-def cmd_mdiew_audit(args) -> int:
+def cmd_mdiew_audit(args) -> tuple[dict, list[str], int]:
     from .mdiew import MdiewScenario, separable_nonnegativity_audit
 
-    label, op = resolve_operator(args.witness)
-    scenario = MdiewScenario.ideal(op)
+    scenario = MdiewScenario.ideal(args.operator)
     embed_dims = tuple(args.embed_dims) if args.embed_dims else None
     report = separable_nonnegativity_audit(
         scenario,
@@ -292,9 +272,6 @@ def cmd_mdiew_audit(args) -> int:
         embed_dims=embed_dims,
     )
     payload = {
-        "command": "mdiew-audit",
-        "config": _config(args),
-        "witness": label,
         "trials": report.trials,
         "povm_mode": report.povm_mode,
         "embed_dims": report.embed_dims,
@@ -304,7 +281,7 @@ def cmd_mdiew_audit(args) -> int:
         "passed": report.passed,
     }
     lines = [
-        f"audited {label}: {report.trials} separable trials, "
+        f"audited {args.witness}: {report.trials} separable trials, "
         f"POVM mode {report.povm_mode!r}"
         + (f", embedded in dims {embed_dims}" if embed_dims else ""),
         f"minimum observed value: {report.min_value:+.12e}, "
@@ -313,8 +290,7 @@ def cmd_mdiew_audit(args) -> int:
         f"max {report.max_route_gap:.3e}",
         f"failures: {len(report.failures)}",
     ]
-    _emit(args, payload, lines)
-    return 0 if report.passed else 1
+    return payload, lines, 0 if report.passed else 1
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -352,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="certify an operator as a witness")
     p.add_argument("witness", help="operator file, or a bundled name")
     _add_common(p)
-    p.set_defaults(func=cmd_certify)
+    p.set_defaults(command="certify", func=cmd_certify)
 
     p = sub.add_parser("extend", help="tensor a witness with positive caps")
     p.add_argument("witness", help="operator file, or a bundled name")
@@ -370,11 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="draw seeded random positive caps of these dimensions",
     )
     _add_common(p)
-    p.set_defaults(func=cmd_extend)
+    p.set_defaults(command="extend", func=cmd_extend)
 
     p = sub.add_parser("choi-demo", help="worked nontrivial-extension exhibit")
     _add_common(p)
-    p.set_defaults(func=cmd_choi_demo)
+    p.set_defaults(command="choi-demo", func=cmd_choi_demo)
 
     p = sub.add_parser("mdiew", help="measurement-device-independent witnessing")
     msub = p.add_subparsers(dest="mdiew_command", required=True)
@@ -382,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     m = msub.add_parser("decompose", help="solve for input-state coefficients")
     m.add_argument("witness", help="operator file, or a bundled name")
     _add_common(m)
-    m.set_defaults(func=cmd_mdiew_decompose)
+    m.set_defaults(command="mdiew-decompose", func=cmd_mdiew_decompose)
 
     m = msub.add_parser("audit", help="check nonnegativity on separable states")
     m.add_argument("witness", help="operator file, or a bundled name")
@@ -403,16 +379,33 @@ def build_parser() -> argparse.ArgumentParser:
         help="draw POVM elements in larger spaces of these dimensions",
     )
     _add_common(m)
-    m.set_defaults(func=cmd_mdiew_audit)
+    m.set_defaults(command="mdiew-audit", func=cmd_mdiew_audit)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and emit its document.
+
+    The options every document echoes are checked here, once, and the operand
+    is resolved into ``args.operator``.  A command only computes: it returns
+    its own keys, its stderr lines and its exit code, and the shared header
+    ("command", "config", "witness") is added to the keys here.
+    """
     args = build_parser().parse_args(argv)
     try:
-        _tolerance(args.tol)  # every document echoes it
-        return args.func(args)
+        _tolerance(args.tol)
+        _integer(args.seed, "seed", 0)
+        _integer(args.restarts, "restarts", 1)
+        header = {
+            "command": args.command,
+            "config": {"seed": args.seed, "restarts": args.restarts, "tol": args.tol},
+        }
+        if "witness" in args:  # the operand of every command but choi-demo
+            header["witness"], args.operator = resolve_operator(args.witness)
+        payload, lines, code = args.func(args)
+        _emit(args, header | payload, lines)
+        return code
     except (ValueError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

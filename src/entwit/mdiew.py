@@ -110,11 +110,13 @@ class StateBasis(_Frozen):
                 f"need exactly {d * d} states for dimension {d}, got {len(states)}"
             )
         vecs = np.array([s.ravel() for s in states])
-        ranks = [
-            np.linalg.matrix_rank(vecs[: k + 1], tol=1e-8) for k in range(len(states))
-        ]
-        dependent = [k for k in range(1, len(states)) if ranks[k] == ranks[k - 1]]
-        if dependent:
+        if np.linalg.matrix_rank(vecs, tol=1e-8) < len(states):
+            # a prefix of a full-rank stack keeps full rank, so only a
+            # deficient one needs the incremental pass that names its members
+            ranks = [
+                np.linalg.matrix_rank(vecs[: k + 1], tol=1e-8) for k in range(len(states))
+            ]
+            dependent = [k for k in range(1, len(states)) if ranks[k] == ranks[k - 1]]
             raise ValueError(
                 "state basis is not tomographically complete; dependent members: "
                 f"{dependent}"

@@ -39,15 +39,15 @@ POVM_MODES = ("ideal", "arbitrary", "misaligned")
 
 
 def rng_from(seed, *key: int) -> np.random.Generator:
-    """Generator for ``seed``, a Generator or an integer; extra nonnegative
-    integers select an independent substream (anything else raises
-    ``LayoutError``)."""
+    """Generator for ``seed``, a Generator or a nonnegative integer; extra
+    nonnegative integers select an independent substream (anything else
+    raises ``LayoutError``)."""
     if isinstance(seed, np.random.Generator):
         if key:
             raise ValueError("substream keys require an integer master seed")
         return seed
     key = [_integer(k, "substream key", 0) for k in key]
-    seq = np.random.SeedSequence(_integer(seed, "seed"), spawn_key=key)
+    seq = np.random.SeedSequence(_integer(seed, "seed", 0), spawn_key=key)
     return np.random.default_rng(seq)
 
 

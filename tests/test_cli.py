@@ -484,6 +484,24 @@ def test_seed_is_recorded_verbatim(capsys):
     assert doc["config"] == {"seed": 7, "restarts": 12, "tol": 1e-8}
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["choi-demo", "--seed", "-5"], "seed must be >= 0, got -5"),
+        (["mdiew", "decompose", "swap", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["mdiew", "audit", "swap", "--trials", "2", "--restarts", "0"],
+         "restarts must be >= 1, got 0"),
+        (["certify", "swap", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ],
+    ids=["choi-demo-seed", "decompose-seed", "audit-restarts", "certify-seed"],
+)
+def test_echoed_options_are_checked_for_every_command(capsys, argv, message):
+    # every document echoes seed, restarts and tol, so a value out of range is
+    # an input error even for a command that does not use it
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_console_script_byte_identical():
     args = [sys.executable, "-m", "entwit.cli", "certify", "swap", "--quiet"]
     first = subprocess.run(args, capture_output=True, check=True)

@@ -5,20 +5,25 @@ import pytest
 
 import entwit.mdiew as mdiew_module
 from entwit import (
+    ExtensionSpec,
     HermitianOperator,
     LayoutError,
     MdiewScenario,
     NumericalError,
     StateBasis,
     SystemLayout,
+    choi_detected_ppt_state,
     choi_witness,
     expectation,
+    extend_state,
+    extend_witness,
     ideal_projector,
     maximally_entangled_vector,
     mdiew_value,
     projector,
     random_density,
     random_povm_first_element,
+    random_product_vector,
     random_separable,
     random_unitary,
     rng_from,
@@ -26,6 +31,7 @@ from entwit import (
     swap_witness,
     tomographic_basis,
 )
+from entwit.cli import _caps_random
 from integer_args import check_integer_case, integer_cases
 from oracle_utils import (
     audit_trial_reference, decomposition_reference, joint_probability_loops,
@@ -409,3 +415,86 @@ def test_separable_audit_choi_embedded(choi):
     assert report.passed
     assert report.embed_dims == (10, 11)
     assert report.max_route_gap <= 1e-9
+
+
+# The paper's connection, checked as identities between the mdiew and the
+# extension layers (Branciard, Rosset, Liang and Gisin, PRL 110, 060405
+# (2013), for the MDI witness and its beta expansion).
+
+
+def _product_basis(outer: StateBasis, inner: StateBasis) -> StateBasis:
+    """{outer_i (x) inner_j}, i outer."""
+    return StateBasis(tuple(np.kron(o, i) for o in outer.states for i in inner.states))
+
+
+def _cap_basis(d: int) -> StateBasis:
+    return StateBasis((np.ones((1, 1)),)) if d == 1 else tomographic_basis(d)
+
+
+def _coefficients(cap: HermitianOperator, basis: StateBasis) -> np.ndarray:
+    """c with sum_a c[a] tau_a = cap, real as cap and every tau_a are Hermitian."""
+    c = np.linalg.solve(np.array(basis.states).reshape(len(basis), -1).T, cap.mat.ravel())
+    assert np.abs(c.imag).max() <= 1e-12 * np.abs(c).max()
+    return c.real
+
+
+@pytest.mark.parametrize(
+    "name, cap_dims", [("choi", (2, 2)), ("swap3", (2, 3)), ("choi", (3, 1))],
+    ids=["choi-2x2", "swap3-2x3", "choi-3x1"],
+)
+def test_beta_of_a_cap_extension_factors(choi, name, cap_dims):
+    # over the product inputs tau_a (x) sigma_s on A'A and sigma_t (x) tau_b
+    # on BB', the extension's beta is c_l[a] beta[s, t] c_r[b]: the MDI
+    # witness of an extension is that of W, weighted by the caps
+    w = choi if name == "choi" else swap_witness(3)
+    spec = _caps_random(cap_dims, 42)
+    base = MdiewScenario.ideal(w)
+    tau_l, tau_r = (_cap_basis(k) for k in cap_dims)
+    extended = MdiewScenario(
+        extend_witness(w, spec),
+        _product_basis(tau_l, base.basis_left),
+        _product_basis(base.basis_right, tau_r),
+    )
+    c_l, c_r = _coefficients(spec.cap_left, tau_l), _coefficients(spec.cap_right, tau_r)
+    want = np.kron(np.kron(c_l[:, None], base.beta), c_r[None, :])
+    assert np.abs(extended.beta - want).max() <= 1e-12 * np.abs(extended.beta).max()
+
+
+def test_mdiew_value_of_a_cap_extension_factors(choi):
+    # the ideal value is Tr(W~ rho~) / (d_A' d_A d_B d_B'), and the trace of
+    # an extension on an extended state is the product of three traces
+    rho = choi_detected_ppt_state()
+    spec = _caps_random((2, 2), 42)
+    kappa = ExtensionSpec(random_density(2, rng_from(3, 0)), random_density(2, rng_from(3, 1)))
+    got = mdiew_value(MdiewScenario.ideal(extend_witness(choi, spec)), extend_state(rho, kappa))
+    want = (
+        np.trace(spec.cap_left.mat @ kappa.cap_left.mat).real
+        * expectation(choi, rho)
+        * np.trace(spec.cap_right.mat @ kappa.cap_right.mat).real
+        / (2 * 3 * 3 * 2)
+    )
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def _swap_factors(e: np.ndarray, d: int) -> np.ndarray:
+    """The element with its two d-dimensional tensor factors exchanged."""
+    return e.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+
+
+def test_mixture_route_term_is_an_extension_evaluation(rotated_choi):
+    # route (ii)'s term of one member (a, b) is W^T extended by the member's
+    # projectors, evaluated through the extension layer on the measurement
+    # pair, each element reordered to the extension's A'A and BB'; W is
+    # complex, so a missing transpose shows, as does a missing reordering
+    w = rotated_choi
+    rng = rng_from(8, 0)
+    a, b = random_product_vector(SystemLayout((3, 3), 1), rng).factors
+    e_l, e_r = (random_povm_first_element(9, rng).mat for _ in range(2))
+    got = mdiew_module._mixture_route_values(
+        w.mat, a[None, None], b[None, None], np.ones((1, 1)), e_l[None], e_r[None]
+    )[0]
+    transposed = HermitianOperator(w.mat.T, w.layout)
+    extended = extend_witness(transposed, ExtensionSpec(projector(a), projector(b)))
+    measured = np.kron(_swap_factors(e_l, 3), _swap_factors(e_r, 3))
+    want = np.trace(measured @ extended.mat).real
+    assert got == pytest.approx(want, rel=1e-12)

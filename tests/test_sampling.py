@@ -37,7 +37,7 @@ def test_rng_from_passes_generators_through():
 
 
 @pytest.mark.parametrize("call, value, message", integer_cases({
-    "seed": (lambda x: random_psd(2, x), "seed", None),
+    "seed": (lambda x: random_psd(2, x), "seed", 0),
     "random_psd": (lambda x: random_psd(x, 0), "dimension", 1),
     "random_density": (lambda x: random_density(x, 0), "dimension", 1),
     "random_povm_first_element": (lambda x: random_povm_first_element(x, 0), "dimension", 1),
