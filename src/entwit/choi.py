@@ -22,10 +22,9 @@ from .operators import (
     HermitianOperator,
     NumericalError,
     SystemLayout,
-    _as_matrix,
-    _check_hermitian,
     _frobenius,
     _Frozen,
+    _hermitian_matrix,
     is_psd,
     partial_trace,
     partial_transpose,
@@ -72,16 +71,8 @@ def choi_witness() -> HermitianOperator:
     return HermitianOperator(mat, SystemLayout((3, 3), 1))
 
 
-def _hermitian_2x2(mat: Array | HermitianOperator | list, name: str) -> Array:
-    arr = _as_matrix(mat).copy()  # copy: callers may freeze the result
-    if arr.shape != (2, 2):
-        raise ValueError(f"{name} must be 2x2, got {arr.shape}")
-    _check_hermitian(arr, error=ValueError)
-    return arr
-
-
 def _psd_2x2(mat: Array | HermitianOperator | list, name: str) -> Array:
-    arr = _hermitian_2x2(mat, name)
+    arr = _hermitian_matrix(mat, 2, name, ValueError)  # a copy: callers may freeze it
     if not is_psd(arr, AB_PSD_TOL):
         raise ValueError(f"{name} is not positive semidefinite")
     return arr
@@ -123,8 +114,8 @@ def rho_abb_matrix(a: Array, b: Array) -> Array:
     PSD characterization (result PSD iff a and b both are) stays checkable on
     signed inputs.
     """
-    a = _hermitian_2x2(a, "a")
-    b = _hermitian_2x2(b, "b")
+    a = _hermitian_matrix(a, 2, "a", ValueError)
+    b = _hermitian_matrix(b, 2, "b", ValueError)
     ent, _, dminus = _choi_blocks()
     return np.kron(ent, a) + np.kron(dminus, b)
 

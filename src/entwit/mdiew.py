@@ -46,9 +46,9 @@ from .operators import (
     LayoutError,
     NumericalError,
     _as_matrix,
-    _check_hermitian,
     _frobenius,
     _Frozen,
+    _hermitian_matrix,
     _integer,
     _realign,
     is_psd,
@@ -93,18 +93,19 @@ class StateBasis(_Frozen):
     __slots__ = ("states",)
 
     def __init__(self, states: tuple[Array, ...]) -> None:
-        states = tuple(np.array(s, dtype=complex) for s in states)
+        states = tuple(states)
         if not states:
             raise ValueError("state basis is empty")
-        d = states[0].shape[0]
+        d = (_as_matrix(states[0]).shape or (1,))[0]  # a scalar is checked as 1x1
+        checked = []
         for k, s in enumerate(states):
-            if s.shape != (d, d):
-                raise ValueError(f"member {k} has shape {s.shape}, expected {(d, d)}")
-            _check_hermitian(s, error=ValueError)
+            s = _hermitian_matrix(s, d, f"member {k}", ValueError)
             if not abs(np.trace(s).real - 1.0) <= 1e-12:
                 raise ValueError(f"member {k} has trace {np.trace(s).real!r}, expected 1")
             if not is_psd(s):
                 raise ValueError(f"member {k} is not positive semidefinite")
+            checked.append(s)
+        states = tuple(checked)
         if len(states) != d * d:
             raise ValueError(
                 f"need exactly {d * d} states for dimension {d}, got {len(states)}"
@@ -151,10 +152,7 @@ def ideal_projector(d: int) -> Array:
 
 
 def _povm_matrix(E: HermitianOperator | Array, dim: int, name: str) -> Array:
-    mat = _as_matrix(E)
-    if mat.shape != (dim, dim):
-        raise LayoutError(f"{name} must be {dim}x{dim}, got {mat.shape}")
-    _check_hermitian(mat)
+    mat = _hermitian_matrix(E, dim, name)
     vals = np.linalg.eigvalsh(mat)
     if not (vals[0] >= -POVM_BOUND_TOL and vals[-1] <= 1.0 + POVM_BOUND_TOL):
         raise NumericalError(

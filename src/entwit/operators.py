@@ -184,6 +184,19 @@ def _check_hermitian(mats: Array, tol=HERMITICITY_TOL, error=NumericalError) -> 
         raise error(f"matrix is not Hermitian: relative defect {worst:.1e} > {tol:.0e}")
 
 
+def _hermitian_matrix(
+    M: HermitianOperator | Array | list, n: int, what: str, error=NumericalError
+) -> Array:
+    """``M`` as a new complex n x n array: the one check of matrix arguments.
+    Any other shape raises LayoutError; a non-Hermitian matrix raises
+    ``error``, as ``_check_hermitian`` decides."""
+    mat = np.array(M.mat if isinstance(M, HermitianOperator) else M, dtype=complex)
+    if mat.shape != (n, n):
+        raise LayoutError(f"{what} must be {n}x{n}, got {mat.shape}")
+    _check_hermitian(mat, error=error)
+    return mat
+
+
 def _frobenius(mat: Array) -> float:
     """||mat||_F, the scale of every relative tolerance: np.linalg.norm's value
     wherever its sum of squares is a normal float, else the norm of mat over
@@ -210,15 +223,7 @@ class HermitianOperator(_Frozen):
     def __post_init__(self) -> None:
         """Validate ``mat`` against ``layout`` and store it as a read-only
         complex copy."""
-        mat = np.array(self.mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise LayoutError(f"operator must be square, got shape {mat.shape}")
-        if mat.shape[0] != self.layout.total_dim:
-            raise LayoutError(
-                f"matrix side {mat.shape[0]} != layout total dimension "
-                f"{self.layout.total_dim}"
-            )
-        _check_hermitian(mat)
+        mat = _hermitian_matrix(self.mat, self.layout.total_dim, "operator")
         mat.setflags(write=False)
         self._set(mat=mat)
 

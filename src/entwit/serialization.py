@@ -76,6 +76,8 @@ def operator_from_dict(d: Any) -> HermitianOperator:
         raise SerializationError(str(exc)) from exc
     mat = matrix_from_json(d["data"])
     n = layout.total_dim
+    # not operators._hermitian_matrix: files get the looser input tolerance,
+    # and the messages name the file's dims
     if mat.shape != (n, n):
         raise SerializationError(
             f"data is {mat.shape[0]}x{mat.shape[1]} but dims {list(layout.dims)} need {n}x{n}"

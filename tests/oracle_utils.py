@@ -10,6 +10,9 @@ a least-squares solve over the explicit product basis instead of the
 realigned two-solve route.  The Choi witness, its detected PPT state and the
 A|BB' family are filled index by index, and block by block from shift
 conjugates, instead of from the closed forms over shared 9x9 blocks.
+The stacked zero harvest runs the same descents together, with plain row
+products and one eigensolver call per half step; it is pinned vector for
+vector to the sequential harvest, and stands in for it where that one is slow.
 """
 
 import numpy as np
@@ -205,6 +208,70 @@ def zero_harvest_reference(
         if any(abs(np.vdot(f, candidate)) > overlap for f in kept):
             continue
         kept.append(candidate)
+    return kept, run
+
+
+def _min_eigpairs(mats):
+    """``_min_eigpair`` of each matrix in a stack."""
+    vals, vecs = np.linalg.eigh(mats)
+    rows, d = np.arange(len(mats)), vals.shape[1]
+    lowest = vals == vals.min(axis=1, keepdims=True)
+    k = d - 1 - np.argmax(lowest[:, ::-1], axis=1)  # the last of equal minima
+    v = vecs[rows, :, k]
+    pivot = v[rows, np.argmax(np.abs(v), axis=1)]
+    return vals[rows, k], v * (pivot.conj() / np.abs(pivot))[:, None]
+
+
+def seesaw_descents_stacked(mat, d_left, d_right, rngs, max_iters=500, conv_tol=1e-12):
+    """``seesaw_descent_reference`` without stall or abandonment rules, one
+    descent per stream, all run together: each steps until it converges or
+    the budget runs out.  Returns the values, phis and psis, one row each."""
+    w4 = np.asarray(mat, dtype=complex).reshape(d_left, d_right, d_left, d_right)
+    # the effective operators as row products: [(r, s), (i, j)] and [(i, j), (r, s)]
+    w_right = w4.transpose(1, 3, 0, 2).reshape(d_right * d_right, -1)
+    w_left = w4.transpose(0, 2, 1, 3).reshape(d_left * d_left, -1)
+    psi = np.array([rng.normal(size=d_right) + 1j * rng.normal(size=d_right) for rng in rngs])
+    psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
+    phi = np.zeros((len(psi), d_left), dtype=complex)
+    value = np.full(len(psi), np.inf)
+    active = np.arange(len(psi))
+    for _ in range(max_iters):
+        if not active.size:
+            break
+        p, f = psi[active], phi[active]
+        pairs = (p.conj()[:, :, None] * p[:, None, :]).reshape(len(p), -1)
+        _, phi_new = _min_eigpairs((pairs @ w_right).reshape(-1, d_left, d_left))
+        pairs = (phi_new.conj()[:, :, None] * phi_new[:, None, :]).reshape(len(p), -1)
+        val_right, psi_new = _min_eigpairs((pairs @ w_left).reshape(-1, d_right, d_right))
+        move = np.maximum(
+            np.abs(val_right - value[active]),
+            np.maximum(np.abs(phi_new - f).max(axis=1), np.abs(psi_new - p).max(axis=1)),
+        )
+        phi[active], psi[active], value[active] = phi_new, psi_new, val_right
+        active = active[~(move < conv_tol)]
+    return value, phi, psi
+
+
+def zero_harvest_stacked(
+    mat, d_left, d_right, target_count, max_descents, seed, zero_tol=1e-8, overlap=1 - 1e-6,
+):
+    """``zero_harvest_reference`` with every unsettled descent run to the
+    budget, the descents run together in chunks: each chunk starts as many
+    descents as zeros are still missing, within the budget, and its results
+    are read in descent order.  Returns the same kept vectors and count."""
+    kept = []
+    run = 0
+    while len(kept) < target_count and run < max_descents:
+        chunk = range(run, min(max_descents, run + target_count - len(kept)))
+        rngs = [descent_rng(seed, t) for t in chunk]
+        for value, phi, psi in zip(*seesaw_descents_stacked(mat, d_left, d_right, rngs)):
+            if abs(value) > zero_tol:
+                continue
+            candidate = np.kron(phi, psi)
+            if any(abs(np.vdot(f, candidate)) > overlap for f in kept):
+                continue
+            kept.append(candidate)
+        run = chunk.stop
     return kept, run
 
 

@@ -4,6 +4,7 @@ import pytest
 from entwit import (
     AbParams,
     HermitianOperator,
+    LayoutError,
     SystemLayout,
     certify_indecomposable,
     choi_detected_ppt_state,
@@ -85,6 +86,24 @@ def test_ab_params_validation():
     with pytest.raises(ValueError):
         AbParams(a=np.zeros((2, 2)), b=np.zeros((2, 2)))
     AbParams(a=random_psd(2, seed=1), b=random_psd(2, seed=2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: AbParams(a=np.eye(3)), "a must be 2x2, got (3, 3)"),
+        (lambda: AbParams(b=np.ones(2)), "b must be 2x2, got (2,)"),
+        (lambda: rho_abb_matrix(np.ones((2, 3)), np.eye(2)), "a must be 2x2, got (2, 3)"),
+        (lambda: rho_abb_matrix(np.eye(2), np.ones(3)), "b must be 2x2, got (3,)"),
+        (lambda: detection_values(AbParams(), np.eye(3)), "cap must be 2x2, got (3, 3)"),
+        (lambda: closed_form_values(AbParams(), [[1.0]]), "cap must be 2x2, got (1, 1)"),
+    ],
+    ids=["params-a", "params-b", "raw-a", "raw-b", "detection-cap", "closed-form-cap"],
+)
+def test_qubit_blocks_name_their_wrong_shape(call, message):
+    with pytest.raises(LayoutError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_rho_abb_matrix_block_structure():

@@ -454,6 +454,25 @@ def test_mdiew_audit_embedding_needs_arbitrary_mode(capsys, mode):
     assert "arbitrary" in err
 
 
+def test_mdiew_audit_embedding_must_hold_the_measurement_spaces(capsys):
+    code, out, err = run_cli(
+        capsys, "mdiew", "audit", "swap", "--embed-dims", "3", "4", "--trials", "2"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: embed dims (3, 4) smaller than measurement spaces (4, 4)\n"
+
+
+def test_cap_that_is_no_json_object_names_its_file_and_cap(tmp_path, capsys):
+    cap = {"dims": [2], "cut": 1, "data": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+    path = tmp_path / "caps.json"
+    path.write_text(json.dumps({"cap_left": [1, 2], "cap_right": cap}))
+    code, out, err = run_cli(capsys, "extend", "swap", "--caps", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cap file {str(path)!r}, cap_left: operator JSON must be an object, got list\n"
+    )
+
+
 def test_json_out_mirrors_stdout(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(

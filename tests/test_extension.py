@@ -4,6 +4,7 @@ import pytest
 from entwit import (
     ExtensionSpec,
     HermitianOperator,
+    LayoutError,
     SystemLayout,
     certify_witness,
     choi_detected_ppt_state,
@@ -120,6 +121,12 @@ def test_extended_zero_set_multiplies_rank(swap):
     for v in lifted.vectors:
         full = v.full()
         assert abs(np.real(full.conj() @ ext.mat @ full)) <= 1e-10
+
+
+def test_extended_zero_set_lifts_bipartite_zeros_only(swap):
+    lifted = extended_zero_set(collect_zero_set(swap, seed=0), 2, 2)
+    with pytest.raises(LayoutError, match=r"^can only lift bipartite \(two-factor\) zeros$"):
+        extended_zero_set(lifted, 2, 2)
 
 
 def test_extended_zero_set_transposed_side(swap):

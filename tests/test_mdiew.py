@@ -86,6 +86,20 @@ def test_state_basis_rejects_non_states():
         StateBasis(tuple(basis))
 
 
+@pytest.mark.parametrize(
+    "states, message",
+    [
+        ((np.eye(2) / 2, np.ones(3)), "member 1 must be 2x2, got (3,)"),
+        ((np.float64(1.0),), "member 0 must be 1x1, got ()"),
+    ],
+    ids=["wrong-shape", "scalar"],
+)
+def test_state_basis_names_a_member_of_the_wrong_shape(states, message):
+    with pytest.raises(LayoutError) as err:
+        StateBasis(states)
+    assert str(err.value) == message
+
+
 def test_scenario_beta_residuals(choi, swap):
     for w in (choi, swap):
         d_a = w.layout.left_dim
@@ -212,6 +226,22 @@ def test_joint_probability_extreme_elements():
     s, t = basis.states[1], basis.states[2]
     assert _one_click(rho, s, t, np.eye(4), np.eye(4)) == pytest.approx(1.0, abs=1e-12)
     assert _one_click(rho, s, t, np.zeros((4, 4)), np.eye(4)) == 0.0
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_mdiew_value_names_a_povm_element_of_the_wrong_shape(swap, side):
+    scenario = MdiewScenario.ideal(swap)
+    povms = {f"povm_{side}": np.eye(3)}
+    with pytest.raises(LayoutError) as err:
+        mdiew_value(scenario, _as_state(random_density(4, seed=0).mat, (2, 2)), **povms)
+    assert str(err.value) == f"{side} POVM element must be 4x4, got (3, 3)"
+
+
+def test_mdiew_value_rejects_a_state_of_other_parties(swap):
+    rho = HermitianOperator(np.eye(9) / 9, SystemLayout((3, 3), 1))
+    with pytest.raises(LayoutError) as err:
+        mdiew_value(MdiewScenario.ideal(swap), rho)
+    assert str(err.value) == "state parties (3, 3) do not match scenario (2, 2)"
 
 
 def test_ideal_measurement_reproduces_witness_value(choi, swap):

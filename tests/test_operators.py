@@ -78,6 +78,8 @@ def test_layout_rejects_bad_input():
                  id="basis_vector-k-above"),
     pytest.param(lambda x: basis_vector(2, x), 5, "basis index 5 out of range for dimension 2",
                  id="basis_vector-k-far-above"),
+    pytest.param(lambda x: partial_transpose(_random_hermitian((2, 2), 0), [x]), 5,
+                 "subsystem index 5 out of range for dims (2, 2)", id="partial_transpose-above"),
 ])
 def test_operator_integers_are_checked_not_coerced(call, value, message):
     # a subsystem index of 1.7 or True is no 1, no dimension is 0, and a
@@ -96,6 +98,26 @@ def test_hermitian_operator_validation():
     assert op.trace == pytest.approx(10.0)
     with pytest.raises(ValueError):
         op.mat[0, 0] = 99.0
+
+
+@pytest.mark.parametrize(
+    "mat, message",
+    [
+        (np.zeros((2, 3)), "operator must be 4x4, got (2, 3)"),
+        (np.eye(9), "operator must be 4x4, got (9, 9)"),
+        (np.ones(4), "operator must be 4x4, got (4,)"),
+    ],
+    ids=["not-square", "wrong-side", "vector"],
+)
+def test_operator_names_the_shape_its_layout_needs(mat, message):
+    with pytest.raises(LayoutError) as err:
+        HermitianOperator(mat, SystemLayout((2, 2), 1))
+    assert str(err.value) == message
+
+
+def test_partial_trace_keeps_at_least_one_subsystem():
+    with pytest.raises(LayoutError, match="^keep set must be nonempty$"):
+        partial_trace(swap_witness(), keep=[])
 
 
 def test_product_vector_requires_unit_factors():

@@ -24,6 +24,19 @@ def test_public_names_are_their_defining_modules_objects():
         assert getattr(sys.modules[obj.__module__], name) is obj, name
 
 
+@pytest.mark.parametrize("layer", sorted(entwit._EXPORTS))
+def test_export_table_lists_what_each_layer_defines(layer):
+    # the lazy table must name exactly the functions and classes that the
+    # layer's own __all__ lists and defines there, in sorted order
+    module = getattr(entwit, layer)
+    defined = [
+        name for name in module.__all__
+        if (inspect.isfunction(getattr(module, name)) or inspect.isclass(getattr(module, name)))
+        and getattr(module, name).__module__ == module.__name__
+    ]
+    assert entwit._EXPORTS[layer] == tuple(sorted(defined))
+
+
 def test_dir_covers_all():
     assert set(entwit.__all__) <= set(dir(entwit))
     assert set(SUBMODULES) <= set(dir(entwit))

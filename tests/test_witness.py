@@ -12,6 +12,7 @@ from entwit import (
     collect_zero_set,
     expectation,
     has_spanning_property,
+    is_psd,
     maximally_entangled_vector,
     min_product_expectation,
     nd_spanning,
@@ -32,6 +33,7 @@ from oracle_utils import (
     min_product_expectation_bloch,
     min_product_reference,
     zero_harvest_reference,
+    zero_harvest_stacked,
 )
 
 
@@ -223,6 +225,23 @@ def test_harvest_seed_defaults_to_the_report_seed(swap):
             np.testing.assert_array_equal(u.full(), v.full())
 
 
+def test_harvest_keeps_a_repeated_zero_once():
+    # I - |00><00| vanishes on one product vector, |0>|0>: every descent
+    # that ends at a zero ends there, so the harvest keeps it once however
+    # many zeros it is asked for, as the sequential reference does
+    mat = np.eye(4, dtype=complex)
+    mat[0, 0] = 0.0
+    op = HermitianOperator(mat, SystemLayout((2, 2), 1))
+    zeros = collect_zero_set(op, target_count=3, max_descents=12, seed=0)
+    reference, descents_run = zero_harvest_reference(
+        mat, 2, 2, 3, 12, 0, zero_tol=witness_module.ZERO_TOL * np.linalg.norm(mat)
+    )
+    assert len(zeros.vectors) == len(reference) == 1
+    assert descents_run == 12
+    assert zeros.span_rank == 1
+    np.testing.assert_allclose(zeros.vectors[0].full(), np.eye(4)[0], atol=1e-9)
+
+
 @pytest.mark.parametrize("target_count, max_descents", [(5, 7), (16, 64)])
 def test_harvest_runs_stalled_restarts_on_as_uninterrupted_descents(
     target_count, max_descents, capped_choi
@@ -349,9 +368,11 @@ def test_abandoned_descents_drop_no_zero(name, choi, swap, capped_choi):
     seesaw = None if name == "swap-gamma" else min_product_expectation(op, seed=42)
     zeros = collect_zero_set(op, seed=42, seesaw=seesaw)
     dim = op.layout.total_dim
-    reference, _ = zero_harvest_reference(
+    # the stacked reference keeps what the sequential one keeps (pinned on
+    # every case but the capped one, where the sequential takes ~10 s)
+    reference, _ = zero_harvest_stacked(
         op.mat, op.layout.left_dim, op.layout.right_dim, 4 * dim, 20 * dim, 42,
-        zero_tol=witness_module.ZERO_TOL * np.linalg.norm(op.mat), abandon_tol=None,
+        zero_tol=witness_module.ZERO_TOL * np.linalg.norm(op.mat),
     )
     assert len(zeros.vectors) == len(reference) > 0
     assert zeros.span_rank == span_rank(reference)
@@ -363,6 +384,25 @@ def test_abandoned_descents_drop_no_zero(name, choi, swap, capped_choi):
         return  # kept vectors fixed by rounding on a continuum: count and rank only
     for kept, ref in zip(zeros.vectors, reference):
         np.testing.assert_allclose(kept.full(), ref, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "name", ["choi", "choi-rot1", "choi-rot2", "choi-rot3", "swap", "swap-gamma"]
+)
+def test_stacked_harvest_reference_matches_the_sequential_one(name, choi, swap):
+    # the stacked oracle runs every unsettled descent to the budget, as the
+    # sequential one does without an abandonment band
+    ops = {"choi": choi, "swap": swap, "swap-gamma": partial_transpose(swap)}
+    op = ops[name] if name in ops else _haar_rotated(choi, int(name[-1]))
+    dim = op.layout.total_dim
+    args = (op.mat, op.layout.left_dim, op.layout.right_dim, 4 * dim, 20 * dim, 42)
+    zero_tol = witness_module.ZERO_TOL * np.linalg.norm(op.mat)
+    stacked, stacked_run = zero_harvest_stacked(*args, zero_tol=zero_tol)
+    sequential, sequential_run = zero_harvest_reference(*args, zero_tol=zero_tol)
+    assert stacked_run == sequential_run
+    assert len(stacked) == len(sequential) > 0
+    for got, want in zip(stacked, sequential):
+        np.testing.assert_allclose(got, want, atol=1e-9)
 
 
 def test_certifying_choi_abandons_its_creeping_restarts(choi):
@@ -535,6 +575,20 @@ def test_certify_indecomposable_does_not_depend_on_scale(scale, choi):
     assert certify_indecomposable(scaled, state)
     scaled_state = HermitianOperator(scale * state.mat, state.layout)
     assert certify_indecomposable(choi, scaled_state)
+
+
+def test_certify_indecomposable_needs_a_ppt_state(choi):
+    # both candidates have Tr(W rho) < 0, and each fails one state check
+    # only: the partial transpose of an entangled pure state, whose own
+    # partial transpose is that state, and the maximally entangled state
+    v = (np.eye(9)[1] + np.eye(9)[3]) / np.sqrt(2)  # (|0, 1> + |1, 0>) / sqrt 2
+    not_psd = partial_transpose(HermitianOperator(projector(v), choi.layout))
+    not_ppt = HermitianOperator(projector(maximally_entangled_vector(3)), choi.layout)
+    assert not is_psd(not_psd) and is_psd(partial_transpose(not_psd))
+    assert is_psd(not_ppt) and not is_psd(partial_transpose(not_ppt))
+    for rho in (not_psd, not_ppt):
+        assert expectation(choi, rho) < 0
+        assert not certify_indecomposable(choi, rho)
 
 
 def test_certify_indecomposable_dimension_mismatch(choi):
