@@ -25,6 +25,7 @@ from .operators import (
     _frobenius,
     _Frozen,
     _hermitian_matrix,
+    _psd_matrix,
     is_psd,
     partial_trace,
     partial_transpose,
@@ -71,13 +72,6 @@ def choi_witness() -> HermitianOperator:
     return HermitianOperator(mat, SystemLayout((3, 3), 1))
 
 
-def _psd_2x2(mat: Array | HermitianOperator | list, name: str) -> Array:
-    arr = _hermitian_matrix(mat, 2, name, ValueError)  # a copy: callers may freeze it
-    if not is_psd(arr, AB_PSD_TOL):
-        raise ValueError(f"{name} is not positive semidefinite")
-    return arr
-
-
 class AbParams(_Frozen):
     """Qubit blocks steering the two branches of the A|BB' family.
 
@@ -95,12 +89,12 @@ class AbParams(_Frozen):
         a: Array | HermitianOperator | list | None = None,
         b: Array | HermitianOperator | list | None = None,
     ) -> None:
-        a = _psd_2x2(np.ones((2, 2)) if a is None else a, "a")
-        b = _psd_2x2(np.eye(2) if b is None else b, "b")
+        a = _psd_matrix(np.ones((2, 2)) if a is None else a, 2, "a", AB_PSD_TOL)
+        b = _psd_matrix(np.eye(2) if b is None else b, 2, "b", AB_PSD_TOL)
         if not (a + b).trace().real > 0:
             raise ValueError("Tr(a) + Tr(b) must be positive")
-        a.setflags(write=False)
-        b.setflags(write=False)
+        for block in (a, b):  # fresh copies: freezing leaves the arguments alone
+            block.setflags(write=False)
         self._set(a=a, b=b)
 
 
@@ -136,7 +130,7 @@ def detection_values(
     the B'-traced A|B marginal.  A negative first entry with a vanishing
     second is the point: the cap alone buys the detection.
     """
-    cap_mat = _psd_2x2(cap_right, "cap")
+    cap_mat = _psd_matrix(cap_right, 2, "cap", AB_PSD_TOL)
     w = choi_witness()
     state = rho_abb(params)
     ext_op = HermitianOperator(np.kron(w.mat, cap_mat), state.layout)
@@ -156,7 +150,7 @@ def closed_form_values(
     Multiplying either by CLOSED_FORM_SCALE reproduces detection_values.  Each
     imaginary part is measured against its Cauchy-Schwarz bound, so at any scale.
     """
-    cap_mat = _psd_2x2(cap_right, "cap")
+    cap_mat = _psd_matrix(cap_right, 2, "cap", AB_PSD_TOL)
     weight = 3.0 / (params.a + params.b).trace().real
     diff = params.b - params.a
     ext = weight * (cap_mat @ diff).trace()
@@ -192,9 +186,8 @@ def nontrivial_extension_exhibit(
     all-ones cap the off-diagonal of a must exceed that of b.
     """
     params = AbParams() if params is None else params
-    cap_mat = (
-        np.ones((2, 2), dtype=complex) if cap_right is None else _psd_2x2(cap_right, "cap")
-    )
+    cap_right = np.ones((2, 2)) if cap_right is None else cap_right
+    cap_mat = _psd_matrix(cap_right, 2, "cap", AB_PSD_TOL)
     ext_value, reduced_value = detection_values(params, cap_mat)
     closed_ext, closed_reduced = closed_form_values(params, cap_mat)
     threshold = -1e-6 * CLOSED_FORM_SCALE * _frobenius(cap_mat)

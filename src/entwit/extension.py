@@ -30,7 +30,8 @@ from .operators import (
     _frobenius,
     _Frozen,
     _integer,
-    is_psd,
+    _psd_matrix,
+    single_system,
 )
 from .witness import ZeroSet
 
@@ -46,20 +47,15 @@ CAP_PSD_TOL = 1e-10
 
 
 def _as_cap(obj: HermitianOperator | Array, side: str) -> HermitianOperator:
-    cap = obj
-    if not isinstance(cap, HermitianOperator):  # HermitianOperator raises unless square
-        mat = np.asarray(obj, dtype=complex)
-        cap = HermitianOperator(mat, SystemLayout(mat.shape[:1], 1))
-    if cap.layout.n_subsystems != 1:
-        raise LayoutError(f"{side} must act on a single system, got dims {cap.dims}")
-    if not is_psd(cap, CAP_PSD_TOL):
-        raise ValueError(
-            f"{side} is not positive semidefinite at relative tolerance {CAP_PSD_TOL:.0e}"
-        )
-    if np.abs(cap.mat).max() == 0.0:
+    if isinstance(obj, HermitianOperator) and obj.layout.n_subsystems != 1:
+        raise LayoutError(f"{side} must act on a single system, got dims {obj.dims}")
+    mat = _psd_matrix(obj, None, side, CAP_PSD_TOL)
+    if np.abs(mat).max() == 0.0:
         # a zero cap kills every transferred detection value Tr(P Ptilde)
         raise ValueError(f"{side} is the zero operator; the extension would vanish")
-    return cap
+    if isinstance(obj, HermitianOperator):
+        return obj  # its layout, cut included, is echoed as given
+    return HermitianOperator(mat, single_system(len(mat)))
 
 
 class ExtensionSpec(_Frozen):
@@ -99,8 +95,7 @@ def extend_state(
 ) -> HermitianOperator:
     """cap_left (x) rho (x) cap_right for a PSD rho; optionally unit-trace."""
     rho.layout.require_bipartite()
-    if not is_psd(rho, PSD_TOL):
-        raise ValueError("state to extend is not positive semidefinite")
+    _psd_matrix(rho, None, "state to extend", PSD_TOL)
     out = _sandwich(rho.mat, rho.layout, spec.cap_left.mat, spec.cap_right.mat)
     if normalize:
         tr = out.trace

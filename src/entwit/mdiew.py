@@ -45,13 +45,13 @@ from .operators import (
     HermitianOperator,
     LayoutError,
     NumericalError,
-    _as_matrix,
+    PSD_TOL,
     _frobenius,
     _Frozen,
     _hermitian_matrix,
     _integer,
+    _psd_matrix,
     _realign,
-    is_psd,
     maximally_entangled_vector,
     projector,
 )
@@ -96,15 +96,14 @@ class StateBasis(_Frozen):
         states = tuple(states)
         if not states:
             raise ValueError("state basis is empty")
-        d = (_as_matrix(states[0]).shape or (1,))[0]  # a scalar is checked as 1x1
-        checked = []
+        checked, d = [], None  # member 0 sets the side of every later member
         for k, s in enumerate(states):
-            s = _hermitian_matrix(s, d, f"member {k}", ValueError)
+            s = _psd_matrix(s, d, f"member {k}", PSD_TOL)
             if not abs(np.trace(s).real - 1.0) <= 1e-12:
-                raise ValueError(f"member {k} has trace {np.trace(s).real!r}, expected 1")
-            if not is_psd(s):
-                raise ValueError(f"member {k} is not positive semidefinite")
+                raise ValueError(f"member {k} has trace {float(np.trace(s).real)!r}, expected 1")
+            s.setflags(write=False)
             checked.append(s)
+            d = len(s)
         states = tuple(checked)
         if len(states) != d * d:
             raise ValueError(
@@ -122,8 +121,6 @@ class StateBasis(_Frozen):
                 "state basis is not tomographically complete; dependent members: "
                 f"{dependent}"
             )
-        for s in states:
-            s.setflags(write=False)
         self._set(states=states)
 
     @property
@@ -419,6 +416,8 @@ def separable_nonnegativity_audit(
         povm_mode, ((2, d_a * d_a), (2, d_b * d_b))
     )
     if embed_dims is not None:
+        if not (hasattr(embed_dims, "__len__") and len(embed_dims) == 2):
+            raise LayoutError(f"embed dims must be a pair, got {embed_dims!r}")
         big_l, big_r = (_integer(d, "embed dim") for d in embed_dims)
         if povm_mode != "arbitrary":
             raise ValueError(f"embed dims need povm mode 'arbitrary', got {povm_mode!r}")

@@ -171,29 +171,41 @@ def single_system(d: int) -> SystemLayout:
     return SystemLayout((d,), 1)
 
 
-def _check_hermitian(mats: Array, tol=HERMITICITY_TOL, error=NumericalError) -> None:
+def _check_hermitian(
+    mats: Array, tol=HERMITICITY_TOL, error=NumericalError, what: str = "matrix"
+) -> None:
     """Raise ``error`` unless each matrix of a stack is finite and Hermitian
     relative to its largest entry, as rounding defects scale with it."""
     scale = np.abs(mats).max(axis=(-2, -1))
     if not np.isfinite(scale).all():
-        raise error("matrix has non-finite entries")
+        raise error(f"{what} has non-finite entries")
     defect = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     bad = ~(defect <= tol * scale)
     if bad.any():
         worst = (defect[bad] / scale[bad]).max()
-        raise error(f"matrix is not Hermitian: relative defect {worst:.1e} > {tol:.0e}")
+        raise error(f"{what} is not Hermitian: relative defect {worst:.1e} > {tol:.0e}")
 
 
 def _hermitian_matrix(
-    M: HermitianOperator | Array | list, n: int, what: str, error=NumericalError
+    M: HermitianOperator | Array | list, n: int | None, what: str, error=NumericalError
 ) -> Array:
-    """``M`` as a new complex n x n array: the one check of matrix arguments.
-    Any other shape raises LayoutError; a non-Hermitian matrix raises
-    ``error``, as ``_check_hermitian`` decides."""
+    """``M`` as a new complex n x n array, n read off M's first axis when None
+    (at least 1: a scalar is 1x1): the one check of matrix arguments.  Any other
+    shape raises LayoutError; a non-Hermitian one raises ``error``."""
     mat = np.array(M.mat if isinstance(M, HermitianOperator) else M, dtype=complex)
+    n = max((mat.shape or (1,))[0], 1) if n is None else n
     if mat.shape != (n, n):
         raise LayoutError(f"{what} must be {n}x{n}, got {mat.shape}")
-    _check_hermitian(mat, error=error)
+    _check_hermitian(mat, error=error, what=what)
+    return mat
+
+
+def _psd_matrix(M: HermitianOperator | Array, n: int | None, what: str, tol: float) -> Array:
+    """``_hermitian_matrix(M, n, what, ValueError)``, and the one check of PSD
+    matrix arguments: a ValueError unless ``is_psd(mat, tol)``."""
+    mat = _hermitian_matrix(M, n, what, ValueError)
+    if not is_psd(mat, tol):
+        raise ValueError(f"{what} is not positive semidefinite at relative tolerance {tol:.0e}")
     return mat
 
 
@@ -252,7 +264,7 @@ class ProductVector(_Frozen):
         for i, f in enumerate(factors):
             norm = np.linalg.norm(f)
             if not abs(norm - 1.0) <= HERMITICITY_TOL:
-                raise NumericalError(f"factor {i} has norm {norm!r}, expected 1")
+                raise NumericalError(f"factor {i} has norm {float(norm)!r}, expected 1")
             f.setflags(write=False)
         self._set(factors=factors)
 

@@ -304,6 +304,17 @@ def test_invalid_cap_names_its_file_and_cap(tmp_path, capsys):
     )
 
 
+def test_extend_echoes_a_cap_file_layout_as_given(tmp_path, capsys):
+    # a single-system cap with cut 0 is valid, and its cut is printed unchanged
+    eye = {"dims": [2], "cut": 0, "data": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+    path = tmp_path / "caps.json"
+    path.write_text(json.dumps({"cap_left": eye, "cap_right": dict(eye, cut=1)}))
+    code, out, _ = run_cli(capsys, "extend", "swap", "--caps", str(path), "--quiet")
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["cap_left"]["cut"], doc["cap_right"]["cut"]) == (0, 1)
+
+
 def test_extend_rejects_wrong_cap_keys(tmp_path, capsys):
     path = tmp_path / "keys.json"
     path.write_text(json.dumps({"left": 1}))

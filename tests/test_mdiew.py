@@ -368,6 +368,15 @@ def test_audit_embed_dims_are_checked_not_coerced(swap, embed_dims):
         )
 
 
+@pytest.mark.parametrize("embed_dims", [(16,), 16, (16, 16, 16)])
+def test_audit_embed_dims_must_be_a_pair(swap, embed_dims):
+    with pytest.raises(LayoutError) as err:
+        separable_nonnegativity_audit(
+            MdiewScenario.ideal(swap), trials=2, embed_dims=embed_dims
+        )
+    assert str(err.value) == f"embed dims must be a pair, got {embed_dims!r}"
+
+
 @pytest.mark.parametrize("mode", ["ideal", "misaligned"])
 def test_separable_audit_embedding_needs_arbitrary_mode(swap, mode):
     # embedded elements are always drawn as arbitrary effects

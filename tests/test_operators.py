@@ -4,17 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entwit import (
+    AbParams,
+    ExtensionSpec,
     HermitianOperator,
     LayoutError,
+    MdiewScenario,
     NumericalError,
     ProductVector,
     SeparableEnsemble,
+    StateBasis,
     SystemLayout,
     basis_vector,
+    closed_form_values,
+    detection_values,
     eigh,
+    extend_state,
     is_psd,
     kron,
     maximally_entangled_vector,
+    mdiew_value,
+    nontrivial_extension_exhibit,
     partial_trace,
     partial_transpose,
     projector,
@@ -115,6 +124,71 @@ def test_operator_names_the_shape_its_layout_needs(mat, message):
     assert str(err.value) == message
 
 
+_SKEW_DEFECT = "is not Hermitian: relative defect 1.0e+00 > 1e-12"
+_NOT_PSD_AT = "is not positive semidefinite at relative tolerance"
+_NOT_HERMITIAN = np.array([[1.0, 1.0], [0.0, 1.0]])
+_NOT_PSD = np.diag([1.0, -1.0])
+
+
+def _value_with_left_povm(povm_left):
+    rho = HermitianOperator(np.eye(4) / 4, SystemLayout((2, 2), 1))
+    return mdiew_value(MdiewScenario.ideal(swap_witness()), rho, povm_left)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ExtensionSpec(np.ones(2), np.eye(2)), LayoutError,
+         "cap_left must be 2x2, got (2,)"),
+        (lambda: ExtensionSpec(1.0, np.eye(2)), LayoutError, "cap_left must be 1x1, got ()"),
+        (lambda: ExtensionSpec(np.eye(2), np.ones((2, 3))), LayoutError,
+         "cap_right must be 2x2, got (2, 3)"),
+        (lambda: ExtensionSpec(_NOT_HERMITIAN, np.eye(2)), ValueError,
+         f"cap_left {_SKEW_DEFECT}"),
+        (lambda: ExtensionSpec(np.eye(2), _NOT_PSD), ValueError,
+         f"cap_right {_NOT_PSD_AT} 1e-10"),
+        (lambda: AbParams(a=_NOT_PSD), ValueError, f"a {_NOT_PSD_AT} 1e-10"),
+        (lambda: AbParams(b=_NOT_PSD), ValueError, f"b {_NOT_PSD_AT} 1e-10"),
+        (lambda: detection_values(AbParams(), _NOT_PSD), ValueError,
+         f"cap {_NOT_PSD_AT} 1e-10"),
+        (lambda: closed_form_values(AbParams(), _NOT_PSD), ValueError,
+         f"cap {_NOT_PSD_AT} 1e-10"),
+        (lambda: nontrivial_extension_exhibit(cap_right=_NOT_PSD), ValueError,
+         f"cap {_NOT_PSD_AT} 1e-10"),
+        (lambda: StateBasis((np.diag([2.0, -1.0]),)), ValueError,
+         f"member 0 {_NOT_PSD_AT} 1e-09"),
+        # trace 0 as well: the PSD check comes first
+        (lambda: StateBasis((_NOT_PSD,)), ValueError, f"member 0 {_NOT_PSD_AT} 1e-09"),
+        (lambda: extend_state(swap_witness(), ExtensionSpec(np.eye(2), np.eye(2))),
+         ValueError, f"state to extend {_NOT_PSD_AT} 1e-09"),
+        (lambda: HermitianOperator(_NOT_HERMITIAN, single_system(2)), NumericalError,
+         f"operator {_SKEW_DEFECT}"),
+        (lambda: _value_with_left_povm(np.triu(np.ones((4, 4)))), NumericalError,
+         f"left POVM element {_SKEW_DEFECT}"),
+    ],
+    ids=[
+        "cap-vector", "cap-scalar", "cap-not-square", "cap-not-hermitian", "cap-not-psd",
+        "choi-a", "choi-b", "choi-detection-cap", "choi-closed-form-cap",
+        "choi-exhibit-cap", "basis-member", "basis-member-not-psd-first", "extend-state",
+        "operator", "povm-element",
+    ],
+)
+def test_matrix_arguments_are_named_in_their_errors(call, error, message):
+    # shape, Hermiticity and PSD each have one owner; the message names the argument
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_operator_cap_is_kept_as_given():
+    # its layout, cut 0 included, is what extend echoes
+    cap = HermitianOperator(np.eye(2), SystemLayout((2,), 0))
+    spec = ExtensionSpec(cap, np.eye(3))
+    assert spec.cap_left is cap
+    assert spec.cap_right.layout == single_system(3)
+
+
 def test_partial_trace_keeps_at_least_one_subsystem():
     with pytest.raises(LayoutError, match="^keep set must be nonempty$"):
         partial_trace(swap_witness(), keep=[])
@@ -126,6 +200,22 @@ def test_product_vector_requires_unit_factors():
     assert good.dims == (2, 2)
     with pytest.raises(NumericalError):
         ProductVector((np.array([1.0, 1.0]), np.array([1.0, 0.0])))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ProductVector((np.ones(2),)), NumericalError,
+         "factor 0 has norm 1.4142135623730951, expected 1"),
+        (lambda: StateBasis((2 * np.eye(1),)), ValueError, "member 0 has trace 2.0, expected 1"),
+    ],
+    ids=["norm", "trace"],
+)
+def test_messages_print_plain_floats(call, error, message):
+    # numpy scalars would print as np.float64(...)
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_separable_ensemble_density():
