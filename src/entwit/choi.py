@@ -22,6 +22,7 @@ from .operators import (
     HermitianOperator,
     NumericalError,
     SystemLayout,
+    _cap_matrix,
     _frobenius,
     _Frozen,
     _hermitian_matrix,
@@ -44,7 +45,7 @@ __all__ = [
     "nontrivial_extension_exhibit",
 ]
 
-AB_PSD_TOL = 1e-10
+BLOCK_PSD_TOL = 1e-10  # relative, for the qubit blocks a and b of AbParams
 
 # The closed forms below carry a reference prefactor that counts one diagonal
 # block of the family; exact-trace normalization makes the state's trace three
@@ -89,8 +90,8 @@ class AbParams(_Frozen):
         a: Array | HermitianOperator | list | None = None,
         b: Array | HermitianOperator | list | None = None,
     ) -> None:
-        a = _psd_matrix(np.ones((2, 2)) if a is None else a, 2, "a", AB_PSD_TOL)
-        b = _psd_matrix(np.eye(2) if b is None else b, 2, "b", AB_PSD_TOL)
+        a = _psd_matrix(np.ones((2, 2)) if a is None else a, 2, "a", BLOCK_PSD_TOL)
+        b = _psd_matrix(np.eye(2) if b is None else b, 2, "b", BLOCK_PSD_TOL)
         if not (a + b).trace().real > 0:
             raise ValueError("Tr(a) + Tr(b) must be positive")
         for block in (a, b):  # fresh copies: freezing leaves the arguments alone
@@ -130,14 +131,14 @@ def detection_values(
     the B'-traced A|B marginal.  A negative first entry with a vanishing
     second is the point: the cap alone buys the detection.
     """
-    cap_mat = _psd_matrix(cap_right, 2, "cap", AB_PSD_TOL)
+    return _detection_values(_cap_matrix(cap_right, 2, "cap"), rho_abb(params))
+
+
+def _detection_values(cap_mat: Array, state: HermitianOperator) -> tuple[float, float]:
+    """``detection_values`` for a checked cap on a built family member."""
     w = choi_witness()
-    state = rho_abb(params)
     ext_op = HermitianOperator(np.kron(w.mat, cap_mat), state.layout)
-    ext_value = expectation(ext_op, state)
-    reduced = partial_trace(state, keep=(0, 1))
-    reduced_value = expectation(w, reduced)
-    return ext_value, reduced_value
+    return expectation(ext_op, state), expectation(w, partial_trace(state, keep=(0, 1)))
 
 
 def closed_form_values(
@@ -150,7 +151,11 @@ def closed_form_values(
     Multiplying either by CLOSED_FORM_SCALE reproduces detection_values.  Each
     imaginary part is measured against its Cauchy-Schwarz bound, so at any scale.
     """
-    cap_mat = _psd_matrix(cap_right, 2, "cap", AB_PSD_TOL)
+    return _closed_forms(params, _cap_matrix(cap_right, 2, "cap"))
+
+
+def _closed_forms(params: AbParams, cap_mat: Array) -> tuple[float, float]:
+    """``closed_form_values`` for a checked cap."""
     weight = 3.0 / (params.a + params.b).trace().real
     diff = params.b - params.a
     ext = weight * (cap_mat @ diff).trace()
@@ -186,10 +191,10 @@ def nontrivial_extension_exhibit(
     all-ones cap the off-diagonal of a must exceed that of b.
     """
     params = AbParams() if params is None else params
-    cap_right = np.ones((2, 2)) if cap_right is None else cap_right
-    cap_mat = _psd_matrix(cap_right, 2, "cap", AB_PSD_TOL)
-    ext_value, reduced_value = detection_values(params, cap_mat)
-    closed_ext, closed_reduced = closed_form_values(params, cap_mat)
+    cap_mat = _cap_matrix(np.ones((2, 2)) if cap_right is None else cap_right, 2, "cap")
+    state = rho_abb(params)
+    ext_value, reduced_value = _detection_values(cap_mat, state)
+    closed_ext, closed_reduced = _closed_forms(params, cap_mat)
     threshold = -1e-6 * CLOSED_FORM_SCALE * _frobenius(cap_mat)
     if not ext_value < threshold:
         sign = "negative but" if ext_value < 0 else "not negative, so"
@@ -198,7 +203,6 @@ def nontrivial_extension_exhibit(
             "the exhibit needs Tr(cap (b - a)) < 0, i.e. the cap-weighted "
             "off-diagonals of a must dominate those of b"
         )
-    state = rho_abb(params)
     return ExhibitReport(
         params=params,
         cap_right=cap_mat,

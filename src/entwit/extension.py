@@ -27,6 +27,7 @@ from .operators import (
     ProductVector,
     PSD_TOL,
     SystemLayout,
+    _cap_matrix,
     _frobenius,
     _Frozen,
     _integer,
@@ -36,20 +37,17 @@ from .operators import (
 from .witness import ZeroSet
 
 __all__ = [
-    "CAP_PSD_TOL",
     "ExtensionSpec",
     "extend_witness",
     "extend_state",
     "extended_zero_set",
 ]
 
-CAP_PSD_TOL = 1e-10
-
 
 def _as_cap(obj: HermitianOperator | Array, side: str) -> HermitianOperator:
     if isinstance(obj, HermitianOperator) and obj.layout.n_subsystems != 1:
         raise LayoutError(f"{side} must act on a single system, got dims {obj.dims}")
-    mat = _psd_matrix(obj, None, side, CAP_PSD_TOL)
+    mat = _cap_matrix(obj, None, side)
     if np.abs(mat).max() == 0.0:
         # a zero cap kills every transferred detection value Tr(P Ptilde)
         raise ValueError(f"{side} is the zero operator; the extension would vanish")
@@ -66,10 +64,8 @@ class ExtensionSpec(_Frozen):
     def __init__(
         self, cap_left: HermitianOperator | Array, cap_right: HermitianOperator | Array
     ) -> None:
-        self._set(
-            cap_left=_as_cap(cap_left, "cap_left"),
-            cap_right=_as_cap(cap_right, "cap_right"),
-        )
+        left, right = _as_cap(cap_left, "cap_left"), _as_cap(cap_right, "cap_right")
+        self._set(cap_left=left, cap_right=right)
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -117,12 +113,8 @@ def extended_zero_set(zeros: ZeroSet, d_ap: int, d_bp: int) -> ZeroSet:
     d_ap, d_bp = (_integer(d, "cap dimension", 1) for d in (d_ap, d_bp))
     if not zeros.vectors:
         raise ValueError("zero set is empty; nothing to lift")
-    vectors: list[ProductVector] = []
-    for pv in zeros.vectors:
-        if len(pv.factors) != 2:
-            raise LayoutError("can only lift bipartite (two-factor) zeros")
-        phi, psi = pv.factors
-        for e in np.eye(d_ap):
-            for f in np.eye(d_bp):
-                vectors.append(ProductVector((e, phi, psi, f)))
-    return ZeroSet(tuple(vectors), zeros.span_rank * d_ap * d_bp)
+    if any(len(pv.factors) != 2 for pv in zeros.vectors):
+        raise LayoutError("can only lift bipartite (two-factor) zeros")
+    lifts = (ProductVector((e, *pv.factors, f))
+             for pv in zeros.vectors for e in np.eye(d_ap) for f in np.eye(d_bp))
+    return ZeroSet(tuple(lifts), zeros.span_rank * d_ap * d_bp)

@@ -93,9 +93,6 @@ class StateBasis(_Frozen):
     __slots__ = ("states",)
 
     def __init__(self, states: tuple[Array, ...]) -> None:
-        states = tuple(states)
-        if not states:
-            raise ValueError("state basis is empty")
         checked, d = [], None  # member 0 sets the side of every later member
         for k, s in enumerate(states):
             s = _psd_matrix(s, d, f"member {k}", PSD_TOL)
@@ -104,6 +101,8 @@ class StateBasis(_Frozen):
             s.setflags(write=False)
             checked.append(s)
             d = len(s)
+        if not checked:
+            raise ValueError("state basis is empty")
         states = tuple(checked)
         if len(states) != d * d:
             raise ValueError(
@@ -267,6 +266,15 @@ def _click_table(
     return table.real
 
 
+def _direct_values(
+    scenario: MdiewScenario, rho: Array, e_l: Array, e_r: Array, *isos: Array
+) -> Array:
+    """Route (i), sum beta[s, t] P(0,0 | s, t), per member of the stacks."""
+    sig_l, sig_r = (np.array(b.states) for b in (scenario.basis_left, scenario.basis_right))
+    table = _click_table(rho, sig_l, sig_r, e_l, e_r, *isos)
+    return np.sum(scenario.beta * table, axis=(1, 2))
+
+
 def mdiew_value(
     scenario: MdiewScenario,
     rho: HermitianOperator,
@@ -280,16 +288,11 @@ def mdiew_value(
             f"state parties ({rho.layout.left_dim}, {rho.layout.right_dim}) "
             f"do not match scenario ({d_a}, {d_b})"
         )
-    if povm_left is None:
-        povm_left = ideal_projector(d_a)
-    if povm_right is None:
-        povm_right = ideal_projector(d_b)
-    e_l = _povm_matrix(povm_left, d_a * d_a, "left POVM element")
-    e_r = _povm_matrix(povm_right, d_b * d_b, "right POVM element")
-    sig_l = np.array(scenario.basis_left.states)
-    sig_r = np.array(scenario.basis_right.states)
-    table = _click_table(rho.mat[None], sig_l, sig_r, e_l[None], e_r[None])[0]
-    return float(np.sum(scenario.beta * table))
+    e_l, e_r = (
+        _povm_matrix(ideal_projector(d) if e is None else e, d * d, f"{side} POVM element")
+        for e, d, side in ((povm_left, d_a, "left"), (povm_right, d_b, "right"))
+    )
+    return float(_direct_values(scenario, rho.mat[None], e_l[None], e_r[None])[0])
 
 
 def _mixture_route_values(
@@ -382,11 +385,9 @@ def _audit_chunk(
             ]
         e_l, e_r = (p[:, :, None] * p[:, None, :].conj() for p in psi)
     isos = [_unitaries(g[:, 0])[..., : d * d] for g, d in zip(draws[2:], dims)]
-    sig_l, sig_r = (np.array(s.states) for s in (scenario.basis_left, scenario.basis_right))
-    table = _click_table(rho, sig_l, sig_r, e_l, e_r, *isos)
+    direct = _direct_values(scenario, rho, e_l, e_r, *isos)
     if isos:  # the mixture route sees only the compressed elements
         e_l, e_r = (v.conj().swapaxes(-1, -2) @ e @ v for e, v in zip((e_l, e_r), isos))
-    direct = np.sum(scenario.beta * table, axis=(1, 2))
     return direct, _mixture_route_values(scenario.witness.mat, a, b, weights, e_l, e_r)
 
 

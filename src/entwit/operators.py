@@ -23,12 +23,14 @@ Array = np.ndarray
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-9
+CAP_PSD_TOL = 1e-10  # relative; read by the one PSD check of caps, _cap_matrix
 _TINY = float(np.finfo(float).tiny)  # least normal float
 
 __all__ = [
     "Array",
     "HERMITICITY_TOL",
     "PSD_TOL",
+    "CAP_PSD_TOL",
     "LayoutError",
     "NumericalError",
     "SystemLayout",
@@ -207,6 +209,11 @@ def _psd_matrix(M: HermitianOperator | Array, n: int | None, what: str, tol: flo
     if not is_psd(mat, tol):
         raise ValueError(f"{what} is not positive semidefinite at relative tolerance {tol:.0e}")
     return mat
+
+
+def _cap_matrix(cap: HermitianOperator | Array, n: int | None, what: str) -> Array:
+    """``_psd_matrix`` at CAP_PSD_TOL: the one PSD check of a cap."""
+    return _psd_matrix(cap, n, what, CAP_PSD_TOL)
 
 
 def _frobenius(mat: Array) -> float:

@@ -69,7 +69,7 @@ class SeeSawReport(NamedTuple):
     ``stops`` names the rule that ended each restart: ``"settled"``,
     ``"abandoned"``, ``"stalled"`` or ``"budget"``, the first it met in the
     order of ``_lockstep_descents``.  ``iterations`` counts the full
-    iterations each used.
+    iterations each used, and ``previous_values`` holds each next-to-last value.
     """
 
     best_value: float
@@ -80,6 +80,7 @@ class SeeSawReport(NamedTuple):
     iterations: tuple[int, ...]
     value_traces: tuple[tuple[float, ...], ...]
     seed: int
+    previous_values: tuple[float, ...]
 
     @property
     def best_vector(self) -> ProductVector:
@@ -197,8 +198,8 @@ def _lockstep_descents(
     A step raising an objective by over 1e-10 * ||W||_F raises NumericalError.
     Returns the final values, left and right vectors, the value traces (two
     entries per iteration of this call, from column 0), the iteration counts
-    (in all, resumed ones included), and the stop names (``"budget"`` for
-    descents resumed with no budget left).
+    (in all, resumed ones included), the stop names (``"budget"`` for
+    descents resumed with no budget left) and ``before``.
     """
     d_left, d_right = op.layout.left_dim, op.layout.right_dim
     norm = _frobenius(op.mat)
@@ -249,7 +250,7 @@ def _lockstep_descents(
                 hopeless, "abandoned", np.where(stalled, "stalled", "budget")))[done]
             iters[leaving] += it + 1
             active = active[~done]
-    return value, phi, psi, trace, iters, stops
+    return value, phi, psi, trace, iters, stops, before
 
 
 def _abandoned(k: Array, v: Array, v1: Array, v2: Array, floor: float) -> Array:
@@ -297,7 +298,7 @@ def min_product_expectation(
     restarts = _integer(restarts, "restarts", 1)
     W.layout.require_bipartite()
     starts = _start_vectors(seed, range(restarts), W.layout.right_dim)
-    values, phis, psis, trace, iters, stops = _lockstep_descents(W, starts, stall=True)
+    values, phis, psis, trace, iters, stops, prev = _lockstep_descents(W, starts, stall=True)
     return SeeSawReport(
         best_value=float(values.min()),
         restarts=restarts,
@@ -307,6 +308,7 @@ def min_product_expectation(
         iterations=tuple(iters.tolist()),
         value_traces=tuple(tuple(row[: 2 * k].tolist()) for row, k in zip(trace, iters)),
         seed=seed,
+        previous_values=tuple(prev.tolist()),
     )
 
 
@@ -329,8 +331,7 @@ def certify_witness(
     cutoff = tol * _frobenius(W.mat)
     ok = report.best_value >= -cutoff and min_eig < -cutoff
 
-    detection_state = None
-    detection_value = None
+    detection_state = detection_value = None
     neg = vals < -cutoff
     if neg.any():
         cols = vecs[:, neg]
@@ -402,14 +403,10 @@ def collect_zero_set(
         n = min(seesaw.restarts, max_descents)
         vectors = seesaw.restart_vectors[:n]
         lefts, rights = (np.array([v.factors[i] for v in vectors]) for i in (0, 1))
-        # stalled restarts run on without the stall rule; the others have
-        # nothing left to run
+        # stalled restarts run on without the stall rule; the others are done
         stalled = np.array(seesaw.stops[:n]) == "stalled"
         k = np.where(stalled, seesaw.iterations[:n], DEFAULT_MAX_ITERS)
-        before = [  # the value of the iteration before the last
-            t[2 * j - 3] if s else np.inf for t, j, s in zip(seesaw.value_traces, k, stalled)
-        ]
-        resume = (seesaw.restart_values[:n], before, lefts, k)
+        resume = (seesaw.restart_values[:n], seesaw.previous_values[:n], lefts, k)
         values, phis, psis, *_ = _lockstep_descents(W, rights, resume=resume)
         pending = list(zip(values, phis, psis))
         next_descent = seesaw.restarts
@@ -447,8 +444,7 @@ def has_spanning_property(
             f"min product {certificate.min_product.best_value:.3e}, "
             f"min eigenvalue {certificate.min_eigenvalue:.3e}"
         )
-    seesaw = certificate.min_product
-    zeros = collect_zero_set(W, seesaw=seesaw)
+    zeros = collect_zero_set(W, seesaw=certificate.min_product)
     dim = W.layout.total_dim
     spanning = zeros.span_rank == dim
     return SpanningReport(

@@ -23,6 +23,9 @@ from entwit import (
     rng_from,
 )
 from entwit.choi import CLOSED_FORM_SCALE
+import entwit.choi as choi_module
+import entwit.extension as extension_module
+import entwit.operators as operators_module
 from oracle_utils import choi_detected_ppt_state_loops, choi_witness_loops, rho_abb_blocks
 
 # frozen 9x9 reference, written out longhand from the defining recipe:
@@ -204,6 +207,33 @@ def test_exhibit_frozen_values():
     assert rep.scale == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert rep.state_psd
     assert rep.gamma_bprime_psd
+
+
+def test_exhibit_checks_its_cap_once_and_builds_its_state_once(monkeypatch):
+    # Every module holding the PSD owner is patched, so a cap check is
+    # counted wherever it is made.
+    cap_checks, builds = [], []
+    psd_matrix, build = operators_module._psd_matrix, choi_module.rho_abb
+
+    def counting_psd_matrix(M, n, what, tol):
+        if what == "cap":
+            cap_checks.append(what)
+        return psd_matrix(M, n, what, tol)
+
+    def counting_build(params):
+        builds.append(params)
+        return build(params)
+
+    for module in (operators_module, choi_module, extension_module):
+        if hasattr(module, "_psd_matrix"):
+            monkeypatch.setattr(module, "_psd_matrix", counting_psd_matrix)
+    monkeypatch.setattr(choi_module, "rho_abb", counting_build)
+    rep = nontrivial_extension_exhibit()
+    assert len(cap_checks) == 1 and len(builds) == 1
+    np.testing.assert_array_equal(rep.params.a, np.ones((2, 2)))
+    np.testing.assert_array_equal(rep.params.b, np.eye(2))
+    np.testing.assert_array_equal(rep.cap_right, np.ones((2, 2)))
+    assert rep[2:] == (-0.5, 0.0, -1.5, 0.0, 1.0 / 3.0, True, True)
 
 
 def test_exhibit_rejects_flipped_weights():

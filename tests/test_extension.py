@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from entwit import (
+    AbParams,
     ExtensionSpec,
     HermitianOperator,
     LayoutError,
     SystemLayout,
     certify_witness,
     choi_detected_ppt_state,
+    closed_form_values,
     collect_zero_set,
+    detection_values,
     expectation,
     extend_state,
     extend_witness,
@@ -22,6 +25,7 @@ from entwit import (
     single_system,
     span_rank,
 )
+import entwit.operators as operators_module
 from integer_args import check_integer_case, integer_cases
 
 
@@ -43,6 +47,27 @@ def test_extension_spec_validates_caps():
             ExtensionSpec(scale * np.outer(v, v.conj()), np.eye(2))  # rank one
         with pytest.raises(ValueError, match="positive semidefinite"):
             ExtensionSpec(scale * np.diag([1.0, 0.5, -1e-6]), np.eye(2))
+
+
+@pytest.mark.parametrize("tol, passes", [(1e-6, True), (1e-10, False)])
+def test_one_tolerance_decides_every_cap_check(monkeypatch, tol, passes):
+    # The extension's caps and the Choi exhibit's cap are checked at one
+    # relative tolerance: moving it moves both checks.  The cap's least
+    # eigenvalue is -1e-8 relative to its largest.
+    monkeypatch.setattr(operators_module, "CAP_PSD_TOL", tol)
+    cap = np.diag([1.0, -1e-8])
+    checks = [
+        ("cap_left", lambda: ExtensionSpec(cap, np.eye(2))),
+        ("cap", lambda: detection_values(AbParams(), cap)),
+        ("cap", lambda: closed_form_values(AbParams(), cap)),
+    ]
+    for what, check in checks:
+        if passes:
+            check()
+            continue
+        message = f"{what} is not positive semidefinite at relative tolerance 1e-10"
+        with pytest.raises(ValueError, match=message):
+            check()
 
 
 def test_trivial_caps_change_nothing_but_bookkeeping(swap):

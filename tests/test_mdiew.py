@@ -428,6 +428,30 @@ def test_audit_trials_do_not_depend_on_their_chunk(name, mode, embed, named, mon
     assert separable_nonnegativity_audit(scenario, 40, 5, mode, embed) == full
 
 
+@pytest.mark.parametrize("mode", ["ideal", "arbitrary", "misaligned"])
+@pytest.mark.parametrize("name", ["choi", "rotated-choi"])
+def test_mdiew_value_is_the_audit_direct_value(name, mode, named, monkeypatch):
+    # mdiew_value on a trial's state and measurement elements is that trial's
+    # direct value, bit for bit: both reach the click table the same way.
+    # The shifted witness makes every trial a failure that carries its value.
+    scenario = _far_below(named[name])
+    click_table, stacks = mdiew_module._click_table, []
+
+    def recording(*args):
+        stacks.append(args)
+        return click_table(*args)
+
+    monkeypatch.setattr(mdiew_module, "_click_table", recording)
+    report = separable_nonnegativity_audit(scenario, 6, 3, mode)
+    monkeypatch.undo()
+    (rho, _, _, e_l, e_r), = stacks
+    assert len(report.failures) == len(rho) == 6
+    layout = scenario.witness.layout
+    for f in report.failures:
+        state = HermitianOperator(rho[f.trial], layout)
+        assert mdiew_value(scenario, state, e_l[f.trial], e_r[f.trial]) == f.route_direct
+
+
 def test_mdiew_value_matches_loop_oracle_at_choi_size(choi):
     sc = MdiewScenario.ideal(choi)
     rng = rng_from(7, 0)

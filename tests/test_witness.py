@@ -312,6 +312,32 @@ def test_harvest_resumes_restarts_as_uninterrupted_strict_descents(
         np.testing.assert_array_equal(resumed, uninterrupted)
 
 
+@pytest.mark.parametrize("name, target_count, max_descents", [
+    ("choi", None, None), ("capped-choi", 16, 64),
+])
+def test_harvest_resumes_from_the_report_without_its_traces(
+    name, target_count, max_descents, choi, capped_choi
+):
+    # The see-saw report keeps each restart's next-to-last value, which the
+    # harvest's abandonment rule reads on resuming a stalled restart; the
+    # value traces are for observation only.  A report with its traces
+    # emptied harvests the same zeros, bit for bit.
+    op = {"choi": choi, "capped-choi": capped_choi}[name]
+    report = min_product_expectation(op, seed=42)
+    assert "stalled" in report.stops
+    budget = {"target_count": target_count, "max_descents": max_descents}
+    traced = collect_zero_set(op, seesaw=report, **budget)
+    blind = report._replace(value_traces=((),) * report.restarts)
+    untraced = collect_zero_set(op, seesaw=blind, **budget)
+    assert untraced.span_rank == traced.span_rank
+    assert len(untraced.vectors) == len(traced.vectors) > 0
+    for got, want in zip(untraced.vectors, traced.vectors):
+        for f, g in zip(got.factors, want.factors):
+            np.testing.assert_array_equal(f, g)
+    for prev, k, trace in zip(report.previous_values, report.iterations, report.value_traces):
+        assert prev == trace[2 * k - 3]
+
+
 def test_resumed_descents_stop_at_the_budget(choi):
     # A descent resumed with its whole budget spent comes back as it went in,
     # with stop "budget"; one with one iteration left runs exactly that one,
