@@ -5,7 +5,8 @@ The package is organized around a few small layers:
 
 operators      layouts, Hermitian operators, product vectors, partial
                transpose / trace, spectra
-sampling       seeded random states, caps, POVM elements, unitaries
+sampling       seeded random states and caps; the audit's effect and
+               unitary kernels
 witness        see-saw minimization over product states and certification
 extension      tensoring witnesses with positive caps; zero-set lifting
 choi           the worked indecomposable example and its extension exhibit
@@ -39,14 +40,11 @@ _EXPORTS = {
     ),
     "operators": (
         "HermitianOperator", "LayoutError", "NumericalError", "ProductVector",
-        "SeparableEnsemble", "SystemLayout", "basis_vector", "eigh", "is_psd",
-        "kron", "maximally_entangled_vector", "partial_trace", "partial_transpose",
+        "SystemLayout", "basis_vector", "eigh", "is_psd", "kron",
+        "maximally_entangled_vector", "partial_trace", "partial_transpose",
         "projector", "single_system",
     ),
-    "sampling": (
-        "random_density", "random_povm_first_element", "random_product_vector",
-        "random_psd", "random_separable", "random_unitary", "rng_from",
-    ),
+    "sampling": ("random_density", "random_psd", "rng_from"),
     "serialization": (
         "SerializationError", "dump_operator", "dumps_canonical", "load_operator",
         "matrix_from_json", "matrix_to_json", "operator_from_dict",

@@ -37,7 +37,6 @@ __all__ = [
     "single_system",
     "HermitianOperator",
     "ProductVector",
-    "SeparableEnsemble",
     "kron",
     "partial_transpose",
     "partial_trace",
@@ -282,42 +281,6 @@ class ProductVector(_Frozen):
     def full(self) -> Array:
         """The assembled vector in the tensor-product space."""
         return reduce(np.kron, self.factors)
-
-
-class SeparableEnsemble(_Frozen):
-    """Convex mixture of pure product states with explicit weights."""
-
-    __slots__ = ("weights", "members")
-
-    def __init__(
-        self, weights: tuple[float, ...], members: tuple[ProductVector, ...]
-    ) -> None:
-        weights = tuple(float(w) for w in weights)
-        if len(weights) != len(members) or not members:
-            raise LayoutError("need one weight per member and at least one member")
-        if not all(w >= -HERMITICITY_TOL for w in weights):
-            raise NumericalError(f"weights {weights!r} are not all nonnegative")
-        if not abs(sum(weights) - 1.0) <= HERMITICITY_TOL:
-            raise NumericalError(f"weights sum to {sum(weights)!r}, expected 1")
-        dims = members[0].dims
-        if any(m.dims != dims for m in members):
-            raise LayoutError("ensemble members have differing factor dimensions")
-        self._set(weights=weights, members=members)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.members[0].dims
-
-    def density(self) -> HermitianOperator:
-        """Mix the member projectors into a density operator, cut after the
-        first subsystem."""
-        dims = self.dims
-        d = int(np.prod(dims))
-        rho = np.zeros((d, d), dtype=complex)
-        for w, m in zip(self.weights, self.members):
-            v = m.full()
-            rho += w * np.outer(v, v.conj())
-        return HermitianOperator(rho, SystemLayout(dims, 1))
 
 
 def _as_matrix(M: HermitianOperator | Array) -> Array:

@@ -1,31 +1,23 @@
-"""Seeded sampling of states, product vectors, POVM elements, and unitaries.
+"""Seeded sampling of PSD operators and states, and the stacked kernels that
+turn the MDI audit's raw draws into effects and unitaries.
 
 All randomness flows from a single integer master seed.  Derived streams are
 split with ``numpy``'s SeedSequence spawn keys, so a run that distributes
 restarts or trials over workers draws exactly the same numbers as a serial
-run.
+run.  Audit trial t reads its stream in this order: the member count k, k
+Dirichlet(1, ..., 1) weights, Re a, Im a, Re b, Im b for each member's
+factors a and b, then the measurement draws; an effect takes Re G_0, Im G_0,
+Re G_1, Im G_1 (``_effects``), a unitary Re G, Im G (``_unitaries``).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .operators import (
-    Array,
-    HermitianOperator,
-    ProductVector,
-    SeparableEnsemble,
-    SystemLayout,
-    _integer,
-    single_system,
-)
+from .operators import Array, HermitianOperator, _integer, single_system
 
 __all__ = [
     "rng_from",
     "random_density",
-    "random_product_vector",
-    "random_separable",
-    "random_povm_first_element",
-    "random_unitary",
     "random_psd",
 ]
 
@@ -68,25 +60,6 @@ def random_density(d: int, seed) -> HermitianOperator:
     return HermitianOperator(p.mat / p.trace, p.layout)
 
 
-def random_product_vector(layout: SystemLayout, seed) -> ProductVector:
-    """One normalized complex Gaussian factor per subsystem."""
-    rng = rng_from(seed)
-    factors = []
-    for d in layout.dims:
-        v = _complex_gaussian(rng, d)
-        factors.append(v / np.linalg.norm(v))
-    return ProductVector(tuple(factors))
-
-
-def random_separable(layout: SystemLayout, k: int, seed) -> SeparableEnsemble:
-    """Dirichlet(1,...,1) mixture of k independent product vectors."""
-    k = _integer(k, "ensemble size", 1)
-    rng = rng_from(seed)
-    weights = tuple(rng.dirichlet(np.ones(k)).tolist())
-    members = tuple(random_product_vector(layout, rng) for _ in range(k))
-    return SeparableEnsemble(weights, members)
-
-
 def _effects(raw: Array) -> Array:
     """Stacked effects (S+T)^(-1/2) S (S+T)^(-1/2), Hermitized, with S = G_0 G_0^H,
     T = G_1 G_1^H and G_i = raw[..., i, 0] + 1j raw[..., i, 1] for real draws
@@ -106,15 +79,3 @@ def _unitaries(raw: Array) -> Array:
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
 
-
-def random_povm_first_element(d: int, seed) -> HermitianOperator:
-    """An effect E with 0 <= E <= I (see ``_effects``)."""
-    d = _integer(d, "dimension", 1)
-    e = _effects(rng_from(seed).normal(size=(1, 2, 2, d, d)))[0]
-    return HermitianOperator(e, single_system(d))
-
-
-def random_unitary(d: int, seed) -> Array:
-    """Haar-distributed unitary via phase-fixed QR of a complex Gaussian."""
-    d = _integer(d, "dimension", 1)
-    return _unitaries(rng_from(seed).normal(size=(1, 2, d, d)))[0]

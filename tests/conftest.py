@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from entwit import (
-    HermitianOperator, choi_witness, extend_witness, random_unitary, rng_from, swap_witness,
-)
+from entwit import HermitianOperator, choi_witness, extend_witness, rng_from, swap_witness
 from entwit.cli import _caps_random
+from oracle_utils import draw_unitary
 
 
 @pytest.fixture(scope="session")
@@ -22,7 +21,7 @@ def rotated_choi(choi):
     """(U_A (x) U_B) choi (U_A (x) U_B)^H for seeded Haar unitaries,
     symmetrized as (m + m^H) / 2 the way operator files are read."""
     rng = rng_from(7)
-    u = np.kron(random_unitary(3, rng), random_unitary(3, rng))
+    u = np.kron(draw_unitary(3, rng), draw_unitary(3, rng))
     m = u @ choi.mat @ u.conj().T
     return HermitianOperator((m + m.conj().T) / 2, choi.layout)
 

@@ -13,9 +13,13 @@ conjugates, instead of from the closed forms over shared 9x9 blocks.
 The stacked zero harvest runs the same descents together, with plain row
 products and one eigensolver call per half step; it is pinned vector for
 vector to the sequential harvest, and stands in for it where that one is slow.
+The random draws are the oracle's own, one matrix at a time, read off the
+stream in the audit's order; an effect's inverse square root comes from
+``scipy.linalg`` instead of the stacked eigensolver kernel.
 """
 
 import numpy as np
+from scipy.linalg import inv, sqrtm
 from scipy.optimize import minimize
 
 
@@ -166,6 +170,47 @@ def descent_rng(seed, index):
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def _complex_gaussian(shape, rng):
+    """Real part drawn first, then the imaginary part."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def draw_product(dims, rng):
+    """One normalized complex Gaussian factor per party, in party order."""
+    return tuple(v / np.linalg.norm(v) for v in (_complex_gaussian(d, rng) for d in dims))
+
+
+def draw_separable(dims, k, rng):
+    """Dirichlet(1, ..., 1) weights of k members, then each member's factors:
+    the order in which an audit trial draws its ensemble after the count k.
+    Returns (weights, members), a member being its tuple of factors."""
+    weights = rng.dirichlet(np.ones(k))
+    return weights, [draw_product(dims, rng) for _ in range(k)]
+
+
+def mixture_density(weights, members):
+    """sum_n w_n |a_n b_n><a_n b_n| over the members (a_n, b_n)."""
+    vecs = [np.kron(a, b) for a, b in members]
+    return sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs))
+
+
+def draw_unitary(d, rng):
+    """Haar unitary: the QR of a complex Gaussian, each column's phase fixed
+    by the matching diagonal entry of R."""
+    q, r = np.linalg.qr(_complex_gaussian((d, d), rng))
+    diag = np.diag(r)
+    return q * (diag / np.abs(diag))
+
+
+def draw_effect(d, rng):
+    """Effect (S+T)^(-1/2) S (S+T)^(-1/2), Hermitized, with S = G_0 G_0^H and
+    T = G_1 G_1^H for complex Gaussians G_0, then G_1; 0 <= E <= I."""
+    s, t = (g @ g.conj().T for g in (_complex_gaussian((d, d), rng) for _ in range(2)))
+    root = inv(sqrtm(s + t))
+    e = root @ s @ root
+    return (e + e.conj().T) / 2
 
 
 def min_product_reference(
@@ -330,7 +375,7 @@ def _compressed(element, vec, d, party_first):
 def audit_trial_reference(scenario, seed, t, mode, embed_dims=None):
     """Trial ``t`` of ``separable_nonnegativity_audit``: (direct, mixture).
 
-    The trial is redrawn from its own stream with the public draws, in the
+    The trial is redrawn from its own stream with this module's draws, in the
     audit's order: member count, separable ensemble, then the measurement
     pair (two effects; two pairs of local unitaries around the ideal
     projectors; or, embedded, two large effects and two isometries, the
@@ -339,34 +384,28 @@ def audit_trial_reference(scenario, seed, t, mode, embed_dims=None):
     on the member's party vector and traces W^T against the product of the
     two, all in loops.
     """
-    from entwit import (
-        SystemLayout, random_povm_first_element, random_separable, random_unitary,
-    )
     from entwit.mdiew import AUDIT_MAX_MEMBERS
 
     d_a, d_b = scenario.party_dims
     rng = descent_rng(seed, t)
     k = int(rng.integers(1, AUDIT_MAX_MEMBERS + 1))
-    ensemble = random_separable(SystemLayout((d_a, d_b), 1), k, rng)
+    weights, members = draw_separable((d_a, d_b), k, rng)
     if embed_dims is not None:
-        e_big = [random_povm_first_element(n, rng).mat for n in embed_dims]
-        isos = [random_unitary(n, rng)[:, : d * d] for n, d in zip(embed_dims, (d_a, d_b))]
+        e_big = [draw_effect(n, rng) for n in embed_dims]
+        isos = [draw_unitary(n, rng)[:, : d * d] for n, d in zip(embed_dims, (d_a, d_b))]
         e_l, e_r = (v.conj().T @ e @ v for e, v in zip(e_big, isos))
     elif mode == "arbitrary":
-        e_l, e_r = (random_povm_first_element(d * d, rng).mat for d in (d_a, d_b))
+        e_l, e_r = (draw_effect(d * d, rng) for d in (d_a, d_b))
     else:
         ideal = []
         for d in (d_a, d_b):
             phi = np.eye(d).ravel() / np.sqrt(d)
             u = np.eye(d * d)
             if mode == "misaligned":
-                u = np.kron(random_unitary(d, rng), random_unitary(d, rng))
+                u = np.kron(draw_unitary(d, rng), draw_unitary(d, rng))
             ideal.append(u @ np.outer(phi, phi) @ u.conj().T)
         e_l, e_r = ideal
-    rho = sum(
-        w * np.outer(v, v.conj())
-        for w, v in zip(ensemble.weights, (m.full() for m in ensemble.members))
-    )
+    rho = mixture_density(weights, members)
     direct = sum(
         scenario.beta[s, u] * joint_probability_loops(rho, sig_s, sig_t, e_l, e_r, d_a, d_b)
         for s, sig_s in enumerate(scenario.basis_left.states)
@@ -374,9 +413,9 @@ def audit_trial_reference(scenario, seed, t, mode, embed_dims=None):
     )
     w4 = scenario.witness.mat.reshape(d_a, d_b, d_a, d_b)
     mixture = 0.0
-    for weight, member in zip(ensemble.weights, ensemble.members):
-        g_l = _compressed(e_l, member.factors[0], d_a, party_first=False)
-        g_r = _compressed(e_r, member.factors[1], d_b, party_first=True)
+    for weight, (a, b) in zip(weights, members):
+        g_l = _compressed(e_l, a, d_a, party_first=False)
+        g_r = _compressed(e_r, b, d_b, party_first=True)
         term = 0.0 + 0.0j
         for p in range(d_a):
             for q in range(d_b):

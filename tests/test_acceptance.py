@@ -38,7 +38,6 @@ from entwit import (
     projector,
     random_density,
     random_psd,
-    random_separable,
     rng_from,
     separable_nonnegativity_audit,
     span_rank,
@@ -47,7 +46,7 @@ from entwit import (
 )
 from entwit.choi import CLOSED_FORM_SCALE
 from entwit.cli import main
-from oracle_utils import min_product_expectation_bloch
+from oracle_utils import draw_separable, min_product_expectation_bloch, mixture_density
 
 CHOI_MATRIX = np.array(
     [
@@ -140,7 +139,9 @@ def test_criterion_04_indecomposability_transfer():
         base = (
             rho
             if trial % 2 == 0
-            else random_separable(layout33, k=3, seed=trial).density()
+            else HermitianOperator(
+                mixture_density(*draw_separable((3, 3), 3, rng_from(trial))), layout33
+            )
         )
         spec = ExtensionSpec(
             random_density(2, rng_from(trial, 84)),

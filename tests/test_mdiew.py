@@ -22,19 +22,16 @@ from entwit import (
     mdiew_value,
     projector,
     random_density,
-    random_povm_first_element,
-    random_product_vector,
-    random_separable,
-    random_unitary,
     rng_from,
     separable_nonnegativity_audit,
     swap_witness,
     tomographic_basis,
 )
-from entwit.cli import _caps_random
+from entwit.cli import _caps_random, main
 from integer_args import check_integer_case, integer_cases
 from oracle_utils import (
-    audit_trial_reference, decomposition_reference, joint_probability_loops,
+    audit_trial_reference, decomposition_reference, draw_effect, draw_product,
+    draw_separable, draw_unitary, joint_probability_loops, mixture_density,
 )
 
 # the three small measurement modes, and arbitrary effects embedded in
@@ -77,6 +74,18 @@ def test_state_basis_rejects_dependent_members():
     with pytest.raises(ValueError) as err:
         StateBasis(dup)
     assert "3" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "states, message",
+    [((), "state basis is empty"), (tomographic_basis(2).states[:3],
+                                    "need exactly 4 states for dimension 2, got 3")],
+    ids=["empty", "too-few"],
+)
+def test_state_basis_needs_exactly_d_squared_states(states, message):
+    with pytest.raises(ValueError) as err:
+        StateBasis(states)
+    assert str(err.value) == message
 
 
 def test_state_basis_rejects_non_states():
@@ -133,10 +142,10 @@ def test_beta_matches_least_squares_oracle(name, named):
     assert np.abs(beta - want).max() <= 1e-12 * np.linalg.norm(w.mat)
 
 
-def _rotated_basis(d, seed):
+def _rotated_basis(d, rng):
     """U sigma U^H over the tomographic basis, for a Haar U: complete, but
     neither real nor made of the computational and Fourier projectors."""
-    u = random_unitary(d, seed)
+    u = draw_unitary(d, rng)
     return StateBasis(tuple(u @ s @ u.conj().T for s in tomographic_basis(d).states))
 
 
@@ -184,8 +193,6 @@ def test_scenario_ideal_construction(swap):
 
 
 def test_scenario_realigns_the_witness_once(monkeypatch, capsys):
-    from entwit.cli import main
-
     calls = []
     realign = mdiew_module._realign
 
@@ -210,14 +217,25 @@ def _one_click(rho, sigma_s, sigma_t, e_l, e_r):
 def test_joint_probability_matches_loop_oracle():
     rho = random_density(4, seed=21).mat
     basis = tomographic_basis(2)
-    e_l = random_povm_first_element(4, seed=22).mat
-    e_r = random_povm_first_element(4, seed=23).mat
+    e_l = draw_effect(4, rng_from(22))
+    e_r = draw_effect(4, rng_from(23))
     for s in basis.states[:3]:
         for t in basis.states[-3:]:
             lib = _one_click(rho, s, t, e_l, e_r)
             orc = joint_probability_loops(rho, s, t, e_l, e_r, 2, 2)
             assert lib == pytest.approx(orc, abs=1e-12)
             assert 0.0 <= lib <= 1.0
+
+
+@pytest.mark.parametrize("scale, bad", [(2.0, "2.0"), (-1.0, "-1.0")], ids=["above", "below"])
+def test_click_table_rejects_a_probability_outside_the_unit_interval(scale, bad):
+    # an element outside 0 <= E <= I can click with "probability" 2 or -1;
+    # the identity on the right keeps the value exact
+    rho = random_density(4, seed=31).mat
+    s = t = tomographic_basis(2).states[0]
+    with pytest.raises(NumericalError) as err:
+        _one_click(rho, s, t, scale * np.eye(4), np.eye(4))
+    assert str(err.value) == f"probability {bad} outside [0, 1]"
 
 
 def test_joint_probability_extreme_elements():
@@ -313,6 +331,24 @@ def test_separable_audit_flags_sign_violations(scale):
     assert not report.passed
     assert len(report.failures) > 0
     assert report.min_value < -1e-9 * scale
+
+
+def test_separable_audit_records_a_route_gap(swap, capsys, monkeypatch):
+    # offset the mixture route by 1e-6 ||W||_F: no value goes negative, so
+    # each trial fails on the gap alone, and the CLI reports a violation
+    offset = 1e-6 * np.linalg.norm(swap.mat)
+    mixture = mdiew_module._mixture_route_values
+    monkeypatch.setattr(
+        mdiew_module, "_mixture_route_values", lambda *args: mixture(*args) + offset
+    )
+    report = separable_nonnegativity_audit(MdiewScenario.ideal(swap), trials=5, seed=0)
+    assert not report.passed
+    assert [f.trial for f in report.failures] == list(range(5))
+    for f in report.failures:
+        assert f.reason.startswith("route gap ") and ";" not in f.reason
+        assert f.route_mixture - f.route_direct == pytest.approx(offset, rel=1e-6)
+    assert main(["mdiew", "audit", "swap", "--trials", "5", "--quiet"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6, 1e8])
@@ -455,9 +491,10 @@ def test_mdiew_value_is_the_audit_direct_value(name, mode, named, monkeypatch):
 def test_mdiew_value_matches_loop_oracle_at_choi_size(choi):
     sc = MdiewScenario.ideal(choi)
     rng = rng_from(7, 0)
-    rho = random_separable(SystemLayout((3, 3), 1), 3, rng).density()
-    e_l = random_povm_first_element(9, rng).mat
-    e_r = random_povm_first_element(9, rng).mat
+    layout = SystemLayout((3, 3), 1)
+    rho = HermitianOperator(mixture_density(*draw_separable((3, 3), 3, rng)), layout)
+    e_l = draw_effect(9, rng)
+    e_r = draw_effect(9, rng)
     want = sum(
         sc.beta[s, t]
         * joint_probability_loops(rho.mat, sig_s, sig_t, e_l, e_r, 3, 3)
@@ -551,8 +588,8 @@ def test_mixture_route_term_is_an_extension_evaluation(rotated_choi):
     # complex, so a missing transpose shows, as does a missing reordering
     w = rotated_choi
     rng = rng_from(8, 0)
-    a, b = random_product_vector(SystemLayout((3, 3), 1), rng).factors
-    e_l, e_r = (random_povm_first_element(9, rng).mat for _ in range(2))
+    a, b = draw_product((3, 3), rng)
+    e_l, e_r = (draw_effect(9, rng) for _ in range(2))
     got = mdiew_module._mixture_route_values(
         w.mat, a[None, None], b[None, None], np.ones((1, 1)), e_l[None], e_r[None]
     )[0]

@@ -11,7 +11,6 @@ from entwit import (
     MdiewScenario,
     NumericalError,
     ProductVector,
-    SeparableEnsemble,
     StateBasis,
     SystemLayout,
     basis_vector,
@@ -216,26 +215,6 @@ def test_messages_print_plain_floats(call, error, message):
     with pytest.raises(error) as err:
         call()
     assert str(err.value) == message
-
-
-def test_separable_ensemble_density():
-    rng = np.random.default_rng(3)
-    members = []
-    for _ in range(3):
-        f = rng.normal(size=2) + 1j * rng.normal(size=2)
-        g = rng.normal(size=2) + 1j * rng.normal(size=2)
-        members.append(ProductVector((f / np.linalg.norm(f), g / np.linalg.norm(g))))
-    ens = SeparableEnsemble((0.5, 0.3, 0.2), tuple(members))
-    rho = ens.density()
-    manual = sum(
-        w * np.outer(m.full(), m.full().conj())
-        for w, m in zip((0.5, 0.3, 0.2), members)
-    )
-    np.testing.assert_allclose(rho.mat, manual, atol=1e-14)
-    assert rho.trace == pytest.approx(1.0)
-    assert is_psd(rho)
-    # mixtures of products stay positive under one-sided transposition
-    assert is_psd(partial_transpose(rho), tol=1e-12)
 
 
 def test_kron_places_cut_between_operands():

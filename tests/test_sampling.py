@@ -1,18 +1,8 @@
 import numpy as np
 import pytest
 
-from entwit import (
-    SystemLayout,
-    is_psd,
-    partial_transpose,
-    random_density,
-    random_povm_first_element,
-    random_product_vector,
-    random_psd,
-    random_separable,
-    random_unitary,
-    rng_from,
-)
+from entwit import is_psd, random_density, random_psd, rng_from
+from entwit.sampling import _effects, _unitaries
 from integer_args import check_integer_case, integer_cases
 
 
@@ -40,16 +30,11 @@ def test_rng_from_passes_generators_through():
     "seed": (lambda x: random_psd(2, x), "seed", 0),
     "random_psd": (lambda x: random_psd(x, 0), "dimension", 1),
     "random_density": (lambda x: random_density(x, 0), "dimension", 1),
-    "random_povm_first_element": (lambda x: random_povm_first_element(x, 0), "dimension", 1),
-    "random_unitary": (lambda x: random_unitary(x, 0), "dimension", 1),
-    "random_separable": (
-        lambda x: random_separable(SystemLayout((2, 2), 1), x, 0), "ensemble size", 1,
-    ),
     "rng_from-key": (lambda x: rng_from(1, x), "substream key", 0),
 }, own="seed", values=(2.7, 2.0, "2", True, None)))
 def test_seeds_are_checked_not_coerced(call, value, message):
-    # so are the dimensions and the ensemble size of every draw, and the
-    # substream keys, which are named rather than the seed
+    # so are the dimensions of every draw, and the substream keys, which are
+    # named rather than the seed
     check_integer_case(call, value, message)
     np.testing.assert_array_equal(random_psd(2, np.int64(2)).mat, random_psd(2, 2).mat)
 
@@ -73,36 +58,38 @@ def test_random_psd_properties():
     assert q.trace == pytest.approx(1.0, abs=1e-12)
 
 
-def test_random_product_vector_unit_factors():
-    layout = SystemLayout((2, 3), 1)
-    v = random_product_vector(layout, seed=9)
-    assert v.dims == (2, 3)
-    for f in v.factors:
-        assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(v.full()) == pytest.approx(1.0, abs=1e-12)
+def test_effects_are_bounded_first_elements():
+    raw = rng_from(0).normal(size=(6, 2, 2, 4, 4))
+    e = _effects(raw)
+    np.testing.assert_array_equal(e, e.conj().swapaxes(-1, -2))
+    vals = np.linalg.eigvalsh(e)
+    assert vals.min() >= -1e-12
+    assert vals.max() <= 1.0 + 1e-12
+    # exchanging G_0 and G_1 gives the second element, I - E
+    np.testing.assert_allclose(e + _effects(raw[:, ::-1]), np.broadcast_to(np.eye(4), e.shape),
+                               atol=1e-12)
 
 
-def test_random_separable_mixtures_are_ppt():
-    layout = SystemLayout((2, 2), 1)
-    for seed in range(6):
-        ens = random_separable(layout, k=3, seed=seed)
-        assert sum(ens.weights) == pytest.approx(1.0, abs=1e-12)
-        rho = ens.density()
-        assert rho.trace == pytest.approx(1.0, abs=1e-12)
-        assert is_psd(rho, tol=1e-12)
-        assert is_psd(partial_transpose(rho), tol=1e-10)
+def test_unitaries_are_the_phase_fixed_qr():
+    raw = rng_from(2).normal(size=(3, 2, 5, 5))
+    u = _unitaries(raw)
+    np.testing.assert_allclose(u.conj().swapaxes(-1, -2) @ u, np.broadcast_to(np.eye(5), u.shape),
+                               atol=1e-12)
+    # U^H G is the R of G = U R, upper triangular with a positive diagonal
+    r = u.conj().swapaxes(-1, -2) @ (raw[:, 0] + 1j * raw[:, 1])
+    assert np.abs(np.tril(r, -1)).max() <= 1e-12
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    assert np.abs(diag.imag).max() <= 1e-12 and diag.real.min() > 0
 
 
-def test_random_povm_first_element_is_bounded():
-    for seed in range(6):
-        e = random_povm_first_element(4, seed=seed)
-        vals = np.linalg.eigvalsh(e.mat)
-        assert vals.min() >= -1e-12
-        assert vals.max() <= 1.0 + 1e-12
-
-
-def test_random_unitary_properties():
-    u = random_unitary(5, seed=2)
-    np.testing.assert_allclose(u.conj().T @ u, np.eye(5), atol=1e-12)
-    np.testing.assert_array_equal(u, random_unitary(5, seed=2))
-    assert not np.array_equal(u, random_unitary(5, seed=3))
+@pytest.mark.parametrize("kernel, shape", [(_effects, (2, 2, 4, 4)), (_unitaries, (2, 5, 5))],
+                         ids=["effects", "unitaries"])
+def test_kernels_are_deterministic_member_by_member(kernel, shape):
+    # a member's result depends on its own draws only, bit for bit, so an
+    # audit trial does not depend on the trials stacked beside it
+    raw = rng_from(3).normal(size=(4, *shape))
+    stacked = kernel(raw)
+    np.testing.assert_array_equal(stacked, kernel(rng_from(3).normal(size=(4, *shape))))
+    for i in range(len(raw)):
+        np.testing.assert_array_equal(stacked[i], kernel(raw[i : i + 1])[0])
+    assert not np.array_equal(stacked[0], stacked[1])

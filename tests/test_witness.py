@@ -20,8 +20,6 @@ from entwit import (
     projector,
     random_density,
     random_psd,
-    random_separable,
-    random_unitary,
     rng_from,
     span_rank,
     swap_witness,
@@ -30,8 +28,11 @@ import entwit.witness as witness_module
 from integer_args import check_integer_case, integer_cases
 from oracle_utils import (
     abandonment_holds,
+    draw_separable,
+    draw_unitary,
     min_product_expectation_bloch,
     min_product_reference,
+    mixture_density,
     zero_harvest_reference,
     zero_harvest_stacked,
 )
@@ -373,7 +374,7 @@ def test_resumed_descents_stop_at_the_budget(choi):
 
 def _haar_rotated(op, seed):
     rng = rng_from(seed)
-    u = np.kron(random_unitary(op.layout.left_dim, rng), random_unitary(op.layout.right_dim, rng))
+    u = np.kron(draw_unitary(op.layout.left_dim, rng), draw_unitary(op.layout.right_dim, rng))
     m = u @ op.mat @ u.conj().T
     return HermitianOperator((m + m.conj().T) / 2, op.layout)
 
@@ -590,7 +591,8 @@ def test_certify_indecomposable_choi_pair(choi):
 def test_certify_indecomposable_rejects_decomposable_witness(swap):
     layout = SystemLayout((2, 2), 1)
     for seed in range(10):
-        rho = random_separable(layout, k=3, seed=seed).density()
+        mix = mixture_density(*draw_separable((2, 2), 3, rng_from(seed)))
+        rho = HermitianOperator(mix, layout)
         assert not certify_indecomposable(swap, rho)
 
 
@@ -669,7 +671,7 @@ def test_certify_verdict_is_invariant_under_scale_and_local_unitaries(
     op = {"choi": choi, "swap": swap, "identity": HermitianOperator(np.eye(9), choi.layout)}[name]
     d_a, d_b = op.layout.left_dim, op.layout.right_dim
     rng = rng_from(seed)
-    u = np.kron(random_unitary(d_a, rng), random_unitary(d_b, rng))
+    u = np.kron(draw_unitary(d_a, rng), draw_unitary(d_b, rng))
     m = u @ op.mat @ u.conj().T
     moved = HermitianOperator(10.0**exponent * (m + m.conj().T) / 2, op.layout)
     verdict = certify_witness(op, restarts=16).is_witness_numeric
