@@ -73,7 +73,8 @@ class ExtensionSpec(_Frozen):
 
 
 def _sandwich(mid_mat: Array, mid_layout: SystemLayout, left: Array, right: Array) -> HermitianOperator:
-    mat = np.kron(np.kron(left, mid_mat), right)
+    with np.errstate(over="ignore", invalid="ignore"):  # HermitianOperator rejects inf
+        mat = np.kron(np.kron(left, mid_mat), right)
     layout = SystemLayout(
         (left.shape[0],) + mid_layout.dims + (right.shape[0],), mid_layout.cut + 1
     )

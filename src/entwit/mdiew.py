@@ -52,6 +52,7 @@ from .operators import (
     _integer,
     _psd_matrix,
     _realign,
+    _refill,
     maximally_entangled_vector,
     projector,
 )
@@ -88,58 +89,53 @@ AUDIT_CHUNK = 256  # audit trials evaluated together; bounds the stacked arrays
 
 
 class StateBasis(_Frozen):
-    """Tomographically complete set of d^2 unit-trace PSD states on C^d."""
+    """Tomographically complete set of d^2 unit-trace PSD states on C^d, held
+    as one read-only complex (d^2, d, d) stack."""
 
     __slots__ = ("states",)
 
-    def __init__(self, states: tuple[Array, ...]) -> None:
+    def __init__(self, states: tuple[Array, ...] | Array) -> None:
         checked, d = [], None  # member 0 sets the side of every later member
         for k, s in enumerate(states):
             s = _psd_matrix(s, d, f"member {k}", PSD_TOL)
             if not abs(np.trace(s).real - 1.0) <= 1e-12:
                 raise ValueError(f"member {k} has trace {float(np.trace(s).real)!r}, expected 1")
-            s.setflags(write=False)
             checked.append(s)
             d = len(s)
         if not checked:
             raise ValueError("state basis is empty")
-        states = tuple(checked)
-        if len(states) != d * d:
-            raise ValueError(
-                f"need exactly {d * d} states for dimension {d}, got {len(states)}"
-            )
-        vecs = np.array([s.ravel() for s in states])
+        if len(checked) != d * d:
+            raise ValueError(f"need exactly {d * d} states for dimension {d}, got {len(checked)}")
+        states = np.array(checked)
+        vecs = states.reshape(len(states), -1)
         if np.linalg.matrix_rank(vecs, tol=1e-8) < len(states):
             # a prefix of a full-rank stack keeps full rank, so only a
             # deficient one needs the incremental pass that names its members
-            ranks = [
-                np.linalg.matrix_rank(vecs[: k + 1], tol=1e-8) for k in range(len(states))
-            ]
+            ranks = [np.linalg.matrix_rank(vecs[: k + 1], tol=1e-8) for k in range(len(states))]
             dependent = [k for k in range(1, len(states)) if ranks[k] == ranks[k - 1]]
             raise ValueError(
-                "state basis is not tomographically complete; dependent members: "
-                f"{dependent}"
+                f"state basis is not tomographically complete; dependent members: {dependent}"
             )
+        states.setflags(write=False)
         self._set(states=states)
 
     @property
     def dim(self) -> int:
-        return self.states[0].shape[0]
+        return self.states.shape[1]
 
     def __len__(self) -> int:
         return len(self.states)
 
 
 def tomographic_basis(d: int) -> StateBasis:
-    """Projectors onto |m>, (|m>+|n>)/sqrt2, (|m>+i|n>)/sqrt2 for m < n."""
+    """Projectors onto |m>, then (|m>+|n>)/sqrt2 and (|m>+i|n>)/sqrt2 for each
+    m < n.  Exact by construction, so the stack skips StateBasis's checks."""
     d = _integer(d, "dimension", 2)
     eye = np.eye(d, dtype=complex)
-    states = [projector(eye[m]) for m in range(d)]
-    for m in range(d):
-        for n in range(m + 1, d):
-            states.append(projector((eye[m] + eye[n]) / np.sqrt(2)))
-            states.append(projector((eye[m] + 1j * eye[n]) / np.sqrt(2)))
-    return StateBasis(tuple(states))
+    m, n = np.triu_indices(d, 1)
+    pairs = np.stack((eye[m] + eye[n], eye[m] + 1j * eye[n]), axis=1) / np.sqrt(2)
+    vecs = np.concatenate((eye, pairs.reshape(-1, d)))
+    return _refill(StateBasis, (vecs[:, :, None] * vecs[:, None, :].conj(),))
 
 
 def ideal_projector(d: int) -> Array:
@@ -183,9 +179,7 @@ class MdiewScenario(_Frozen):
                 f"basis dims ({basis_left.dim}, {basis_right.dim}) do not match "
                 f"witness parties ({d_a}, {d_b})"
             )
-        left, right = (
-            np.array(b.states).reshape(len(b), -1).T for b in (basis_left, basis_right)
-        )
+        left, right = (b.states.reshape(len(b), -1).T for b in (basis_left, basis_right))
         target = _realign(witness.mat, d_a, d_b)
         coeffs = np.linalg.solve(right, np.linalg.solve(left, target).T).T
         norm = _frobenius(witness.mat)
@@ -270,9 +264,8 @@ def _direct_values(
     scenario: MdiewScenario, rho: Array, e_l: Array, e_r: Array, *isos: Array
 ) -> Array:
     """Route (i), sum beta[s, t] P(0,0 | s, t), per member of the stacks."""
-    sig_l, sig_r = (np.array(b.states) for b in (scenario.basis_left, scenario.basis_right))
-    table = _click_table(rho, sig_l, sig_r, e_l, e_r, *isos)
-    return np.sum(scenario.beta * table, axis=(1, 2))
+    bases = scenario.basis_left.states, scenario.basis_right.states
+    return np.sum(scenario.beta * _click_table(rho, *bases, e_l, e_r, *isos), axis=(1, 2))
 
 
 def mdiew_value(

@@ -180,10 +180,10 @@ def _check_hermitian(
     scale = np.abs(mats).max(axis=(-2, -1))
     if not np.isfinite(scale).all():
         raise error(f"{what} has non-finite entries")
-    defect = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    bad = ~(defect <= tol * scale)
+    defect = np.abs(mats / 2 - mats.conj().swapaxes(-1, -2) / 2).max(axis=(-2, -1))
+    bad = ~(defect <= tol * scale / 2)  # half the defect: huge pairs cannot overflow it
     if bad.any():
-        worst = (defect[bad] / scale[bad]).max()
+        worst = 2 * (defect[bad] / scale[bad]).max()
         raise error(f"{what} is not Hermitian: relative defect {worst:.1e} > {tol:.0e}")
 
 
@@ -226,7 +226,7 @@ def _frobenius(mat: Array) -> float:
     scale = float(np.abs(mat).max())
     if not 0.0 < scale < np.inf:  # a zero matrix, or non-finite entries
         return norm
-    return scale * float(np.linalg.norm(mat / scale))
+    return scale * float(np.linalg.norm(np.abs(mat) / scale))  # no 1 / scale
 
 
 class HermitianOperator(_Frozen):
@@ -240,8 +240,12 @@ class HermitianOperator(_Frozen):
 
     def __post_init__(self) -> None:
         """Validate ``mat`` against ``layout`` and store it as a read-only
-        complex copy."""
+        complex copy.  ||mat||_F, the scale of every relative tolerance, must
+        be 0 or a normal float: beyond, it overflows or has lost precision."""
         mat = _hermitian_matrix(self.mat, self.layout.total_dim, "operator")
+        norm = _frobenius(mat)
+        if norm and not _TINY <= norm < np.inf:
+            raise NumericalError(f"operator norm {norm:.3e} is outside the normal float range")
         mat.setflags(write=False)
         self._set(mat=mat)
 

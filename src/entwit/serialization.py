@@ -51,6 +51,8 @@ def matrix_from_json(data: Any, context: str = "data") -> Array:
         raise SerializationError(
             f"{context}: expected an NxMx2 nest of [re, im] pairs, got shape {arr.shape}"
         )
+    if any(isinstance(x, (bool, str)) for row in data for pair in row for x in pair):
+        raise SerializationError(f"{context}: entries must be numbers, not strings or booleans")
     if not np.isfinite(arr).all():
         raise SerializationError(f"{context}: entries must be finite numbers")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -83,7 +85,7 @@ def operator_from_dict(d: Any) -> HermitianOperator:
             f"data is {mat.shape[0]}x{mat.shape[1]} but dims {list(layout.dims)} need {n}x{n}"
         )
     _check_hermitian(mat, JSON_HERMITICITY_TOL, SerializationError)
-    return HermitianOperator((mat + mat.conj().T) / 2, layout)
+    return HermitianOperator(mat / 2 + mat.conj().T / 2, layout)  # halved: no overflow
 
 
 def dump_operator(op: HermitianOperator, path: str | Path) -> None:

@@ -219,7 +219,7 @@ def test_non_finite_input_is_rejected(tmp_path, capsys, bad):
         with pytest.raises(ValueError):
             AbParams(a=m)
         with pytest.raises(ValueError):
-            StateBasis((m / 2,) + tomographic_basis(2).states[1:])
+            StateBasis((m / 2,) + tuple(tomographic_basis(2).states[1:]))
     e0 = np.array([1.0, 0.0])
     with pytest.raises(NumericalError):
         ProductVector((np.array([bad, 0.0]), e0))
@@ -231,6 +231,25 @@ def test_non_finite_input_is_rejected(tmp_path, capsys, bad):
         mdiew_value(scenario, rho, povm)
     with pytest.raises(NumericalError):
         mdiew_value(scenario, rho, None, povm)
+
+
+def test_a_norm_beyond_the_normal_floats_is_an_input_error(tmp_path, capsys):
+    # a subnormal-scaled witness in a file, and caps whose extension of swap
+    # has finite entries but a Frobenius norm beyond the largest float
+    doc = operator_to_dict(swap_witness())
+    doc["data"] = [[[1e-310 * x for x in pair] for pair in row] for row in doc["data"]]
+    op_path = tmp_path / "op.json"
+    op_path.write_text(json.dumps(doc))
+    huge = {"dims": [1], "cut": 1, "data": [[[1.6e308, 0.0]]]}
+    caps_path = tmp_path / "caps.json"
+    caps_path.write_text(json.dumps({"cap_left": huge, "cap_right": {**huge, "data": [[[1.0, 0.0]]]}}))
+    for argv, norm in (
+        (("certify", op_path), "2.000e-310"), (("mdiew", "audit", op_path), "2.000e-310"),
+        (("extend", "swap", "--caps", caps_path), "inf"),
+    ):
+        code, out, err = run_cli(capsys, *map(str, argv), "--quiet")
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: operator norm {norm} is outside the normal float range\n"
 
 
 @pytest.mark.parametrize("key", ["cap_left", "cap_right"])

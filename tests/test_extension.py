@@ -6,6 +6,7 @@ from entwit import (
     ExtensionSpec,
     HermitianOperator,
     LayoutError,
+    NumericalError,
     SystemLayout,
     certify_witness,
     choi_detected_ppt_state,
@@ -94,6 +95,13 @@ def test_identity_caps_trace_back_to_the_original(swap):
     ext = extend_witness(swap, spec)
     mid = partial_trace(ext, keep=(1, 2))
     np.testing.assert_allclose(mid.mat, 6.0 * swap.mat, atol=1e-12)
+
+
+def test_an_extension_beyond_the_largest_float_is_rejected(swap):
+    # the Kronecker products overflow; the operator check, not numpy, reports it
+    spec = ExtensionSpec(1e200 * np.eye(2), 1e200 * np.eye(2))
+    with pytest.raises(NumericalError, match="non-finite entries"):
+        extend_witness(swap, spec)
 
 
 def test_extend_state_requires_psd_and_normalizes(choi):

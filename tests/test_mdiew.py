@@ -68,9 +68,40 @@ def test_tomographic_basis_is_informationally_complete():
             assert np.linalg.eigvalsh(s).min() >= -1e-12
 
 
+@pytest.mark.parametrize("d", range(2, 7))
+def test_tomographic_basis_is_one_frozen_stack_that_passes_the_full_check(d):
+    # tomographic_basis skips StateBasis's checks; this pins what they prove:
+    # the projectors in the documented order, bit for bit, and the checks pass
+    eye = np.eye(d, dtype=complex)
+    vecs = [eye[m] for m in range(d)]
+    for m in range(d):
+        for n in range(m + 1, d):
+            vecs += [(eye[m] + eye[n]) / np.sqrt(2), (eye[m] + 1j * eye[n]) / np.sqrt(2)]
+    states = tomographic_basis(d).states
+    assert type(states) is np.ndarray and not states.flags.writeable
+    assert states.tobytes() == np.array([projector(v) for v in vecs]).tobytes()
+    checked = StateBasis(states).states
+    assert checked.shape == (d * d, d, d) and not checked.flags.writeable
+    assert checked.tobytes() == states.tobytes()
+
+
+def test_ideal_scenario_checks_no_basis_member(monkeypatch, choi):
+    calls = []
+    psd_matrix = mdiew_module._psd_matrix
+
+    def counting_psd_matrix(*args):
+        calls.append(args[2])
+        return psd_matrix(*args)
+
+    monkeypatch.setattr(mdiew_module, "_psd_matrix", counting_psd_matrix)
+    scenario = MdiewScenario.ideal(choi)
+    assert calls == []
+    assert [len(b) for b in (scenario.basis_left, scenario.basis_right)] == [9, 9]
+
+
 def test_state_basis_rejects_dependent_members():
     basis = tomographic_basis(2)
-    dup = basis.states[:3] + (basis.states[0],)
+    dup = tuple(basis.states[:3]) + (basis.states[0],)
     with pytest.raises(ValueError) as err:
         StateBasis(dup)
     assert "3" in str(err.value)

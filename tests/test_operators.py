@@ -29,6 +29,7 @@ from entwit import (
     single_system,
     swap_witness,
 )
+from entwit.operators import _frobenius
 from integer_args import check_integer_case, integer_cases
 from oracle_utils import partial_trace_loops, partial_transpose_loops
 
@@ -106,6 +107,29 @@ def test_hermitian_operator_validation():
     assert op.trace == pytest.approx(10.0)
     with pytest.raises(ValueError):
         op.mat[0, 0] = 99.0
+
+
+def test_huge_entries_neither_overflow_the_hermiticity_check_nor_the_norm():
+    big = np.finfo(float).max
+    # a - conj(a) of a huge imaginary diagonal entry is beyond the largest float
+    with pytest.raises(NumericalError, match="relative defect 2.0e\\+00"):
+        HermitianOperator(np.diag([1j * big, 1.0]), single_system(2))
+    with pytest.raises(NumericalError, match="relative defect 2.0e\\+00"):
+        HermitianOperator(np.array([[0, big], [-big, 0]]), single_system(2))
+    # a subnormal largest entry: its reciprocal, which complex division takes, overflows
+    tiny = np.array([[3e-320, 4e-320j], [-4e-320j, 0]])
+    assert _frobenius(tiny) == pytest.approx(np.sqrt(41) * 1e-320, rel=1e-3)
+
+
+@pytest.mark.parametrize("scale, norm", [(1e-310, "2.000e-310"), (np.finfo(float).max / 1.5, "inf")])
+def test_operator_norm_must_be_zero_or_a_normal_float(scale, norm):
+    # every relative tolerance scales with ||W||_F: it must neither overflow
+    # nor fall among the subnormals, where the entries have lost precision
+    message = f"operator norm {norm} is outside the normal float range"
+    with pytest.raises(NumericalError, match=message):
+        HermitianOperator(scale * np.eye(4), SystemLayout((2, 2), 1))
+    assert HermitianOperator(np.zeros((4, 4)), SystemLayout((2, 2), 1)).trace == 0.0
+    assert HermitianOperator(np.diag([1e308, 1e-308]), single_system(2)).trace == 1e308
 
 
 @pytest.mark.parametrize(

@@ -40,6 +40,9 @@ def test_matrix_from_json_rejects_malformed():
         matrix_from_json([[[1.0]]])
     with pytest.raises(SerializationError):
         matrix_from_json("nope")
+    for entry in ("-9", "0.5", True, False):  # numpy would read "-9" as -9.0, true as 1.0
+        with pytest.raises(SerializationError, match="not strings or booleans"):
+            matrix_from_json([[[1.0, 0.0], [entry, 0.0]]])
 
 
 def test_operator_dict_roundtrip():
@@ -89,6 +92,15 @@ def test_dump_and_load_file(tmp_path):
     (tmp_path / "garbage.json").write_text("{not json")
     with pytest.raises(SerializationError):
         load_operator(tmp_path / "garbage.json")
+
+
+def test_dump_and_load_round_trip_a_huge_operator(tmp_path):
+    # symmetrizing (m + m^H) / 2 would overflow to inf above about 8.99e307
+    op = HermitianOperator(np.diag([1e308, 1, 1, 1]), SystemLayout((2, 2), 1))
+    dump_operator(op, tmp_path / "huge.json")
+    back = load_operator(tmp_path / "huge.json")
+    assert back.layout == op.layout
+    np.testing.assert_array_equal(back.mat, op.mat)
 
 
 def test_to_jsonable_handles_common_shapes():
