@@ -3,7 +3,7 @@ witnesses, plus their measurement-device-independent deployment.
 
 The package is organized around a few small layers:
 
-operators      layouts, Hermitian operators, product vectors, partial
+operators      layouts, Hermitian operators, basis vectors, partial
                transpose / trace, spectra
 sampling       seeded random states and caps; the audit's effect and
                unitary kernels
@@ -39,10 +39,9 @@ _EXPORTS = {
         "tomographic_basis",
     ),
     "operators": (
-        "HermitianOperator", "LayoutError", "NumericalError", "ProductVector",
-        "SystemLayout", "basis_vector", "eigh", "is_psd", "kron",
-        "maximally_entangled_vector", "partial_trace", "partial_transpose",
-        "projector", "single_system",
+        "HermitianOperator", "LayoutError", "NumericalError", "SystemLayout",
+        "basis_vector", "eigh", "is_psd", "kron", "maximally_entangled_vector",
+        "partial_trace", "partial_transpose", "projector", "single_system",
     ),
     "sampling": ("random_density", "random_psd", "rng_from"),
     "serialization": (

@@ -188,7 +188,10 @@ def cmd_extend(args) -> tuple[dict, list[str], int]:
     else:
         spec = _caps_random(tuple(args.random_caps), args.seed)
         caps_source = f"random({args.random_caps[0]}, {args.random_caps[1]})"
-    extended = extend_witness(args.operator, spec)
+    try:
+        extended = extend_witness(args.operator, spec)
+    except NumericalError as exc:  # caps whose extension overflows
+        raise NumericalError(f"extension of {args.witness!r} by caps {caps_source!r}: {exc}") from exc
     recert = certify_witness(
         extended, restarts=args.restarts, seed=args.seed, tol=args.tol
     )

@@ -24,7 +24,6 @@ from .operators import (
     Array,
     HermitianOperator,
     LayoutError,
-    ProductVector,
     PSD_TOL,
     SystemLayout,
     _cap_matrix,
@@ -103,19 +102,18 @@ def extend_state(
 
 
 def extended_zero_set(zeros: ZeroSet, d_ap: int, d_bp: int) -> ZeroSet:
-    """Lift bipartite product zeros to the (d_ap, ., ., d_bp) extended layout.
+    """Lift product zeros to the (d_ap, ..., d_bp) extended layout.
 
-    Each zero phi (x) psi expands over the computational bases of the two cap
-    spaces into e_i (x) phi (x) psi (x) f_j; every lift annihilates any
-    extension of the original operator because the middle factor already
-    does.  The lifts are the rows of I (x) Z (x) I for the stacked zeros Z,
-    so the span rank is exactly the input rank times d_ap * d_bp.
+    Each zero z expands over the computational bases of the two cap spaces
+    into e_i (x) z (x) f_j; every lift annihilates any extension of the
+    original operator because the middle factor already does.  The lifts are
+    the rows of I (x) Z (x) I for the stacked zeros Z, in (i, zero, j) order,
+    so the span rank is exactly the input rank times d_ap * d_bp.  A lift is
+    a product across the extended cut A'A | BB', so a lifted set lifts again.
     """
     d_ap, d_bp = (_integer(d, "cap dimension", 1) for d in (d_ap, d_bp))
-    if not zeros.vectors:
+    if not len(zeros.vectors):
         raise ValueError("zero set is empty; nothing to lift")
-    if any(len(pv.factors) != 2 for pv in zeros.vectors):
-        raise LayoutError("can only lift bipartite (two-factor) zeros")
-    lifts = (ProductVector((e, *pv.factors, f))
-             for pv in zeros.vectors for e in np.eye(d_ap) for f in np.eye(d_bp))
-    return ZeroSet(tuple(lifts), zeros.span_rank * d_ap * d_bp)
+    lifts = np.kron(np.kron(np.eye(d_ap), zeros.vectors), np.eye(d_bp))
+    lifts.setflags(write=False)
+    return ZeroSet(lifts, zeros.span_rank * d_ap * d_bp)

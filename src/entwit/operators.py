@@ -14,7 +14,6 @@ Conventions
 from __future__ import annotations
 
 import numbers
-from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -36,7 +35,6 @@ __all__ = [
     "SystemLayout",
     "single_system",
     "HermitianOperator",
-    "ProductVector",
     "kron",
     "partial_transpose",
     "partial_trace",
@@ -260,31 +258,6 @@ class HermitianOperator(_Frozen):
     @property
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
-
-
-class ProductVector(_Frozen):
-    """Pure product vector: one unit factor per subsystem."""
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple[Array, ...]) -> None:
-        factors = tuple(np.array(f, dtype=complex).ravel() for f in factors)
-        if not factors:
-            raise LayoutError("product vector needs at least one factor")
-        for i, f in enumerate(factors):
-            norm = np.linalg.norm(f)
-            if not abs(norm - 1.0) <= HERMITICITY_TOL:
-                raise NumericalError(f"factor {i} has norm {float(norm)!r}, expected 1")
-            f.setflags(write=False)
-        self._set(factors=factors)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(len(f) for f in self.factors)
-
-    def full(self) -> Array:
-        """The assembled vector in the tensor-product space."""
-        return reduce(np.kron, self.factors)
 
 
 def _as_matrix(M: HermitianOperator | Array) -> Array:

@@ -18,7 +18,6 @@ from .operators import (
     HermitianOperator,
     LayoutError,
     NumericalError,
-    ProductVector,
     PSD_TOL,
     _as_matrix,
     _frobenius,
@@ -75,7 +74,7 @@ class SeeSawReport(NamedTuple):
     best_value: float
     restarts: int
     restart_values: tuple[float, ...]
-    restart_vectors: tuple[ProductVector, ...]
+    restart_vectors: tuple[Array, Array]  # read-only (phis, psis), a row per restart
     stops: tuple[str, ...]
     iterations: tuple[int, ...]
     value_traces: tuple[tuple[float, ...], ...]
@@ -83,9 +82,10 @@ class SeeSawReport(NamedTuple):
     previous_values: tuple[float, ...]
 
     @property
-    def best_vector(self) -> ProductVector:
-        """The lowest-index restart reaching the best value."""
-        return self.restart_vectors[int(np.argmin(self.restart_values))]
+    def best_vector(self) -> Array:
+        """phi (x) psi of the lowest-index restart reaching the best value."""
+        r = int(np.argmin(self.restart_values))
+        return np.kron(self.restart_vectors[0][r], self.restart_vectors[1][r])
 
     @property
     def converged(self) -> tuple[bool, ...]:
@@ -94,9 +94,9 @@ class SeeSawReport(NamedTuple):
 
 
 class ZeroSet(NamedTuple):
-    """Product zeros of a witness and the rank of their span."""
+    """Product zeros, the rows of a read-only (k, d_A d_B) stack, and their span rank."""
 
-    vectors: tuple[ProductVector, ...]
+    vectors: Array
     span_rank: int
 
 
@@ -299,11 +299,13 @@ def min_product_expectation(
     W.layout.require_bipartite()
     starts = _start_vectors(seed, range(restarts), W.layout.right_dim)
     values, phis, psis, trace, iters, stops, prev = _lockstep_descents(W, starts, stall=True)
+    phis.setflags(write=False)
+    psis.setflags(write=False)
     return SeeSawReport(
         best_value=float(values.min()),
         restarts=restarts,
         restart_values=tuple(values.tolist()),
-        restart_vectors=tuple(ProductVector(pair) for pair in zip(phis, psis)),
+        restart_vectors=(phis, psis),
         stops=tuple(stops.tolist()),
         iterations=tuple(iters.tolist()),
         value_traces=tuple(tuple(row[: 2 * k].tolist()) for row, k in zip(trace, iters)),
@@ -347,12 +349,12 @@ def certify_witness(
     )
 
 
-def span_rank(vectors: list[Array]) -> int:
-    """Singular-value rank of stacked vectors at the relative threshold
-    SPAN_SV_THRESHOLD."""
-    if not vectors:
+def span_rank(vectors: Array) -> int:
+    """Singular-value rank of the rows of ``vectors`` at the relative
+    threshold SPAN_SV_THRESHOLD."""
+    if not len(vectors):
         return 0
-    sv = np.linalg.svd(np.array(vectors), compute_uv=False)
+    sv = np.linalg.svd(vectors, compute_uv=False)
     return int((sv > SPAN_SV_THRESHOLD * sv[0]).sum())
 
 
@@ -396,13 +398,11 @@ def collect_zero_set(
     if seesaw is not None and seesaw.seed != seed:
         raise ValueError(f"report seed {seesaw.seed!r} differs from harvest seed {seed!r}")
     zero_tol = ZERO_TOL * _frobenius(W.mat)
-    kept: list[ProductVector] = []
-    fulls: list[Array] = []
+    kept: list[Array] = []  # the kept zeros phi (x) psi
     pending, next_descent = [], 0  # (value, phi, psi) not yet read; next to start
     if seesaw is not None:
         n = min(seesaw.restarts, max_descents)
-        vectors = seesaw.restart_vectors[:n]
-        lefts, rights = (np.array([v.factors[i] for v in vectors]) for i in (0, 1))
+        lefts, rights = (a[:n] for a in seesaw.restart_vectors)
         # stalled restarts run on without the stall rule; the others are done
         stalled = np.array(seesaw.stops[:n]) == "stalled"
         k = np.where(stalled, seesaw.iterations[:n], DEFAULT_MAX_ITERS)
@@ -422,11 +422,12 @@ def collect_zero_set(
         if abs(value) > zero_tol:
             continue
         candidate = np.kron(phi, psi)
-        if any(abs(np.vdot(f, candidate)) > DEDUP_OVERLAP for f in fulls):
+        if any(abs(np.vdot(f, candidate)) > DEDUP_OVERLAP for f in kept):
             continue
-        kept.append(ProductVector((phi, psi)))
-        fulls.append(candidate)
-    return ZeroSet(tuple(kept), span_rank(fulls))
+        kept.append(candidate)
+    vectors = np.array(kept, dtype=complex).reshape(len(kept), W.layout.total_dim)
+    vectors.setflags(write=False)
+    return ZeroSet(vectors, span_rank(vectors))
 
 
 def has_spanning_property(

@@ -165,16 +165,14 @@ def test_criterion_05_spanning_transfer():
         ext = extend_witness(w, spec)
         lifted = extended_zero_set(base, d_ap, d_bp)
         assert lifted.span_rank == 4 * d_ap * d_bp
-        assert span_rank([v.full() for v in lifted.vectors]) == 4 * d_ap * d_bp
-        for v in lifted.vectors:
-            full = v.full()
+        assert span_rank(lifted.vectors) == 4 * d_ap * d_bp
+        for full in lifted.vectors:
             assert abs(np.real(full.conj() @ ext.mat @ full)) <= 1e-10
         gamma_ext = partial_transpose(ext)
         lifted_g = extended_zero_set(flipped, d_ap, d_bp)
         assert lifted_g.span_rank == 3 * d_ap * d_bp
-        assert span_rank([v.full() for v in lifted_g.vectors]) == 3 * d_ap * d_bp
-        for v in lifted_g.vectors:
-            full = v.full()
+        assert span_rank(lifted_g.vectors) == 3 * d_ap * d_bp
+        for full in lifted_g.vectors:
             assert abs(np.real(full.conj() @ gamma_ext.mat @ full)) <= 1e-10
     _ok(5, "zero sets lift with multiplied ranks and stay exact zeros")
 

@@ -13,7 +13,6 @@ from entwit import (
     HermitianOperator,
     MdiewScenario,
     NumericalError,
-    ProductVector,
     StateBasis,
     SystemLayout,
     certify_witness,
@@ -220,9 +219,6 @@ def test_non_finite_input_is_rejected(tmp_path, capsys, bad):
             AbParams(a=m)
         with pytest.raises(ValueError):
             StateBasis((m / 2,) + tuple(tomographic_basis(2).states[1:]))
-    e0 = np.array([1.0, 0.0])
-    with pytest.raises(NumericalError):
-        ProductVector((np.array([bad, 0.0]), e0))
     scenario = MdiewScenario.ideal(swap_witness())
     rho = HermitianOperator(np.eye(4) / 4, SystemLayout((2, 2), 1))
     povm = np.eye(4)
@@ -243,13 +239,33 @@ def test_a_norm_beyond_the_normal_floats_is_an_input_error(tmp_path, capsys):
     huge = {"dims": [1], "cut": 1, "data": [[[1.6e308, 0.0]]]}
     caps_path = tmp_path / "caps.json"
     caps_path.write_text(json.dumps({"cap_left": huge, "cap_right": {**huge, "data": [[[1.0, 0.0]]]}}))
-    for argv, norm in (
-        (("certify", op_path), "2.000e-310"), (("mdiew", "audit", op_path), "2.000e-310"),
-        (("extend", "swap", "--caps", caps_path), "inf"),
+    for argv, where, norm in (
+        (("certify", op_path), "", "2.000e-310"),
+        (("mdiew", "audit", op_path), "", "2.000e-310"),
+        (("extend", "swap", "--caps", caps_path), f"extension of 'swap' by caps {str(caps_path)!r}: ", "inf"),
     ):
         code, out, err = run_cli(capsys, *map(str, argv), "--quiet")
         assert (code, out) == (2, ""), argv
-        assert err == f"error: operator norm {norm} is outside the normal float range\n"
+        assert err == f"error: {where}operator norm {norm} is outside the normal float range\n"
+
+
+def test_an_overflowing_extension_names_the_witness_and_its_caps(tmp_path, capsys):
+    # valid caps, but the extension of swap leaves the floats: in its norm
+    # (entries up to 1.6e308) or in its entries (1e200 * 1e200); the error
+    # names the extension, since neither the witness nor a cap is at fault
+    one = {"dims": [1], "cut": 1, "data": [[[1.0, 0.0]]]}
+    huge = {**one, "data": [[[1.6e308, 0.0]]]}
+    big = {"dims": [2], "cut": 1, "data": [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]]}
+    for name, caps, reason in (
+        ("norm", {"cap_left": one, "cap_right": huge},
+         "operator norm inf is outside the normal float range"),
+        ("entries", {"cap_left": big, "cap_right": big}, "operator has non-finite entries"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(caps))
+        code, out, err = run_cli(capsys, "extend", "swap", "--caps", str(path), "--quiet")
+        assert (code, out) == (2, ""), name
+        assert err == f"error: extension of 'swap' by caps {str(path)!r}: {reason}\n", name
 
 
 @pytest.mark.parametrize("key", ["cap_left", "cap_right"])

@@ -5,7 +5,6 @@ from entwit import (
     AbParams,
     ExtensionSpec,
     HermitianOperator,
-    LayoutError,
     NumericalError,
     SystemLayout,
     certify_witness,
@@ -148,18 +147,26 @@ def test_extended_zero_set_multiplies_rank(swap):
     assert base.span_rank == 4
     lifted = extended_zero_set(base, 2, 2)
     assert lifted.span_rank == 16
-    assert span_rank([v.full() for v in lifted.vectors]) == 16
+    assert span_rank(lifted.vectors) == 16
     spec = ExtensionSpec(random_psd(2, seed=2), random_psd(2, seed=3))
     ext = extend_witness(swap, spec)
-    for v in lifted.vectors:
-        full = v.full()
+    for full in lifted.vectors:
         assert abs(np.real(full.conj() @ ext.mat @ full)) <= 1e-10
 
 
-def test_extended_zero_set_lifts_bipartite_zeros_only(swap):
-    lifted = extended_zero_set(collect_zero_set(swap, seed=0), 2, 2)
-    with pytest.raises(LayoutError, match=r"^can only lift bipartite \(two-factor\) zeros$"):
-        extended_zero_set(lifted, 2, 2)
+def test_extended_zero_set_lifts_a_lifted_set(swap):
+    # a lift is a product across A'A | BB', so a lifted set lifts again, onto
+    # the zeros of the witness extended twice
+    base = collect_zero_set(swap, seed=0)
+    inner = ExtensionSpec(random_psd(2, seed=2), random_psd(3, seed=3))
+    outer = ExtensionSpec(random_psd(3, seed=4), random_psd(2, seed=5))
+    twice = extended_zero_set(extended_zero_set(base, *inner.dims), *outer.dims)
+    assert twice.span_rank == span_rank(twice.vectors) == base.span_rank * 2 * 3 * 3 * 2
+    assert twice.vectors.shape == (len(base.vectors) * 36, 144)
+    assert not twice.vectors.flags.writeable
+    ext = extend_witness(extend_witness(swap, inner), outer)
+    for full in twice.vectors:
+        assert abs(np.real(full.conj() @ ext.mat @ full)) <= 1e-10
 
 
 def test_extended_zero_set_transposed_side(swap):
@@ -168,11 +175,10 @@ def test_extended_zero_set_transposed_side(swap):
     assert base.span_rank == 3
     lifted = extended_zero_set(base, 2, 2)
     assert lifted.span_rank == 12
-    assert span_rank([v.full() for v in lifted.vectors]) == 12
+    assert span_rank(lifted.vectors) == 12
     spec = ExtensionSpec(random_psd(2, seed=4), random_psd(2, seed=5))
     gamma_ext = partial_transpose(extend_witness(swap, spec))
-    for v in lifted.vectors:
-        full = v.full()
+    for full in lifted.vectors:
         assert abs(np.real(full.conj() @ gamma_ext.mat @ full)) <= 1e-10
 
 

@@ -10,7 +10,6 @@ from entwit import (
     LayoutError,
     MdiewScenario,
     NumericalError,
-    ProductVector,
     StateBasis,
     SystemLayout,
     basis_vector,
@@ -217,22 +216,12 @@ def test_partial_trace_keeps_at_least_one_subsystem():
         partial_trace(swap_witness(), keep=[])
 
 
-def test_product_vector_requires_unit_factors():
-    good = ProductVector((np.array([1.0, 0.0]), np.array([0.0, 1.0])))
-    np.testing.assert_allclose(good.full(), [0.0, 1.0, 0.0, 0.0])
-    assert good.dims == (2, 2)
-    with pytest.raises(NumericalError):
-        ProductVector((np.array([1.0, 1.0]), np.array([1.0, 0.0])))
-
-
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: ProductVector((np.ones(2),)), NumericalError,
-         "factor 0 has norm 1.4142135623730951, expected 1"),
         (lambda: StateBasis((2 * np.eye(1),)), ValueError, "member 0 has trace 2.0, expected 1"),
     ],
-    ids=["norm", "trace"],
+    ids=["trace"],
 )
 def test_messages_print_plain_floats(call, error, message):
     # numpy scalars would print as np.float64(...)

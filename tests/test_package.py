@@ -107,7 +107,6 @@ def test_value_types_and_records_are_immutable_and_picklable():
     instances = [
         layout,
         swap,
-        certificate.min_product.best_vector,
         scenario.basis_left,
         scenario,
         entwit.ExtensionSpec(entwit.random_psd(2, seed=0), entwit.random_psd(2, seed=1)),
@@ -132,5 +131,5 @@ def test_value_types_and_records_are_immutable_and_picklable():
             for owner, arr in _held_arrays(copied):
                 assert not arr.flags.writeable, (type(obj).__name__, owner)
                 owners.add(owner)
-    assert {"HermitianOperator", "ProductVector", "StateBasis", "MdiewScenario",
+    assert {"HermitianOperator", "StateBasis", "MdiewScenario",
             "AbParams"} <= owners

@@ -202,7 +202,7 @@ def test_chunked_harvest_matches_sequential_reference(
     )
     assert len(zeros.vectors) == len(reference)
     for kept, ref in zip(zeros.vectors, reference):
-        np.testing.assert_allclose(kept.full(), ref, atol=1e-9)
+        np.testing.assert_allclose(kept, ref, atol=1e-9)
     # each descent starts once, in order, and only those the sequential
     # harvest runs: never an index at or past the budget, and none that the
     # see-saw report already holds
@@ -223,7 +223,7 @@ def test_harvest_seed_defaults_to_the_report_seed(swap):
     for a, b in ((implied, explicit), (fresh, zero)):
         assert len(a.vectors) == len(b.vectors) > 0
         for u, v in zip(a.vectors, b.vectors):
-            np.testing.assert_array_equal(u.full(), v.full())
+            np.testing.assert_array_equal(u, v)
 
 
 def test_harvest_keeps_a_repeated_zero_once():
@@ -240,7 +240,7 @@ def test_harvest_keeps_a_repeated_zero_once():
     assert len(zeros.vectors) == len(reference) == 1
     assert descents_run == 12
     assert zeros.span_rank == 1
-    np.testing.assert_allclose(zeros.vectors[0].full(), np.eye(4)[0], atol=1e-9)
+    np.testing.assert_allclose(zeros.vectors[0], np.eye(4)[0], atol=1e-9)
 
 
 @pytest.mark.parametrize("target_count, max_descents", [(5, 7), (16, 64)])
@@ -265,7 +265,7 @@ def test_harvest_runs_stalled_restarts_on_as_uninterrupted_descents(
     )
     assert len(resumed.vectors) == len(fresh.vectors)
     for kept, strict in zip(resumed.vectors, fresh.vectors):
-        np.testing.assert_array_equal(kept.full(), strict.full())
+        np.testing.assert_array_equal(kept, strict)
     reference, _ = zero_harvest_reference(
         op.mat, op.layout.left_dim, op.layout.right_dim, target_count, max_descents, 42,
         abandon_tol=witness_module.ABANDON_FLOOR,
@@ -333,8 +333,7 @@ def test_harvest_resumes_from_the_report_without_its_traces(
     assert untraced.span_rank == traced.span_rank
     assert len(untraced.vectors) == len(traced.vectors) > 0
     for got, want in zip(untraced.vectors, traced.vectors):
-        for f, g in zip(got.factors, want.factors):
-            np.testing.assert_array_equal(f, g)
+        np.testing.assert_array_equal(got, want)
     for prev, k, trace in zip(report.previous_values, report.iterations, report.value_traces):
         assert prev == trace[2 * k - 3]
 
@@ -352,7 +351,7 @@ def test_resumed_descents_stop_at_the_budget(choi):
     assert len(rows) == 6
     value = np.array([report.restart_values[r] for r in rows])
     before = np.array([report.value_traces[r][-3] for r in rows])
-    phi, psi = (np.array([report.restart_vectors[r].factors[i] for r in rows]) for i in (0, 1))
+    phi, psi = (a[rows] for a in report.restart_vectors)
     spent = np.arange(6) % 2 == 0
     out = lockstep(choi, psi, resume=(value, before, phi, np.where(spent, budget, budget - 1)))
     for got, held in zip(out[:3], (value, phi, psi)):
@@ -410,7 +409,7 @@ def test_abandoned_descents_drop_no_zero(name, choi, swap, capped_choi):
         assert collect_zero_set(partial_transpose(op), seed=42).span_rank == 6 * 2 * 2
         return  # kept vectors fixed by rounding on a continuum: count and rank only
     for kept, ref in zip(zeros.vectors, reference):
-        np.testing.assert_allclose(kept.full(), ref, atol=1e-9)
+        np.testing.assert_allclose(kept, ref, atol=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -494,9 +493,24 @@ def test_generalized_choi_keeps_its_spanning_zeros(a):
 
 def test_seesaw_best_vector_reproduces_best_value(swap):
     report = min_product_expectation(swap, restarts=8, seed=3)
-    v = report.best_vector.full()
+    v = report.best_vector
     val = float(np.real(v.conj() @ swap.mat @ v))
     assert val == pytest.approx(report.best_value, abs=1e-12)
+
+
+def test_seesaw_report_holds_the_kernel_stacks(choi):
+    # the report keeps the lock-step kernel's left and right stacks as they
+    # come, frozen: no per-restart objects, no copies
+    report = min_product_expectation(choi, restarts=8, seed=3)
+    starts = witness_module._start_vectors(3, range(8), choi.layout.right_dim)
+    kernel = witness_module._lockstep_descents(choi, starts, stall=True)[1:3]
+    assert len(report.restart_vectors) == 2
+    for held, direct, d in zip(report.restart_vectors, kernel, (3, 3)):
+        assert held.shape == direct.shape == (8, d) and held.dtype == complex
+        assert held.tobytes() == direct.tobytes()
+        assert not held.flags.writeable
+    r = int(np.argmin(report.restart_values))
+    assert report.best_vector.tobytes() == np.kron(kernel[0][r], kernel[1][r]).tobytes()
 
 
 def test_certify_choi(choi):
@@ -542,9 +556,20 @@ def test_zero_set_ranks_are_stable(choi, swap):
         assert zc.span_rank == 7
         zs = collect_zero_set(swap, seed=seed)
         assert zs.span_rank == 4
-    for v in zc.vectors:
-        full = v.full()
+    for full in zc.vectors:
         assert abs(np.real(full.conj() @ choi.mat @ full)) <= 1e-8
+
+
+def test_zero_set_is_one_read_only_stack(choi):
+    # one row per kept zero, from fresh descents and from a see-saw report
+    for seesaw in (None, min_product_expectation(choi, seed=0)):
+        zeros = collect_zero_set(choi, seed=0, seesaw=seesaw)
+        assert zeros.vectors.shape == (len(zeros.vectors), 9) and len(zeros.vectors) > 0
+        assert zeros.vectors.dtype == complex and not zeros.vectors.flags.writeable
+        assert span_rank(zeros.vectors) == zeros.span_rank == 7
+    empty = collect_zero_set(choi, target_count=0)
+    assert empty.vectors.shape == (0, 9) and not empty.vectors.flags.writeable
+    assert span_rank(empty.vectors) == empty.span_rank == 0
 
 
 def test_transposed_swap_zero_rank_is_three(swap):
