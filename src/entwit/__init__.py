@@ -3,8 +3,8 @@ witnesses, plus their measurement-device-independent deployment.
 
 The package is organized around a few small layers:
 
-operators      layouts, Hermitian operators, basis vectors, partial
-               transpose / trace, spectra
+operators      layouts, Hermitian operators, partial transpose / trace,
+               spectra
 sampling       seeded random states and caps; the audit's effect and
                unitary kernels
 witness        see-saw minimization over product states and certification
@@ -40,8 +40,8 @@ _EXPORTS = {
     ),
     "operators": (
         "HermitianOperator", "LayoutError", "NumericalError", "SystemLayout",
-        "basis_vector", "eigh", "is_psd", "kron", "maximally_entangled_vector",
-        "partial_trace", "partial_transpose", "projector", "single_system",
+        "eigh", "is_psd", "kron", "maximally_entangled_vector", "partial_trace",
+        "partial_transpose", "projector", "single_system",
     ),
     "sampling": ("random_density", "random_psd", "rng_from"),
     "serialization": (

@@ -27,6 +27,7 @@ from .operators import (
     _Frozen,
     _hermitian_matrix,
     _psd_matrix,
+    _refill,
     is_psd,
     partial_trace,
     partial_transpose,
@@ -177,6 +178,9 @@ class ExhibitReport(NamedTuple):
     state_psd: bool
     gamma_bprime_psd: bool
 
+    def __reduce__(self):  # copies and pickles come back with frozen arrays
+        return _refill, (type(self), tuple(self))
+
 
 def nontrivial_extension_exhibit(
     params: AbParams | None = None,
@@ -192,6 +196,7 @@ def nontrivial_extension_exhibit(
     """
     params = AbParams() if params is None else params
     cap_mat = _cap_matrix(np.ones((2, 2)) if cap_right is None else cap_right, 2, "cap")
+    cap_mat.setflags(write=False)  # a fresh copy, held by the report
     state = rho_abb(params)
     ext_value, reduced_value = _detection_values(cap_mat, state)
     closed_ext, closed_reduced = _closed_forms(params, cap_mat)

@@ -27,7 +27,6 @@ from .operators import (
     PSD_TOL,
     SystemLayout,
     _cap_matrix,
-    _frobenius,
     _Frozen,
     _integer,
     _psd_matrix,
@@ -95,7 +94,7 @@ def extend_state(
     out = _sandwich(rho.mat, rho.layout, spec.cap_left.mat, spec.cap_right.mat)
     if normalize:
         tr = out.trace
-        if not tr > PSD_TOL * _frobenius(out.mat):
+        if not tr > PSD_TOL * out.norm:
             raise ValueError(f"extended state has trace {tr!r}; cannot normalize")
         out = HermitianOperator(out.mat / tr, out.layout)
     return out

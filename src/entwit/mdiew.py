@@ -182,15 +182,14 @@ class MdiewScenario(_Frozen):
         left, right = (b.states.reshape(len(b), -1).T for b in (basis_left, basis_right))
         target = _realign(witness.mat, d_a, d_b)
         coeffs = np.linalg.solve(right, np.linalg.solve(left, target).T).T
-        norm = _frobenius(witness.mat)
         imag = float(np.abs(coeffs.imag).max())
-        if not imag <= BETA_IMAG_TOL * norm:
+        if not imag <= BETA_IMAG_TOL * witness.norm:
             raise NumericalError(
                 f"decomposition coefficients have imaginary part {imag:.3e}"
             )
         beta = np.array(coeffs.real, dtype=float)
         residual = _frobenius(left @ beta @ right.T - target)
-        if not residual <= DECOMPOSITION_RESIDUAL_TOL * norm:
+        if not residual <= DECOMPOSITION_RESIDUAL_TOL * witness.norm:
             raise NumericalError(
                 f"beta does not reconstruct the witness: residual {residual:.3e}"
             )
@@ -429,7 +428,7 @@ def separable_nonnegativity_audit(
             scenario, seed, chunk, povm_mode, blocks
         )
 
-    norm = _frobenius(scenario.witness.mat)
+    norm = scenario.witness.norm
     value_tol, gap_tol = AUDIT_VALUE_TOL * norm, ROUTE_AGREEMENT_TOL * norm
     gaps, lows = np.abs(direct - mixture), np.minimum(direct, mixture)
     ordered = np.sort(gaps)  # np.median would first import numpy.ma, 14-21 ms

@@ -40,7 +40,6 @@ __all__ = [
     "partial_trace",
     "eigh",
     "is_psd",
-    "basis_vector",
     "projector",
     "maximally_entangled_vector",
 ]
@@ -81,11 +80,13 @@ class _Frozen:
 
 def _refill(cls: type, values: tuple):
     # pickle does not keep the write flag: freeze each array again, whether
-    # it fills a slot or sits in a tuple that does
+    # it fills a slot or field or sits in a tuple that does
     for value in values:
         for arr in value if isinstance(value, tuple) else (value,):
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
+    if issubclass(cls, tuple):  # a record holding frozen arrays
+        return cls._make(values)
     obj = cls.__new__(cls)
     obj._set(**dict(zip(cls.__slots__, values)))
     return obj
@@ -228,9 +229,10 @@ def _frobenius(mat: Array) -> float:
 
 
 class HermitianOperator(_Frozen):
-    """Dense complex Hermitian matrix tied to a system layout."""
+    """Dense complex Hermitian matrix tied to a system layout; ``norm`` is its
+    ||mat||_F, the scale of every relative tolerance on it."""
 
-    __slots__ = ("mat", "layout")
+    __slots__ = ("mat", "layout", "norm")
 
     def __init__(self, mat: Array, layout: SystemLayout) -> None:
         self._set(mat=mat, layout=layout)
@@ -245,7 +247,7 @@ class HermitianOperator(_Frozen):
         if norm and not _TINY <= norm < np.inf:
             raise NumericalError(f"operator norm {norm:.3e} is outside the normal float range")
         mat.setflags(write=False)
-        self._set(mat=mat)
+        self._set(mat=mat, norm=norm)
 
     @property
     def dim(self) -> int:
@@ -357,13 +359,6 @@ def is_psd(M: HermitianOperator | Array, tol: float = PSD_TOL) -> bool:
         return False
     vals = np.linalg.eigvalsh(mat)
     return bool(vals[0] >= -tol * max(-vals[0], vals[-1]))
-
-
-def basis_vector(d: int, k: int) -> Array:
-    d, k = _integer(d, "dimension", 1), _integer(k, "basis index", 0)
-    if not k < d:
-        raise LayoutError(f"basis index {k} out of range for dimension {d}")
-    return np.eye(1, d, k, dtype=complex)[0]
 
 
 def projector(v: Array) -> Array:

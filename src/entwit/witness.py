@@ -23,6 +23,7 @@ from .operators import (
     _frobenius,
     _integer,
     _realign,
+    _refill,
     _tolerance,
     eigh,
     is_psd,
@@ -81,6 +82,9 @@ class SeeSawReport(NamedTuple):
     seed: int
     previous_values: tuple[float, ...]
 
+    def __reduce__(self):  # copies and pickles come back with frozen arrays
+        return _refill, (type(self), tuple(self))
+
     @property
     def best_vector(self) -> Array:
         """phi (x) psi of the lowest-index restart reaching the best value."""
@@ -98,6 +102,9 @@ class ZeroSet(NamedTuple):
 
     vectors: Array
     span_rank: int
+
+    def __reduce__(self):  # copies and pickles come back with frozen arrays
+        return _refill, (type(self), tuple(self))
 
 
 class WitnessCertificate(NamedTuple):
@@ -127,7 +134,7 @@ def expectation(W: HermitianOperator, rho: HermitianOperator | Array) -> float:
     if wmat.shape != rmat.shape:
         raise LayoutError(f"dimension mismatch: {wmat.shape} vs {rmat.shape}")
     val = np.sum(wmat * rmat.T)
-    if not abs(val.imag) <= IMAG_TOL * _frobenius(wmat) * _frobenius(rmat):
+    if not abs(val.imag) <= IMAG_TOL * W.norm * _frobenius(rmat):
         raise NumericalError(f"expectation has imaginary part {val.imag:.3e}")
     return float(val.real)
 
@@ -202,7 +209,7 @@ def _lockstep_descents(
     descents resumed with no budget left) and ``before``.
     """
     d_left, d_right = op.layout.left_dim, op.layout.right_dim
-    norm = _frobenius(op.mat)
+    norm = op.norm
     slack, settle_tol = MONOTONE_SLACK * norm, CONVERGENCE_TOL * norm
     floor = ABANDON_FLOOR * norm
     stall_tol = STALL_TOL * norm if stall else -np.inf
@@ -330,7 +337,7 @@ def certify_witness(
     report = min_product_expectation(W, restarts=restarts, seed=seed)
     vals, vecs = eigh(W)
     min_eig = float(vals[-1])
-    cutoff = tol * _frobenius(W.mat)
+    cutoff = tol * W.norm
     ok = report.best_value >= -cutoff and min_eig < -cutoff
 
     detection_state = detection_value = None
@@ -397,7 +404,7 @@ def collect_zero_set(
         seed = 0 if seesaw is None else seesaw.seed
     if seesaw is not None and seesaw.seed != seed:
         raise ValueError(f"report seed {seesaw.seed!r} differs from harvest seed {seed!r}")
-    zero_tol = ZERO_TOL * _frobenius(W.mat)
+    zero_tol = ZERO_TOL * W.norm
     kept: list[Array] = []  # the kept zeros phi (x) psi
     pending, next_descent = [], 0  # (value, phi, psi) not yet read; next to start
     if seesaw is not None:
@@ -490,5 +497,5 @@ def certify_indecomposable(
         return False
     if not is_psd(partial_transpose(rho_candidate), tol):
         return False
-    cutoff = tol * _frobenius(W.mat) * rho_candidate.trace
+    cutoff = tol * W.norm * rho_candidate.trace
     return expectation(W, rho_candidate) < -cutoff

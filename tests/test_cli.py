@@ -27,6 +27,10 @@ from entwit import (
     swap_witness,
     tomographic_basis,
 )
+from entwit import extension as extension_module
+from entwit import mdiew as mdiew_module
+from entwit import operators as operators_module
+from entwit import witness as witness_module
 from entwit.cli import main, resolve_operator
 from oracle_utils import draw_unitary
 
@@ -409,6 +413,27 @@ def test_extend_requires_a_cap_source(capsys):
     with pytest.raises(SystemExit) as err:
         main(["extend", "choi", "--quiet"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "certify choi", "certify swap", "extend choi --random-caps 2 2",
+    "mdiew audit swap --trials 150",
+], ids=["certify-choi", "certify-swap", "extend-choi", "audit-swap"])
+def test_each_command_reads_the_witness_norm_it_was_given(monkeypatch, capsys, argv):
+    # ||W||_F is computed once, when W is built, and read as W.norm: the only
+    # _frobenius left above the operators is on arrays that are no operator,
+    # rho in expectation and the residual of the beta solve
+    calls, frobenius = [], operators_module._frobenius
+
+    def counting_frobenius(mat):
+        calls.append(mat)
+        return frobenius(mat)
+
+    for module in (witness_module, mdiew_module, extension_module):
+        if hasattr(module, "_frobenius"):
+            monkeypatch.setattr(module, "_frobenius", counting_frobenius)
+    assert main([*argv.split(), "--quiet"]) == 0
+    assert len(calls) == 1
 
 
 def test_choi_demo(capsys):

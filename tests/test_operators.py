@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,6 @@ from entwit import (
     NumericalError,
     StateBasis,
     SystemLayout,
-    basis_vector,
     closed_form_values,
     detection_values,
     eigh,
@@ -28,6 +30,7 @@ from entwit import (
     single_system,
     swap_witness,
 )
+from entwit.cli import resolve_operator
 from entwit.operators import _frobenius
 from integer_args import check_integer_case, integer_cases
 from oracle_utils import partial_trace_loops, partial_transpose_loops
@@ -77,21 +80,14 @@ def test_layout_rejects_bad_input():
     "partial_trace": (
         lambda x: partial_trace(_random_hermitian((2, 2), 0), keep=[x]), "subsystem index", 0,
     ),
-    "basis_vector-d": (lambda x: basis_vector(x, 0), "dimension", 1),
-    "basis_vector-k": (lambda x: basis_vector(2, x), "basis index", 0),
     "maximally_entangled_vector": (maximally_entangled_vector, "dimension", 1),
     "swap_witness": (swap_witness, "dimension", 2),
 }, values=(True, 1.0, 1.7, "1")) + [
-    pytest.param(lambda x: basis_vector(2, x), 2, "basis index 2 out of range for dimension 2",
-                 id="basis_vector-k-above"),
-    pytest.param(lambda x: basis_vector(2, x), 5, "basis index 5 out of range for dimension 2",
-                 id="basis_vector-k-far-above"),
     pytest.param(lambda x: partial_transpose(_random_hermitian((2, 2), 0), [x]), 5,
                  "subsystem index 5 out of range for dims (2, 2)", id="partial_transpose-above"),
 ])
 def test_operator_integers_are_checked_not_coerced(call, value, message):
-    # a subsystem index of 1.7 or True is no 1, no dimension is 0, and a
-    # basis index is below its dimension
+    # a subsystem index of 1.7 or True is no 1, and no dimension is 0
     check_integer_case(call, value, message)
 
 
@@ -129,6 +125,19 @@ def test_operator_norm_must_be_zero_or_a_normal_float(scale, norm):
         HermitianOperator(scale * np.eye(4), SystemLayout((2, 2), 1))
     assert HermitianOperator(np.zeros((4, 4)), SystemLayout((2, 2), 1)).trace == 0.0
     assert HermitianOperator(np.diag([1e308, 1e-308]), single_system(2)).trace == 1e308
+
+
+def test_norm_is_the_frobenius_norm_of_the_matrix(capped_choi):
+    # every relative tolerance on an operator reads its norm, computed once at
+    # construction: it must be _frobenius's value bit for bit, on copies too
+    choi = resolve_operator("choi")[1]
+    ops = [resolve_operator(name)[1] for name in ("choi", "swap", "identity")]
+    ops += [capped_choi] + [HermitianOperator(c * choi.mat, choi.layout) for c in (1e-200, 1e300)]
+    for op in ops:
+        for copied in (op, pickle.loads(pickle.dumps(op)), copy.deepcopy(op)):
+            assert type(copied.norm) is float
+            assert copied.norm.hex() == _frobenius(op.mat).hex() == _frobenius(copied.mat).hex()
+    assert HermitianOperator(np.zeros((4, 4)), SystemLayout((2, 2), 1)).norm == 0.0
 
 
 @pytest.mark.parametrize(
@@ -316,8 +325,6 @@ def test_is_psd_threshold():
 
 
 def test_basis_projector_and_entangled_vector():
-    e1 = basis_vector(3, 1)
-    np.testing.assert_array_equal(e1, [0.0, 1.0, 0.0])
     p = projector(np.array([1.0, 1j]) / np.sqrt(2))
     np.testing.assert_allclose(p, p.conj().T)
     assert np.trace(p) == pytest.approx(1.0)

@@ -83,18 +83,21 @@ def test_unknown_name_raises_attribute_error_naming_it():
 
 
 def _held_arrays(obj):
-    """(owner type name, array) for each array a value type holds, in a slot
-    or in a tuple in a slot, found through records and nested value types."""
+    """(owner type name, array) for each array a value type or a record holds,
+    in a slot or field or in a tuple there, found through nested ones."""
     if isinstance(obj, _Frozen):
-        for name in type(obj).__slots__:
-            value = getattr(obj, name)
-            for item in value if isinstance(value, tuple) else (value,):
-                if isinstance(item, np.ndarray):
-                    yield type(obj).__name__, item
-            yield from _held_arrays(value)
-    elif isinstance(obj, tuple):
-        for item in obj:
+        values = [getattr(obj, name) for name in type(obj).__slots__]
+    elif isinstance(obj, tuple) and hasattr(obj, "_fields"):  # a record
+        values = list(obj)
+    else:
+        for item in obj if isinstance(obj, tuple) else ():
             yield from _held_arrays(item)
+        return
+    for value in values:
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield type(obj).__name__, item
+        yield from _held_arrays(value)
 
 
 def test_value_types_and_records_are_immutable_and_picklable():
@@ -125,11 +128,11 @@ def test_value_types_and_records_are_immutable_and_picklable():
         for name in fields:
             with pytest.raises(AttributeError):
                 setattr(obj, name, None)
-        for copied in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+        for copied in (obj, pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
             assert type(copied) is type(obj)
             assert repr(copied) == repr(obj)
             for owner, arr in _held_arrays(copied):
                 assert not arr.flags.writeable, (type(obj).__name__, owner)
                 owners.add(owner)
-    assert {"HermitianOperator", "StateBasis", "MdiewScenario",
-            "AbParams"} <= owners
+    assert {"HermitianOperator", "StateBasis", "MdiewScenario", "AbParams",
+            "SeeSawReport", "ZeroSet", "ExhibitReport"} <= owners
