@@ -126,15 +126,17 @@ class SpanningReport(NamedTuple):
 def expectation(W: HermitianOperator, rho: HermitianOperator | Array) -> float:
     """Re Tr(W rho); raises if the trace has a stray imaginary part.
 
-    The imaginary part is measured against ||W||_F ||rho||_F, the
-    Cauchy-Schwarz bound on |Tr(W rho)|, so the check holds at any scale.
+    The imaginary part is measured against ||W||_F ||rho||_F (``rho.norm``
+    for an operator), the Cauchy-Schwarz bound on |Tr(W rho)|, so the check
+    holds at any scale.
     """
     wmat = W.mat
     rmat = _as_matrix(rho)
     if wmat.shape != rmat.shape:
         raise LayoutError(f"dimension mismatch: {wmat.shape} vs {rmat.shape}")
     val = np.sum(wmat * rmat.T)
-    if not abs(val.imag) <= IMAG_TOL * W.norm * _frobenius(rmat):
+    rnorm = rho.norm if isinstance(rho, HermitianOperator) else _frobenius(rmat)
+    if not abs(val.imag) <= IMAG_TOL * W.norm * rnorm:
         raise NumericalError(f"expectation has imaginary part {val.imag:.3e}")
     return float(val.real)
 
@@ -374,24 +376,23 @@ def collect_zero_set(
 ) -> ZeroSet:
     """Harvest product vectors on which W vanishes, from see-saw descents.
 
-    Runs descents until ``target_count`` distinct zeros (descents ending at
-    |value| <= ZERO_TOL * ||W||_F, 1e-13 ||W||_F) are held or the
-    ``max_descents`` budget runs out; an empty set is a legitimate outcome.
-    Descent ``t`` starts from ``rng_from(seed, t)``, exactly as restart ``t``
-    of a see-saw at the same seed, so a ``seesaw`` report of W supplies
-    descents 0 to ``seesaw.restarts - 1`` without running them again; the
-    seed is the report's (0 without one), and another one raises.  The
-    harvest's descents stop by the rules of ``_lockstep_descents`` without
-    the stall rule.  So the report's ``"stalled"`` restarts are first run on
-    together from their stored states, for the rest of their budget; each
-    ends where an uninterrupted descent ends.
-    The remaining descents run in lock-step chunks, each as large as the
-    number of zeros still missing (capped by the budget).  Results are
-    accepted in descent order, so the kept set is the one a one-at-a-time
-    harvest keeps and no descent past what that harvest would run is
-    started.  Distinct means Gram overlap below 1 - 1e-6; the span rank is
-    the singular-value rank of the stacked full vectors at a 1e-8 relative
-    threshold.
+    Runs descents until ``target_count`` distinct zeros (|value| <=
+    ZERO_TOL * ||W||_F, 1e-13 ||W||_F) are held or ``max_descents`` have
+    run; an empty set is a legitimate outcome.  Descent ``t`` starts from
+    ``rng_from(seed, t)`` as restart ``t`` of a see-saw at the same seed
+    does, so a ``seesaw`` report of W supplies descents 0 to
+    ``seesaw.restarts - 1``; the seed is the report's (0 without one), and
+    another one raises.  The harvest drops the stall rule of
+    ``_lockstep_descents``, so the report's ``"stalled"`` restarts first run
+    on from their stored states and end where uninterrupted descents end;
+    then lock-step chunks run, each as large as the number of zeros still
+    missing (capped by the budget).  One loop reads both: a chunk's
+    candidates phi (x) psi are one stacked outer product, accepted in
+    descent order (the set a one-at-a-time harvest keeps, from no extra
+    descent) into one preallocated (target_count, d_A d_B) stack unless one
+    matrix-vector product with the kept rows finds an overlap modulus above
+    1 - 1e-6.  ``vectors`` is the filled slice of that stack, read-only; the
+    span rank is its singular-value rank at a 1e-8 relative threshold.
     """
     W.layout.require_bipartite()
     if target_count is None:
@@ -405,8 +406,8 @@ def collect_zero_set(
     if seesaw is not None and seesaw.seed != seed:
         raise ValueError(f"report seed {seesaw.seed!r} differs from harvest seed {seed!r}")
     zero_tol = ZERO_TOL * W.norm
-    kept: list[Array] = []  # the kept zeros phi (x) psi
-    pending, next_descent = [], 0  # (value, phi, psi) not yet read; next to start
+    kept = np.empty((target_count, W.layout.total_dim), dtype=complex)  # phi (x) psi rows
+    count, next_descent, resume = 0, 0, None
     if seesaw is not None:
         n = min(seesaw.restarts, max_descents)
         lefts, rights = (a[:n] for a in seesaw.restart_vectors)
@@ -414,27 +415,24 @@ def collect_zero_set(
         stalled = np.array(seesaw.stops[:n]) == "stalled"
         k = np.where(stalled, seesaw.iterations[:n], DEFAULT_MAX_ITERS)
         resume = (seesaw.restart_values[:n], seesaw.previous_values[:n], lefts, k)
-        values, phis, psis, *_ = _lockstep_descents(W, rights, resume=resume)
-        pending = list(zip(values, phis, psis))
         next_descent = seesaw.restarts
-    while len(kept) < target_count and (pending or next_descent < max_descents):
-        if not pending:
-            missing = target_count - len(kept)
-            chunk = range(next_descent, min(max_descents, next_descent + missing))
+    while count < target_count and (resume is not None or next_descent < max_descents):
+        if resume is None:
+            chunk = range(next_descent, min(max_descents, next_descent + target_count - count))
             next_descent = chunk.stop
-            starts = _start_vectors(seed, chunk, W.layout.right_dim)
-            values, phis, psis, *_ = _lockstep_descents(W, starts)
-            pending = list(zip(values, phis, psis))
-        value, phi, psi = pending.pop(0)
-        if abs(value) > zero_tol:
-            continue
-        candidate = np.kron(phi, psi)
-        if any(abs(np.vdot(f, candidate)) > DEDUP_OVERLAP for f in kept):
-            continue
-        kept.append(candidate)
-    vectors = np.array(kept, dtype=complex).reshape(len(kept), W.layout.total_dim)
-    vectors.setflags(write=False)
-    return ZeroSet(vectors, span_rank(vectors))
+            rights = _start_vectors(seed, chunk, W.layout.right_dim)
+        values, phis, psis, *_ = _lockstep_descents(W, rights, resume=resume)
+        resume = None
+        candidates = (phis[:, :, None] * psis[:, None, :]).reshape(len(values), -1)
+        for candidate in candidates[np.abs(values) <= zero_tol]:
+            if count and np.abs(kept[:count].conj() @ candidate).max() > DEDUP_OVERLAP:
+                continue
+            kept[count] = candidate
+            count += 1
+            if count == target_count:
+                break
+    kept.setflags(write=False)
+    return ZeroSet(kept[:count], span_rank(kept[:count]))
 
 
 def has_spanning_property(
