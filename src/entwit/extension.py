@@ -108,11 +108,12 @@ def extended_zero_set(zeros: ZeroSet, d_ap: int, d_bp: int) -> ZeroSet:
     original operator because the middle factor already does.  The lifts are
     the rows of I (x) Z (x) I for the stacked zeros Z, in (i, zero, j) order,
     so the span rank is exactly the input rank times d_ap * d_bp.  A lift is
-    a product across the extended cut A'A | BB', so a lifted set lifts again.
+    a product across the extended cut A'A | BB', so a lifted set lifts again;
+    an empty set lifts to an empty stack of the extended width.
     """
     d_ap, d_bp = (_integer(d, "cap dimension", 1) for d in (d_ap, d_bp))
-    if not len(zeros.vectors):
-        raise ValueError("zero set is empty; nothing to lift")
+    if np.ndim(zeros.vectors) != 2:
+        raise ValueError(f"zero set must be a 2-D stack, got shape {np.shape(zeros.vectors)}")
     lifts = np.kron(np.kron(np.eye(d_ap), zeros.vectors), np.eye(d_bp))
     lifts.setflags(write=False)
     return ZeroSet(lifts, zeros.span_rank * d_ap * d_bp)

@@ -56,7 +56,7 @@ from .operators import (
     maximally_entangled_vector,
     projector,
 )
-from .sampling import POVM_MODES, _effects, _unitaries, rng_from
+from .sampling import POVM_MODES, rng_from
 
 __all__ = [
     "DECOMPOSITION_RESIDUAL_TOL",
@@ -333,19 +333,44 @@ class AuditReport(NamedTuple):
         return not self.failures
 
 
+def _effects(raw: Array) -> Array:
+    """Stacked effects (S+T)^(-1/2) S (S+T)^(-1/2), Hermitized, with S = G_0 G_0^H,
+    T = G_1 G_1^H and G_i = raw[..., i, 0] + 1j raw[..., i, 1] for real draws
+    of shape (..., 2, 2, d, d); S+T is positive definite almost surely."""
+    g = raw[..., 0, :, :] + 1j * raw[..., 1, :, :]
+    s, t = (g[..., i, :, :] @ g[..., i, :, :].conj().swapaxes(-1, -2) for i in (0, 1))
+    vals, vecs = np.linalg.eigh(s + t)
+    inv_sqrt = (vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    e = inv_sqrt @ s @ inv_sqrt
+    return (e + e.conj().swapaxes(-1, -2)) / 2
+
+
+def _unitaries(raw: Array) -> Array:
+    """Stacked Haar unitaries from real draws ``raw`` of shape (..., 2, d, d):
+    the phase-fixed QR of raw[..., 0] + 1j raw[..., 1]."""
+    q, r = np.linalg.qr(raw[..., 0, :, :] + 1j * raw[..., 1, :, :])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
 def _audit_chunk(
     scenario: MdiewScenario, seed: int, chunk: range, povm_mode: str,
-    blocks: tuple[tuple[int, int], ...],
+    embed: tuple[int, int] | None,
 ) -> tuple[Array, Array]:
     """Direct and mixture values of the audit trials in ``chunk``.
 
-    Trial ``t`` draws from ``rng_from(seed, t)`` its member count k, then k
-    Dirichlet weights, then Re a, Im a, Re b, Im b for each member's factors
-    a and b, then ``count`` complex Gaussian d x d matrices, real part first,
-    per (count, d) of ``blocks``; members past the count get weight 0.  The
-    stacks are valid by construction; only the results are checked.
+    Trial ``t`` reads ``rng_from(seed, t)`` in this order: its member count k,
+    k Dirichlet weights, Re a, Im a, Re b, Im b for each member's factors a
+    and b, then per side, left first, two complex Gaussian matrices, each as
+    Re G then Im G: d x d (U and V) if misaligned, on the element's space
+    (G_0 and G_1) if arbitrary; then, with the checked embed dims ``embed``,
+    one per side for the isometry.  Members past the count get weight 0.
+    The stacks are valid by construction; only the results are checked.
     """
     (d_a, d_b) = dims = scenario.party_dims
+    spaces = embed or (d_a * d_a, d_b * d_b)
+    blocks = [(2, d) for d in {"misaligned": dims, "arbitrary": spaces}.get(povm_mode, ())]
+    blocks += [(1, big) for big in embed or ()]
     n = len(chunk)
     width, sizes = 2 * (d_a + d_b), [2 * count * d * d for count, d in blocks]
     weights = np.zeros((n, AUDIT_MAX_MEMBERS))
@@ -406,13 +431,11 @@ def separable_nonnegativity_audit(
     if povm_mode not in POVM_MODES:
         raise ValueError(f"povm_mode must be one of {POVM_MODES}, got {povm_mode!r}")
     d_a, d_b = scenario.party_dims
-    blocks = {"ideal": (), "misaligned": ((2, d_a), (2, d_b))}.get(
-        povm_mode, ((2, d_a * d_a), (2, d_b * d_b))
-    )
+    embed = None
     if embed_dims is not None:
         if not (hasattr(embed_dims, "__len__") and len(embed_dims) == 2):
             raise LayoutError(f"embed dims must be a pair, got {embed_dims!r}")
-        big_l, big_r = (_integer(d, "embed dim") for d in embed_dims)
+        embed = big_l, big_r = tuple(_integer(d, "embed dim") for d in embed_dims)
         if povm_mode != "arbitrary":
             raise ValueError(f"embed dims need povm mode 'arbitrary', got {povm_mode!r}")
         if big_l < d_a * d_a or big_r < d_b * d_b:
@@ -420,12 +443,11 @@ def separable_nonnegativity_audit(
                 f"embed dims {embed_dims} smaller than measurement spaces "
                 f"({d_a * d_a}, {d_b * d_b})"
             )
-        blocks = ((2, big_l), (2, big_r), (1, big_l), (1, big_r))
     direct, mixture = np.empty(trials), np.empty(trials)
     for start in range(0, trials, AUDIT_CHUNK):
         chunk = range(start, min(trials, start + AUDIT_CHUNK))
         direct[start : chunk.stop], mixture[start : chunk.stop] = _audit_chunk(
-            scenario, seed, chunk, povm_mode, blocks
+            scenario, seed, chunk, povm_mode, embed
         )
 
     norm = scenario.witness.norm
@@ -447,7 +469,7 @@ def separable_nonnegativity_audit(
     return AuditReport(
         trials=trials,
         povm_mode=povm_mode,
-        embed_dims=None if embed_dims is None else (big_l, big_r),
+        embed_dims=embed,
         min_value=float(lows.min()),
         max_route_gap=float(gaps.max()),
         median_route_gap=float(ordered[(trials - 1) // 2] + ordered[trials // 2]) / 2,

@@ -1,13 +1,9 @@
-"""Seeded sampling of PSD operators and states, and the stacked kernels that
-turn the MDI audit's raw draws into effects and unitaries.
+"""Seeded sampling of PSD operators and states.
 
 All randomness flows from a single integer master seed.  Derived streams are
 split with ``numpy``'s SeedSequence spawn keys, so a run that distributes
 restarts or trials over workers draws exactly the same numbers as a serial
-run.  Audit trial t reads its stream in this order: the member count k, k
-Dirichlet(1, ..., 1) weights, Re a, Im a, Re b, Im b for each member's
-factors a and b, then the measurement draws; an effect takes Re G_0, Im G_0,
-Re G_1, Im G_1 (``_effects``), a unitary Re G, Im G (``_unitaries``).
+run.
 """
 from __future__ import annotations
 
@@ -58,24 +54,3 @@ def random_density(d: int, seed) -> HermitianOperator:
     """``random_psd`` divided by its trace."""
     p = random_psd(d, seed)
     return HermitianOperator(p.mat / p.trace, p.layout)
-
-
-def _effects(raw: Array) -> Array:
-    """Stacked effects (S+T)^(-1/2) S (S+T)^(-1/2), Hermitized, with S = G_0 G_0^H,
-    T = G_1 G_1^H and G_i = raw[..., i, 0] + 1j raw[..., i, 1] for real draws
-    of shape (..., 2, 2, d, d); S+T is positive definite almost surely."""
-    g = raw[..., 0, :, :] + 1j * raw[..., 1, :, :]
-    s, t = (g[..., i, :, :] @ g[..., i, :, :].conj().swapaxes(-1, -2) for i in (0, 1))
-    vals, vecs = np.linalg.eigh(s + t)
-    inv_sqrt = (vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    e = inv_sqrt @ s @ inv_sqrt
-    return (e + e.conj().swapaxes(-1, -2)) / 2
-
-
-def _unitaries(raw: Array) -> Array:
-    """Stacked Haar unitaries from real draws ``raw`` of shape (..., 2, d, d):
-    the phase-fixed QR of raw[..., 0] + 1j raw[..., 1]."""
-    q, r = np.linalg.qr(raw[..., 0, :, :] + 1j * raw[..., 1, :, :])
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
-

@@ -194,6 +194,20 @@ def test_extended_zero_set_rejects_degenerate_input(swap):
         extended_zero_set(empty, 2, 2)
 
 
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_extended_zero_set_lifts_an_empty_set(choi, seed):
+    # choi + 0.1 I is a witness (product minimum 0.1, least eigenvalue -0.9)
+    # with no product zero; its empty zero set lifts to an empty stack
+    shifted = HermitianOperator(choi.mat + 0.1 * np.eye(9), choi.layout)
+    cert = certify_witness(shifted, seed=seed)
+    assert cert.is_witness_numeric
+    base = collect_zero_set(shifted, seesaw=cert.min_product)
+    assert base.vectors.shape == (0, 9) and base.span_rank == 0
+    lifted = extended_zero_set(base, 2, 3)
+    assert lifted.vectors.shape == (0, 54) and lifted.span_rank == 0
+    assert not lifted.vectors.flags.writeable
+
+
 def test_expectation_of_extension_factorizes(choi):
     rho = choi_detected_ppt_state()
     base_value = expectation(choi, rho)

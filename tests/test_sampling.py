@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entwit import is_psd, random_density, random_psd, rng_from
-from entwit.sampling import _effects, _unitaries
+from entwit.mdiew import _effects, _unitaries
 from integer_args import check_integer_case, integer_cases
 
 

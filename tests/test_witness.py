@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entwit import (
+    ExtensionSpec,
     HermitianOperator,
     SystemLayout,
     certify_indecomposable,
@@ -12,6 +13,7 @@ from entwit import (
     choi_witness,
     collect_zero_set,
     expectation,
+    extend_witness,
     has_spanning_property,
     is_psd,
     maximally_entangled_vector,
@@ -492,14 +494,36 @@ def test_generalized_choi_keeps_its_spanning_zeros(a):
     assert nd_spanning(op, primal, seed=42)
 
 
+def _lifted_rank(d_a, d_b, d_ap, d_bp, rank_l, rank_r, r):
+    """Span rank of the product zeros of cap_l (x) W (x) cap_r, for W on
+    d_a x d_b with zero-span rank r and caps of ranks rank_l and rank_r on
+    d_ap and d_bp: a product vector is a zero iff each of its components
+    along the caps' ranges is a zero of W, so every product vector with a
+    factor in a cap's kernel is a zero."""
+    return d_a * d_b * (d_ap * d_bp - rank_l * rank_r) + rank_l * rank_r * r
+
+
+def _swap_under_rank_one_caps(rng):
+    u, v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    caps = ExtensionSpec(np.outer(u, u.conj()), np.outer(v, v.conj()))
+    return extend_witness(swap_witness(), caps)
+
+
 # The exact spanning ranks of W's product zeros and of Gamma(W)'s, in closed
 # form; local unitaries U_A (x) U_B leave both unchanged (Lewenstein, Kraus,
-# Cirac and Horodecki, PRA 62, 052310 (2000)).
+# Cirac and Horodecki, PRA 62, 052310 (2000)).  Each builder takes the
+# test's stream.
 EXACT_RANKS = {
-    "choi": (choi_witness, 7, 6),
-    "swap": (swap_witness, 4, 3),
-    "phi-half": (lambda: _generalized_choi(0.5), 9, 9),
-    "swap-3": (lambda: swap_witness(3), 9, 8),
+    "choi": (lambda rng: choi_witness(), 7, 6),
+    "swap": (lambda rng: swap_witness(), 4, 3),
+    "phi-half": (lambda rng: _generalized_choi(0.5), 9, 9),
+    "phi-quarter": (lambda rng: _generalized_choi(0.25), 9, 9),
+    "swap-3": (lambda rng: swap_witness(3), 9, 8),
+    "swap-rank-one-caps": (
+        _swap_under_rank_one_caps,
+        _lifted_rank(2, 2, 2, 2, 1, 1, 4),
+        _lifted_rank(2, 2, 2, 2, 1, 1, 3),
+    ),
 }
 DEGENERATE_MINIMA = pytest.mark.xfail(strict=True, reason=(
     "degenerate minimal eigenspaces bias the harvest to one column "
@@ -510,14 +534,15 @@ DEGENERATE_MINIMA = pytest.mark.xfail(strict=True, reason=(
 @pytest.mark.parametrize("seed", [1, 7, 42])
 @pytest.mark.parametrize("name, rotated", [
     ("choi", False), ("choi", True), ("swap", False), ("swap", True),
-    ("phi-half", False), ("phi-half", True),
-    pytest.param("swap-3", False, marks=DEGENERATE_MINIMA),
+    ("phi-half", False), ("phi-half", True), ("phi-quarter", False),
+    pytest.param("swap-3", False, marks=DEGENERATE_MINIMA), ("swap-3", True),
+    ("swap-rank-one-caps", False),
 ])
 def test_spanning_ranks_are_the_exact_ranks(name, rotated, seed):
     build, rank, gamma_rank = EXACT_RANKS[name]
-    op = build()
+    rng = rng_from(seed)
+    op = build(rng)
     if rotated:
-        rng = rng_from(seed)
         d_left, d_right = op.layout.left_dim, op.layout.right_dim
         u = np.kron(draw_unitary(d_left, rng), draw_unitary(d_right, rng))
         m = u @ op.mat @ u.conj().T
