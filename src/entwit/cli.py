@@ -91,8 +91,8 @@ def _restart_summary(report: SeeSawReport) -> str:
     """How the see-saw restarts stopped, for the stderr summary."""
     count = report.stops.count
     return (
-        f"{count('settled')} settled, {count('stalled')} stalled, "
-        f"{count('budget')} at budget, {count('abandoned')} abandoned; "
+        f"{count('settled')} settled, {count('budget')} at budget, "
+        f"{count('abandoned')} abandoned; "
         f"iterations median {np.median(report.iterations):g}, max {max(report.iterations)}"
     )
 

@@ -53,10 +53,10 @@ VERDICT_NOT_FOUND = "not-found-at-budget"
 
 DEFAULT_MAX_ITERS = 500
 CONVERGENCE_TOL = 1e-12  # on vector entries; times ||W||_F on values
+DEGENERATE_TOL = 1e-12  # eigenvalue gap, relative to the largest modulus
 MONOTONE_SLACK = 1e-10  # relative to the Frobenius norm of W
 ZERO_TOL = 1e-13  # relative to the Frobenius norm of W
-STALL_TOL = 1e-13  # relative to the Frobenius norm of W
-ABANDON_AFTER = 20  # iterations in all before a descent may be abandoned
+ABANDON_AFTER = 20  # iterations before a descent may be abandoned
 ABANDON_FLOOR = 3 * ZERO_TOL  # relative to the Frobenius norm of W
 SPAN_SV_THRESHOLD = 1e-8
 DEDUP_OVERLAP = 1 - 1e-6
@@ -67,9 +67,9 @@ class SeeSawReport(NamedTuple):
     """Per-restart results in restart order, for the see-saw seeded by ``seed``.
 
     ``stops`` names the rule that ended each restart: ``"settled"``,
-    ``"abandoned"``, ``"stalled"`` or ``"budget"``, the first it met in the
-    order of ``_lockstep_descents``.  ``iterations`` counts the full
-    iterations each used, and ``previous_values`` holds each next-to-last value.
+    ``"abandoned"`` or ``"budget"``, the first it met in the order of
+    ``_lockstep_descents``.  ``iterations`` counts the full iterations each
+    used.
     """
 
     best_value: float
@@ -80,7 +80,6 @@ class SeeSawReport(NamedTuple):
     iterations: tuple[int, ...]
     value_traces: tuple[tuple[float, ...], ...]
     seed: int
-    previous_values: tuple[float, ...]
 
     def __reduce__(self):  # copies and pickles come back with frozen arrays
         return _refill, (type(self), tuple(self))
@@ -93,8 +92,8 @@ class SeeSawReport(NamedTuple):
 
     @property
     def converged(self) -> tuple[bool, ...]:
-        """Restarts that stopped on a still value, settled or stalled."""
-        return tuple(s in ("settled", "stalled") for s in self.stops)
+        """Restarts that settled."""
+        return tuple(s == "settled" for s in self.stops)
 
 
 class ZeroSet(NamedTuple):
@@ -141,29 +140,44 @@ def expectation(W: HermitianOperator, rho: HermitianOperator | Array) -> float:
     return float(val.real)
 
 
-def _min_eigvecs(mats: Array) -> tuple[Array, Array]:
-    """Minimal eigenpair of each matrix in a stack, phase-fixed.
+def _min_eigvecs(mats: Array, refs: Array) -> tuple[Array, Array]:
+    """Minimal eigenpair of each matrix in a stack.
 
-    On a degenerate minimum the lowest-index column of the descending order
-    is taken; each vector is rotated so that its largest-modulus entry (the
-    first, on ties) is real and positive.
+    Where several eigenvalues lie within DEGENERATE_TOL times the largest
+    eigenvalue modulus of the least, the vector is the normalized projection
+    of that row of ``refs`` onto their eigenspace, which does not depend on
+    the basis the eigensolver picks in it.  Otherwise it is the eigenvector,
+    rotated so that its largest-modulus entry (the first, on ties) is real
+    and positive.
     """
     vals, vecs = eigh(mats)
-    rows = np.arange(len(vals))
-    idx = np.argmin(vals, axis=1)
-    v = vecs[rows, :, idx]
-    pivot = v[rows, np.argmax(np.abs(v), axis=1)]
-    return vals[rows, idx], v * (pivot.conj() / np.abs(pivot))[:, None]
+    low, v = vals[:, -1], vecs[:, :, -1]
+    pivot = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
+    v = v * (pivot.conj() / np.abs(pivot))[:, None]
+    near = vals - low[:, None] <= DEGENERATE_TOL * np.abs(vals).max(axis=1, keepdims=True)
+    tied = near.sum(axis=1) > 1
+    if tied.any():
+        basis = vecs[tied] * near[tied][:, None, :]  # the least eigenspace's columns
+        proj = (basis @ (basis.conj().transpose(0, 2, 1) @ refs[tied][:, :, None]))[:, :, 0]
+        v[tied] = proj / np.linalg.norm(proj, axis=1, keepdims=True)
+    return low, v
 
 
-def _start_vectors(seed: int, indices: range, d_right: int) -> Array:
-    """One normalized complex Gaussian right-party start per descent index;
-    descent ``t`` draws from ``rng_from(seed, t)``."""
+def _start_vectors(
+    seed: int, indices: range, d_left: int, d_right: int
+) -> tuple[Array, Array, Array]:
+    """Per descent index, a normalized complex Gaussian right-party start and
+    then one complex Gaussian reference per party, the left one first, for
+    ``_min_eigvecs``; descent ``t`` draws from ``rng_from(seed, t)``."""
     starts = np.empty((len(indices), d_right), dtype=complex)
+    lefts = np.empty((len(indices), d_left), dtype=complex)
+    rights = np.empty_like(starts)
     for n, t in enumerate(indices):
-        psi = _complex_gaussian(rng_from(seed, t), d_right)
+        rng = rng_from(seed, t)
+        psi = _complex_gaussian(rng, d_right)
         starts[n] = psi / np.linalg.norm(psi)
-    return starts
+        lefts[n], rights[n] = _complex_gaussian(rng, d_left), _complex_gaussian(rng, d_right)
+    return starts, lefts, rights
 
 
 def _pairs(v: Array) -> Array:
@@ -172,14 +186,10 @@ def _pairs(v: Array) -> Array:
     return (v.conj()[:, :, None] * v[:, None, :]).reshape(len(v), 1, -1)
 
 
-def _lockstep_descents(
-    op: HermitianOperator,
-    psi: Array,
-    stall: bool = False,
-    resume: tuple[Array, Array, Array] | None = None,
-) -> tuple[Array, ...]:
-    """See-saw descents of ``op`` from every start in ``psi``, in lock step.
+def _lockstep_descents(op: HermitianOperator, seed: int, descents: range) -> tuple[Array, ...]:
+    """See-saw descents of ``op`` with the given indices, in lock step.
 
+    Descent ``t`` takes its start and references from ``_start_vectors``.
     Each half-step is one stacked contraction and one stacked ``eigh`` over
     the descents still active.  The effective left operators,
     ``einsum("irjs,nr,ns->nij", w4, psi.conj(), psi)``, are one stacked
@@ -187,53 +197,41 @@ def _lockstep_descents(
     descent, with W regrouped by party; the right ones,
     ``einsum("irjs,ni,nj->nrs", ...)``, likewise.  Each row is its own
     product, so a descent's arithmetic does not depend on which descents
-    share the stack, and one stopped and resumed ends bit for bit where an
-    uninterrupted one ends (one (n, K) product would not do: BLAS rounds a
-    one-row product differently).  A descent leaves the active set on the
-    first rule it meets, in this order, which names its stop: ``"settled"``
-    once one step moves its vectors by less than CONVERGENCE_TOL and its
-    value by at most CONVERGENCE_TOL * ||W||_F; ``"abandoned"`` after
-    ABANDON_AFTER or more iterations in all when it creeps along a power law
-    that cannot bring it into the zero band (ZERO_TOL * ||W||_F) within the
-    budget (``_abandoned``); with ``stall``, ``"stalled"`` once one
-    iteration moves its value by at most STALL_TOL * ||W||_F; and
-    ``"budget"`` after DEFAULT_MAX_ITERS iterations in all.  So a descent
-    stopped on a stalled value did not meet the abandonment rule at that
-    step.
-    ``resume = (value, before, phi, iterations)`` continues descents
-    stopped earlier from their last state (``psi`` then holds their last
-    right vectors; ``before`` is the value of the iteration before the last,
-    which the abandonment rule reads).
+    share the stack (one (n, K) product would not do: BLAS rounds a one-row
+    product differently).  A descent leaves the active set on the first rule
+    it meets, in this order, which names its stop: ``"settled"`` once one
+    step moves its vectors by less than CONVERGENCE_TOL and its value by at
+    most CONVERGENCE_TOL * ||W||_F; ``"abandoned"`` after ABANDON_AFTER or
+    more iterations when it creeps along a power law that cannot bring it
+    into the zero band (ZERO_TOL * ||W||_F) within the budget
+    (``_abandoned``); and ``"budget"`` after DEFAULT_MAX_ITERS iterations.
     A step raising an objective by over 1e-10 * ||W||_F raises NumericalError.
     Returns the final values, left and right vectors, the value traces (two
-    entries per iteration of this call, from column 0), the iteration counts
-    (in all, resumed ones included), the stop names (``"budget"`` for
-    descents resumed with no budget left) and ``before``.
+    entries per iteration, from column 0), the iteration counts and the
+    stop names.
     """
     d_left, d_right = op.layout.left_dim, op.layout.right_dim
     norm = op.norm
     slack, settle_tol = MONOTONE_SLACK * norm, CONVERGENCE_TOL * norm
     floor = ABANDON_FLOOR * norm
-    stall_tol = STALL_TOL * norm if stall else -np.inf
     w_pairs = _realign(op.mat, d_left, d_right)
+    psi, ref_left, ref_right = _start_vectors(seed, descents, d_left, d_right)
     n = len(psi)
-    psi = psi.copy()
-    if resume is None:
-        phi = np.zeros((n, d_left), dtype=complex)
-        value, before = np.full(n, np.inf), np.full(n, np.inf)
-        iters = np.zeros(n, dtype=int)
-    else:
-        value, before, phi, iters = (np.array(a) for a in resume)
+    phi = np.zeros((n, d_left), dtype=complex)
+    value, before = np.full(n, np.inf), np.full(n, np.inf)
     trace = np.empty((n, 2 * DEFAULT_MAX_ITERS))
+    iters = np.full(n, DEFAULT_MAX_ITERS)
     stops = np.full(n, "budget", dtype=object)
-    active = np.flatnonzero(iters < DEFAULT_MAX_ITERS)
+    active = np.arange(n)
     for it in range(DEFAULT_MAX_ITERS):
         if not active.size:
             break
         p, prev, prev2 = psi[active], value[active], before[active]
-        val_left, phi_new = _min_eigvecs((_pairs(p) @ w_pairs.T).reshape(-1, d_left, d_left))
+        val_left, phi_new = _min_eigvecs(
+            (_pairs(p) @ w_pairs.T).reshape(-1, d_left, d_left), ref_left[active]
+        )
         val_right, psi_new = _min_eigvecs(
-            (_pairs(phi_new) @ w_pairs).reshape(-1, d_right, d_right)
+            (_pairs(phi_new) @ w_pairs).reshape(-1, d_right, d_right), ref_right[active]
         )
         # exact eigenvector steps can only lower the objective (fp slack only)
         if not ((val_right <= val_left + slack) & (val_left <= prev + slack)).all():
@@ -248,23 +246,19 @@ def _lockstep_descents(
         )
         phi[active], psi[active], value[active] = phi_new, psi_new, val_right
         before[active] = prev
-        k = iters[active] + it + 1  # iterations in all, this one included
-        hopeless = _abandoned(k, val_right, prev, prev2, floor)
         still = (move < CONVERGENCE_TOL) & (change <= settle_tol)
-        stalled = change <= stall_tol
-        done = still | hopeless | stalled | (k >= DEFAULT_MAX_ITERS)
+        done = still | _abandoned(it + 1, val_right, prev, prev2, floor)
         if done.any():
             leaving = active[done]
-            stops[leaving] = np.where(still, "settled", np.where(
-                hopeless, "abandoned", np.where(stalled, "stalled", "budget")))[done]
-            iters[leaving] += it + 1
+            stops[leaving] = np.where(still[done], "settled", "abandoned")
+            iters[leaving] = it + 1
             active = active[~done]
-    return value, phi, psi, trace, iters, stops, before
+    return value, phi, psi, trace, iters, stops
 
 
-def _abandoned(k: Array, v: Array, v1: Array, v2: Array, floor: float) -> Array:
-    """Descents to abandon at iteration ``k`` (in all), from the values v_k,
-    v_{k-1} and v_{k-2} of their last three iterations.
+def _abandoned(k: int, v: Array, v1: Array, v2: Array, floor: float) -> Array:
+    """Descents to abandon at iteration ``k``, from the values v_k, v_{k-1}
+    and v_{k-2} of their last three iterations.
 
     A descent creeping toward a degenerate minimum follows a power law
     C / k^p with a steady exponent (p near 2 on the Choi map).  It is
@@ -279,7 +273,7 @@ def _abandoned(k: Array, v: Array, v1: Array, v2: Array, floor: float) -> Array:
     """
     out = (k >= ABANDON_AFTER) & (v > floor)
     if out.any():
-        k, v, v1, v2 = k[out], v[out], v1[out], v2[out]
+        v, v1, v2 = v[out], v1[out], v2[out]
         p = np.log(v1 / v) / np.log(k / (k - 1))
         q = np.log(v2 / v1) / np.log((k - 1) / (k - 2))
         steady = (q > 0) & (np.abs(p - q) <= q / k)
@@ -298,16 +292,14 @@ def min_product_expectation(
     party vectors, so the objective is non-increasing step by step.  All
     restarts run in lock step: every half-step is one stacked contraction and
     one stacked eigensolve.  A restart is masked out of later steps once it
-    meets a stop rule of ``_lockstep_descents``, here with the stall rule:
-    on a continuum of minima the value is reached long before the vectors
-    stop drifting.  Restart ``r`` starts from ``rng_from(seed, r)``.  The
+    meets a stop rule of ``_lockstep_descents``.  Restart ``r`` is descent
+    ``r`` at ``seed``, drawn from ``rng_from(seed, r)``.  The
     report keeps per-restart values, vectors, stops, iteration counts and
     traces; the overall best takes the lowest restart index on ties.
     """
     restarts = _integer(restarts, "restarts", 1)
     W.layout.require_bipartite()
-    starts = _start_vectors(seed, range(restarts), W.layout.right_dim)
-    values, phis, psis, trace, iters, stops, prev = _lockstep_descents(W, starts, stall=True)
+    values, phis, psis, trace, iters, stops = _lockstep_descents(W, seed, range(restarts))
     phis.setflags(write=False)
     psis.setflags(write=False)
     return SeeSawReport(
@@ -319,7 +311,6 @@ def min_product_expectation(
         iterations=tuple(iters.tolist()),
         value_traces=tuple(tuple(row[: 2 * k].tolist()) for row, k in zip(trace, iters)),
         seed=seed,
-        previous_values=tuple(prev.tolist()),
     )
 
 
@@ -381,11 +372,9 @@ def collect_zero_set(
     run; an empty set is a legitimate outcome.  Descent ``t`` starts from
     ``rng_from(seed, t)`` as restart ``t`` of a see-saw at the same seed
     does, so a ``seesaw`` report of W supplies descents 0 to
-    ``seesaw.restarts - 1``; the seed is the report's (0 without one), and
-    another one raises.  The harvest drops the stall rule of
-    ``_lockstep_descents``, so the report's ``"stalled"`` restarts first run
-    on from their stored states and end where uninterrupted descents end;
-    then lock-step chunks run, each as large as the number of zeros still
+    ``seesaw.restarts - 1`` as they ended, with no descent run again; the
+    seed is the report's (0 without one), and another one raises.  Then
+    lock-step chunks run, each as large as the number of zeros still
     missing (capped by the budget).  One loop reads both: a chunk's
     candidates phi (x) psi are one stacked outer product, accepted in
     descent order (the set a one-at-a-time harvest keeps, from no extra
@@ -407,22 +396,18 @@ def collect_zero_set(
         raise ValueError(f"report seed {seesaw.seed!r} differs from harvest seed {seed!r}")
     zero_tol = ZERO_TOL * W.norm
     kept = np.empty((target_count, W.layout.total_dim), dtype=complex)  # phi (x) psi rows
-    count, next_descent, resume = 0, 0, None
+    count, next_descent, ended = 0, 0, None
     if seesaw is not None:
         n = min(seesaw.restarts, max_descents)
-        lefts, rights = (a[:n] for a in seesaw.restart_vectors)
-        # stalled restarts run on without the stall rule; the others are done
-        stalled = np.array(seesaw.stops[:n]) == "stalled"
-        k = np.where(stalled, seesaw.iterations[:n], DEFAULT_MAX_ITERS)
-        resume = (seesaw.restart_values[:n], seesaw.previous_values[:n], lefts, k)
+        ended = (np.array(seesaw.restart_values[:n]), *(a[:n] for a in seesaw.restart_vectors))
         next_descent = seesaw.restarts
-    while count < target_count and (resume is not None or next_descent < max_descents):
-        if resume is None:
+    while count < target_count and (ended is not None or next_descent < max_descents):
+        if ended is None:
             chunk = range(next_descent, min(max_descents, next_descent + target_count - count))
             next_descent = chunk.stop
-            rights = _start_vectors(seed, chunk, W.layout.right_dim)
-        values, phis, psis, *_ = _lockstep_descents(W, rights, resume=resume)
-        resume = None
+            ended = _lockstep_descents(W, seed, chunk)
+        values, phis, psis = ended[:3]
+        ended = None
         candidates = (phis[:, :, None] * psis[:, None, :]).reshape(len(values), -1)
         for candidate in candidates[np.abs(values) <= zero_tol]:
             if count and np.abs(kept[:count].conj() @ candidate).max() > DEDUP_OVERLAP:

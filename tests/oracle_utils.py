@@ -81,47 +81,61 @@ def min_product_expectation_bloch(mat, grid=21, polish_starts=4):
     return best
 
 
-def _min_eigpair(mat):
+DEGENERATE_GAP = 1e-12  # eigenvalue gap, relative to the largest modulus
+
+
+def _min_eigpair(mat, ref):
+    """Least eigenvalue and a unit vector of its eigenspace.  Where several
+    eigenvalues lie within DEGENERATE_GAP times the largest modulus of the
+    least, the vector is ``ref`` projected onto their eigenspace and
+    normalized; otherwise it is the eigenvector with its largest entry
+    rotated to the positive real axis."""
     vals, vecs = np.linalg.eigh(mat)
-    # among equal minima take the last ascending column (the first in
-    # descending order); rotate the largest entry to the positive real axis
-    k = int(np.flatnonzero(vals == vals.min())[-1])
-    v = vecs[:, k]
+    near = vecs[:, vals - vals[0] <= DEGENERATE_GAP * np.abs(vals).max()]
+    if near.shape[1] > 1:
+        v = near @ near.conj().T @ ref
+        return float(vals[0]), v / np.linalg.norm(v)
+    v = vecs[:, 0]
     pivot = v[int(np.argmax(np.abs(v)))]
-    return float(vals[k]), v * (pivot.conj() / abs(pivot))
+    return float(vals[0]), v * (pivot.conj() / abs(pivot))
+
+
+def _descent_draws(rng, d_left, d_right):
+    """A descent's normalized right-party start, then its left and right
+    reference vectors, in that order off its stream."""
+    psi = _complex_gaussian(d_right, rng)
+    refs = _complex_gaussian(d_left, rng), _complex_gaussian(d_right, rng)
+    return (psi / np.linalg.norm(psi), *refs)
 
 
 def seesaw_descent_reference(
-    mat, d_left, d_right, rng, max_iters=500, conv_tol=1e-12, stall_tol=None,
-    abandon_tol=None,
+    mat, d_left, d_right, rng, max_iters=500, conv_tol=1e-12, abandon_tol=None,
 ):
     """One see-saw descent from a complex Gaussian right-party start.
 
-    Alternates exact minimal eigenvectors of the two effective operators and
-    ends on the first of these checks that holds after an iteration, in this
-    order.  It converges once the value and both vectors move by less than
+    Alternates exact minimal eigenvectors of the two effective operators
+    (``_min_eigpair``, with the descent's own references) and ends on the
+    first of these checks that holds after an iteration, in this order.  It
+    converges once the value and both vectors move by less than
     ``conv_tol`` in one step.  Given ``abandon_tol``, it gives up as
     ``abandonment_holds`` says, with the band ``abandon_tol`` times the
     Frobenius norm of ``mat``; a descent given up counts as not converged.
-    Given ``stall_tol``, it converges once two consecutive right-half values
-    differ by at most ``stall_tol`` times that norm.  Without ``abandon_tol``
-    every unsettled, unstalled descent runs to the budget.
+    Without ``abandon_tol`` every unsettled descent runs to the budget.
     Returns (value, phi, psi, trace, converged); the trace holds both
     half-step values of every iteration.
     """
     w4 = np.asarray(mat, dtype=complex).reshape(d_left, d_right, d_left, d_right)
-    psi = rng.normal(size=d_right) + 1j * rng.normal(size=d_right)
-    psi = psi / np.linalg.norm(psi)
+    psi, ref_left, ref_right = _descent_draws(rng, d_left, d_right)
     phi = np.zeros(d_left, dtype=complex)
     value = np.inf
     trace = []
-    norm = np.sqrt(np.sum(np.abs(mat) ** 2))
-    stall = None if stall_tol is None else stall_tol * norm
-    band = None if abandon_tol is None else abandon_tol * norm
+    band = None if abandon_tol is None else abandon_tol * np.sqrt(np.sum(np.abs(mat) ** 2))
     for k in range(1, max_iters + 1):
-        val_left, phi_new = _min_eigpair(np.einsum("irjs,r,s->ij", w4, psi.conj(), psi))
+        val_left, phi_new = _min_eigpair(
+            np.einsum("irjs,r,s->ij", w4, psi.conj(), psi), ref_left
+        )
         val_right, psi_new = _min_eigpair(
-            np.einsum("irjs,i,j->rs", w4, phi_new.conj(), phi_new)
+            np.einsum("irjs,i,j->rs", w4, phi_new.conj(), phi_new), ref_right
         )
         trace += [val_left, val_right]
         move = max(
@@ -134,8 +148,6 @@ def seesaw_descent_reference(
             return value, phi, psi, trace, True
         if band is not None and abandonment_holds(trace, k, band, max_iters):
             return value, phi, psi, trace, False
-        if stall is not None and k > 1 and abs(trace[-1] - trace[-3]) <= stall:
-            return value, phi, psi, trace, True
     return value, phi, psi, trace, False
 
 
@@ -214,16 +226,13 @@ def draw_effect(d, rng):
 
 
 def min_product_reference(
-    mat, d_left, d_right, restarts, seed, max_iters=500, stall_tol=1e-13,
-    abandon_tol=None,
+    mat, d_left, d_right, restarts, seed, max_iters=500, abandon_tol=None,
 ):
-    """Per-restart descents, run one after another in restart order, with the
-    certification see-saw's stall stop (``stall_tol=None`` for the strict
-    rule alone) and, given ``abandon_tol``, its abandonment rule."""
+    """Per-restart descents, run one after another in restart order, given
+    ``abandon_tol`` with the certification see-saw's abandonment rule."""
     return [
         seesaw_descent_reference(
-            mat, d_left, d_right, descent_rng(seed, r), max_iters,
-            stall_tol=stall_tol, abandon_tol=abandon_tol,
+            mat, d_left, d_right, descent_rng(seed, r), max_iters, abandon_tol=abandon_tol,
         )
         for r in range(restarts)
     ]
@@ -256,27 +265,32 @@ def zero_harvest_reference(
     return kept, run
 
 
-def _min_eigpairs(mats):
-    """``_min_eigpair`` of each matrix in a stack."""
+def _min_eigpairs(mats, refs):
+    """``_min_eigpair`` of each matrix in a stack, with its row of ``refs``."""
     vals, vecs = np.linalg.eigh(mats)
-    rows, d = np.arange(len(mats)), vals.shape[1]
-    lowest = vals == vals.min(axis=1, keepdims=True)
-    k = d - 1 - np.argmax(lowest[:, ::-1], axis=1)  # the last of equal minima
-    v = vecs[rows, :, k]
+    rows = np.arange(len(mats))
+    v = vecs[:, :, 0]
     pivot = v[rows, np.argmax(np.abs(v), axis=1)]
-    return vals[rows, k], v * (pivot.conj() / np.abs(pivot))[:, None]
+    v = v * (pivot.conj() / np.abs(pivot))[:, None]
+    near = vals - vals[:, :1] <= DEGENERATE_GAP * np.abs(vals).max(axis=1, keepdims=True)
+    for n in np.flatnonzero(near.sum(axis=1) > 1):
+        basis = vecs[n][:, near[n]]
+        proj = basis @ (basis.conj().T @ refs[n])
+        v[n] = proj / np.linalg.norm(proj)
+    return vals[:, 0], v
 
 
 def seesaw_descents_stacked(mat, d_left, d_right, rngs, max_iters=500, conv_tol=1e-12):
-    """``seesaw_descent_reference`` without stall or abandonment rules, one
-    descent per stream, all run together: each steps until it converges or
-    the budget runs out.  Returns the values, phis and psis, one row each."""
+    """``seesaw_descent_reference`` without the abandonment rule, one descent
+    per stream, all run together: each steps until it converges or the
+    budget runs out.  Returns the values, phis and psis, one row each."""
     w4 = np.asarray(mat, dtype=complex).reshape(d_left, d_right, d_left, d_right)
     # the effective operators as row products: [(r, s), (i, j)] and [(i, j), (r, s)]
     w_right = w4.transpose(1, 3, 0, 2).reshape(d_right * d_right, -1)
     w_left = w4.transpose(0, 2, 1, 3).reshape(d_left * d_left, -1)
-    psi = np.array([rng.normal(size=d_right) + 1j * rng.normal(size=d_right) for rng in rngs])
-    psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
+    psi, ref_left, ref_right = (
+        np.array(a) for a in zip(*(_descent_draws(rng, d_left, d_right) for rng in rngs))
+    )
     phi = np.zeros((len(psi), d_left), dtype=complex)
     value = np.full(len(psi), np.inf)
     active = np.arange(len(psi))
@@ -285,9 +299,13 @@ def seesaw_descents_stacked(mat, d_left, d_right, rngs, max_iters=500, conv_tol=
             break
         p, f = psi[active], phi[active]
         pairs = (p.conj()[:, :, None] * p[:, None, :]).reshape(len(p), -1)
-        _, phi_new = _min_eigpairs((pairs @ w_right).reshape(-1, d_left, d_left))
+        _, phi_new = _min_eigpairs(
+            (pairs @ w_right).reshape(-1, d_left, d_left), ref_left[active]
+        )
         pairs = (phi_new.conj()[:, :, None] * phi_new[:, None, :]).reshape(len(p), -1)
-        val_right, psi_new = _min_eigpairs((pairs @ w_left).reshape(-1, d_right, d_right))
+        val_right, psi_new = _min_eigpairs(
+            (pairs @ w_left).reshape(-1, d_right, d_right), ref_right[active]
+        )
         move = np.maximum(
             np.abs(val_right - value[active]),
             np.maximum(np.abs(phi_new - f).max(axis=1), np.abs(psi_new - p).max(axis=1)),

@@ -75,8 +75,8 @@ def test_restart_stops_are_summarized_on_stderr_only(capsys, argv):
     assert code == 0
     line = next(x for x in err.splitlines() if x.startswith("see-saw restarts:"))
     counts = [int(word) for word in line.replace(",", " ").split() if word.isdigit()]
-    settled, stalled, at_budget = counts[:3]
-    assert settled + stalled + at_budget == 8
+    settled, at_budget, abandoned = counts[:3]
+    assert settled + at_budget + abandoned == 8
     assert "see-saw restarts" not in out and "settled" not in out
 
 
@@ -84,12 +84,12 @@ def test_restart_summary_counts_abandoned_restarts_apart_from_budget(capsys):
     code, _, err = run_cli(capsys, "certify", "choi")
     assert code == 0
     line = next(x for x in err.splitlines() if x.startswith("see-saw restarts:"))
-    assert "0 settled, 47 stalled, 0 at budget, 17 abandoned;" in line
+    assert "47 settled, 0 at budget, 17 abandoned;" in line
 
 
 @pytest.mark.parametrize("name", ["choi", "swap", "identity", "capped-choi"])
 def test_certify_reports_the_stops_the_seesaw_names(capsys, tmp_path, name, capped_choi):
-    # stdout's converged flags and stderr's four counts are read off the
+    # stdout's converged flags and stderr's three counts are read off the
     # stop names of the same see-saw, never decoded apart from them
     if name == "capped-choi":
         name = str(tmp_path / "capped-choi.json")
@@ -98,11 +98,11 @@ def test_certify_reports_the_stops_the_seesaw_names(capsys, tmp_path, name, capp
     stops = min_product_expectation(op, seed=42).stops
     code, out, err = run_cli(capsys, "certify", name)
     assert code == 0
-    assert json.loads(out)["see_saw_converged"] == [s in ("settled", "stalled") for s in stops]
+    assert json.loads(out)["see_saw_converged"] == [s == "settled" for s in stops]
     line = next(x for x in err.splitlines() if x.startswith("see-saw restarts:"))
-    counts = re.findall(r"(\d+) (settled|stalled|at budget|abandoned)", line)
+    counts = re.findall(r"(\d+) (settled|at budget|abandoned)", line)
     assert {word.removeprefix("at "): int(n) for n, word in counts} == {
-        s: stops.count(s) for s in ("settled", "stalled", "budget", "abandoned")
+        s: stops.count(s) for s in ("settled", "budget", "abandoned")
     }
 
 

@@ -30,7 +30,6 @@ from entwit import (
 import entwit.witness as witness_module
 from integer_args import check_integer_case, integer_cases
 from oracle_utils import (
-    abandonment_holds,
     draw_separable,
     draw_unitary,
     min_product_expectation_bloch,
@@ -132,15 +131,17 @@ def _random_hermitian(dims, seed):
 @pytest.mark.parametrize("shifted", [False, True], ids=["raw", "shifted"])
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
 def test_stall_stop_keeps_the_strict_product_minimum(dims, shifted):
-    # shifting by the product minimum puts it at 0, where verdicts are made
+    # the lock-step see-saw, abandonment included, keeps the product minimum
+    # of strict descents that run until they settle; shifting by the product
+    # minimum puts it at 0, where verdicts are made
     for seed in range(4):
         mat = _random_hermitian(dims, 300 + seed)
         if shifted:
-            strict = min_product_reference(mat, *dims, 16, seed, stall_tol=None)
+            strict = min_product_reference(mat, *dims, 16, seed)
             mat = mat - min(r[0] for r in strict) * np.eye(len(mat))
         op = HermitianOperator(mat, SystemLayout(dims, 1))
         report = min_product_expectation(op, restarts=16, seed=seed)
-        strict = min_product_reference(mat, *dims, 16, seed, stall_tol=None)
+        strict = min_product_reference(mat, *dims, 16, seed)
         gap = abs(report.best_value - min(r[0] for r in strict))
         assert gap <= 1e-11 * np.linalg.norm(mat)
 
@@ -152,7 +153,7 @@ def test_abandonment_leaves_restarts_settling_above_the_band_alone():
     # traces are those of descents that are never abandoned.
     dims = (3, 3)
     mat = _random_hermitian(dims, [7, 3, 3, 10])
-    shift = min(r[0] for r in min_product_reference(mat, *dims, 16, 0, stall_tol=None))
+    shift = min(r[0] for r in min_product_reference(mat, *dims, 16, 0))
     mat = mat - (shift - 1e-2 * np.linalg.norm(mat)) * np.eye(len(mat))
     op = HermitianOperator(mat, SystemLayout(dims, 1))
     report = min_product_expectation(op, restarts=16, seed=42)
@@ -250,70 +251,28 @@ def test_harvest_keeps_a_repeated_zero_once():
 def test_harvest_runs_stalled_restarts_on_as_uninterrupted_descents(
     target_count, max_descents, capped_choi
 ):
-    # On the capped Choi extension the restarts stop on a stalled value while
-    # their vectors still drift along a continuum of zeros.  The drift turns
-    # last-bit differences between the lock step and the sequential reference
-    # into different end points, so the kept vectors are checked against
-    # fresh strict lock-step descents from the same starts, and only their
-    # count against the reference.
+    # The harvest reads the see-saw report's restarts as they ended: they
+    # are the descents a fresh harvest runs from the same starts, so both
+    # keep the same vectors, bit for bit, and those of the sequential
+    # reference up to rounding.
     op = capped_choi
     report = min_product_expectation(op, seed=42)
-    stalled = [s == "stalled" for s in report.stops]
-    assert any(stalled[:max_descents])
-    resumed = collect_zero_set(
+    from_report = collect_zero_set(
         op, target_count=target_count, max_descents=max_descents, seed=42, seesaw=report
     )
     fresh = collect_zero_set(
         op, target_count=target_count, max_descents=max_descents, seed=42
     )
-    assert len(resumed.vectors) == len(fresh.vectors)
-    for kept, strict in zip(resumed.vectors, fresh.vectors):
+    assert len(from_report.vectors) == len(fresh.vectors)
+    for kept, strict in zip(from_report.vectors, fresh.vectors):
         np.testing.assert_array_equal(kept, strict)
     reference, _ = zero_harvest_reference(
         op.mat, op.layout.left_dim, op.layout.right_dim, target_count, max_descents, 42,
         abandon_tol=witness_module.ABANDON_FLOOR,
     )
-    assert len(resumed.vectors) == len(reference)
-
-
-@pytest.mark.parametrize("stall_tol", [None, 5e-6], ids=["default", "stall-at-20"])
-def test_harvest_resumes_restarts_as_uninterrupted_strict_descents(
-    stall_tol, choi, monkeypatch
-):
-    # Every descent the harvest reads from a see-saw report ends bit for bit
-    # where a strict descent from the same start ends.  Stalling at 5e-6 on
-    # choi stops restarts at iteration 20, where some of them meet the
-    # abandonment rule too: those are abandoned, as a strict descent is, so
-    # no restart reported as stalled meets the rule at its stop.
-    if stall_tol is not None:
-        monkeypatch.setattr(witness_module, "STALL_TOL", stall_tol)
-    report = min_product_expectation(choi, seed=42)
-    norm = np.linalg.norm(choi.mat)
-    floor, stall = witness_module.ABANDON_FLOOR * norm, witness_module.STALL_TOL * norm
-    stalled = [s == "stalled" for s in report.stops]
-    assert any(stalled)
-    for s, k, trace in zip(stalled, report.iterations, report.value_traces):
-        assert not (s and abandonment_holds(trace, k, floor))
-    both = [
-        k >= 20 and abs(t[39] - t[37]) <= stall and abandonment_holds(t, 20, floor)
-        for k, t in zip(report.iterations, report.value_traces)
-    ]
-    assert any(both) == (stall_tol is not None)
-    for b, s, k in zip(both, report.stops, report.iterations):
-        assert not b or (s == "abandoned" and k == 20)
-    lockstep = witness_module._lockstep_descents
-    runs = []
-
-    def recording_lockstep(*args, **kwargs):
-        runs.append(lockstep(*args, **kwargs))
-        return runs[-1]
-
-    monkeypatch.setattr(witness_module, "_lockstep_descents", recording_lockstep)
-    collect_zero_set(choi, seed=42, seesaw=report)
-    starts = witness_module._start_vectors(42, range(report.restarts), choi.layout.right_dim)
-    strict = lockstep(choi, starts)
-    for resumed, uninterrupted in zip(runs[0][:3], strict[:3]):
-        np.testing.assert_array_equal(resumed, uninterrupted)
+    assert len(from_report.vectors) == len(reference)
+    for kept, ref in zip(from_report.vectors, reference):
+        np.testing.assert_allclose(kept, ref, atol=1e-9)
 
 
 @pytest.mark.parametrize("name, target_count, max_descents", [
@@ -322,13 +281,11 @@ def test_harvest_resumes_restarts_as_uninterrupted_strict_descents(
 def test_harvest_resumes_from_the_report_without_its_traces(
     name, target_count, max_descents, choi, capped_choi
 ):
-    # The see-saw report keeps each restart's next-to-last value, which the
-    # harvest's abandonment rule reads on resuming a stalled restart; the
-    # value traces are for observation only.  A report with its traces
-    # emptied harvests the same zeros, bit for bit.
+    # The harvest reads the report's values and vectors; the value traces
+    # are for observation only.  A report with its traces emptied harvests
+    # the same zeros, bit for bit.
     op = {"choi": choi, "capped-choi": capped_choi}[name]
     report = min_product_expectation(op, seed=42)
-    assert "stalled" in report.stops
     budget = {"target_count": target_count, "max_descents": max_descents}
     traced = collect_zero_set(op, seesaw=report, **budget)
     blind = report._replace(value_traces=((),) * report.restarts)
@@ -337,41 +294,6 @@ def test_harvest_resumes_from_the_report_without_its_traces(
     assert len(untraced.vectors) == len(traced.vectors) > 0
     for got, want in zip(untraced.vectors, traced.vectors):
         np.testing.assert_array_equal(got, want)
-    for prev, k, trace in zip(report.previous_values, report.iterations, report.value_traces):
-        assert prev == trace[2 * k - 3]
-
-
-def test_resumed_descents_stop_at_the_budget(choi):
-    # A descent resumed with its whole budget spent comes back as it went in,
-    # with stop "budget"; one with one iteration left runs exactly that one,
-    # the first iteration of a two-iteration run from the same state.  The
-    # states are those of stalled see-saw restarts, still drifting in the
-    # zero band, given counts at the end of the budget.
-    budget = witness_module.DEFAULT_MAX_ITERS
-    lockstep = witness_module._lockstep_descents
-    report = min_product_expectation(choi, seed=42)
-    rows = [r for r, s in enumerate(report.stops) if s == "stalled"][:6]
-    assert len(rows) == 6
-    value = np.array([report.restart_values[r] for r in rows])
-    before = np.array([report.value_traces[r][-3] for r in rows])
-    phi, psi = (a[rows] for a in report.restart_vectors)
-    spent = np.arange(6) % 2 == 0
-    out = lockstep(choi, psi, resume=(value, before, phi, np.where(spent, budget, budget - 1)))
-    for got, held in zip(out[:3], (value, phi, psi)):
-        np.testing.assert_array_equal(got[spent], held[spent])
-    assert (out[4] == budget).all() and (out[5] == "budget").all()
-    left = ~spent
-    two = lockstep(
-        choi, psi[left], resume=(value[left], before[left], phi[left], [budget - 2] * 3)
-    )
-    assert (two[4] == budget).all() and (two[5] == "budget").all()
-    np.testing.assert_array_equal(out[3][left, :2], two[3][:, :2])
-    np.testing.assert_array_equal(out[0][left], two[3][:, 1])
-    last = lockstep(
-        choi, out[2][left], resume=(out[0][left], value[left], out[1][left], [budget - 1] * 3)
-    )
-    for got, whole in zip(last[:3], two[:3]):
-        np.testing.assert_array_equal(got, whole)
 
 
 def _haar_rotated(op, seed):
@@ -398,7 +320,7 @@ def test_abandoned_descents_drop_no_zero(name, choi, swap, capped_choi):
     zeros = collect_zero_set(op, seed=42, seesaw=seesaw)
     dim = op.layout.total_dim
     # the stacked reference keeps what the sequential one keeps (pinned on
-    # every case but the capped one, where the sequential takes ~10 s)
+    # every case but the capped one, where the sequential takes ~1.6 s)
     reference, _ = zero_harvest_stacked(
         op.mat, op.layout.left_dim, op.layout.right_dim, 4 * dim, 20 * dim, 42,
         zero_tol=witness_module.ZERO_TOL * np.linalg.norm(op.mat),
@@ -410,7 +332,6 @@ def test_abandoned_descents_drop_no_zero(name, choi, swap, capped_choi):
         # choi's 7 (6 for its partial transpose) under (2, 2) caps
         assert zeros.span_rank == 7 * 2 * 2
         assert collect_zero_set(partial_transpose(op), seed=42).span_rank == 6 * 2 * 2
-        return  # kept vectors fixed by rounding on a continuum: count and rank only
     for kept, ref in zip(zeros.vectors, reference):
         np.testing.assert_allclose(kept, ref, atol=1e-9)
 
@@ -440,7 +361,7 @@ def test_certifying_choi_abandons_its_creeping_restarts(choi):
     cert = certify_witness(choi, seed=42)
     report = cert.min_product
     assert report.stops.count("abandoned") == 17
-    assert report.stops.count("stalled") == 47
+    assert report.stops.count("settled") == 47
     band = witness_module.ZERO_TOL * np.linalg.norm(choi.mat)
     assert all(
         v > band for v, s in zip(report.restart_values, report.stops) if s == "abandoned"
@@ -503,10 +424,13 @@ def _lifted_rank(d_a, d_b, d_ap, d_bp, rank_l, rank_r, r):
     return d_a * d_b * (d_ap * d_bp - rank_l * rank_r) + rank_l * rank_r * r
 
 
-def _swap_under_rank_one_caps(rng):
-    u, v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    caps = ExtensionSpec(np.outer(u, u.conj()), np.outer(v, v.conj()))
-    return extend_witness(swap_witness(), caps)
+def _capped(build, dims, rank):
+    """``build`` under caps G G^H on sides of ``dims``, each G a d x ``rank``
+    complex Gaussian from the test's stream, the left one first."""
+    def capped(rng):
+        gs = [rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank)) for d in dims]
+        return extend_witness(build(rng), ExtensionSpec(*(g @ g.conj().T for g in gs)))
+    return capped
 
 
 # The exact spanning ranks of W's product zeros and of Gamma(W)'s, in closed
@@ -518,25 +442,37 @@ EXACT_RANKS = {
     "swap": (lambda rng: swap_witness(), 4, 3),
     "phi-half": (lambda rng: _generalized_choi(0.5), 9, 9),
     "phi-quarter": (lambda rng: _generalized_choi(0.25), 9, 9),
+    "phi-tenth": (lambda rng: _generalized_choi(0.1), 9, 9),
     "swap-3": (lambda rng: swap_witness(3), 9, 8),
     "swap-rank-one-caps": (
-        _swap_under_rank_one_caps,
+        _capped(lambda rng: swap_witness(), (2, 2), 1),
         _lifted_rank(2, 2, 2, 2, 1, 1, 4),
         _lifted_rank(2, 2, 2, 2, 1, 1, 3),
     ),
+    "choi-caps-2-2": (
+        _capped(lambda rng: choi_witness(), (2, 2), 2),
+        _lifted_rank(3, 3, 2, 2, 2, 2, 7),
+        _lifted_rank(3, 3, 2, 2, 2, 2, 6),
+    ),
+    "swap-caps-2-3": (
+        _capped(lambda rng: swap_witness(), (2, 3), 3),
+        _lifted_rank(2, 2, 2, 3, 2, 3, 4),
+        _lifted_rank(2, 2, 2, 3, 2, 3, 3),
+    ),
+    "swap-3-caps-2-3": (
+        _capped(lambda rng: swap_witness(3), (2, 3), 3),
+        _lifted_rank(3, 3, 2, 3, 2, 3, 9),
+        _lifted_rank(3, 3, 2, 3, 2, 3, 8),
+    ),
 }
-DEGENERATE_MINIMA = pytest.mark.xfail(strict=True, reason=(
-    "degenerate minimal eigenspaces bias the harvest to one column "
-    "(ROADMAP item 10): the 3x3 swap reads 4, 4 and 5 of 9, Gamma 3 of 8"
-))
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42])
 @pytest.mark.parametrize("name, rotated", [
     ("choi", False), ("choi", True), ("swap", False), ("swap", True),
-    ("phi-half", False), ("phi-half", True), ("phi-quarter", False),
-    pytest.param("swap-3", False, marks=DEGENERATE_MINIMA), ("swap-3", True),
-    ("swap-rank-one-caps", False),
+    ("phi-half", False), ("phi-half", True), ("phi-quarter", False), ("phi-tenth", False),
+    ("swap-3", False), ("swap-3", True), ("swap-rank-one-caps", False),
+    ("choi-caps-2-2", False), ("swap-caps-2-3", False), ("swap-3-caps-2-3", False),
 ])
 def test_spanning_ranks_are_the_exact_ranks(name, rotated, seed):
     build, rank, gamma_rank = EXACT_RANKS[name]
@@ -553,6 +489,33 @@ def test_spanning_ranks_are_the_exact_ranks(name, rotated, seed):
     assert collect_zero_set(partial_transpose(op), seed=seed).span_rank == gamma_rank
 
 
+def test_min_eigvecs_projects_the_reference_on_degenerate_minima():
+    # Rows 1 and 3 have a twofold and a threefold least eigenvalue: each
+    # returns its reference projected onto that eigenspace, normalized,
+    # whatever basis the eigensolver picks there.  Rows 0 and 2 have a
+    # single least eigenvalue and return LAPACK's eigenvector with its
+    # largest entry rotated to the positive real axis, bit for bit.
+    rng = rng_from(5)
+    u = np.array([draw_unitary(4, rng) for _ in range(4)])
+    spectra = np.array([
+        [-1.0, 0.5, 1.0, 2.0], [-1.0, -1.0, 0.5, 3.0],
+        [0.3, 0.7, 1.1, 4.0], [-2.0, -2.0, -2.0, 1.0],
+    ])
+    mats = (u * spectra[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    mats = (mats + mats.conj().transpose(0, 2, 1)) / 2
+    refs = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    vals, vecs = witness_module._min_eigvecs(mats, refs)
+    np.testing.assert_allclose(vals, spectra.min(axis=1), atol=1e-12)
+    for n, k in ((1, 2), (3, 3)):
+        proj = u[n][:, :k] @ (u[n][:, :k].conj().T @ refs[n])
+        np.testing.assert_allclose(vecs[n], proj / np.linalg.norm(proj), atol=1e-12)
+    least = np.linalg.eigh(mats)[1][:, :, 0]
+    pivot = least[np.arange(4), np.argmax(np.abs(least), axis=1)]
+    fixed = least * (pivot.conj() / np.abs(pivot))[:, None]
+    for n in (0, 2):
+        assert vecs[n].tobytes() == fixed[n].tobytes()
+
+
 def test_seesaw_best_vector_reproduces_best_value(swap):
     report = min_product_expectation(swap, restarts=8, seed=3)
     v = report.best_vector
@@ -564,8 +527,7 @@ def test_seesaw_report_holds_the_kernel_stacks(choi):
     # the report keeps the lock-step kernel's left and right stacks as they
     # come, frozen: no per-restart objects, no copies
     report = min_product_expectation(choi, restarts=8, seed=3)
-    starts = witness_module._start_vectors(3, range(8), choi.layout.right_dim)
-    kernel = witness_module._lockstep_descents(choi, starts, stall=True)[1:3]
+    kernel = witness_module._lockstep_descents(choi, 3, range(8))[1:3]
     assert len(report.restart_vectors) == 2
     for held, direct, d in zip(report.restart_vectors, kernel, (3, 3)):
         assert held.shape == direct.shape == (8, d) and held.dtype == complex
