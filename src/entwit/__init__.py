@@ -40,7 +40,7 @@ _EXPORTS = {
     ),
     "operators": (
         "HermitianOperator", "LayoutError", "NumericalError", "SystemLayout",
-        "eigh", "is_psd", "kron", "maximally_entangled_vector", "partial_trace",
+        "eigh", "is_psd", "maximally_entangled_vector", "partial_trace",
         "partial_transpose", "projector", "single_system",
     ),
     "sampling": ("random_density", "random_psd", "rng_from"),

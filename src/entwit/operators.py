@@ -35,7 +35,6 @@ __all__ = [
     "SystemLayout",
     "single_system",
     "HermitianOperator",
-    "kron",
     "partial_transpose",
     "partial_trace",
     "eigh",
@@ -273,14 +272,6 @@ def _realign(mat: Array, d_left: int, d_right: int) -> Array:
         mat.reshape(d_left, d_right, d_left, d_right)
         .transpose(0, 2, 1, 3)
         .reshape(d_left * d_left, d_right * d_right)
-    )
-
-
-def kron(A: HermitianOperator, B: HermitianOperator) -> HermitianOperator:
-    """Kronecker product; the cut lands between the two inputs' subsystems."""
-    dims = A.layout.dims + B.layout.dims
-    return HermitianOperator(
-        np.kron(A.mat, B.mat), SystemLayout(dims, len(A.layout.dims))
     )
 
 

@@ -53,7 +53,7 @@ VERDICT_NOT_FOUND = "not-found-at-budget"
 
 DEFAULT_MAX_ITERS = 500
 CONVERGENCE_TOL = 1e-12  # on vector entries; times ||W||_F on values
-DEGENERATE_TOL = 1e-12  # eigenvalue gap, relative to the largest modulus
+DEGENERATE_TOL = 1e-14  # tie window, relative to the Frobenius norm of W
 MONOTONE_SLACK = 1e-10  # relative to the Frobenius norm of W
 ZERO_TOL = 1e-13  # relative to the Frobenius norm of W
 ABANDON_AFTER = 20  # iterations before a descent may be abandoned
@@ -83,12 +83,6 @@ class SeeSawReport(NamedTuple):
 
     def __reduce__(self):  # copies and pickles come back with frozen arrays
         return _refill, (type(self), tuple(self))
-
-    @property
-    def best_vector(self) -> Array:
-        """phi (x) psi of the lowest-index restart reaching the best value."""
-        r = int(np.argmin(self.restart_values))
-        return np.kron(self.restart_vectors[0][r], self.restart_vectors[1][r])
 
     @property
     def converged(self) -> tuple[bool, ...]:
@@ -140,21 +134,20 @@ def expectation(W: HermitianOperator, rho: HermitianOperator | Array) -> float:
     return float(val.real)
 
 
-def _min_eigvecs(mats: Array, refs: Array) -> tuple[Array, Array]:
+def _min_eigvecs(mats: Array, refs: Array, window: float) -> tuple[Array, Array]:
     """Minimal eigenpair of each matrix in a stack.
 
-    Where several eigenvalues lie within DEGENERATE_TOL times the largest
-    eigenvalue modulus of the least, the vector is the normalized projection
-    of that row of ``refs`` onto their eigenspace, which does not depend on
-    the basis the eigensolver picks in it.  Otherwise it is the eigenvector,
-    rotated so that its largest-modulus entry (the first, on ties) is real
-    and positive.
+    Where several eigenvalues lie within ``window`` of the least, the vector
+    is the normalized projection of that row of ``refs`` onto their
+    eigenspace, which does not depend on the basis the eigensolver picks in
+    it.  Otherwise it is the eigenvector, rotated so that its largest-modulus
+    entry (the first, on ties) is real and positive.
     """
     vals, vecs = eigh(mats)
     low, v = vals[:, -1], vecs[:, :, -1]
     pivot = v[np.arange(len(v)), np.argmax(np.abs(v), axis=1)]
     v = v * (pivot.conj() / np.abs(pivot))[:, None]
-    near = vals - low[:, None] <= DEGENERATE_TOL * np.abs(vals).max(axis=1, keepdims=True)
+    near = vals - low[:, None] <= window
     tied = near.sum(axis=1) > 1
     if tied.any():
         basis = vecs[tied] * near[tied][:, None, :]  # the least eigenspace's columns
@@ -198,13 +191,16 @@ def _lockstep_descents(op: HermitianOperator, seed: int, descents: range) -> tup
     ``einsum("irjs,ni,nj->nrs", ...)``, likewise.  Each row is its own
     product, so a descent's arithmetic does not depend on which descents
     share the stack (one (n, K) product would not do: BLAS rounds a one-row
-    product differently).  A descent leaves the active set on the first rule
-    it meets, in this order, which names its stop: ``"settled"`` once one
-    step moves its vectors by less than CONVERGENCE_TOL and its value by at
-    most CONVERGENCE_TOL * ||W||_F; ``"abandoned"`` after ABANDON_AFTER or
-    more iterations when it creeps along a power law that cannot bring it
-    into the zero band (ZERO_TOL * ||W||_F) within the budget
-    (``_abandoned``); and ``"budget"`` after DEFAULT_MAX_ITERS iterations.
+    product differently).  Eigenvalues within DEGENERATE_TOL * ||W||_F of
+    the least tie (``_min_eigvecs``), so a reduced operator whose whole
+    spectrum is rounding noise steps to the descent's reference.  A descent
+    leaves the active set on the first rule it meets, in this order, which
+    names its stop: ``"settled"`` once one step moves its vectors by less
+    than CONVERGENCE_TOL and its value by at most CONVERGENCE_TOL * ||W||_F;
+    ``"abandoned"`` after ABANDON_AFTER or more iterations when it creeps
+    along a power law that cannot bring it into the zero band (ZERO_TOL *
+    ||W||_F) within the budget (``_abandoned``); and ``"budget"`` after
+    DEFAULT_MAX_ITERS iterations.
     A step raising an objective by over 1e-10 * ||W||_F raises NumericalError.
     Returns the final values, left and right vectors, the value traces (two
     entries per iteration, from column 0), the iteration counts and the
@@ -213,7 +209,7 @@ def _lockstep_descents(op: HermitianOperator, seed: int, descents: range) -> tup
     d_left, d_right = op.layout.left_dim, op.layout.right_dim
     norm = op.norm
     slack, settle_tol = MONOTONE_SLACK * norm, CONVERGENCE_TOL * norm
-    floor = ABANDON_FLOOR * norm
+    floor, window = ABANDON_FLOOR * norm, DEGENERATE_TOL * norm
     w_pairs = _realign(op.mat, d_left, d_right)
     psi, ref_left, ref_right = _start_vectors(seed, descents, d_left, d_right)
     n = len(psi)
@@ -228,10 +224,10 @@ def _lockstep_descents(op: HermitianOperator, seed: int, descents: range) -> tup
             break
         p, prev, prev2 = psi[active], value[active], before[active]
         val_left, phi_new = _min_eigvecs(
-            (_pairs(p) @ w_pairs.T).reshape(-1, d_left, d_left), ref_left[active]
+            (_pairs(p) @ w_pairs.T).reshape(-1, d_left, d_left), ref_left[active], window
         )
         val_right, psi_new = _min_eigvecs(
-            (_pairs(phi_new) @ w_pairs).reshape(-1, d_right, d_right), ref_right[active]
+            (_pairs(phi_new) @ w_pairs).reshape(-1, d_right, d_right), ref_right[active], window
         )
         # exact eigenvector steps can only lower the objective (fp slack only)
         if not ((val_right <= val_left + slack) & (val_left <= prev + slack)).all():

@@ -81,17 +81,16 @@ def min_product_expectation_bloch(mat, grid=21, polish_starts=4):
     return best
 
 
-DEGENERATE_GAP = 1e-12  # eigenvalue gap, relative to the largest modulus
+DEGENERATE_GAP = 1e-14  # tie window, relative to the Frobenius norm of the witness
 
 
-def _min_eigpair(mat, ref):
+def _min_eigpair(mat, ref, window):
     """Least eigenvalue and a unit vector of its eigenspace.  Where several
-    eigenvalues lie within DEGENERATE_GAP times the largest modulus of the
-    least, the vector is ``ref`` projected onto their eigenspace and
-    normalized; otherwise it is the eigenvector with its largest entry
-    rotated to the positive real axis."""
+    eigenvalues lie within ``window`` of the least, the vector is ``ref``
+    projected onto their eigenspace and normalized; otherwise it is the
+    eigenvector with its largest entry rotated to the positive real axis."""
     vals, vecs = np.linalg.eigh(mat)
-    near = vecs[:, vals - vals[0] <= DEGENERATE_GAP * np.abs(vals).max()]
+    near = vecs[:, vals - vals[0] <= window]
     if near.shape[1] > 1:
         v = near @ near.conj().T @ ref
         return float(vals[0]), v / np.linalg.norm(v)
@@ -114,7 +113,8 @@ def seesaw_descent_reference(
     """One see-saw descent from a complex Gaussian right-party start.
 
     Alternates exact minimal eigenvectors of the two effective operators
-    (``_min_eigpair``, with the descent's own references) and ends on the
+    (``_min_eigpair``, with the descent's own references and the tie window
+    DEGENERATE_GAP times the Frobenius norm of ``mat``) and ends on the
     first of these checks that holds after an iteration, in this order.  It
     converges once the value and both vectors move by less than
     ``conv_tol`` in one step.  Given ``abandon_tol``, it gives up as
@@ -130,12 +130,13 @@ def seesaw_descent_reference(
     value = np.inf
     trace = []
     band = None if abandon_tol is None else abandon_tol * np.sqrt(np.sum(np.abs(mat) ** 2))
+    window = DEGENERATE_GAP * np.linalg.norm(mat)
     for k in range(1, max_iters + 1):
         val_left, phi_new = _min_eigpair(
-            np.einsum("irjs,r,s->ij", w4, psi.conj(), psi), ref_left
+            np.einsum("irjs,r,s->ij", w4, psi.conj(), psi), ref_left, window
         )
         val_right, psi_new = _min_eigpair(
-            np.einsum("irjs,i,j->rs", w4, phi_new.conj(), phi_new), ref_right
+            np.einsum("irjs,i,j->rs", w4, phi_new.conj(), phi_new), ref_right, window
         )
         trace += [val_left, val_right]
         move = max(
@@ -265,14 +266,14 @@ def zero_harvest_reference(
     return kept, run
 
 
-def _min_eigpairs(mats, refs):
+def _min_eigpairs(mats, refs, window):
     """``_min_eigpair`` of each matrix in a stack, with its row of ``refs``."""
     vals, vecs = np.linalg.eigh(mats)
     rows = np.arange(len(mats))
     v = vecs[:, :, 0]
     pivot = v[rows, np.argmax(np.abs(v), axis=1)]
     v = v * (pivot.conj() / np.abs(pivot))[:, None]
-    near = vals - vals[:, :1] <= DEGENERATE_GAP * np.abs(vals).max(axis=1, keepdims=True)
+    near = vals - vals[:, :1] <= window
     for n in np.flatnonzero(near.sum(axis=1) > 1):
         basis = vecs[n][:, near[n]]
         proj = basis @ (basis.conj().T @ refs[n])
@@ -285,6 +286,7 @@ def seesaw_descents_stacked(mat, d_left, d_right, rngs, max_iters=500, conv_tol=
     per stream, all run together: each steps until it converges or the
     budget runs out.  Returns the values, phis and psis, one row each."""
     w4 = np.asarray(mat, dtype=complex).reshape(d_left, d_right, d_left, d_right)
+    window = DEGENERATE_GAP * np.linalg.norm(mat)
     # the effective operators as row products: [(r, s), (i, j)] and [(i, j), (r, s)]
     w_right = w4.transpose(1, 3, 0, 2).reshape(d_right * d_right, -1)
     w_left = w4.transpose(0, 2, 1, 3).reshape(d_left * d_left, -1)
@@ -300,11 +302,11 @@ def seesaw_descents_stacked(mat, d_left, d_right, rngs, max_iters=500, conv_tol=
         p, f = psi[active], phi[active]
         pairs = (p.conj()[:, :, None] * p[:, None, :]).reshape(len(p), -1)
         _, phi_new = _min_eigpairs(
-            (pairs @ w_right).reshape(-1, d_left, d_left), ref_left[active]
+            (pairs @ w_right).reshape(-1, d_left, d_left), ref_left[active], window
         )
         pairs = (phi_new.conj()[:, :, None] * phi_new[:, None, :]).reshape(len(p), -1)
         val_right, psi_new = _min_eigpairs(
-            (pairs @ w_left).reshape(-1, d_right, d_right), ref_right[active]
+            (pairs @ w_left).reshape(-1, d_right, d_right), ref_right[active], window
         )
         move = np.maximum(
             np.abs(val_right - value[active]),

@@ -20,7 +20,6 @@ from entwit import (
     eigh,
     extend_state,
     is_psd,
-    kron,
     maximally_entangled_vector,
     mdiew_value,
     nontrivial_extension_exhibit,
@@ -239,14 +238,6 @@ def test_messages_print_plain_floats(call, error, message):
     assert str(err.value) == message
 
 
-def test_kron_places_cut_between_operands():
-    a = _random_hermitian((2,), 1)
-    b = _random_hermitian((3,), 2)
-    prod = kron(a, b)
-    assert prod.layout == SystemLayout((2, 3), 1)
-    np.testing.assert_array_equal(prod.mat, np.kron(a.mat, b.mat))
-
-
 @pytest.mark.parametrize(
     "dims,subsystems",
     [((2, 2), None), ((2, 3, 2), (1,)), ((2, 2, 2, 2), (0, 3)), ((3, 3), (0,))],
@@ -296,7 +287,7 @@ def test_partial_trace_matches_loop_oracle(dims, keep):
 def test_partial_trace_of_kron_factorizes():
     a = _random_hermitian((2,), 11)
     b = _random_hermitian((3,), 12)
-    joint = kron(a, b)
+    joint = HermitianOperator(np.kron(a.mat, b.mat), SystemLayout((2, 3), 1))
     left = partial_trace(joint, keep=(0,))
     np.testing.assert_allclose(left.mat, a.mat * b.trace, atol=1e-13)
 

@@ -464,6 +464,16 @@ EXACT_RANKS = {
         _lifted_rank(3, 3, 2, 3, 2, 3, 9),
         _lifted_rank(3, 3, 2, 3, 2, 3, 8),
     ),
+    "swap-3-rank-one-caps": (
+        _capped(lambda rng: swap_witness(3), (2, 2), 1),
+        _lifted_rank(3, 3, 2, 2, 1, 1, 9),
+        _lifted_rank(3, 3, 2, 2, 1, 1, 8),
+    ),
+    "choi-rank-one-caps": (
+        _capped(lambda rng: choi_witness(), (2, 2), 1),
+        _lifted_rank(3, 3, 2, 2, 1, 1, 7),
+        _lifted_rank(3, 3, 2, 2, 1, 1, 6),
+    ),
 }
 
 
@@ -473,6 +483,12 @@ EXACT_RANKS = {
     ("phi-half", False), ("phi-half", True), ("phi-quarter", False), ("phi-tenth", False),
     ("swap-3", False), ("swap-3", True), ("swap-rank-one-caps", False),
     ("choi-caps-2-2", False), ("swap-caps-2-3", False), ("swap-3-caps-2-3", False),
+    ("swap-3-rank-one-caps", False),
+    pytest.param("choi-rank-one-caps", False, marks=pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 18: harvests on rank-deficient extensions see one zero "
+        "family (the caps' kernel family reads 18 and 18)",
+    )),
 ])
 def test_spanning_ranks_are_the_exact_ranks(name, rotated, seed):
     build, rank, gamma_rank = EXACT_RANKS[name]
@@ -489,12 +505,51 @@ def test_spanning_ranks_are_the_exact_ranks(name, rotated, seed):
     assert collect_zero_set(partial_transpose(op), seed=seed).span_rank == gamma_rank
 
 
+# the rank-one cap |v><v| for v = (1, 0.5 + 0.25i): its entries are exact in
+# binary, but its kernel is no coordinate axis, so the extension's entries do
+# not cancel exactly there and its reduced operators on it are rounding noise
+RANK_ONE_CAP = np.outer([1, 0.5 + 0.25j], [1, 0.5 - 0.25j])
+POSITIVE_DEFINITE_CAP = np.array([[2, 0.5 - 0.5j], [0.5 + 0.5j, 1]])
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+@pytest.mark.parametrize("cap_right", [RANK_ONE_CAP, POSITIVE_DEFINITE_CAP],
+                         ids=["rank-one", "positive-definite"])
+def test_rank_deficient_caps_settle_every_restart(cap_right, seed, choi):
+    # Under a rank-deficient cap many reduced operators are rounding noise
+    # of size ~1e-16 ||W||_F.  Their whole spectrum lies in the tie window,
+    # so a step takes the descent's reference and the descent settles
+    # instead of chasing eigenvectors of the noise to the budget.
+    op = extend_witness(choi, ExtensionSpec(RANK_ONE_CAP, cap_right))
+    report = certify_witness(op, seed=seed).min_product
+    assert report.stops == ("settled",) * report.restarts
+    assert max(report.iterations) <= 3
+
+
+def test_rounding_noise_moves_no_stop_and_no_rank(choi):
+    # choi under all-ones caps, and the same operator plus a Hermitian
+    # perturbation of 1e-16: the noise lies in the tie window, so both
+    # certifications stop alike and harvest zeros of the same rank
+    ones = np.ones((2, 2))
+    op = extend_witness(choi, ExtensionSpec(ones, ones))
+    g = _random_hermitian((6, 6), 16)
+    noisy = HermitianOperator(op.mat + 1e-16 * g, op.layout)
+    assert not np.array_equal(noisy.mat, op.mat)
+    certs = [certify_witness(w, seed=42) for w in (op, noisy)]
+    assert certs[0].min_product.stops == certs[1].min_product.stops
+    assert certs[0].min_product.stops == ("settled",) * certs[0].min_product.restarts
+    ranks = [has_spanning_property(w, c).rank for w, c in zip((op, noisy), certs)]
+    assert ranks[0] == ranks[1]
+
+
 def test_min_eigvecs_projects_the_reference_on_degenerate_minima():
     # Rows 1 and 3 have a twofold and a threefold least eigenvalue: each
     # returns its reference projected onto that eigenspace, normalized,
-    # whatever basis the eigensolver picks there.  Rows 0 and 2 have a
-    # single least eigenvalue and return LAPACK's eigenvector with its
-    # largest entry rotated to the positive real axis, bit for bit.
+    # whatever basis the eigensolver picks there.  Row 4's whole spectrum
+    # lies within the window, as on a reduced operator of rounding noise, so
+    # it returns its reference, normalized.  Rows 0 and 2 have a single
+    # least eigenvalue and return LAPACK's eigenvector with its largest
+    # entry rotated to the positive real axis, bit for bit.
     rng = rng_from(5)
     u = np.array([draw_unitary(4, rng) for _ in range(4)])
     spectra = np.array([
@@ -502,25 +557,21 @@ def test_min_eigvecs_projects_the_reference_on_degenerate_minima():
         [0.3, 0.7, 1.1, 4.0], [-2.0, -2.0, -2.0, 1.0],
     ])
     mats = (u * spectra[:, None, :]) @ u.conj().transpose(0, 2, 1)
-    mats = (mats + mats.conj().transpose(0, 2, 1)) / 2
-    refs = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    vals, vecs = witness_module._min_eigvecs(mats, refs)
-    np.testing.assert_allclose(vals, spectra.min(axis=1), atol=1e-12)
+    noise = 1e-20 * _random_hermitian((2, 2), 6)
+    mats = np.concatenate([(mats + mats.conj().transpose(0, 2, 1)) / 2, noise[None]])
+    refs = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+    vals, vecs = witness_module._min_eigvecs(mats, refs, 1e-14)
+    np.testing.assert_allclose(vals[:4], spectra.min(axis=1), atol=1e-12)
+    assert abs(vals[4]) <= 1e-18
     for n, k in ((1, 2), (3, 3)):
         proj = u[n][:, :k] @ (u[n][:, :k].conj().T @ refs[n])
         np.testing.assert_allclose(vecs[n], proj / np.linalg.norm(proj), atol=1e-12)
+    np.testing.assert_allclose(vecs[4], refs[4] / np.linalg.norm(refs[4]), atol=1e-12)
     least = np.linalg.eigh(mats)[1][:, :, 0]
-    pivot = least[np.arange(4), np.argmax(np.abs(least), axis=1)]
+    pivot = least[np.arange(5), np.argmax(np.abs(least), axis=1)]
     fixed = least * (pivot.conj() / np.abs(pivot))[:, None]
     for n in (0, 2):
         assert vecs[n].tobytes() == fixed[n].tobytes()
-
-
-def test_seesaw_best_vector_reproduces_best_value(swap):
-    report = min_product_expectation(swap, restarts=8, seed=3)
-    v = report.best_vector
-    val = float(np.real(v.conj() @ swap.mat @ v))
-    assert val == pytest.approx(report.best_value, abs=1e-12)
 
 
 def test_seesaw_report_holds_the_kernel_stacks(choi):
@@ -533,8 +584,6 @@ def test_seesaw_report_holds_the_kernel_stacks(choi):
         assert held.shape == direct.shape == (8, d) and held.dtype == complex
         assert held.tobytes() == direct.tobytes()
         assert not held.flags.writeable
-    r = int(np.argmin(report.restart_values))
-    assert report.best_vector.tobytes() == np.kron(kernel[0][r], kernel[1][r]).tobytes()
 
 
 def test_certify_choi(choi):
