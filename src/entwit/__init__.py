@@ -5,8 +5,8 @@ The package is organized around a few small layers:
 
 operators      layouts, Hermitian operators, partial transpose / trace,
                spectra
-sampling       seeded random states and caps; the audit's effect and
-               unitary kernels
+sampling       seeded random streams, PSD operators (the CLI's caps) and
+               densities
 witness        see-saw minimization over product states and certification
 extension      tensoring witnesses with positive caps; zero-set lifting
 choi           the worked indecomposable example and its extension exhibit
@@ -22,7 +22,9 @@ layers it runs.
 
 from importlib import import_module
 
-# The public names, by the layer that defines them.
+# The public functions and classes, by the layer that defines them: the one
+# list of them.  Each layer's ``__all__`` reads its entry and adds its public
+# constants.
 _EXPORTS = {
     "catalog": ("choi_detected_ppt_state", "swap_witness"),
     "choi": (

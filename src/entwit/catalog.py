@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _EXPORTS
 from .operators import (
     HermitianOperator,
     SystemLayout,
@@ -18,10 +19,7 @@ from .operators import (
 )
 from .choi import _choi_blocks
 
-__all__ = [
-    "swap_witness",
-    "choi_detected_ppt_state",
-]
+__all__ = [*_EXPORTS["catalog"]]
 
 
 def swap_witness(d: int = 2) -> HermitianOperator:

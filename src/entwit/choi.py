@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _EXPORTS
 from .operators import (
     Array,
     HermitianOperator,
@@ -34,17 +35,7 @@ from .operators import (
 )
 from .witness import IMAG_TOL, expectation
 
-__all__ = [
-    "choi_witness",
-    "AbParams",
-    "rho_abb_matrix",
-    "rho_abb",
-    "detection_values",
-    "closed_form_values",
-    "CLOSED_FORM_SCALE",
-    "ExhibitReport",
-    "nontrivial_extension_exhibit",
-]
+__all__ = [*_EXPORTS["choi"], "CLOSED_FORM_SCALE"]
 
 BLOCK_PSD_TOL = 1e-10  # relative, for the qubit blocks a and b of AbParams
 

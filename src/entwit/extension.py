@@ -5,10 +5,12 @@ cap_left (x) M (x) cap_right, living on the four systems A',A,B,B' with the
 bipartite cut between A and B.  Witness-hood survives because a product state
 on the extended cut marginalizes to a product state on A|B weighted by
 nonnegative cap expectations; product zeros of W lift to zeros of the
-extension by basis expansion, multiplying the zero-span rank by both cap
-dimensions.  The cut placement (A'A | BB') is pure layout metadata: the
-Kronecker order already groups the parties correctly, so no matrix
-permutation is ever applied.
+extension by basis expansion, and the lifted set's span rank is W's times
+both cap dimensions.  Under a rank-deficient cap the extension has more
+zeros than the lift: every product vector with a factor in a cap's kernel.
+The cut placement (A'A | BB') is pure layout metadata: the Kronecker order
+already groups the parties correctly, so no matrix permutation is ever
+applied.
 
 Gamma(cap_left (x) W (x) cap_right) = cap_left (x) Gamma(W) (x) cap_right^T
 holds entry for entry, Gamma being the partial transpose of BB': it only
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _EXPORTS
 from .operators import (
     Array,
     HermitianOperator,
@@ -34,12 +37,7 @@ from .operators import (
 )
 from .witness import ZeroSet
 
-__all__ = [
-    "ExtensionSpec",
-    "extend_witness",
-    "extend_state",
-    "extended_zero_set",
-]
+__all__ = [*_EXPORTS["extension"]]
 
 
 def _as_cap(obj: HermitianOperator | Array, side: str) -> HermitianOperator:

@@ -40,6 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _EXPORTS
 from .operators import (
     Array,
     HermitianOperator,
@@ -59,23 +60,9 @@ from .operators import (
 from .sampling import POVM_MODES, rng_from
 
 __all__ = [
-    "DECOMPOSITION_RESIDUAL_TOL",
-    "BETA_IMAG_TOL",
-    "PROBABILITY_RANGE_TOL",
-    "POVM_BOUND_TOL",
-    "ROUTE_AGREEMENT_TOL",
-    "AUDIT_VALUE_TOL",
-    "AUDIT_MAX_MEMBERS",
-    "AUDIT_CHUNK",
-    "POVM_MODES",
-    "StateBasis",
-    "tomographic_basis",
-    "ideal_projector",
-    "MdiewScenario",
-    "mdiew_value",
-    "AuditFailure",
-    "AuditReport",
-    "separable_nonnegativity_audit",
+    *_EXPORTS["mdiew"], "DECOMPOSITION_RESIDUAL_TOL", "BETA_IMAG_TOL", "PROBABILITY_RANGE_TOL",
+    "POVM_BOUND_TOL", "ROUTE_AGREEMENT_TOL", "AUDIT_VALUE_TOL", "AUDIT_MAX_MEMBERS",
+    "AUDIT_CHUNK", "POVM_MODES",
 ]
 
 DECOMPOSITION_RESIDUAL_TOL = 1e-9  # relative to the Frobenius norm of W

@@ -18,6 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
+from . import _EXPORTS
+
 Array = np.ndarray
 
 HERMITICITY_TOL = 1e-12
@@ -25,23 +27,7 @@ PSD_TOL = 1e-9
 CAP_PSD_TOL = 1e-10  # relative; read by the one PSD check of caps, _cap_matrix
 _TINY = float(np.finfo(float).tiny)  # least normal float
 
-__all__ = [
-    "Array",
-    "HERMITICITY_TOL",
-    "PSD_TOL",
-    "CAP_PSD_TOL",
-    "LayoutError",
-    "NumericalError",
-    "SystemLayout",
-    "single_system",
-    "HermitianOperator",
-    "partial_transpose",
-    "partial_trace",
-    "eigh",
-    "is_psd",
-    "projector",
-    "maximally_entangled_vector",
-]
+__all__ = [*_EXPORTS["operators"], "Array", "HERMITICITY_TOL", "PSD_TOL", "CAP_PSD_TOL"]
 
 
 class LayoutError(ValueError):

@@ -9,13 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _EXPORTS
 from .operators import Array, HermitianOperator, _integer, single_system
 
-__all__ = [
-    "rng_from",
-    "random_density",
-    "random_psd",
-]
+__all__ = [*_EXPORTS["sampling"]]
 
 # Seeded see-saw restarts of a certification; restart r starts from the stream
 # rng_from(seed, r).  This constant and POVM_MODES live in this layer, which

@@ -14,20 +14,10 @@ from typing import Any
 
 import numpy as np
 
+from . import _EXPORTS
 from .operators import Array, HermitianOperator, SystemLayout, _check_hermitian, _Frozen
 
-__all__ = [
-    "SerializationError",
-    "JSON_HERMITICITY_TOL",
-    "matrix_to_json",
-    "matrix_from_json",
-    "operator_to_dict",
-    "operator_from_dict",
-    "dump_operator",
-    "load_operator",
-    "to_jsonable",
-    "dumps_canonical",
-]
+__all__ = [*_EXPORTS["serialization"], "JSON_HERMITICITY_TOL"]
 
 JSON_HERMITICITY_TOL = 1e-9
 

@@ -2,6 +2,7 @@ import ast
 import copy
 import inspect
 import pickle
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -28,15 +29,41 @@ def test_public_names_are_their_defining_modules_objects():
 
 @pytest.mark.parametrize("layer", sorted(entwit._EXPORTS))
 def test_export_table_lists_what_each_layer_defines(layer):
-    # the lazy table must name exactly the functions and classes that the
-    # layer's own __all__ lists and defines there, in sorted order
+    # the lazy table is the one list of public functions and classes: its
+    # entry names, in sorted order, every function or class without a
+    # leading underscore that the layer defines, and the layer's __all__
+    # reads it
     module = getattr(entwit, layer)
     defined = [
-        name for name in module.__all__
-        if (inspect.isfunction(getattr(module, name)) or inspect.isclass(getattr(module, name)))
-        and getattr(module, name).__module__ == module.__name__
+        name for name, obj in vars(module).items()
+        if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
     ]
     assert entwit._EXPORTS[layer] == tuple(sorted(defined))
+    assert module.__all__[: len(defined)] == list(entwit._EXPORTS[layer])
+
+
+# The entwit layers each lookup loads, from a fresh interpreter: a name loads
+# its layer and that layer's imports, and ``import entwit`` loads none.
+LOADS = {
+    None: set(),
+    "certify_witness": {"operators", "sampling", "witness"},
+    "MdiewScenario": {"mdiew", "operators", "sampling"},
+    "dumps_canonical": {"operators", "serialization"},
+    "swap_witness": {"catalog", "choi", "operators", "sampling", "witness"},
+}
+
+
+@pytest.mark.parametrize("name", LOADS, ids=str)
+def test_a_lookup_loads_only_its_layer_and_that_layers_imports(name):
+    lookup = "" if name is None else f"entwit.{name}; "
+    code = (
+        f"import sys, entwit; {lookup}"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('entwit.'))))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out == [f"entwit.{layer}" for layer in sorted(LOADS[name])]
 
 
 def test_dir_covers_all():

@@ -130,7 +130,7 @@ def _random_hermitian(dims, seed):
 
 @pytest.mark.parametrize("shifted", [False, True], ids=["raw", "shifted"])
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)], ids=["2x2", "2x3", "3x3"])
-def test_stall_stop_keeps_the_strict_product_minimum(dims, shifted):
+def test_abandonment_keeps_the_strict_product_minimum(dims, shifted):
     # the lock-step see-saw, abandonment included, keeps the product minimum
     # of strict descents that run until they settle; shifting by the product
     # minimum puts it at 0, where verdicts are made
@@ -248,7 +248,7 @@ def test_harvest_keeps_a_repeated_zero_once():
 
 
 @pytest.mark.parametrize("target_count, max_descents", [(5, 7), (16, 64)])
-def test_harvest_runs_stalled_restarts_on_as_uninterrupted_descents(
+def test_harvest_from_the_report_keeps_what_a_fresh_harvest_keeps(
     target_count, max_descents, capped_choi
 ):
     # The harvest reads the see-saw report's restarts as they ended: they
@@ -278,17 +278,19 @@ def test_harvest_runs_stalled_restarts_on_as_uninterrupted_descents(
 @pytest.mark.parametrize("name, target_count, max_descents", [
     ("choi", None, None), ("capped-choi", 16, 64),
 ])
-def test_harvest_resumes_from_the_report_without_its_traces(
+def test_harvest_reads_only_the_reports_vectors(
     name, target_count, max_descents, choi, capped_choi
 ):
-    # The harvest reads the report's values and vectors; the value traces
-    # are for observation only.  A report with its traces emptied harvests
-    # the same zeros, bit for bit.
+    # The harvest takes each candidate's value on W itself: of the report it
+    # reads the vectors only.  A report with its values and traces emptied
+    # harvests the same zeros, bit for bit.
     op = {"choi": choi, "capped-choi": capped_choi}[name]
     report = min_product_expectation(op, seed=42)
     budget = {"target_count": target_count, "max_descents": max_descents}
     traced = collect_zero_set(op, seesaw=report, **budget)
-    blind = report._replace(value_traces=((),) * report.restarts)
+    blind = report._replace(
+        restart_values=(np.nan,) * report.restarts, value_traces=((),) * report.restarts
+    )
     untraced = collect_zero_set(op, seesaw=blind, **budget)
     assert untraced.span_rank == traced.span_rank
     assert len(untraced.vectors) == len(traced.vectors) > 0
@@ -481,9 +483,12 @@ EXACT_RANKS = {
 @pytest.mark.parametrize("name, rotated", [
     ("choi", False), ("choi", True), ("swap", False), ("swap", True),
     ("phi-half", False), ("phi-half", True), ("phi-quarter", False), ("phi-tenth", False),
-    ("swap-3", False), ("swap-3", True), ("swap-rank-one-caps", False),
-    ("choi-caps-2-2", False), ("swap-caps-2-3", False), ("swap-3-caps-2-3", False),
-    ("swap-3-rank-one-caps", False),
+    ("phi-tenth", True), ("swap-3", False), ("swap-3", True),
+    ("swap-rank-one-caps", False), ("swap-rank-one-caps", True),
+    ("choi-caps-2-2", False), ("choi-caps-2-2", True),
+    ("swap-caps-2-3", False), ("swap-caps-2-3", True),
+    ("swap-3-caps-2-3", False), ("swap-3-caps-2-3", True),
+    ("swap-3-rank-one-caps", False), ("swap-3-rank-one-caps", True),
     pytest.param("choi-rank-one-caps", False, marks=pytest.mark.xfail(
         strict=True,
         reason="ROADMAP item 18: harvests on rank-deficient extensions see one zero "
@@ -667,6 +672,19 @@ def test_spanning_requires_a_witness():
     op = HermitianOperator(np.eye(4), SystemLayout((2, 2), 1))
     with pytest.raises(ValueError):
         has_spanning_property(op, certify_witness(op, restarts=4, seed=0))
+
+
+def test_zeros_are_read_on_the_operator_not_on_the_certificate(swap):
+    # Another operator's certificate supplies candidate vectors, never zeros:
+    # the identity has no product zero, and swap + I/2 is at least 1/2 on
+    # every product vector, whatever report the harvest starts from.
+    identity = HermitianOperator(np.eye(4), SystemLayout((2, 2), 1))
+    cert = certify_witness(swap, seed=1)
+    report = has_spanning_property(identity, cert)
+    assert (report.rank, report.spanning, report.verdict) == (0, False, "not-found-at-budget")
+    shifted = HermitianOperator(swap.mat + 0.5 * np.eye(4), swap.layout)
+    assert collect_zero_set(shifted, seesaw=cert.min_product).span_rank == 0
+    assert collect_zero_set(shifted, seed=1).span_rank == 0
 
 
 def test_nd_spanning_swap_fails_on_transposed_side(swap):
