@@ -131,9 +131,12 @@ def cmd_certify(args) -> tuple[dict, list[str], int]:
     ]
     if cert.is_witness_numeric:
         span = has_spanning_property(op, cert)
-        nd = nd_spanning(op, span, seed=args.seed)
+        nd = nd_spanning(span)
         nd_verdict = VERDICT_CONFIRMED if nd else VERDICT_NOT_FOUND
-        payload["spanning"] = span
+        payload["spanning"] = {
+            "spanning": span.spanning, "rank": span.rank, "dim": span.dim,
+            "verdict": span.verdict, "note": span.note,
+        }
         payload["nd_spanning"] = {"verdict": nd_verdict, "holds": nd}
         lines += [
             f"zero-set spanning:    {span.verdict} (rank {span.rank} of {span.dim})",

@@ -105,13 +105,15 @@ def extended_zero_set(zeros: ZeroSet, d_ap: int, d_bp: int) -> ZeroSet:
     into e_i (x) z (x) f_j; every lift annihilates any extension of the
     original operator because the middle factor already does.  The lifts are
     the rows of I (x) Z (x) I for the stacked zeros Z, in (i, zero, j) order,
-    so the span rank is exactly the input rank times d_ap * d_bp.  A lift is
-    a product across the extended cut A'A | BB', so a lifted set lifts again;
-    an empty set lifts to an empty stack of the extended width.
+    so the span rank, and the conjugated rank (f_j is real), is exactly the
+    input's times d_ap * d_bp.  A lift is a product across the extended cut
+    A'A | BB', so a lifted set lifts again; an empty set lifts to an empty
+    stack of the extended width.
     """
     d_ap, d_bp = (_integer(d, "cap dimension", 1) for d in (d_ap, d_bp))
     if np.ndim(zeros.vectors) != 2:
         raise ValueError(f"zero set must be a 2-D stack, got shape {np.shape(zeros.vectors)}")
     lifts = np.kron(np.kron(np.eye(d_ap), zeros.vectors), np.eye(d_bp))
     lifts.setflags(write=False)
-    return ZeroSet(lifts, zeros.span_rank * d_ap * d_bp)
+    lifted = d_ap * d_bp
+    return ZeroSet(lifts, zeros.span_rank * lifted, zeros.conjugated_rank * lifted)

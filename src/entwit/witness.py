@@ -3,9 +3,10 @@
 A Hermitian W on a bipartite layout is accepted as a witness numerically when
 its minimum over product states (found by seeded see-saw restarts) is >= -tol
 ||W||_F while its minimum eigenvalue is < -tol ||W||_F.  Product zeros are
-collected from the same descents; their span rank drives the spanning-property
-verdicts, which are deliberately one-sided: "confirmed" proves the rank,
-"not-found-at-budget" proves nothing.
+collected from the same descents; their span rank, and the rank of their
+conjugates on B (the zeros of the partial transpose), drive the spanning and
+nd-spanning verdicts, which are deliberately one-sided: "confirmed" proves
+the rank, "not-found-at-budget" proves nothing.
 """
 from __future__ import annotations
 
@@ -77,10 +78,13 @@ class SeeSawReport(NamedTuple):
 
 
 class ZeroSet(NamedTuple):
-    """Product zeros, the rows of a read-only (k, d_A d_B) stack, and their span rank."""
+    """Product zeros, the rows of a read-only (k, d_A d_B) stack, and their span
+    rank; ``conjugated_rank`` spans the zeros phi (x) conj(psi) of the partial
+    transpose on B that the harvest saw (``collect_zero_set``)."""
 
     vectors: Array
     span_rank: int
+    conjugated_rank: int = 0
 
     def __reduce__(self):  # copies and pickles come back with frozen arrays
         return _refill, (type(self), tuple(self))
@@ -100,6 +104,7 @@ class SpanningReport(NamedTuple):
     dim: int
     verdict: str
     note: str = ""
+    conjugated_rank: int = 0  # of the partial transpose's zeros; nd_spanning reads it
 
 
 def expectation(W: HermitianOperator, rho: HermitianOperator | Array) -> float:
@@ -361,13 +366,21 @@ def collect_zero_set(
     zero when W itself vanishes on it, |<phi psi|W|phi psi>| <= ZERO_TOL *
     ||W||_F (1e-13 ||W||_F), a value taken row by row so that it does not
     depend on the chunk; of the report only the vectors are read, so a
-    report of another operator supplies candidates, never zeros.  Zeros are
-    accepted in descent order (the set a one-at-a-time harvest keeps, from
-    no extra descent) into one preallocated (target_count, d_A d_B) stack
-    unless one matrix-vector product with the kept rows finds an overlap
-    modulus above 1 - 1e-6.  ``vectors`` is the filled slice of that stack,
-    read-only; the span rank is its singular-value rank at a 1e-8 relative
-    threshold.
+    report of another operator supplies candidates, never zeros; one whose
+    party widths are not W's raises LayoutError.  Zeros are accepted in
+    descent order (the set a one-at-a-time harvest keeps, from no extra
+    descent) into one preallocated stack of their bras unless one
+    matrix-vector product with it finds an overlap modulus above 1 - 1e-6.
+    ``vectors`` holds the first ``target_count`` zeros at most, read-only; the
+    span rank is their singular-value rank at a 1e-8 relative threshold.
+
+    Each zero phi (x) psi of W gives the zero phi (x) conj(psi) of its partial
+    transpose on B, since <x y|Gamma(W)|x y> = <x conj(y)|W|x conj(y)>;
+    ``conjugated_rank`` is the rank of those rows.  It can fill later than
+    the span rank, so when the kept zeros span the space and their
+    conjugates do not, the harvest goes on along the same descents, within
+    ``max_descents``, until the conjugates span or it holds 2 * target_count
+    zeros; the extra zeros count only toward ``conjugated_rank``.
     """
     W.layout.require_bipartite()
     if target_count is None:
@@ -381,30 +394,45 @@ def collect_zero_set(
     if seesaw is not None and seesaw.seed != seed:
         raise ValueError(f"report seed {seesaw.seed!r} differs from harvest seed {seed!r}")
     zero_tol = ZERO_TOL * W.norm
-    kept = np.empty((target_count, W.layout.total_dim), dtype=complex)  # phi (x) psi rows
-    count, next_descent, ended = 0, 0, None
+    dim, widths = W.layout.total_dim, (W.layout.left_dim, W.layout.right_dim)
+    bras = np.empty((2 * target_count, dim), dtype=complex)  # conj(phi (x) psi) rows
+    conjugates = np.empty_like(bras)  # phi (x) conj(psi) rows
+    count, next_descent, ended, rank = 0, 0, None, None
     if seesaw is not None:
+        parties = tuple(a.shape[1] for a in seesaw.restart_vectors)
+        if parties != widths:
+            raise LayoutError(f"see-saw report parties {parties} do not match W's {widths}")
         n = min(seesaw.restarts, max_descents)
         ended = tuple(a[:n] for a in seesaw.restart_vectors)
         next_descent = seesaw.restarts
-    while count < target_count and (ended is not None or next_descent < max_descents):
-        if ended is None:
-            chunk = range(next_descent, min(max_descents, next_descent + target_count - count))
-            next_descent = chunk.stop
-            ended = _lockstep_descents(W, seed, chunk)[1:3]
-        phis, psis = ended
-        ended = None
-        candidates = (phis[:, :, None] * psis[:, None, :]).reshape(len(phis), -1)
-        values = np.einsum("ni,ij,nj->n", candidates.conj(), W.mat, candidates).real
-        for candidate in candidates[np.abs(values) <= zero_tol]:
-            if count and np.abs(kept[:count].conj() @ candidate).max() > DEDUP_OVERLAP:
-                continue
-            kept[count] = candidate
-            count += 1
-            if count == target_count:
+    for limit in (target_count, 2 * target_count):
+        while count < limit and (ended is not None or next_descent < max_descents):
+            if ended is None:
+                chunk = range(next_descent, min(max_descents, next_descent + limit - count))
+                next_descent = chunk.stop
+                ended = _lockstep_descents(W, seed, chunk)[1:3]
+            phis, psis = ended
+            ended = None
+            candidates = (phis[:, :, None] * psis[:, None, :]).reshape(len(phis), dim)
+            values = np.einsum("ni,ij,nj->n", candidates.conj(), W.mat, candidates).real
+            for n in np.flatnonzero(np.abs(values) <= zero_tol):
+                if count and np.abs(bras[:count] @ candidates[n]).max() > DEDUP_OVERLAP:
+                    continue
+                bras[count] = candidates[n].conj()
+                conjugates[count] = np.outer(phis[n], psis[n].conj()).ravel()
+                count += 1
+                if count == limit:
+                    ended = phis[n + 1 :], psis[n + 1 :]  # where a continuation resumes
+                    break
+            if rank is not None and span_rank(conjugates[:count]) == dim:
                 break
-    kept.setflags(write=False)
-    return ZeroSet(kept[:count], span_rank(kept[:count]))
+        if rank is None:
+            vectors = bras[:count].conj()
+            rank = span_rank(vectors)
+            if rank < dim or span_rank(conjugates[:count]) == dim:
+                break
+    vectors.setflags(write=False)
+    return ZeroSet(vectors, rank, span_rank(conjugates[:count]))
 
 
 def has_spanning_property(
@@ -431,21 +459,19 @@ def has_spanning_property(
         dim=dim,
         verdict=VERDICT_CONFIRMED if spanning else VERDICT_NOT_FOUND,
         note="" if spanning else "optimality not decided",
+        conjugated_rank=zeros.conjugated_rank,
     )
 
 
-def nd_spanning(W: HermitianOperator, primal: SpanningReport, seed: int = 0) -> bool:
-    """True iff zero sets of both W and its partial transpose span fully.
+def nd_spanning(primal: SpanningReport) -> bool:
+    """True iff the zeros of both W and its partial transpose on B span fully.
 
-    ``primal`` is W's own spanning report.  The partial transpose need not
-    itself be a witness (it may even be PSD), so only its zero set is
-    collected, with no certification demanded.
+    ``primal`` is W's own spanning report.  The partial transpose's product
+    zeros are W's with the B factor conjugated (Lewenstein, Kraus, Cirac and
+    Horodecki, PRA 62, 052310 (2000)), so its rank is read from W's harvest
+    (``ZeroSet.conjugated_rank``); the partial transpose is never built.
     """
-    if not primal.spanning:
-        return False
-    gamma = partial_transpose(W)
-    zeros = collect_zero_set(gamma, seed=seed)
-    return zeros.span_rank == gamma.layout.total_dim
+    return primal.spanning and primal.conjugated_rank == primal.dim
 
 
 def certify_indecomposable(

@@ -439,6 +439,24 @@ def test_each_command_reads_the_witness_norm_it_was_given(
     assert len(calls) == frobenius_calls
 
 
+def test_certify_harvests_once_and_never_builds_the_partial_transpose(monkeypatch, capsys):
+    # nd-spanning reads the conjugated zeros of W's own harvest: the partial
+    # transpose is neither built nor harvested
+    calls = {"collect_zero_set": 0, "partial_transpose": 0}
+    for name in calls:
+        original = getattr(witness_module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(witness_module, name, counting)
+    code, out, _ = run_cli(capsys, "certify", "swap", "--quiet")
+    assert code == 0
+    assert json.loads(out)["nd_spanning"]["holds"] is False
+    assert calls == {"collect_zero_set": 1, "partial_transpose": 0}
+
+
 def test_choi_demo(capsys):
     code, out, err = run_cli(capsys, "choi-demo")
     assert code == 0

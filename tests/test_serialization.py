@@ -124,7 +124,8 @@ def test_to_jsonable_handles_common_shapes():
     assert out["r"] == [1.0, 2.0]
     assert out["t"] == [1, 2]
     assert out["s"] == {
-        "spanning": True, "rank": 4, "dim": 4, "verdict": "confirmed", "note": ""
+        "spanning": True, "rank": 4, "dim": 4, "verdict": "confirmed", "note": "",
+        "conjugated_rank": 0,
     }
 
 

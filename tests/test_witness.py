@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from entwit import (
     ExtensionSpec,
     HermitianOperator,
+    LayoutError,
     SystemLayout,
     certify_indecomposable,
     certify_witness,
@@ -207,6 +208,14 @@ def test_chunked_harvest_matches_sequential_reference(
     assert len(zeros.vectors) == len(reference)
     for kept, ref in zip(zeros.vectors, reference):
         np.testing.assert_allclose(kept, ref, atol=1e-9)
+    if zeros.span_rank == op.layout.total_dim > zeros.conjugated_rank:
+        # the kept zeros span and their conjugates on B never do (swap's
+        # partial transpose has zeros of rank 3 of 4), so the harvest goes on
+        # along the same stream as a sequential harvest of 2 * target_count
+        _, descents_run = zero_harvest_reference(
+            op.mat, op.layout.left_dim, op.layout.right_dim, 2 * target_count,
+            max_descents, 42, abandon_tol=witness_module.ABANDON_FLOOR,
+        )
     # each descent starts once, in order, and only those the sequential
     # harvest runs: never an index at or past the budget, and none that the
     # see-saw report already holds
@@ -312,7 +321,7 @@ def test_abandoned_descents_drop_no_zero(name, choi, swap, capped_choi):
     # The harvest keeps what a sequential harvest that runs every unsettled
     # descent to the budget keeps: abandoning a descent never loses a zero.
     # Witnesses are harvested from their see-saw report, as certify does;
-    # the partial transpose from fresh descents, as nd_spanning does.
+    # the partial transpose from fresh descents, as the exact-rank table does.
     ops = {
         "choi": choi, "swap": swap, "swap-gamma": partial_transpose(swap),
         "capped-choi": capped_choi,
@@ -414,7 +423,7 @@ def test_generalized_choi_keeps_its_spanning_zeros(a):
     assert cert.is_witness_numeric
     primal = has_spanning_property(op, cert)
     assert primal.rank == 9
-    assert nd_spanning(op, primal, seed=42)
+    assert nd_spanning(primal)
 
 
 def _lifted_rank(d_a, d_b, d_ap, d_bp, rank_l, rank_r, r):
@@ -479,11 +488,24 @@ EXACT_RANKS = {
 }
 
 
+def _exact_rank_operator(name, rotated, seed):
+    """The operator of ``EXACT_RANKS[name]`` from the stream ``rng_from(seed)``,
+    after a Haar local unitary from the same stream when ``rotated``."""
+    rng = rng_from(seed)
+    op = EXACT_RANKS[name][0](rng)
+    if rotated:
+        d_left, d_right = op.layout.left_dim, op.layout.right_dim
+        u = np.kron(draw_unitary(d_left, rng), draw_unitary(d_right, rng))
+        m = u @ op.mat @ u.conj().T
+        op = HermitianOperator((m + m.conj().T) / 2, op.layout)
+    return op
+
+
 @pytest.mark.parametrize("seed", [1, 7, 42])
 @pytest.mark.parametrize("name, rotated", [
     ("choi", False), ("choi", True), ("swap", False), ("swap", True),
-    ("phi-half", False), ("phi-half", True), ("phi-quarter", False), ("phi-tenth", False),
-    ("phi-tenth", True), ("swap-3", False), ("swap-3", True),
+    ("phi-half", False), ("phi-half", True), ("phi-quarter", False), ("phi-quarter", True),
+    ("phi-tenth", False), ("phi-tenth", True), ("swap-3", False), ("swap-3", True),
     ("swap-rank-one-caps", False), ("swap-rank-one-caps", True),
     ("choi-caps-2-2", False), ("choi-caps-2-2", True),
     ("swap-caps-2-3", False), ("swap-caps-2-3", True),
@@ -496,18 +518,47 @@ EXACT_RANKS = {
     )),
 ])
 def test_spanning_ranks_are_the_exact_ranks(name, rotated, seed):
-    build, rank, gamma_rank = EXACT_RANKS[name]
-    rng = rng_from(seed)
-    op = build(rng)
-    if rotated:
-        d_left, d_right = op.layout.left_dim, op.layout.right_dim
-        u = np.kron(draw_unitary(d_left, rng), draw_unitary(d_right, rng))
-        m = u @ op.mat @ u.conj().T
-        op = HermitianOperator((m + m.conj().T) / 2, op.layout)
+    _, rank, gamma_rank = EXACT_RANKS[name]
+    op = _exact_rank_operator(name, rotated, seed)
     cert = certify_witness(op, seed=seed)
     assert cert.is_witness_numeric
-    assert has_spanning_property(op, cert).rank == rank
+    span = has_spanning_property(op, cert)
+    assert span.rank == rank
+    # W's zeros with their B factor conjugated are the partial transpose's;
+    # a harvest of the partial transpose itself cross-checks their rank
+    assert span.conjugated_rank == gamma_rank
     assert collect_zero_set(partial_transpose(op), seed=seed).span_rank == gamma_rank
+
+
+def test_conjugated_span_fills_after_the_kept_zeros():
+    # rotated Phi[1/2] at seed 1: its 36 kept zeros span all 9 dimensions,
+    # but their conjugates on B only 8; the harvest goes on along the same
+    # descents until the conjugates span, so nd-spanning is still confirmed
+    op = _exact_rank_operator("phi-half", True, 1)
+    cert = certify_witness(op, seed=1)
+    zeros = collect_zero_set(op, seesaw=cert.min_product)
+    assert len(zeros.vectors) == 4 * 9
+    assert zeros.span_rank == 9
+    conjugates = []
+    for v in zeros.vectors:  # phi (x) psi -> phi (x) conj(psi), up to a phase
+        u, _, vh = np.linalg.svd(v.reshape(3, 3))
+        conjugates.append(np.kron(u[:, 0], vh[0].conj()))
+    assert span_rank(np.array(conjugates)) == 8
+    assert zeros.conjugated_rank == 9
+    span = has_spanning_property(op, cert)
+    assert (span.rank, span.conjugated_rank) == (9, 9)
+    assert nd_spanning(span)
+
+
+def test_harvest_rejects_a_report_of_another_layout():
+    # a report of the 2x2 swap cannot seed a harvest of the 3x3 one
+    cert = certify_witness(swap_witness(), seed=1)
+    for call in (
+        lambda: has_spanning_property(swap_witness(3), cert),
+        lambda: collect_zero_set(swap_witness(3), seesaw=cert.min_product),
+    ):
+        with pytest.raises(LayoutError, match=r"\(2, 2\).*\(3, 3\)"):
+            call()
 
 
 # the rank-one cap |v><v| for v = (1, 0.5 + 0.25i): its entries are exact in
@@ -690,7 +741,7 @@ def test_zeros_are_read_on_the_operator_not_on_the_certificate(swap):
 def test_nd_spanning_swap_fails_on_transposed_side(swap):
     primal = has_spanning_property(swap, certify_witness(swap, restarts=16, seed=0))
     assert primal.spanning
-    assert not nd_spanning(swap, primal, seed=0)
+    assert not nd_spanning(primal)
 
 
 def test_span_rank_basics():
