@@ -52,10 +52,9 @@ _EXPORTS = {
         "operator_to_dict", "to_jsonable",
     ),
     "witness": (
-        "SeeSawReport", "SpanningReport", "WitnessCertificate", "ZeroSet",
-        "certify_indecomposable", "certify_witness", "collect_zero_set",
-        "expectation", "has_spanning_property", "min_product_expectation",
-        "nd_spanning", "span_rank",
+        "SeeSawReport", "WitnessCertificate", "ZeroSet", "certify_indecomposable",
+        "certify_witness", "collect_zero_set", "expectation",
+        "has_spanning_property", "min_product_expectation", "span_rank",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -107,10 +107,7 @@ def _witness_fields(cert: WitnessCertificate) -> dict:
 
 
 def cmd_certify(args) -> tuple[dict, list[str], int]:
-    from .witness import (
-        VERDICT_CONFIRMED, VERDICT_NOT_FOUND, certify_witness, has_spanning_property,
-        nd_spanning,
-    )
+    from .witness import _verdict, certify_witness, has_spanning_property
 
     op = args.operator
     cert = certify_witness(op, restarts=args.restarts, seed=args.seed, tol=args.tol)
@@ -130,16 +127,15 @@ def cmd_certify(args) -> tuple[dict, list[str], int]:
         f"see-saw restarts:     {_restart_summary(cert.min_product)}",
     ]
     if cert.is_witness_numeric:
-        span = has_spanning_property(op, cert)
-        nd = nd_spanning(span)
-        nd_verdict = VERDICT_CONFIRMED if nd else VERDICT_NOT_FOUND
+        zeros = has_spanning_property(op, cert)
+        verdict, nd_verdict = _verdict(zeros.spanning), _verdict(zeros.nd_spanning)
         payload["spanning"] = {
-            "spanning": span.spanning, "rank": span.rank, "dim": span.dim,
-            "verdict": span.verdict, "note": span.note,
+            "spanning": zeros.spanning, "rank": zeros.span_rank, "dim": zeros.dim,
+            "verdict": verdict, "note": "" if zeros.spanning else "optimality not decided",
         }
-        payload["nd_spanning"] = {"verdict": nd_verdict, "holds": nd}
+        payload["nd_spanning"] = {"verdict": nd_verdict, "holds": zeros.nd_spanning}
         lines += [
-            f"zero-set spanning:    {span.verdict} (rank {span.rank} of {span.dim})",
+            f"zero-set spanning:    {verdict} (rank {zeros.span_rank} of {zeros.dim})",
             f"two-sided spanning:   {nd_verdict}",
         ]
     else:

@@ -5,9 +5,11 @@ cap_left (x) M (x) cap_right, living on the four systems A',A,B,B' with the
 bipartite cut between A and B.  Witness-hood survives because a product state
 on the extended cut marginalizes to a product state on A|B weighted by
 nonnegative cap expectations; product zeros of W lift to zeros of the
-extension by basis expansion, and the lifted set's span rank is W's times
-both cap dimensions.  Under a rank-deficient cap the extension has more
-zeros than the lift: every product vector with a factor in a cap's kernel.
+extension by basis expansion, and the lifted set's span rank and conjugated
+rank are W's times both cap dimensions, so the lift carries both verdicts of
+``ZeroSet``, spanning and nd-spanning, from W to the extension.  Under a
+rank-deficient cap the extension has more zeros than the lift: every product
+vector with a factor in a cap's kernel.
 The cut placement (A'A | BB') is pure layout metadata: the Kronecker order
 already groups the parties correctly, so no matrix permutation is ever
 applied.

@@ -3,10 +3,11 @@
 A Hermitian W on a bipartite layout is accepted as a witness numerically when
 its minimum over product states (found by seeded see-saw restarts) is >= -tol
 ||W||_F while its minimum eigenvalue is < -tol ||W||_F.  Product zeros are
-collected from the same descents; their span rank, and the rank of their
-conjugates on B (the zeros of the partial transpose), drive the spanning and
-nd-spanning verdicts, which are deliberately one-sided: "confirmed" proves
-the rank, "not-found-at-budget" proves nothing.
+collected from the same descents into one record, ``ZeroSet``: its span
+rank, and the rank of their conjugates on B (the zeros of the partial
+transpose), decide the spanning and nd-spanning verdicts, which are
+deliberately one-sided: "confirmed" proves the rank, "not-found-at-budget"
+proves nothing.
 """
 from __future__ import annotations
 
@@ -37,6 +38,12 @@ __all__ = [*_EXPORTS["witness"], "VERDICT_CONFIRMED", "VERDICT_NOT_FOUND"]
 
 VERDICT_CONFIRMED = "confirmed"
 VERDICT_NOT_FOUND = "not-found-at-budget"
+
+
+def _verdict(holds: bool) -> str:
+    """The one-sided verdict of a rank check that ``holds`` or not."""
+    return VERDICT_CONFIRMED if holds else VERDICT_NOT_FOUND
+
 
 DEFAULT_MAX_ITERS = 500
 CONVERGENCE_TOL = 1e-12  # on vector entries; times ||W||_F on values
@@ -80,14 +87,33 @@ class SeeSawReport(NamedTuple):
 class ZeroSet(NamedTuple):
     """Product zeros, the rows of a read-only (k, d_A d_B) stack, and their span
     rank; ``conjugated_rank`` spans the zeros phi (x) conj(psi) of the partial
-    transpose on B that the harvest saw (``collect_zero_set``)."""
+    transpose on B that the harvest saw (``collect_zero_set``).
+
+    The verdicts are read from the ranks and the width alone, so a lifted set
+    (``extended_zero_set``) carries them too.  nd-spanning asks that the zeros
+    of W and of its partial transpose both span (Lewenstein, Kraus, Cirac and
+    Horodecki, PRA 62, 052310 (2000)).
+    """
 
     vectors: Array
     span_rank: int
-    conjugated_rank: int = 0
+    conjugated_rank: int
 
     def __reduce__(self):  # copies and pickles come back with frozen arrays
         return _refill, (type(self), tuple(self))
+
+    @property
+    def dim(self) -> int:
+        """The width of the vectors, d_A d_B."""
+        return self.vectors.shape[1]
+
+    @property
+    def spanning(self) -> bool:
+        return self.span_rank == self.dim
+
+    @property
+    def nd_spanning(self) -> bool:
+        return self.spanning and self.conjugated_rank == self.dim
 
 
 class WitnessCertificate(NamedTuple):
@@ -96,15 +122,6 @@ class WitnessCertificate(NamedTuple):
     min_product: SeeSawReport
     detection_state: HermitianOperator | None
     detection_value: float | None
-
-
-class SpanningReport(NamedTuple):
-    spanning: bool
-    rank: int
-    dim: int
-    verdict: str
-    note: str = ""
-    conjugated_rank: int = 0  # of the partial transpose's zeros; nd_spanning reads it
 
 
 def expectation(W: HermitianOperator, rho: HermitianOperator | Array) -> float:
@@ -435,14 +452,13 @@ def collect_zero_set(
     return ZeroSet(vectors, rank, span_rank(conjugates[:count]))
 
 
-def has_spanning_property(
-    W: HermitianOperator, certificate: WitnessCertificate
-) -> SpanningReport:
-    """Rank check on the product-zero set; sufficient for optimality only.
+def has_spanning_property(W: HermitianOperator, certificate: WitnessCertificate) -> ZeroSet:
+    """The product zeros of a certified witness, whose spanning is sufficient
+    for optimality only.
 
     The harvest takes the certificate's restarts as its first candidates, at
-    their seed.  A failed check is reported as not-found-at-budget, never as
-    a claim of non-optimality: zero discovery is heuristic.
+    their seed.  A set that does not span proves nothing (not-found-at-budget),
+    never non-optimality: zero discovery is heuristic.
     """
     if not certificate.is_witness_numeric:
         raise ValueError(
@@ -450,28 +466,7 @@ def has_spanning_property(
             f"min product {certificate.min_product.best_value:.3e}, "
             f"min eigenvalue {certificate.min_eigenvalue:.3e}"
         )
-    zeros = collect_zero_set(W, seesaw=certificate.min_product)
-    dim = W.layout.total_dim
-    spanning = zeros.span_rank == dim
-    return SpanningReport(
-        spanning=spanning,
-        rank=zeros.span_rank,
-        dim=dim,
-        verdict=VERDICT_CONFIRMED if spanning else VERDICT_NOT_FOUND,
-        note="" if spanning else "optimality not decided",
-        conjugated_rank=zeros.conjugated_rank,
-    )
-
-
-def nd_spanning(primal: SpanningReport) -> bool:
-    """True iff the zeros of both W and its partial transpose on B span fully.
-
-    ``primal`` is W's own spanning report.  The partial transpose's product
-    zeros are W's with the B factor conjugated (Lewenstein, Kraus, Cirac and
-    Horodecki, PRA 62, 052310 (2000)), so its rank is read from W's harvest
-    (``ZeroSet.conjugated_rank``); the partial transpose is never built.
-    """
-    return primal.spanning and primal.conjugated_rank == primal.dim
+    return collect_zero_set(W, seesaw=certificate.min_product)
 
 
 def certify_indecomposable(

@@ -50,9 +50,11 @@ def test_certify_choi(capsys):
     assert doc["is_witness_numeric"] is True
     assert doc["min_eigenvalue"] == pytest.approx(-1.0, abs=1e-10)
     assert -1e-8 <= doc["min_product_value"] <= 1e-6
-    assert doc["spanning"]["rank"] == 7
-    assert doc["spanning"]["verdict"] == "not-found-at-budget"
-    assert doc["nd_spanning"]["holds"] is False
+    assert doc["spanning"] == {
+        "spanning": False, "rank": 7, "dim": 9, "verdict": "not-found-at-budget",
+        "note": "optimality not decided",
+    }
+    assert doc["nd_spanning"] == {"verdict": "not-found-at-budget", "holds": False}
     assert err == ""
 
 
@@ -60,8 +62,13 @@ def test_certify_swap_summary_on_stderr(capsys):
     code, out, err = run_cli(capsys, "certify", "swap")
     assert code == 0
     doc = json.loads(out)
-    assert doc["spanning"]["verdict"] == "confirmed"
+    assert doc["spanning"] == {
+        "spanning": True, "rank": 4, "dim": 4, "verdict": "confirmed", "note": "",
+    }
+    assert doc["nd_spanning"] == {"verdict": "not-found-at-budget", "holds": False}
     assert "is witness (numeric): True" in err
+    assert "zero-set spanning:    confirmed (rank 4 of 4)" in err
+    assert "two-sided spanning:   not-found-at-budget" in err
 
 
 @pytest.mark.parametrize(

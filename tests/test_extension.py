@@ -189,7 +189,7 @@ def test_extended_zero_set_rejects_degenerate_input(swap):
         "d_bp": (lambda x: extended_zero_set(base, 2, x), "cap dimension", 1),
     }):
         check_integer_case(*case.values)
-    empty = type(base)(vectors=(), span_rank=0)
+    empty = type(base)(vectors=(), span_rank=0, conjugated_rank=0)
     with pytest.raises(ValueError):
         extended_zero_set(empty, 2, 2)
 

@@ -6,8 +6,8 @@ import pytest
 from entwit import (
     HermitianOperator,
     SerializationError,
-    SpanningReport,
     SystemLayout,
+    ZeroSet,
     dump_operator,
     dumps_canonical,
     load_operator,
@@ -113,7 +113,7 @@ def test_to_jsonable_handles_common_shapes():
             "z3": np.ones((2, 2, 2), complex),
             "r": np.array([1.0, 2.0]),
             "t": (1, 2),
-            "s": SpanningReport(spanning=True, rank=4, dim=4, verdict="confirmed"),
+            "s": ZeroSet(np.array([[1.0, 0.5j]]), span_rank=1, conjugated_rank=1),
         }
     )
     assert out["z"] == [1.0, 2.0]
@@ -123,9 +123,9 @@ def test_to_jsonable_handles_common_shapes():
     assert out["z3"] == [[[[1.0, 0.0]] * 2] * 2] * 2
     assert out["r"] == [1.0, 2.0]
     assert out["t"] == [1, 2]
+    # a record prints its fields, not the verdicts it works out from them
     assert out["s"] == {
-        "spanning": True, "rank": 4, "dim": 4, "verdict": "confirmed", "note": "",
-        "conjugated_rank": 0,
+        "vectors": [[[1.0, 0.0], [0.0, 0.5]]], "span_rank": 1, "conjugated_rank": 1,
     }
 
 

@@ -15,11 +15,11 @@ from entwit import (
     collect_zero_set,
     expectation,
     extend_witness,
+    extended_zero_set,
     has_spanning_property,
     is_psd,
     maximally_entangled_vector,
     min_product_expectation,
-    nd_spanning,
     partial_transpose,
     projector,
     random_density,
@@ -378,7 +378,7 @@ def test_certifying_choi_abandons_its_creeping_restarts(choi):
         v > band for v, s in zip(report.restart_values, report.stops) if s == "abandoned"
     )
     assert max(report.iterations) <= 40
-    assert has_spanning_property(choi, cert).rank == 7
+    assert has_spanning_property(choi, cert).span_rank == 7
 
 
 def test_certifying_capped_choi_abandons_its_creeping_restarts(capped_choi):
@@ -421,9 +421,9 @@ def test_generalized_choi_keeps_its_spanning_zeros(a):
     op = _generalized_choi(a)
     cert = certify_witness(op, seed=42)
     assert cert.is_witness_numeric
-    primal = has_spanning_property(op, cert)
-    assert primal.rank == 9
-    assert nd_spanning(primal)
+    zeros = has_spanning_property(op, cert)
+    assert zeros.span_rank == 9
+    assert zeros.nd_spanning
 
 
 def _lifted_rank(d_a, d_b, d_ap, d_bp, rank_l, rank_r, r):
@@ -523,11 +523,35 @@ def test_spanning_ranks_are_the_exact_ranks(name, rotated, seed):
     cert = certify_witness(op, seed=seed)
     assert cert.is_witness_numeric
     span = has_spanning_property(op, cert)
-    assert span.rank == rank
+    assert span.span_rank == rank
     # W's zeros with their B factor conjugated are the partial transpose's;
     # a harvest of the partial transpose itself cross-checks their rank
     assert span.conjugated_rank == gamma_rank
     assert collect_zero_set(partial_transpose(op), seed=seed).span_rank == gamma_rank
+
+
+@pytest.mark.parametrize("name, dims, ranks, verdicts", [
+    ("swap-3", (2, 3), (54, 54, 48), (True, False)),
+    ("phi-half", (2, 2), (36, 36, 36), (True, True)),
+], ids=["swap-3-caps-2-3", "phi-half-caps-2-2"])
+def test_the_lift_carries_both_verdicts(name, dims, ranks, verdicts):
+    # the paper's claim through its one record: W's zeros lifted by
+    # positive-definite caps have the lifted-rank formula's ranks and the
+    # verdicts of the extension's own harvest
+    build, rank, gamma_rank = EXACT_RANKS[name]
+    w = build(None)
+    lifted = extended_zero_set(has_spanning_property(w, certify_witness(w, seed=1)), *dims)
+    assert (lifted.span_rank, lifted.dim, lifted.conjugated_rank) == ranks
+    assert ranks == (
+        _lifted_rank(3, 3, *dims, *dims, rank), w.dim * dims[0] * dims[1],
+        _lifted_rank(3, 3, *dims, *dims, gamma_rank),
+    )
+    ext = _capped(build, dims, max(dims))(rng_from(1))
+    cert = certify_witness(ext, seed=1)
+    assert cert.is_witness_numeric
+    direct = has_spanning_property(ext, cert)
+    assert (lifted.spanning, lifted.nd_spanning) == (direct.spanning, direct.nd_spanning)
+    assert (direct.spanning, direct.nd_spanning) == verdicts
 
 
 def test_conjugated_span_fills_after_the_kept_zeros():
@@ -546,8 +570,8 @@ def test_conjugated_span_fills_after_the_kept_zeros():
     assert span_rank(np.array(conjugates)) == 8
     assert zeros.conjugated_rank == 9
     span = has_spanning_property(op, cert)
-    assert (span.rank, span.conjugated_rank) == (9, 9)
-    assert nd_spanning(span)
+    assert (span.span_rank, span.conjugated_rank) == (9, 9)
+    assert span.nd_spanning
 
 
 def test_harvest_rejects_a_report_of_another_layout():
@@ -594,7 +618,7 @@ def test_rounding_noise_moves_no_stop_and_no_rank(choi):
     certs = [certify_witness(w, seed=42) for w in (op, noisy)]
     assert certs[0].min_product.stops == certs[1].min_product.stops
     assert certs[0].min_product.stops == ("settled",) * certs[0].min_product.restarts
-    ranks = [has_spanning_property(w, c).rank for w, c in zip((op, noisy), certs)]
+    ranks = [has_spanning_property(w, c).span_rank for w, c in zip((op, noisy), certs)]
     assert ranks[0] == ranks[1]
 
 
@@ -710,13 +734,10 @@ def test_transposed_swap_zero_rank_is_three(swap):
 def test_spanning_verdicts(choi, swap):
     s = has_spanning_property(swap, certify_witness(swap, restarts=16, seed=0))
     assert s.spanning
-    assert s.verdict == "confirmed"
-    assert (s.rank, s.dim) == (4, 4)
+    assert (s.span_rank, s.dim) == (4, 4)
     c = has_spanning_property(choi, certify_witness(choi, restarts=16, seed=0))
-    assert not c.spanning
-    assert c.verdict == "not-found-at-budget"
-    assert (c.rank, c.dim) == (7, 9)
-    assert c.note != ""
+    assert not c.spanning and not c.nd_spanning
+    assert (c.span_rank, c.dim) == (7, 9)
 
 
 def test_spanning_requires_a_witness():
@@ -732,16 +753,16 @@ def test_zeros_are_read_on_the_operator_not_on_the_certificate(swap):
     identity = HermitianOperator(np.eye(4), SystemLayout((2, 2), 1))
     cert = certify_witness(swap, seed=1)
     report = has_spanning_property(identity, cert)
-    assert (report.rank, report.spanning, report.verdict) == (0, False, "not-found-at-budget")
+    assert (report.span_rank, report.spanning, report.nd_spanning) == (0, False, False)
     shifted = HermitianOperator(swap.mat + 0.5 * np.eye(4), swap.layout)
     assert collect_zero_set(shifted, seesaw=cert.min_product).span_rank == 0
     assert collect_zero_set(shifted, seed=1).span_rank == 0
 
 
 def test_nd_spanning_swap_fails_on_transposed_side(swap):
-    primal = has_spanning_property(swap, certify_witness(swap, restarts=16, seed=0))
-    assert primal.spanning
-    assert not nd_spanning(primal)
+    zeros = has_spanning_property(swap, certify_witness(swap, restarts=16, seed=0))
+    assert zeros.spanning
+    assert not zeros.nd_spanning
 
 
 def test_span_rank_basics():
@@ -803,7 +824,7 @@ def test_certify_and_spanning_verdicts_do_not_depend_on_scale(
         assert cert.is_witness_numeric is (rank is not None)
         if rank is not None:
             span = has_spanning_property(scaled, cert)
-            assert span.rank == rank
+            assert span.span_rank == rank
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
