@@ -248,7 +248,7 @@ def cmd_mdiew_decompose(args) -> tuple[dict, list[str], int]:
 
     scenario = MdiewScenario.ideal(args.operator)
     payload = {
-        "party_dims": scenario.party_dims,
+        "party_dims": scenario.witness.layout.parties,
         "basis_sizes": [len(scenario.basis_left), len(scenario.basis_right)],
         "beta": scenario.beta,
         "residual": scenario.residual,

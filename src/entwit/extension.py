@@ -43,8 +43,8 @@ __all__ = [*_EXPORTS["extension"]]
 
 
 def _as_cap(obj: HermitianOperator | Array, side: str) -> HermitianOperator:
-    if isinstance(obj, HermitianOperator) and obj.layout.n_subsystems != 1:
-        raise LayoutError(f"{side} must act on a single system, got dims {obj.dims}")
+    if isinstance(obj, HermitianOperator) and len(obj.layout.dims) != 1:
+        raise LayoutError(f"{side} must act on a single system, got dims {obj.layout.dims}")
     mat = _cap_matrix(obj, None, side)
     if np.abs(mat).max() == 0.0:
         # a zero cap kills every transferred detection value Tr(P Ptilde)

@@ -160,11 +160,11 @@ class MdiewScenario(_Frozen):
     def __init__(
         self, witness: HermitianOperator, basis_left: StateBasis, basis_right: StateBasis
     ) -> None:
-        d_a, d_b = witness.layout.left_dim, witness.layout.right_dim
-        if basis_left.dim != d_a or basis_right.dim != d_b:
+        d_a, d_b = parties = witness.layout.parties
+        if (basis_left.dim, basis_right.dim) != parties:
             raise LayoutError(
                 f"basis dims ({basis_left.dim}, {basis_right.dim}) do not match "
-                f"witness parties ({d_a}, {d_b})"
+                f"witness parties {parties}"
             )
         left, right = (b.states.reshape(len(b), -1).T for b in (basis_left, basis_right))
         target = _realign(witness.mat, d_a, d_b)
@@ -192,11 +192,7 @@ class MdiewScenario(_Frozen):
     @classmethod
     def ideal(cls, W: HermitianOperator) -> "MdiewScenario":
         """Tomographic bases and the beta solved over them."""
-        return cls(W, *map(tomographic_basis, (W.layout.left_dim, W.layout.right_dim)))
-
-    @property
-    def party_dims(self) -> tuple[int, int]:
-        return self.witness.layout.left_dim, self.witness.layout.right_dim
+        return cls(W, *map(tomographic_basis, W.layout.parties))
 
 
 def _input_factors(sigmas: Array, elements: Array, iso: Array) -> Array:
@@ -261,12 +257,9 @@ def mdiew_value(
     povm_right: HermitianOperator | Array | None = None,
 ) -> float:
     """sum beta[s, t] P(0,0 | s, t); the ideal projectors by default."""
-    d_a, d_b = scenario.party_dims
-    if rho.layout.left_dim != d_a or rho.layout.right_dim != d_b:
-        raise LayoutError(
-            f"state parties ({rho.layout.left_dim}, {rho.layout.right_dim}) "
-            f"do not match scenario ({d_a}, {d_b})"
-        )
+    d_a, d_b = parties = scenario.witness.layout.parties
+    if rho.layout.parties != parties:
+        raise LayoutError(f"state parties {rho.layout.parties} do not match scenario {parties}")
     e_l, e_r = (
         _povm_matrix(ideal_projector(d) if e is None else e, d * d, f"{side} POVM element")
         for e, d, side in ((povm_left, d_a, "left"), (povm_right, d_b, "right"))
@@ -354,7 +347,7 @@ def _audit_chunk(
     one per side for the isometry.  Members past the count get weight 0.
     The stacks are valid by construction; only the results are checked.
     """
-    (d_a, d_b) = dims = scenario.party_dims
+    (d_a, d_b) = dims = scenario.witness.layout.parties
     spaces = embed or (d_a * d_a, d_b * d_b)
     blocks = [(2, d) for d in {"misaligned": dims, "arbitrary": spaces}.get(povm_mode, ())]
     blocks += [(1, big) for big in embed or ()]
@@ -417,7 +410,7 @@ def separable_nonnegativity_audit(
     trials = _integer(trials, "trials", 1)
     if povm_mode not in POVM_MODES:
         raise ValueError(f"povm_mode must be one of {POVM_MODES}, got {povm_mode!r}")
-    d_a, d_b = scenario.party_dims
+    d_a, d_b = scenario.witness.layout.parties
     embed = None
     if embed_dims is not None:
         if not (hasattr(embed_dims, "__len__") and len(embed_dims) == 2):

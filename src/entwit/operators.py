@@ -120,10 +120,6 @@ class SystemLayout(_Frozen):
     def total_dim(self) -> int:
         return int(np.prod(self.dims))
 
-    @property
-    def n_subsystems(self) -> int:
-        return len(self.dims)
-
     def require_bipartite(self) -> None:
         # bipartite semantics need a nonempty party on each side
         if not 0 < self.cut < len(self.dims):
@@ -133,22 +129,10 @@ class SystemLayout(_Frozen):
             )
 
     @property
-    def left_dims(self) -> tuple[int, ...]:
-        return self.dims[: self.cut]
-
-    @property
-    def right_dims(self) -> tuple[int, ...]:
-        return self.dims[self.cut :]
-
-    @property
-    def left_dim(self) -> int:
+    def parties(self) -> tuple[int, int]:
+        """(d_A, d_B), the dimensions of the two parties."""
         self.require_bipartite()
-        return int(np.prod(self.left_dims))
-
-    @property
-    def right_dim(self) -> int:
-        self.require_bipartite()
-        return int(np.prod(self.right_dims))
+        return int(np.prod(self.dims[: self.cut])), int(np.prod(self.dims[self.cut :]))
 
 
 def single_system(d: int) -> SystemLayout:
@@ -239,10 +223,6 @@ class HermitianOperator(_Frozen):
         return self.mat.shape[0]
 
     @property
-    def dims(self) -> tuple[int, ...]:
-        return self.layout.dims
-
-    @property
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
 
@@ -266,10 +246,10 @@ def _validated_subsystems(
 ) -> tuple[int, ...]:
     if subsystems is None:
         layout.require_bipartite()
-        return tuple(range(layout.cut, layout.n_subsystems))
+        return tuple(range(layout.cut, len(layout.dims)))
     subs = tuple(sorted({_integer(s, "subsystem index", 0) for s in subsystems}))
     for s in subs:
-        if not s < layout.n_subsystems:
+        if not s < len(layout.dims):
             raise LayoutError(f"subsystem index {s} out of range for dims {layout.dims}")
     return subs
 
@@ -283,7 +263,7 @@ def partial_transpose(
     """
     layout = M.layout
     subs = _validated_subsystems(layout, subsystems)
-    n = layout.n_subsystems
+    n = len(layout.dims)
     t = M.mat.reshape(layout.dims + layout.dims)
     axes = list(range(2 * n))
     for s in subs:
@@ -298,7 +278,7 @@ def partial_trace(M: HermitianOperator, keep: Iterable[int]) -> HermitianOperato
     keep_set = _validated_subsystems(layout, tuple(keep))
     if not keep_set:
         raise LayoutError("keep set must be nonempty")
-    n = layout.n_subsystems
+    n = len(layout.dims)
     t = M.mat.reshape(layout.dims + layout.dims)
     dropped = [s for s in range(n) if s not in keep_set]
     for s in sorted(dropped, reverse=True):

@@ -214,7 +214,7 @@ def _lockstep_descents(op: HermitianOperator, seed: int, descents: range) -> tup
     entries per iteration, from column 0), the iteration counts and the
     stop names.
     """
-    d_left, d_right = op.layout.left_dim, op.layout.right_dim
+    d_left, d_right = op.layout.parties
     norm = op.norm
     slack, settle_tol = MONOTONE_SLACK * norm, CONVERGENCE_TOL * norm
     floor, window = ABANDON_FLOOR * norm, DEGENERATE_TOL * norm
@@ -302,7 +302,6 @@ def min_product_expectation(
     traces; the overall best takes the lowest restart index on ties.
     """
     restarts = _integer(restarts, "restarts", 1)
-    W.layout.require_bipartite()
     values, phis, psis, trace, iters, stops = _lockstep_descents(W, seed, range(restarts))
     phis.setflags(write=False)
     psis.setflags(write=False)
@@ -399,7 +398,7 @@ def collect_zero_set(
     ``max_descents``, until the conjugates span or it holds 2 * target_count
     zeros; the extra zeros count only toward ``conjugated_rank``.
     """
-    W.layout.require_bipartite()
+    widths = W.layout.parties
     if target_count is None:
         target_count = 4 * W.layout.total_dim
     target_count = _integer(target_count, "target_count", 0)
@@ -411,7 +410,7 @@ def collect_zero_set(
     if seesaw is not None and seesaw.seed != seed:
         raise ValueError(f"report seed {seesaw.seed!r} differs from harvest seed {seed!r}")
     zero_tol = ZERO_TOL * W.norm
-    dim, widths = W.layout.total_dim, (W.layout.left_dim, W.layout.right_dim)
+    dim = W.layout.total_dim
     bras = np.empty((2 * target_count, dim), dtype=complex)  # conj(phi (x) psi) rows
     conjugates = np.empty_like(bras)  # phi (x) conj(psi) rows
     count, next_descent, ended, rank = 0, 0, None, None
@@ -476,13 +475,15 @@ def certify_indecomposable(
 ) -> bool:
     """One-sided certificate: W detects the PPT state rho_candidate.
 
+    PPT is taken across W's own cut, so rho_candidate must have W's parties
+    (d_A, d_B), whatever its subsystems; other parties raise LayoutError.
     Detection means Tr(W rho) < -tol ||W||_F Tr(rho), and both PSD checks are
     relative to the largest eigenvalue modulus, whatever the scales of W and
     rho.  False means "not certified by this state", never "decomposable".
     """
-    if W.dim != rho_candidate.dim:
+    if rho_candidate.layout.parties != W.layout.parties:
         raise LayoutError(
-            f"dimension mismatch: witness {W.dim} vs state {rho_candidate.dim}"
+            f"state parties {rho_candidate.layout.parties} do not match W's {W.layout.parties}"
         )
     if not is_psd(rho_candidate, tol):
         return False

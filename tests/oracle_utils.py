@@ -406,7 +406,7 @@ def audit_trial_reference(scenario, seed, t, mode, embed_dims=None):
     """
     from entwit.mdiew import AUDIT_MAX_MEMBERS
 
-    d_a, d_b = scenario.party_dims
+    d_a, d_b = scenario.witness.layout.parties
     rng = descent_rng(seed, t)
     k = int(rng.integers(1, AUDIT_MAX_MEMBERS + 1))
     weights, members = draw_separable((d_a, d_b), k, rng)

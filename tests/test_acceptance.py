@@ -199,8 +199,7 @@ def test_criterion_06_extension_exhibit():
 
 def test_criterion_07_decomposition_residuals():
     for w in (choi_witness(), swap_witness()):
-        d_a = w.layout.left_dim
-        d_b = w.layout.right_dim
+        d_a, d_b = w.layout.parties
         bl, br = tomographic_basis(d_a), tomographic_basis(d_b)
         beta = MdiewScenario(w, bl, br).beta
         assert beta.dtype == np.float64 and np.isrealobj(beta)
@@ -216,7 +215,7 @@ def test_criterion_07_decomposition_residuals():
 def test_criterion_08_ideal_identity():
     for w, n_states in ((choi_witness(), 100), (swap_witness(), 100)):
         sc = MdiewScenario.ideal(w)
-        d = w.layout.left_dim
+        d = w.layout.parties[0]
         for seed in range(n_states):
             rho = HermitianOperator(
                 random_density(d * d, rng_from(seed, 91)).mat,

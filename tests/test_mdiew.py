@@ -142,8 +142,7 @@ def test_state_basis_names_a_member_of_the_wrong_shape(states, message):
 
 def test_scenario_beta_residuals(choi, swap):
     for w in (choi, swap):
-        d_a = w.layout.left_dim
-        d_b = w.layout.right_dim
+        d_a, d_b = w.layout.parties
         bl, br = tomographic_basis(d_a), tomographic_basis(d_b)
         sc = MdiewScenario(w, bl, br)
         beta = sc.beta
@@ -167,7 +166,7 @@ def test_decompose_product_operator_gives_indicator():
 @pytest.mark.parametrize("name", OPERATORS)
 def test_beta_matches_least_squares_oracle(name, named):
     w = named[name]
-    bl, br = tomographic_basis(w.layout.left_dim), tomographic_basis(w.layout.right_dim)
+    bl, br = map(tomographic_basis, w.layout.parties)
     beta = MdiewScenario(w, bl, br).beta
     want = decomposition_reference(w.mat, bl.states, br.states)
     assert np.abs(beta - want).max() <= 1e-12 * np.linalg.norm(w.mat)
@@ -184,8 +183,9 @@ def _rotated_basis(d, rng):
 def test_beta_on_rotated_bases_matches_least_squares_oracle(name, named):
     w = named[name]
     seed = OPERATORS.index(name)
-    bl = _rotated_basis(w.layout.left_dim, rng_from(seed, 60))
-    br = _rotated_basis(w.layout.right_dim, rng_from(seed, 61))
+    d_a, d_b = w.layout.parties
+    bl = _rotated_basis(d_a, rng_from(seed, 60))
+    br = _rotated_basis(d_b, rng_from(seed, 61))
     sc = MdiewScenario(w, bl, br)
     want = decomposition_reference(w.mat, bl.states, br.states)
     assert np.abs(sc.beta - want).max() <= 1e-12 * np.linalg.norm(w.mat)
@@ -213,7 +213,7 @@ def test_scenario_guards_its_solve(choi, monkeypatch, factor, message):
 
 def test_scenario_ideal_construction(swap):
     sc = MdiewScenario.ideal(swap)
-    assert sc.party_dims == (2, 2)
+    assert sc.witness.layout.parties == (2, 2)
     rho = _as_state(random_density(4, seed=3).mat, (2, 2))
     ideal = mdiew_value(sc, rho, ideal_projector(2), ideal_projector(2))
     assert mdiew_value(sc, rho) == ideal
@@ -296,7 +296,7 @@ def test_mdiew_value_rejects_a_state_of_other_parties(swap):
 def test_ideal_measurement_reproduces_witness_value(choi, swap):
     for w, n in ((choi, 6), (swap, 6)):
         sc = MdiewScenario.ideal(w)
-        d = w.layout.left_dim
+        d = w.layout.parties[0]
         for seed in range(n):
             rho = _as_state(random_density(d * d, rng_from(seed, 40)).mat, (d, d))
             got = mdiew_value(sc, rho)

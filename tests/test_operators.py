@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -43,16 +44,31 @@ def _random_hermitian(dims, seed):
 
 
 def test_layout_properties():
-    lay = SystemLayout((2, 3, 4), 2)
-    assert lay.left_dims == (2, 3)
-    assert lay.right_dims == (4,)
-    assert lay.left_dim == 6
-    assert lay.right_dim == 4
-    assert lay.total_dim == 24
-    assert lay.n_subsystems == 3
+    assert SystemLayout((2, 3, 4), 2).parties == (6, 4)
     assert single_system(5) == SystemLayout((5,), 1)
     numpy_ints = SystemLayout((np.int64(2), np.int32(3)), np.int64(1))
     assert all(type(x) is int for x in (*numpy_ints.dims, numpy_ints.cut))
+
+
+@settings(max_examples=50, deadline=None)
+@given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=4))
+def test_parties_are_the_products_of_the_two_sides(dims):
+    """(d_A, d_B) multiplies out the subsystems on each side of every inner
+    cut; a cut that leaves a party empty raises the bipartition error."""
+    for cut in range(len(dims) + 1):
+        layout = SystemLayout(dims, cut)
+        if 0 < cut < len(dims):
+            d_a, d_b = layout.parties
+            assert (d_a, d_b) == (math.prod(dims[:cut]), math.prod(dims[cut:]))
+            assert type(d_a) is int and type(d_b) is int
+            assert layout.total_dim == d_a * d_b
+            continue
+        with pytest.raises(LayoutError) as err:
+            layout.parties
+        assert str(err.value) == (
+            f"operation needs a bipartition; cut {cut} of dims {tuple(dims)} "
+            "leaves one party empty"
+        )
 
 
 def test_layout_rejects_bad_input():

@@ -107,7 +107,7 @@ def test_lockstep_seesaw_matches_reference_descents(name, choi, swap, capped_cho
     op = {"choi": choi, "swap": swap, "capped-choi": capped_choi}[name]
     report = min_product_expectation(op, seed=42)
     reference = min_product_reference(
-        op.mat, op.layout.left_dim, op.layout.right_dim, report.restarts, 42,
+        op.mat, *op.layout.parties, report.restarts, 42,
         abandon_tol=witness_module.ABANDON_FLOOR,
     )
     _assert_matches_reference(report, reference, op)
@@ -202,7 +202,7 @@ def test_chunked_harvest_matches_sequential_reference(
         op, target_count=target_count, max_descents=max_descents, seed=42, seesaw=seesaw
     )
     reference, descents_run = zero_harvest_reference(
-        op.mat, op.layout.left_dim, op.layout.right_dim, target_count, max_descents, 42,
+        op.mat, *op.layout.parties, target_count, max_descents, 42,
         abandon_tol=witness_module.ABANDON_FLOOR,
     )
     assert len(zeros.vectors) == len(reference)
@@ -213,7 +213,7 @@ def test_chunked_harvest_matches_sequential_reference(
         # partial transpose has zeros of rank 3 of 4), so the harvest goes on
         # along the same stream as a sequential harvest of 2 * target_count
         _, descents_run = zero_harvest_reference(
-            op.mat, op.layout.left_dim, op.layout.right_dim, 2 * target_count,
+            op.mat, *op.layout.parties, 2 * target_count,
             max_descents, 42, abandon_tol=witness_module.ABANDON_FLOOR,
         )
     # each descent starts once, in order, and only those the sequential
@@ -276,7 +276,7 @@ def test_harvest_from_the_report_keeps_what_a_fresh_harvest_keeps(
     for kept, strict in zip(from_report.vectors, fresh.vectors):
         np.testing.assert_array_equal(kept, strict)
     reference, _ = zero_harvest_reference(
-        op.mat, op.layout.left_dim, op.layout.right_dim, target_count, max_descents, 42,
+        op.mat, *op.layout.parties, target_count, max_descents, 42,
         abandon_tol=witness_module.ABANDON_FLOOR,
     )
     assert len(from_report.vectors) == len(reference)
@@ -309,7 +309,7 @@ def test_harvest_reads_only_the_reports_vectors(
 
 def _haar_rotated(op, seed):
     rng = rng_from(seed)
-    u = np.kron(draw_unitary(op.layout.left_dim, rng), draw_unitary(op.layout.right_dim, rng))
+    u = np.kron(*(draw_unitary(d, rng) for d in op.layout.parties))
     m = u @ op.mat @ u.conj().T
     return HermitianOperator((m + m.conj().T) / 2, op.layout)
 
@@ -333,7 +333,7 @@ def test_abandoned_descents_drop_no_zero(name, choi, swap, capped_choi):
     # the stacked reference keeps what the sequential one keeps (pinned on
     # every case but the capped one, where the sequential takes ~1.6 s)
     reference, _ = zero_harvest_stacked(
-        op.mat, op.layout.left_dim, op.layout.right_dim, 4 * dim, 20 * dim, 42,
+        op.mat, *op.layout.parties, 4 * dim, 20 * dim, 42,
         zero_tol=witness_module.ZERO_TOL * np.linalg.norm(op.mat),
     )
     assert len(zeros.vectors) == len(reference) > 0
@@ -356,7 +356,7 @@ def test_stacked_harvest_reference_matches_the_sequential_one(name, choi, swap):
     ops = {"choi": choi, "swap": swap, "swap-gamma": partial_transpose(swap)}
     op = ops[name] if name in ops else _haar_rotated(choi, int(name[-1]))
     dim = op.layout.total_dim
-    args = (op.mat, op.layout.left_dim, op.layout.right_dim, 4 * dim, 20 * dim, 42)
+    args = (op.mat, *op.layout.parties, 4 * dim, 20 * dim, 42)
     zero_tol = witness_module.ZERO_TOL * np.linalg.norm(op.mat)
     stacked, stacked_run = zero_harvest_stacked(*args, zero_tol=zero_tol)
     sequential, sequential_run = zero_harvest_reference(*args, zero_tol=zero_tol)
@@ -391,7 +391,7 @@ def test_certifying_capped_choi_abandons_its_creeping_restarts(capped_choi):
     assert report.stops.count("abandoned") == 10
     assert max(report.iterations) <= 40
     reference = min_product_reference(
-        op.mat, op.layout.left_dim, op.layout.right_dim, report.restarts, 42
+        op.mat, *op.layout.parties, report.restarts, 42
     )
     gap = abs(report.best_value - min(r[0] for r in reference))
     assert gap <= 1e-11 * np.linalg.norm(op.mat)
@@ -494,7 +494,7 @@ def _exact_rank_operator(name, rotated, seed):
     rng = rng_from(seed)
     op = EXACT_RANKS[name][0](rng)
     if rotated:
-        d_left, d_right = op.layout.left_dim, op.layout.right_dim
+        d_left, d_right = op.layout.parties
         u = np.kron(draw_unitary(d_left, rng), draw_unitary(d_right, rng))
         m = u @ op.mat @ u.conj().T
         op = HermitianOperator((m + m.conj().T) / 2, op.layout)
@@ -812,6 +812,36 @@ def test_certify_indecomposable_dimension_mismatch(choi):
         certify_indecomposable(choi, random_density(4, seed=0))
 
 
+def test_certify_indecomposable_reads_ppt_across_the_witness_cut():
+    # W = Gamma(|psi><psi|), psi = (|00> + |11>) / sqrt 2 on 2 (x) 3, is
+    # decomposable.  phi = (|01> - |10>) / sqrt 2 is entangled on (2, 3), but
+    # read on (3, 2) the same vector is the product (|0> - |1>) / sqrt 2 (x) |1>:
+    # PPT on its own cut, with Tr(W rho) = -1/2.  Equal total dimensions do
+    # not make equal parties, so that state is refused rather than certified.
+    e = np.eye(6)
+    layout = SystemLayout((2, 3), 1)
+    W = partial_transpose(HermitianOperator(projector((e[0] + e[4]) / np.sqrt(2)), layout))
+    rho = projector((e[1] - e[3]) / np.sqrt(2))
+    swapped = HermitianOperator(rho, SystemLayout((3, 2), 1))
+    assert is_psd(partial_transpose(swapped))
+    assert expectation(W, swapped) == pytest.approx(-0.5, abs=1e-15)
+    with pytest.raises(LayoutError) as err:
+        certify_indecomposable(W, swapped)
+    assert str(err.value) == "state parties (3, 2) do not match W's (2, 3)"
+    assert certify_indecomposable(W, HermitianOperator(rho, layout)) is False
+
+    # parties are products: a state on (2, 2, 3) with cut 1 has W's parties
+    # (2, 6), and its verdict is that of the same matrix on (2, 6)
+    e = np.eye(12)
+    wide = SystemLayout((2, 6), 1)
+    W = partial_transpose(HermitianOperator(projector((e[0] + e[7]) / np.sqrt(2)), wide))
+    separable = mixture_density(*draw_separable((2, 6), 3, rng_from(5)))
+    for rho in (projector((e[1] - e[6]) / np.sqrt(2)), separable):
+        verdict = certify_indecomposable(W, HermitianOperator(rho, wide))
+        state = HermitianOperator(rho, SystemLayout((2, 2, 3), 1))
+        assert certify_indecomposable(W, state) is verdict
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e-200, 1e-12, 1e-8, 1.0, 1e6, 1e8, 1e160, 1e300])
 def test_certify_and_spanning_verdicts_do_not_depend_on_scale(
@@ -857,7 +887,7 @@ def test_certify_verdict_is_invariant_under_scale_and_local_unitaries(
 ):
     # witness-hood is a property of the ray of W and of its local-unitary orbit
     op = {"choi": choi, "swap": swap, "identity": HermitianOperator(np.eye(9), choi.layout)}[name]
-    d_a, d_b = op.layout.left_dim, op.layout.right_dim
+    d_a, d_b = op.layout.parties
     rng = rng_from(seed)
     u = np.kron(draw_unitary(d_a, rng), draw_unitary(d_b, rng))
     m = u @ op.mat @ u.conj().T
