@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _EXPORTS
-from .operators import Array, HermitianOperator, _integer, single_system
+from .operators import HermitianOperator, _integer, single_system
 
 __all__ = [*_EXPORTS["sampling"]]
 
@@ -36,14 +36,12 @@ def rng_from(seed, *key: int) -> np.random.Generator:
     return np.random.default_rng(seq)
 
 
-def _complex_gaussian(rng: np.random.Generator, shape) -> Array:
-    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-
 def random_psd(d: int, seed) -> HermitianOperator:
-    """PSD matrix G G† from a complex Gaussian G."""
+    """PSD matrix G G† from a complex Gaussian G, read from the stream as
+    Re G then Im G."""
     d = _integer(d, "dimension", 1)
-    g = _complex_gaussian(rng_from(seed), (d, d))
+    re, im = rng_from(seed).normal(size=(2, d, d))
+    g = re + 1j * im
     return HermitianOperator(g @ g.conj().T, single_system(d))
 
 

@@ -32,7 +32,7 @@ from .operators import (
     is_psd,
     partial_transpose,
 )
-from .sampling import DEFAULT_RESTARTS, _complex_gaussian, rng_from
+from .sampling import DEFAULT_RESTARTS, rng_from
 
 __all__ = [*_EXPORTS["witness"], "VERDICT_CONFIRMED", "VERDICT_NOT_FOUND"]
 
@@ -164,23 +164,6 @@ def _min_eigvecs(mats: Array, refs: Array, window: float) -> tuple[Array, Array]
     return low, v
 
 
-def _start_vectors(
-    seed: int, indices: range, d_left: int, d_right: int
-) -> tuple[Array, Array, Array]:
-    """Per descent index, a normalized complex Gaussian right-party start and
-    then one complex Gaussian reference per party, the left one first, for
-    ``_min_eigvecs``; descent ``t`` draws from ``rng_from(seed, t)``."""
-    starts = np.empty((len(indices), d_right), dtype=complex)
-    lefts = np.empty((len(indices), d_left), dtype=complex)
-    rights = np.empty_like(starts)
-    for n, t in enumerate(indices):
-        rng = rng_from(seed, t)
-        psi = _complex_gaussian(rng, d_right)
-        starts[n] = psi / np.linalg.norm(psi)
-        lefts[n], rights[n] = _complex_gaussian(rng, d_left), _complex_gaussian(rng, d_right)
-    return starts, lefts, rights
-
-
 def _pairs(v: Array) -> Array:
     """Rows conj(v[n, a]) * v[n, b], flattened over (a, b), as a stack of
     one-row matrices."""
@@ -190,9 +173,12 @@ def _pairs(v: Array) -> Array:
 def _lockstep_descents(op: HermitianOperator, seed: int, descents: range) -> tuple[Array, ...]:
     """See-saw descents of ``op`` with the given indices, in lock step.
 
-    Descent ``t`` takes its start and references from ``_start_vectors``.
-    Each half-step is one stacked contraction and one stacked ``eigh`` over
-    the descents still active.  The effective left operators,
+    Descent ``t`` reads ``rng_from(seed, t)`` as one block of normals, in
+    this order: Re psi and Im psi, its start on the right party (normalized);
+    then Re and Im of its left reference and of its right reference, the
+    vectors ``_min_eigvecs`` projects onto a tied eigenspace.  Each half-step
+    is one stacked contraction and one stacked ``eigh`` over the descents
+    still active.  The effective left operators,
     ``einsum("irjs,nr,ns->nij", w4, psi.conj(), psi)``, are one stacked
     matrix product of the outer products of the right vectors, one row per
     descent, with W regrouped by party; the right ones,
@@ -219,8 +205,16 @@ def _lockstep_descents(op: HermitianOperator, seed: int, descents: range) -> tup
     slack, settle_tol = MONOTONE_SLACK * norm, CONVERGENCE_TOL * norm
     floor, window = ABANDON_FLOOR * norm, DEGENERATE_TOL * norm
     w_pairs = _realign(op.mat, d_left, d_right)
-    psi, ref_left, ref_right = _start_vectors(seed, descents, d_left, d_right)
-    n = len(psi)
+    n = len(descents)
+    draws = np.empty((n, 2 * (2 * d_right + d_left)))
+    for i, t in enumerate(descents):
+        draws[i] = rng_from(seed, t).normal(size=draws.shape[1])
+    re, im, re_left, im_left, re_right, im_right = np.split(
+        draws, np.cumsum([d_right, d_right, d_left, d_left, d_right]), axis=1
+    )
+    psi, ref_left, ref_right = re + 1j * im, re_left + 1j * im_left, re_right + 1j * im_right
+    for row in psi:  # one row at a time: a vectorized norm rounds differently
+        row /= np.linalg.norm(row)
     phi = np.zeros((n, d_left), dtype=complex)
     value, before = np.full(n, np.inf), np.full(n, np.inf)
     trace = np.empty((n, 2 * DEFAULT_MAX_ITERS))
@@ -413,7 +407,7 @@ def collect_zero_set(
     dim = W.layout.total_dim
     bras = np.empty((2 * target_count, dim), dtype=complex)  # conj(phi (x) psi) rows
     conjugates = np.empty_like(bras)  # phi (x) conj(psi) rows
-    count, next_descent, ended, rank = 0, 0, None, None
+    count, next_descent, ended, rank, conjugated_rank = 0, 0, None, None, None
     if seesaw is not None:
         parties = tuple(a.shape[1] for a in seesaw.restart_vectors)
         if parties != widths:
@@ -440,15 +434,17 @@ def collect_zero_set(
                 if count == limit:
                     ended = phis[n + 1 :], psis[n + 1 :]  # where a continuation resumes
                     break
-            if rank is not None and span_rank(conjugates[:count]) == dim:
-                break
+            if rank is not None:
+                conjugated_rank = span_rank(conjugates[:count])
+                if conjugated_rank == dim:
+                    break
         if rank is None:
             vectors = bras[:count].conj()
-            rank = span_rank(vectors)
-            if rank < dim or span_rank(conjugates[:count]) == dim:
+            rank, conjugated_rank = span_rank(vectors), span_rank(conjugates[:count])
+            if rank < dim or conjugated_rank == dim:
                 break
     vectors.setflags(write=False)
-    return ZeroSet(vectors, rank, span_rank(conjugates[:count]))
+    return ZeroSet(vectors, rank, conjugated_rank)
 
 
 def has_spanning_property(W: HermitianOperator, certificate: WitnessCertificate) -> ZeroSet:

@@ -1,6 +1,7 @@
 import ast
 import copy
 import inspect
+import json
 import pickle
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import pytest
 
 import entwit
 from entwit.operators import _Frozen
+from entwit.sampling import random_psd
+from entwit.serialization import operator_to_dict
 
 SUBMODULES = (
     "operators", "sampling", "witness", "extension", "choi", "catalog", "mdiew",
@@ -64,6 +67,39 @@ def test_a_lookup_loads_only_its_layer_and_that_layers_imports(name):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout.split()
     assert out == [f"entwit.{layer}" for layer in sorted(LOADS[name])]
+
+
+# Each command kind the benchmark and CI run, as ``main`` takes it; {caps} is a
+# cap file.  Every kind runs the code paths its bigger runs do, at a small size.
+COMMAND_KINDS = {
+    "certify": ["certify", "swap", "--restarts", "4"],
+    "extend-random-caps": ["extend", "swap", "--random-caps", "2", "2", "--restarts", "4"],
+    "extend-caps": ["extend", "swap", "--caps", "{caps}", "--restarts", "4"],
+    **{f"audit-{mode}": ["mdiew", "audit", "swap", "--trials", "5", "--povm-mode", mode]
+       for mode in ("ideal", "misaligned", "arbitrary")},
+    "audit-embedded": ["mdiew", "audit", "swap", "--trials", "2", "--embed-dims", "16", "16"],
+    "decompose": ["mdiew", "decompose", "choi"],
+    "choi-demo": ["choi-demo"],
+}
+
+
+@pytest.mark.parametrize("kind", COMMAND_KINDS)
+def test_no_command_imports_numpy_ma(tmp_path, kind):
+    # np.median of a float array imports numpy.ma, about 13 ms of start-up
+    # that a short command would pay on every run
+    caps = tmp_path / "caps.json"
+    caps.write_text(json.dumps(dict.fromkeys(("cap_left", "cap_right"),
+                                             operator_to_dict(random_psd(2, 0)))))
+    argv = [a.format(caps=caps) for a in COMMAND_KINDS[kind]]
+    code = (
+        "import contextlib, io, sys, entwit.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = entwit.cli.main(sys.argv[1:])\n"
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "0 False\n"
 
 
 def test_dir_covers_all():
