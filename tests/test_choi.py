@@ -204,7 +204,6 @@ def test_exhibit_frozen_values():
     assert rep.reduced_value == pytest.approx(0.0, abs=1e-10)
     assert rep.closed_ext == pytest.approx(-1.5, abs=1e-12)
     assert rep.closed_reduced == pytest.approx(0.0, abs=1e-10)
-    assert rep.scale == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert rep.state_psd
     assert rep.gamma_bprime_psd
 
@@ -233,7 +232,7 @@ def test_exhibit_checks_its_cap_once_and_builds_its_state_once(monkeypatch):
     np.testing.assert_array_equal(rep.params.a, np.ones((2, 2)))
     np.testing.assert_array_equal(rep.params.b, np.eye(2))
     np.testing.assert_array_equal(rep.cap_right, np.ones((2, 2)))
-    assert rep[2:] == (-0.5, 0.0, -1.5, 0.0, 1.0 / 3.0, True, True)
+    assert rep[2:] == (-0.5, 0.0, -1.5, 0.0, True, True)
 
 
 def test_exhibit_rejects_flipped_weights():

@@ -103,18 +103,16 @@ def test_an_extension_beyond_the_largest_float_is_rejected(swap):
         extend_witness(swap, spec)
 
 
-def test_extend_state_requires_psd_and_normalizes(choi):
+def test_extend_state_requires_psd_and_multiplies_traces(choi):
     rho = choi_detected_ppt_state()
-    spec = ExtensionSpec(random_density(2, seed=5), random_density(2, seed=6))
-    ext = extend_state(rho, spec, normalize=True)
-    assert ext.trace == pytest.approx(1.0, abs=1e-12)
-    assert is_psd(ext)
+    spec = ExtensionSpec(random_psd(2, seed=5), random_psd(2, seed=6))
+    assert is_psd(extend_state(rho, spec))
     with pytest.raises(ValueError):
         extend_state(choi, spec)  # not a state
+    caps = spec.cap_left.trace * spec.cap_right.trace
     for scale in (1e-12, 1e8):
         scaled = HermitianOperator(scale * rho.mat, rho.layout)
-        ext = extend_state(scaled, spec, normalize=True)
-        assert ext.trace == pytest.approx(1.0, abs=1e-12)
+        assert extend_state(scaled, spec).trace == pytest.approx(caps * scaled.trace, rel=1e-12)
 
 
 def test_transposed_extension_factorizes_exactly(choi, swap):

@@ -119,6 +119,12 @@ def test_hermitian_operator_validation():
         op.mat[0, 0] = 99.0
 
 
+@pytest.mark.parametrize("layout", [(2, 2), [2, 2], None])
+def test_hermitian_operator_rejects_a_layout_that_is_no_system_layout(layout):
+    with pytest.raises(LayoutError, match="^layout must be a SystemLayout, got "):
+        HermitianOperator(np.eye(4), layout)
+
+
 def test_huge_entries_neither_overflow_the_hermiticity_check_nor_the_norm():
     big = np.finfo(float).max
     # a - conj(a) of a huge imaginary diagonal entry is beyond the largest float

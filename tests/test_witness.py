@@ -183,12 +183,20 @@ def _harvest_case(name, target_count, max_descents, restarts=None):
         _harvest_case("choi", 8, 7, restarts=64),
         _harvest_case("swap", 16, 80, restarts=64),
         _harvest_case("choi", 36, 180, restarts=64),
+        # both spans fill at the target, so the harvest stops there
+        _harvest_case("phi-half", 36, 180),
+        _harvest_case("phi-half", 36, 180, restarts=64),
     ],
 )
 def test_chunked_harvest_matches_sequential_reference(
     name, target_count, max_descents, restarts, choi, swap, monkeypatch
 ):
-    op = {"swap": swap, "swap-gamma": partial_transpose(swap), "choi": choi}[name]
+    op = {
+        "swap": swap,
+        "swap-gamma": partial_transpose(swap),
+        "choi": choi,
+        "phi-half": _generalized_choi(0.5),
+    }[name]
     seesaw = None if restarts is None else min_product_expectation(op, restarts, seed=42)
     started = []
     rng_from = witness_module.rng_from
