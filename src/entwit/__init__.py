@@ -5,8 +5,7 @@ The package is organized around a few small layers:
 
 operators      layouts, Hermitian operators, partial transpose / trace,
                spectra
-sampling       seeded random streams, PSD operators (the CLI's caps) and
-               densities
+sampling       seeded random streams and PSD operators (the CLI's caps)
 witness        see-saw minimization over product states and certification
 extension      tensoring witnesses with positive caps; zero-set lifting
 choi           the worked indecomposable example and its extension exhibit
@@ -28,9 +27,8 @@ from importlib import import_module
 _EXPORTS = {
     "catalog": ("choi_detected_ppt_state", "swap_witness"),
     "choi": (
-        "AbParams", "ExhibitReport", "choi_witness", "closed_form_values",
-        "detection_values", "nontrivial_extension_exhibit", "rho_abb",
-        "rho_abb_matrix",
+        "AbParams", "ExhibitReport", "choi_witness", "nontrivial_extension_exhibit",
+        "rho_abb", "rho_abb_matrix",
     ),
     "extension": (
         "ExtensionSpec", "extend_state", "extend_witness", "extended_zero_set",
@@ -45,7 +43,7 @@ _EXPORTS = {
         "eigh", "is_psd", "maximally_entangled_vector", "partial_trace",
         "partial_transpose", "projector", "single_system",
     ),
-    "sampling": ("random_density", "random_psd", "rng_from"),
+    "sampling": ("random_psd", "rng_from"),
     "serialization": (
         "SerializationError", "dump_operator", "dumps_canonical", "load_operator",
         "matrix_from_json", "matrix_to_json", "operator_from_dict",

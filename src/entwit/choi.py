@@ -114,40 +114,28 @@ def rho_abb(params: AbParams) -> HermitianOperator:
     return HermitianOperator(raw / tr, SystemLayout((3, 3, 2), 1))
 
 
-def detection_values(
-    params: AbParams, cap_right: Array | HermitianOperator
-) -> tuple[float, float]:
-    """(ext_value, reduced_value) on the unit-trace family member.
+def _detection_values(cap_mat: Array, state: HermitianOperator) -> tuple[float, float]:
+    """(ext_value, reduced_value) for a checked cap on a built family member.
 
     ext_value is <W (x) cap> on the full A|BB' state; reduced_value is <W> on
     the B'-traced A|B marginal.  A negative first entry with a vanishing
     second is the point: the cap alone buys the detection.
     """
-    return _detection_values(_cap_matrix(cap_right, 2, "cap"), rho_abb(params))
-
-
-def _detection_values(cap_mat: Array, state: HermitianOperator) -> tuple[float, float]:
-    """``detection_values`` for a checked cap on a built family member."""
     w = choi_witness()
     ext_op = HermitianOperator(np.kron(w.mat, cap_mat), state.layout)
     return expectation(ext_op, state), expectation(w, partial_trace(state, keep=(0, 1)))
 
 
-def closed_form_values(
-    params: AbParams, cap_right: Array | HermitianOperator
-) -> tuple[float, float]:
-    """Closed forms for the same two numbers, up to CLOSED_FORM_SCALE:
+def _closed_forms(params: AbParams, cap_mat: Array) -> tuple[float, float]:
+    """Closed forms for the same two numbers, up to CLOSED_FORM_SCALE, for a
+    checked cap:
 
         (3 / Tr(a + b)) * Tr(cap (b - a))   and   (3 / Tr(a + b)) * Tr(b - a).
 
-    Multiplying either by CLOSED_FORM_SCALE reproduces detection_values.  Each
-    imaginary part is measured against its Cauchy-Schwarz bound, so at any scale.
+    Multiplying either by CLOSED_FORM_SCALE reproduces ``_detection_values``.
+    Each imaginary part is measured against its Cauchy-Schwarz bound, so at
+    any scale.
     """
-    return _closed_forms(params, _cap_matrix(cap_right, 2, "cap"))
-
-
-def _closed_forms(params: AbParams, cap_mat: Array) -> tuple[float, float]:
-    """``closed_form_values`` for a checked cap."""
     weight = 3.0 / (params.a + params.b).trace().real
     diff = params.b - params.a
     ext = weight * (cap_mat @ diff).trace()

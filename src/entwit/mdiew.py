@@ -9,10 +9,12 @@ negative on separable rho, whatever the measurements actually are.
 
 Click table: with E_l on (input A', party A) and E_r on (party B, input B'),
 P(0,0 | s, t) = Tr[rho (F_l[s] (x) F_r[t])], where F_l[s] = Tr_A'[(sigma_s^T
-(x) I) E_l] and F_r[t] = Tr_B'[(I (x) sigma_t^T) E_r]; matrix products give
-all (s, t) at once, for a whole stack of states and elements.  Embedded
-elements E = v^H E_big v are never compressed on this route: the inputs are
-pushed through the isometry v instead.
+(x) I) E_l] and F_r[t] = Tr_B'[(I (x) sigma_t^T) E_r].  Three realignments
+give all (s, t) at once, for a whole stack of states and elements: with the
+raveled inputs as the rows of S, F_l = S_l realign(E_l), F_r = S_r
+realign(E_r)^T and the table is F_l realign(rho^T) F_r^T.  Embedded elements
+E = v^H E_big v are never compressed on this route: the inputs are pushed
+through the isometry v instead.
 
 Transpose bookkeeping: beta is solved against the un-transposed products
 sum beta[s, t] sigma_s (x) sigma_t = W, and the probability rule transposes
@@ -29,10 +31,12 @@ operator.  The middle factor is the transposed witness precisely because the
 inputs enter transposed.
 
 The audit first draws each trial from its own stream, ``rng_from(seed, t)``,
-then evaluates AUDIT_CHUNK trials at a time with stacked kernels: one eigh
-or QR per kind of draw, one click table and one mixture per chunk.  Every
-product is taken trial by trial, so a trial's values do not depend on its
-chunk.  Embedded measurements are drawn in ``arbitrary`` mode only.
+then evaluates a chunk of trials at a time with stacked kernels: one eigh
+or QR per kind of draw, one click table and one mixture per chunk.  A chunk
+holds AUDIT_CHUNK trials, fewer where its two element stacks would pass
+AUDIT_CHUNK_BYTES.  Every product is taken trial by trial, so a trial's
+values do not depend on its chunk.  Embedded measurements are drawn in
+``arbitrary`` mode only.
 """
 from __future__ import annotations
 
@@ -62,7 +66,7 @@ from .sampling import POVM_MODES, rng_from
 __all__ = [
     *_EXPORTS["mdiew"], "DECOMPOSITION_RESIDUAL_TOL", "BETA_IMAG_TOL", "PROBABILITY_RANGE_TOL",
     "POVM_BOUND_TOL", "ROUTE_AGREEMENT_TOL", "AUDIT_VALUE_TOL", "AUDIT_MAX_MEMBERS",
-    "AUDIT_CHUNK", "POVM_MODES",
+    "AUDIT_CHUNK", "AUDIT_CHUNK_BYTES", "POVM_MODES",
 ]
 
 DECOMPOSITION_RESIDUAL_TOL = 1e-9  # relative to the Frobenius norm of W
@@ -72,7 +76,8 @@ POVM_BOUND_TOL = 1e-10
 ROUTE_AGREEMENT_TOL = 1e-9  # relative to the Frobenius norm of W
 AUDIT_VALUE_TOL = 1e-9  # relative to the Frobenius norm of W
 AUDIT_MAX_MEMBERS = 4  # members per separable ensemble drawn by the audit
-AUDIT_CHUNK = 256  # audit trials evaluated together; bounds the stacked arrays
+AUDIT_CHUNK = 256  # most audit trials evaluated together
+AUDIT_CHUNK_BYTES = 2**23  # most bytes of a chunk's two complex element stacks
 
 
 class StateBasis(_Frozen):
@@ -196,18 +201,18 @@ class MdiewScenario(_Frozen):
 
 
 def _input_factors(sigmas: Array, elements: Array, iso: Array) -> Array:
-    """F[n, s] = Tr_in[(sigma_s^T (x) I) iso^H E_n iso], raveled; iso's columns
-    are (in, party), and iso is one matrix or one per element.
+    """F[n, s] = Tr_in[(sigma_s^T (x) I) iso_n^H E_n iso_n], raveled; each
+    isometry's columns are (in, party).
 
-    Each input is pushed through iso first, then traced against E itself.
+    Each input is pushed through iso_n first, then traced against E_n itself.
     """
     count, d = sigmas.shape[:2]
-    lead, big = iso.shape[:-2], iso.shape[-2]
-    v = iso.conj().reshape(*lead, big, d, d).swapaxes(-1, -2).reshape(*lead, -1, d)
+    n, big = iso.shape[:2]
+    v = iso.conj().reshape(n, big, d, d).swapaxes(-1, -2).reshape(n, -1, d)
     vs = v @ sigmas.transpose(1, 0, 2).reshape(d, -1)  # [(x, a), (s, p)]
-    vs = vs.reshape(*lead, big, d, count, d).swapaxes(-4, -2)  # [s, a, x, p]
-    ev = (elements @ iso).reshape(len(elements), -1, d)  # [(x, p), c]
-    return (vs.reshape(*lead, count * d, -1) @ ev).reshape(len(elements), count, -1)
+    vs = vs.reshape(n, big, d, count, d).swapaxes(-4, -2)  # [s, a, x, p]
+    ev = (elements @ iso).reshape(n, -1, d)  # [(x, p), c]
+    return (vs.reshape(n, count * d, -1) @ ev).reshape(n, count, -1)
 
 
 def _click_table(
@@ -217,21 +222,22 @@ def _click_table(
     """P(0,0 | s, t) = Tr[rho_n (F_l[s] (x) F_r[t])] for every input pair (s, t)
     and every member n of the stacks of states and elements.
 
-    The isometries map the measurement spaces into the elements' spaces; the
-    identity when none are given.  Products are taken member by member, so no
-    entry depends on the stack.  Every entry must be real and in [0, 1].
+    Three realignments give the table: with the raveled inputs as the rows
+    of S_l and S_r, F_l = S_l realign(E_l), F_r = S_r realign(E_r)^T, and the
+    table is F_l realign(rho^T) F_r^T.  Elements embedded by stacks of
+    isometries are never compressed: the inputs are pushed through them.
+    Products are taken member by member, so no entry depends on the stack.
+    Every entry must be real and in [0, 1].
     """
-    n, d_a, d_b = len(rho), sig_l.shape[1], sig_r.shape[1]
+    d_a, d_b = sig_l.shape[1], sig_r.shape[1]
     if iso_l is None:
-        iso_l, iso_r = np.eye(d_a * d_a), np.eye(d_b * d_b)
-    # the right element measures (party, input): swap each column's index pair
-    shape = iso_r.shape
-    iso_r = iso_r.reshape(*shape[:-1], d_b, d_b).swapaxes(-1, -2).reshape(shape)
-    f_l = _input_factors(sig_l, e_l, iso_l)
-    f_r = _input_factors(sig_r, e_r, iso_r)
+        f_l = sig_l.reshape(len(sig_l), -1) @ _realign(e_l, d_a, d_a)
+        f_r = sig_r.reshape(len(sig_r), -1) @ _realign(e_r, d_b, d_b).swapaxes(-1, -2)
+    else:  # the right element measures (party, input): swap each column's index pair
+        iso_r = iso_r.reshape(*iso_r.shape[:-1], d_b, d_b).swapaxes(-1, -2).reshape(iso_r.shape)
+        f_l, f_r = _input_factors(sig_l, e_l, iso_l), _input_factors(sig_r, e_r, iso_r)
     # Tr[rho (F (x) G)] = sum rho[(a, b), (c, e)] F[c, a] G[e, b]
-    rho_r = rho.reshape(n, d_a, d_b, d_a, d_b).transpose(0, 3, 1, 4, 2)
-    table = f_l @ rho_r.reshape(n, d_a * d_a, d_b * d_b) @ f_r.swapaxes(-1, -2)
+    table = f_l @ _realign(rho.swapaxes(-1, -2), d_a, d_b) @ f_r.swapaxes(-1, -2)
     imag = float(np.abs(table.imag).max())
     if not imag <= PROBABILITY_RANGE_TOL:
         raise NumericalError(f"probability has imaginary part {imag:.3e}")
@@ -423,9 +429,12 @@ def separable_nonnegativity_audit(
                 f"embed dims {embed_dims} smaller than measurement spaces "
                 f"({d_a * d_a}, {d_b * d_b})"
             )
+    space_l, space_r = embed or (d_a * d_a, d_b * d_b)
+    trial_bytes = 16 * (space_l * space_l + space_r * space_r)  # one complex element a side
+    size = min(AUDIT_CHUNK, max(1, AUDIT_CHUNK_BYTES // trial_bytes))
     direct, mixture = np.empty(trials), np.empty(trials)
-    for start in range(0, trials, AUDIT_CHUNK):
-        chunk = range(start, min(trials, start + AUDIT_CHUNK))
+    for start in range(0, trials, size):
+        chunk = range(start, min(trials, start + size))
         direct[start : chunk.stop], mixture[start : chunk.stop] = _audit_chunk(
             scenario, seed, chunk, povm_mode, embed
         )

@@ -234,13 +234,11 @@ def _as_matrix(M: HermitianOperator | Array) -> Array:
 
 
 def _realign(mat: Array, d_left: int, d_right: int) -> Array:
-    """``mat`` regrouped by party: the (d_left², d_right²) matrix whose entry
-    ((i, j), (r, s)) is <i r|mat|j s>, so A (x) B maps to vec(A) vec(B)^T."""
-    return (
-        mat.reshape(d_left, d_right, d_left, d_right)
-        .transpose(0, 2, 1, 3)
-        .reshape(d_left * d_left, d_right * d_right)
-    )
+    """``mat`` regrouped by party, matrix by matrix for a stack: the (d_left²,
+    d_right²) matrix whose entry ((i, j), (r, s)) is <i r|mat|j s>, so
+    A (x) B maps to vec(A) vec(B)^T."""
+    blocks = mat.reshape(*mat.shape[:-2], d_left, d_right, d_left, d_right).swapaxes(-3, -2)
+    return blocks.reshape(*mat.shape[:-2], d_left * d_left, d_right * d_right)
 
 
 def _validated_subsystems(

@@ -1,4 +1,4 @@
-"""Seeded sampling of PSD operators and states.
+"""Seeded sampling of PSD operators.
 
 All randomness flows from a single integer master seed.  Derived streams are
 split with ``numpy``'s SeedSequence spawn keys, so a run that distributes
@@ -43,9 +43,3 @@ def random_psd(d: int, seed) -> HermitianOperator:
     re, im = rng_from(seed).normal(size=(2, d, d))
     g = re + 1j * im
     return HermitianOperator(g @ g.conj().T, single_system(d))
-
-
-def random_density(d: int, seed) -> HermitianOperator:
-    """``random_psd`` divided by its trace."""
-    p = random_psd(d, seed)
-    return HermitianOperator(p.mat / p.trace, p.layout)

@@ -14,8 +14,9 @@ The stacked zero harvest runs the same descents together, with plain row
 products and one eigensolver call per half step; it is pinned vector for
 vector to the sequential harvest, and stands in for it where that one is slow.
 The random draws are the oracle's own, one matrix at a time, read off the
-stream in the audit's order; an effect's inverse square root comes from
-``scipy.linalg`` instead of the stacked eigensolver kernel.
+stream in the audit's order (a density in a random cap's); an effect's
+inverse square root comes from ``scipy.linalg`` instead of the stacked
+eigensolver kernel.
 """
 
 import numpy as np
@@ -215,6 +216,15 @@ def draw_unitary(d, rng):
     q, r = np.linalg.qr(_complex_gaussian((d, d), rng))
     diag = np.diag(r)
     return q * (diag / np.abs(diag))
+
+
+def draw_density(d, rng):
+    """G G^H over its trace, for one (2, d, d) normal block read as Re G then
+    Im G: the stream of a random cap, so a seeded draw keeps its numbers."""
+    re, im = rng.normal(size=(2, d, d))
+    g = re + 1j * im
+    p = g @ g.conj().T
+    return p / np.trace(p).real
 
 
 def draw_effect(d, rng):

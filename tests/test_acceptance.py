@@ -20,10 +20,8 @@ from entwit import (
     SystemLayout,
     choi_detected_ppt_state,
     choi_witness,
-    closed_form_values,
     collect_zero_set,
     certify_indecomposable,
-    detection_values,
     eigh,
     expectation,
     extend_state,
@@ -36,8 +34,8 @@ from entwit import (
     nontrivial_extension_exhibit,
     partial_transpose,
     projector,
-    random_density,
     random_psd,
+    rho_abb,
     rng_from,
     separable_nonnegativity_audit,
     span_rank,
@@ -46,7 +44,10 @@ from entwit import (
 )
 from entwit.choi import CLOSED_FORM_SCALE
 from entwit.cli import main
-from oracle_utils import draw_separable, min_product_expectation_bloch, mixture_density
+from entwit.choi import _closed_forms, _detection_values
+from oracle_utils import (
+    draw_density, draw_separable, min_product_expectation_bloch, mixture_density,
+)
 
 CHOI_MATRIX = np.array(
     [
@@ -128,8 +129,8 @@ def test_criterion_04_indecomposability_transfer():
         ext_s = extend_state(
             rho,
             ExtensionSpec(
-                random_density(2, rng_from(seed, 82)),
-                random_density(2, rng_from(seed, 83)),
+                draw_density(2, rng_from(seed, 82)),
+                draw_density(2, rng_from(seed, 83)),
             ),
         )
         assert certify_indecomposable(ext_w, ext_s)
@@ -143,8 +144,8 @@ def test_criterion_04_indecomposability_transfer():
             )
         )
         spec = ExtensionSpec(
-            random_density(2, rng_from(trial, 84)),
-            random_density(2, rng_from(trial, 85)),
+            draw_density(2, rng_from(trial, 84)),
+            draw_density(2, rng_from(trial, 85)),
         )
         ext = extend_state(base, spec)
         assert is_psd(partial_transpose(ext), tol=1e-9)
@@ -188,9 +189,9 @@ def test_criterion_06_extension_exhibit():
         params = AbParams(
             a=random_psd(2, rng_from(seed, 88)), b=random_psd(2, rng_from(seed, 89))
         )
-        cap = random_psd(2, rng_from(seed, 90))
-        ext, red = detection_values(params, cap)
-        cext, cred = closed_form_values(params, cap)
+        cap = random_psd(2, rng_from(seed, 90)).mat
+        ext, red = _detection_values(cap, rho_abb(params))
+        cext, cred = _closed_forms(params, cap)
         assert abs(ext - CLOSED_FORM_SCALE * cext) <= 1e-9 * max(1.0, abs(cext))
         assert abs(red - CLOSED_FORM_SCALE * cred) <= 1e-9 * max(1.0, abs(cred))
     _ok(6, "exhibit detects only through the extension; closed forms track")
@@ -217,8 +218,7 @@ def test_criterion_08_ideal_identity():
         d = w.layout.parties[0]
         for seed in range(n_states):
             rho = HermitianOperator(
-                random_density(d * d, rng_from(seed, 91)).mat,
-                SystemLayout((d, d), 1),
+                draw_density(d * d, rng_from(seed, 91)), SystemLayout((d, d), 1)
             )
             got = mdiew_value(sc, rho)
             want = expectation(w, rho) / (d * d)

@@ -8,8 +8,6 @@ from entwit import (
     SystemLayout,
     certify_indecomposable,
     choi_detected_ppt_state,
-    closed_form_values,
-    detection_values,
     eigh,
     expectation,
     is_psd,
@@ -22,7 +20,7 @@ from entwit import (
     rho_abb_matrix,
     rng_from,
 )
-from entwit.choi import CLOSED_FORM_SCALE
+from entwit.choi import CLOSED_FORM_SCALE, _closed_forms, _detection_values
 import entwit.choi as choi_module
 import entwit.extension as extension_module
 import entwit.operators as operators_module
@@ -98,8 +96,10 @@ def test_ab_params_validation():
         (lambda: AbParams(b=np.ones(2)), "b must be 2x2, got (2,)"),
         (lambda: rho_abb_matrix(np.ones((2, 3)), np.eye(2)), "a must be 2x2, got (2, 3)"),
         (lambda: rho_abb_matrix(np.eye(2), np.ones(3)), "b must be 2x2, got (3,)"),
-        (lambda: detection_values(AbParams(), np.eye(3)), "cap must be 2x2, got (3, 3)"),
-        (lambda: closed_form_values(AbParams(), [[1.0]]), "cap must be 2x2, got (1, 1)"),
+        # the exhibit checks the one cap that its detection values and closed
+        # forms read
+        (lambda: nontrivial_extension_exhibit(cap_right=np.eye(3)), "cap must be 2x2, got (3, 3)"),
+        (lambda: nontrivial_extension_exhibit(cap_right=[[1.0]]), "cap must be 2x2, got (1, 1)"),
     ],
     ids=["params-a", "params-b", "raw-a", "raw-b", "detection-cap", "closed-form-cap"],
 )
@@ -174,9 +174,9 @@ def test_detection_values_match_closed_forms_up_to_fixed_scale():
         params = AbParams(
             a=random_psd(2, rng_from(seed, 0)), b=random_psd(2, rng_from(seed, 1))
         )
-        cap = random_psd(2, rng_from(seed, 2))
-        ext, red = detection_values(params, cap)
-        cext, cred = closed_form_values(params, cap)
+        cap = random_psd(2, rng_from(seed, 2)).mat
+        ext, red = _detection_values(cap, rho_abb(params))
+        cext, cred = _closed_forms(params, cap)
         assert abs(ext - CLOSED_FORM_SCALE * cext) <= 1e-9 * max(1.0, abs(cext))
         assert abs(red - CLOSED_FORM_SCALE * cred) <= 1e-9 * max(1.0, abs(cred))
 
@@ -186,14 +186,14 @@ def test_identity_cap_adds_nothing():
         params = AbParams(
             a=random_psd(2, rng_from(seed, 5)), b=random_psd(2, rng_from(seed, 6))
         )
-        ext, red = detection_values(params, np.eye(2))
+        ext, red = _detection_values(np.eye(2), rho_abb(params))
         assert ext == pytest.approx(red, abs=1e-12)
 
 
 def test_equal_blocks_escape_detection():
     a = random_psd(2, seed=13).mat
     params = AbParams(a=a, b=a)
-    ext, red = detection_values(params, random_psd(2, seed=14))
+    ext, red = _detection_values(random_psd(2, seed=14).mat, rho_abb(params))
     assert ext == pytest.approx(0.0, abs=1e-12)
     assert red == pytest.approx(0.0, abs=1e-12)
 
@@ -258,12 +258,12 @@ def test_closed_forms_are_real_at_any_cap_scale():
     rng = np.random.default_rng(5)
     g = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
     caps = [m @ m.conj().T for m in g]
-    caps = [cap for cap in caps if closed_form_values(params, cap)[0] < 0]
+    caps = [cap for cap in caps if _closed_forms(params, cap)[0] < 0]
     assert len(caps) > 80
     for cap in caps:
-        ext = closed_form_values(params, cap)[0]
+        ext = _closed_forms(params, cap)[0]
         for c in (1e-12, 1e-8, 1e-4, 1e4, 1e6, 1e8, 1e12):
-            assert closed_form_values(params, c * cap)[0] == pytest.approx(c * ext)
+            assert _closed_forms(params, c * cap)[0] == pytest.approx(c * ext)
         rep = nontrivial_extension_exhibit(params, 1e12 * cap)
         assert rep.ext_value == pytest.approx(CLOSED_FORM_SCALE * rep.closed_ext, rel=1e-9)
 

@@ -9,17 +9,15 @@ from entwit import (
     SystemLayout,
     certify_witness,
     choi_detected_ppt_state,
-    closed_form_values,
     collect_zero_set,
-    detection_values,
     expectation,
     extend_state,
     extend_witness,
     extended_zero_set,
     is_psd,
+    nontrivial_extension_exhibit,
     partial_trace,
     partial_transpose,
-    random_density,
     random_psd,
     rng_from,
     single_system,
@@ -27,6 +25,7 @@ from entwit import (
 )
 import entwit.operators as operators_module
 from integer_args import check_integer_case, integer_cases
+from oracle_utils import draw_density
 
 
 def test_extension_spec_validates_caps():
@@ -53,13 +52,13 @@ def test_extension_spec_validates_caps():
 def test_one_tolerance_decides_every_cap_check(monkeypatch, tol, passes):
     # The extension's caps and the Choi exhibit's cap are checked at one
     # relative tolerance: moving it moves both checks.  The cap's least
-    # eigenvalue is -1e-8 relative to its largest.
+    # eigenvalue is -1e-8 relative to its largest, and the exhibit detects
+    # through it once the check passes.
     monkeypatch.setattr(operators_module, "CAP_PSD_TOL", tol)
-    cap = np.diag([1.0, -1e-8])
+    cap = np.ones((2, 2)) - 2e-8 * np.eye(2)
     checks = [
         ("cap_left", lambda: ExtensionSpec(cap, np.eye(2))),
-        ("cap", lambda: detection_values(AbParams(), cap)),
-        ("cap", lambda: closed_form_values(AbParams(), cap)),
+        ("cap", lambda: nontrivial_extension_exhibit(AbParams(), cap)),
     ]
     for what, check in checks:
         if passes:
@@ -212,15 +211,15 @@ def test_expectation_of_extension_factorizes(choi):
     for seed in range(5):
         wl = random_psd(2, rng_from(seed, 0))
         wr = random_psd(2, rng_from(seed, 1))
-        sl = random_density(2, rng_from(seed, 2))
-        sr = random_density(2, rng_from(seed, 3))
+        sl = draw_density(2, rng_from(seed, 2))
+        sr = draw_density(2, rng_from(seed, 3))
         ext_w = extend_witness(choi, ExtensionSpec(wl, wr))
         ext_s = extend_state(rho, ExtensionSpec(sl, sr))
         got = expectation(ext_w, ext_s)
         want = (
-            np.trace(wl.mat @ sl.mat).real
+            np.trace(wl.mat @ sl).real
             * base_value
-            * np.trace(wr.mat @ sr.mat).real
+            * np.trace(wr.mat @ sr).real
         )
         assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
 

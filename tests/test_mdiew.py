@@ -21,7 +21,6 @@ from entwit import (
     maximally_entangled_vector,
     mdiew_value,
     projector,
-    random_density,
     rng_from,
     separable_nonnegativity_audit,
     swap_witness,
@@ -30,7 +29,7 @@ from entwit import (
 from entwit.cli import _caps_random, main
 from integer_args import check_integer_case, integer_cases
 from oracle_utils import (
-    audit_trial_reference, decomposition_reference, draw_effect, draw_product,
+    audit_trial_reference, decomposition_reference, draw_density, draw_effect, draw_product,
     draw_separable, draw_unitary, joint_probability_loops, mixture_density,
 )
 
@@ -214,7 +213,7 @@ def test_scenario_guards_its_solve(choi, monkeypatch, factor, message):
 def test_scenario_ideal_construction(swap):
     sc = MdiewScenario.ideal(swap)
     assert sc.witness.layout.parties == (2, 2)
-    rho = _as_state(random_density(4, seed=3).mat, (2, 2))
+    rho = _as_state(draw_density(4, rng_from(3)), (2, 2))
     ideal = mdiew_value(sc, rho, ideal_projector(2), ideal_projector(2))
     assert mdiew_value(sc, rho) == ideal
     with pytest.raises(NumericalError):
@@ -246,23 +245,40 @@ def _one_click(rho, sigma_s, sigma_t, e_l, e_r):
 
 
 def test_joint_probability_matches_loop_oracle():
-    rho = random_density(4, seed=21).mat
-    basis = tomographic_basis(2)
-    e_l = draw_effect(4, rng_from(22))
-    e_r = draw_effect(4, rng_from(23))
-    for s in basis.states[:3]:
-        for t in basis.states[-3:]:
-            lib = _one_click(rho, s, t, e_l, e_r)
-            orc = joint_probability_loops(rho, s, t, e_l, e_r, 2, 2)
-            assert lib == pytest.approx(orc, abs=1e-12)
-            assert 0.0 <= lib <= 1.0
+    # unequal parties show a slip between the two sides' realignments
+    for d_a, d_b in ((2, 2), (3, 3), (2, 3)):
+        rho = draw_density(d_a * d_b, rng_from(21))
+        e_l = draw_effect(d_a * d_a, rng_from(22))
+        e_r = draw_effect(d_b * d_b, rng_from(23))
+        for s in tomographic_basis(d_a).states[:3]:
+            for t in tomographic_basis(d_b).states[-3:]:
+                lib = _one_click(rho, s, t, e_l, e_r)
+                orc = joint_probability_loops(rho, s, t, e_l, e_r, d_a, d_b)
+                assert lib == pytest.approx(orc, abs=1e-12)
+                assert 0.0 <= lib <= 1.0
+
+
+@pytest.mark.parametrize("parties", [(2, 2), (3, 3), (2, 3), (6, 6)], ids=str)
+def test_click_table_realignments_match_identity_isometries(parties):
+    # the three realignments against the embedded route given stacks of
+    # identity isometries, which pushes every input through them
+    (d_a, d_b), n = parties, 3
+    rng = rng_from(24)
+    rho = np.array([draw_density(d_a * d_b, rng) for _ in range(n)])
+    e_l, e_r = (np.array([draw_effect(d * d, rng) for _ in range(n)]) for d in parties)
+    bases = [tomographic_basis(d).states for d in parties]
+    isos = [np.broadcast_to(np.eye(d * d), (n, d * d, d * d)) for d in parties]
+    table = mdiew_module._click_table(rho, *bases, e_l, e_r)
+    reference = mdiew_module._click_table(rho, *bases, e_l, e_r, *isos)
+    assert table.shape == (n, d_a * d_a, d_b * d_b)
+    assert np.abs(table - reference).max() <= 1e-14 * np.abs(reference).max()
 
 
 @pytest.mark.parametrize("scale, bad", [(2.0, "2.0"), (-1.0, "-1.0")], ids=["above", "below"])
 def test_click_table_rejects_a_probability_outside_the_unit_interval(scale, bad):
     # an element outside 0 <= E <= I can click with "probability" 2 or -1;
     # the identity on the right keeps the value exact
-    rho = random_density(4, seed=31).mat
+    rho = draw_density(4, rng_from(31))
     s = t = tomographic_basis(2).states[0]
     with pytest.raises(NumericalError) as err:
         _one_click(rho, s, t, scale * np.eye(4), np.eye(4))
@@ -270,7 +286,7 @@ def test_click_table_rejects_a_probability_outside_the_unit_interval(scale, bad)
 
 
 def test_joint_probability_extreme_elements():
-    rho = random_density(4, seed=31).mat
+    rho = draw_density(4, rng_from(31))
     basis = tomographic_basis(2)
     s, t = basis.states[1], basis.states[2]
     assert _one_click(rho, s, t, np.eye(4), np.eye(4)) == pytest.approx(1.0, abs=1e-12)
@@ -282,7 +298,7 @@ def test_mdiew_value_names_a_povm_element_of_the_wrong_shape(swap, side):
     scenario = MdiewScenario.ideal(swap)
     povms = {f"povm_{side}": np.eye(3)}
     with pytest.raises(LayoutError) as err:
-        mdiew_value(scenario, _as_state(random_density(4, seed=0).mat, (2, 2)), **povms)
+        mdiew_value(scenario, _as_state(draw_density(4, rng_from(0)), (2, 2)), **povms)
     assert str(err.value) == f"{side} POVM element must be 4x4, got (3, 3)"
 
 
@@ -298,7 +314,7 @@ def test_ideal_measurement_reproduces_witness_value(choi, swap):
         sc = MdiewScenario.ideal(w)
         d = w.layout.parties[0]
         for seed in range(n):
-            rho = _as_state(random_density(d * d, rng_from(seed, 40)).mat, (d, d))
+            rho = _as_state(draw_density(d * d, rng_from(seed, 40)), (d, d))
             got = mdiew_value(sc, rho)
             want = expectation(w, rho) / (d * d)
             assert got == pytest.approx(want, abs=1e-9)
@@ -495,6 +511,45 @@ def test_audit_trials_do_not_depend_on_their_chunk(name, mode, embed, named, mon
     assert separable_nonnegativity_audit(scenario, 40, 5, mode, embed) == full
 
 
+@pytest.mark.parametrize("mode", ["ideal", "arbitrary"])
+def test_audit_chunks_by_bytes_at_extension_size(capped_choi, mode, monkeypatch):
+    # parties 12 x 12: a trial's two 144 x 144 complex elements take 663,552
+    # bytes, so the byte budget caps a chunk at 12 trials
+    twice = extend_witness(capped_choi, _caps_random((2, 2), 42))
+    scenario, chunks = _far_below(twice), []
+    audit_chunk = mdiew_module._audit_chunk
+
+    def recording(scenario, seed, chunk, *rest):
+        chunks.append(len(chunk))
+        return audit_chunk(scenario, seed, chunk, *rest)
+
+    monkeypatch.setattr(mdiew_module, "_audit_chunk", recording)
+    split = separable_nonnegativity_audit(scenario, 13, 5, mode)
+    assert chunks == [12, 1] and len(split.failures) == 13
+    monkeypatch.setattr(mdiew_module, "AUDIT_CHUNK_BYTES", 2**40)
+    assert separable_nonnegativity_audit(scenario, 13, 5, mode) == split
+    assert chunks == [12, 1, 13]
+
+
+@pytest.mark.parametrize("name, embed, sizes", [
+    ("choi", None, [256, 44]), ("swap", None, [256, 44]), ("choi", (16, 16), [256, 44]),
+    ("swap", (16, 16), [256, 44]), ("capped-swap", None, [256, 44]),
+    ("capped-choi", None, [202, 98]), ("swap", (100, 150), [16] * 18 + [12]),
+], ids=["choi", "swap", "choi-16x16", "swap-16x16", "capped-swap", "capped-choi", "swap-100x150"])
+def test_audit_chunk_size_follows_the_byte_budget(name, embed, sizes, named, monkeypatch):
+    # AUDIT_CHUNK trials at the benchmark's sizes, fewer once a chunk's two
+    # element stacks would pass AUDIT_CHUNK_BYTES
+    chunks = []
+
+    def sized(scenario, seed, chunk, mode, embed):
+        chunks.append(len(chunk))
+        return np.ones(len(chunk)), np.ones(len(chunk))
+
+    monkeypatch.setattr(mdiew_module, "_audit_chunk", sized)
+    separable_nonnegativity_audit(MdiewScenario.ideal(named[name]), 300, 0, "arbitrary", embed)
+    assert chunks == sizes
+
+
 @pytest.mark.parametrize("mode", ["ideal", "arbitrary", "misaligned"])
 @pytest.mark.parametrize("name", ["choi", "rotated-choi"])
 def test_mdiew_value_is_the_audit_direct_value(name, mode, named, monkeypatch):
@@ -596,7 +651,7 @@ def test_mdiew_value_of_a_cap_extension_factors(choi):
     # an extension on an extended state is the product of three traces
     rho = choi_detected_ppt_state()
     spec = _caps_random((2, 2), 42)
-    kappa = ExtensionSpec(random_density(2, rng_from(3, 0)), random_density(2, rng_from(3, 1)))
+    kappa = ExtensionSpec(draw_density(2, rng_from(3, 0)), draw_density(2, rng_from(3, 1)))
     got = mdiew_value(MdiewScenario.ideal(extend_witness(choi, spec)), extend_state(rho, kappa))
     want = (
         np.trace(spec.cap_left.mat @ kappa.cap_left.mat).real

@@ -16,8 +16,6 @@ from entwit import (
     NumericalError,
     StateBasis,
     SystemLayout,
-    closed_form_values,
-    detection_values,
     eigh,
     extend_state,
     is_psd,
@@ -31,7 +29,7 @@ from entwit import (
     swap_witness,
 )
 from entwit.cli import resolve_operator
-from entwit.operators import _frobenius
+from entwit.operators import _frobenius, _realign
 from integer_args import check_integer_case, integer_cases
 from oracle_utils import partial_trace_loops, partial_transpose_loops
 
@@ -201,9 +199,11 @@ def _value_with_left_povm(povm_left):
          f"cap_right {_NOT_PSD_AT} 1e-10"),
         (lambda: AbParams(a=_NOT_PSD), ValueError, f"a {_NOT_PSD_AT} 1e-10"),
         (lambda: AbParams(b=_NOT_PSD), ValueError, f"b {_NOT_PSD_AT} 1e-10"),
-        (lambda: detection_values(AbParams(), _NOT_PSD), ValueError,
-         f"cap {_NOT_PSD_AT} 1e-10"),
-        (lambda: closed_form_values(AbParams(), _NOT_PSD), ValueError,
+        # the exhibit checks its one cap, whatever form it comes in, before
+        # it takes the detection values and the closed forms
+        (lambda: nontrivial_extension_exhibit(AbParams(), HermitianOperator(
+            _NOT_PSD, single_system(2))), ValueError, f"cap {_NOT_PSD_AT} 1e-10"),
+        (lambda: nontrivial_extension_exhibit(AbParams(), _NOT_PSD.tolist()), ValueError,
          f"cap {_NOT_PSD_AT} 1e-10"),
         (lambda: nontrivial_extension_exhibit(cap_right=_NOT_PSD), ValueError,
          f"cap {_NOT_PSD_AT} 1e-10"),
@@ -304,6 +304,21 @@ def test_partial_trace_matches_loop_oracle(dims, keep):
     expect = partial_trace_loops(op.mat, dims, keep)
     np.testing.assert_allclose(out.mat, expect, atol=1e-13)
     assert out.trace == pytest.approx(op.trace, abs=1e-12)
+
+
+@pytest.mark.parametrize("d_left, d_right", [(2, 3), (3, 2), (1, 4), (3, 3)])
+def test_realign_of_a_stack_is_the_realignment_of_each_matrix(d_left, d_right):
+    # entry ((i, j), (r, s)) is <i r|M|j s>, matrix by matrix, bit for bit
+    n = d_left * d_right
+    rng = np.random.default_rng(d_left * 10 + d_right)
+    stack = rng.normal(size=(2, 3, n, n)) + 1j * rng.normal(size=(2, 3, n, n))
+    out = _realign(stack, d_left, d_right)
+    assert out.shape == (2, 3, d_left * d_left, d_right * d_right)
+    blocks = stack.reshape(2, 3, d_left, d_right, d_left, d_right)
+    for k in np.ndindex(2, 3):
+        np.testing.assert_array_equal(out[k], _realign(stack[k], d_left, d_right))
+        for i, j, r, t in np.ndindex(d_left, d_left, d_right, d_right):
+            assert out[k][i * d_left + j, r * d_right + t] == blocks[k][i, r, j, t]
 
 
 def test_partial_trace_of_kron_factorizes():

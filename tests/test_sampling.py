@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from entwit import is_psd, random_density, random_psd, rng_from
+from entwit import is_psd, random_psd, rng_from
 from entwit.mdiew import _effects, _unitaries
 from integer_args import check_integer_case, integer_cases
+from oracle_utils import draw_density
 
 
 def test_rng_from_is_reproducible_and_key_split():
@@ -29,7 +30,6 @@ def test_rng_from_passes_generators_through():
 @pytest.mark.parametrize("call, value, message", integer_cases({
     "seed": (lambda x: random_psd(2, x), "seed", 0),
     "random_psd": (lambda x: random_psd(x, 0), "dimension", 1),
-    "random_density": (lambda x: random_density(x, 0), "dimension", 1),
     "rng_from-key": (lambda x: rng_from(1, x), "substream key", 0),
 }, own="seed", values=(2.7, 2.0, "2", True, None)))
 def test_seeds_are_checked_not_coerced(call, value, message):
@@ -39,23 +39,14 @@ def test_seeds_are_checked_not_coerced(call, value, message):
     np.testing.assert_array_equal(random_psd(2, np.int64(2)).mat, random_psd(2, 2).mat)
 
 
-def test_random_density_properties():
-    rho = random_density(5, seed=3)
-    assert rho.trace == pytest.approx(1.0, abs=1e-12)
-    assert is_psd(rho, tol=1e-12)
-    again = random_density(5, seed=3)
-    np.testing.assert_array_equal(rho.mat, again.mat)
-    other = random_density(5, seed=4)
-    assert not np.array_equal(rho.mat, other.mat)
-
-
 def test_random_psd_properties():
     p = random_psd(4, seed=11)
     assert is_psd(p, tol=1e-12)
     assert p.trace > 0.0
-    q = random_density(4, seed=11)
-    np.testing.assert_array_equal(q.mat, p.mat / p.trace)
-    assert q.trace == pytest.approx(1.0, abs=1e-12)
+    # the tests' oracle density reads the same stream, bit for bit
+    q = draw_density(4, rng_from(11))
+    np.testing.assert_array_equal(q, p.mat / p.trace)
+    assert np.trace(q).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_effects_are_bounded_first_elements():

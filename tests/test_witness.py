@@ -22,15 +22,16 @@ from entwit import (
     min_product_expectation,
     partial_transpose,
     projector,
-    random_density,
     random_psd,
     rng_from,
+    single_system,
     span_rank,
     swap_witness,
 )
 import entwit.witness as witness_module
 from integer_args import check_integer_case, integer_cases
 from oracle_utils import (
+    draw_density,
     draw_separable,
     draw_unitary,
     min_product_expectation_bloch,
@@ -49,8 +50,7 @@ def _random_hermitian_22(seed):
 
 def test_expectation_matches_trace():
     op = _random_hermitian_22(0)
-    rho = random_density(4, seed=1)
-    rho = HermitianOperator(rho.mat, SystemLayout((2, 2), 1))
+    rho = HermitianOperator(draw_density(4, rng_from(1)), SystemLayout((2, 2), 1))
     assert expectation(op, rho) == pytest.approx(
         np.trace(op.mat @ rho.mat).real, abs=1e-13
     )
@@ -816,8 +816,9 @@ def test_certify_indecomposable_needs_a_ppt_state(choi):
 
 
 def test_certify_indecomposable_dimension_mismatch(choi):
+    rho = HermitianOperator(draw_density(4, rng_from(0)), single_system(4))
     with pytest.raises(Exception):
-        certify_indecomposable(choi, random_density(4, seed=0))
+        certify_indecomposable(choi, rho)
 
 
 def test_certify_indecomposable_reads_ppt_across_the_witness_cut():
